@@ -1297,7 +1297,16 @@ WireChannel::RecvStatus WireChannel::Poll(int timeout_ms, std::vector<WireFrame>
       if (errno == EINTR) {
         continue;
       }
-      return RecvStatus::kClosed;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        break;
+      }
+      // A read error ends the stream like EOF does, but only after the
+      // bytes already received are delivered: a Linux AF_UNIX peer that
+      // closes with unread data in its own buffer leaves the reader its
+      // last frames, then ECONNRESET; those frames can carry a departing
+      // shard's final kResult.
+      saw_eof = true;
+      break;
     }
     if (n == 0) {
       saw_eof = true;

@@ -1,8 +1,8 @@
 #include "src/solver/expr.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
+#include <unordered_map>
 
 namespace retrace {
 
@@ -96,25 +96,66 @@ i64 ExprArena::EvalUn(ExprOp op, i64 a) {
   }
 }
 
-ExprArena::ExprArena() { nodes_.reserve(1024); }
+namespace {
+
+constexpr u32 kInitialTableLog2 = 11;  // 2048 slots: 1024 nodes before growing.
+
+// Hash-consing key of a node. HashMix ends in a multiply, so the top bits
+// (the table's home slot) depend on every field.
+u64 InternHash(const ExprNode& n) {
+  const u64 operands = (static_cast<u64>(static_cast<u32>(n.a)) << 32) | static_cast<u32>(n.b);
+  return HashMix(HashMix(static_cast<u64>(n.imm), operands), static_cast<u64>(n.op));
+}
+
+}  // namespace
+
+ExprArena::ExprArena()
+    : table_(size_t{1} << kInitialTableLog2, kNoExpr), table_shift_(64 - kInitialTableLog2) {
+  nodes_.reserve(1024);
+}
 
 ExprRef ExprArena::Intern(ExprNode node) {
-  u64 h = static_cast<u64>(node.op) * 0x9e3779b97f4a7c15ull;
-  h ^= static_cast<u64>(node.a) + 0x517cc1b727220a95ull + (h << 6) + (h >> 2);
-  h ^= static_cast<u64>(node.b) + 0x2545f4914f6cdd1dull + (h << 6) + (h >> 2);
-  h ^= std::hash<i64>{}(node.imm) + (h << 6) + (h >> 2);
-  auto& bucket = dedup_[h];
-  for (ExprRef ref : bucket) {
-    const ExprNode& existing = nodes_[ref];
-    if (existing.op == node.op && existing.a == node.a && existing.b == node.b &&
-        existing.imm == node.imm) {
+  const size_t mask = table_.size() - 1;
+  for (size_t slot = InternHash(node) >> table_shift_;; slot = (slot + 1) & mask) {
+    const ExprRef ref = table_[slot];
+    if (ref == kNoExpr) {
+      const ExprRef fresh = static_cast<ExprRef>(nodes_.size());
+      nodes_.push_back(node);
+      table_[slot] = fresh;
+      if (nodes_.size() * 2 > table_.size()) {
+        GrowTable();
+      }
+      return fresh;
+    }
+    if (nodes_[ref] == node) {
       return ref;
     }
   }
-  const ExprRef ref = static_cast<ExprRef>(nodes_.size());
-  nodes_.push_back(node);
-  bucket.push_back(ref);
-  return ref;
+}
+
+void ExprArena::GrowTable() {
+  table_.assign(table_.size() * 2, kNoExpr);
+  --table_shift_;
+  const size_t mask = table_.size() - 1;
+  for (size_t ref = 0; ref < nodes_.size(); ++ref) {
+    size_t slot = InternHash(nodes_[ref]) >> table_shift_;
+    while (table_[slot] != kNoExpr) {
+      slot = (slot + 1) & mask;
+    }
+    table_[slot] = static_cast<ExprRef>(ref);
+  }
+}
+
+u32 ExprArena::BeginWalk() const {
+  if (visit_mark_.size() < nodes_.size()) {
+    visit_mark_.resize(nodes_.size(), 0);
+  }
+  if (++visit_epoch_ == 0) {  // Wrapped: clear stale marks once per 2^32 walks.
+    std::fill(visit_mark_.begin(), visit_mark_.end(), 0);
+    visit_epoch_ = 1;
+  }
+  walk_stack_.clear();
+  return visit_epoch_;
 }
 
 ExprRef ExprArena::MkConst(i64 value) {
@@ -210,15 +251,16 @@ i64 ExprArena::Eval(ExprRef ref, const std::vector<i64>& assignment) const {
 
 void ExprArena::CollectVars(ExprRef ref, std::vector<i32>* vars) const {
   // Iterative DFS; shadow DAGs can be deep for accumulator loops.
-  std::vector<ExprRef> stack{ref};
-  std::vector<bool> seen(nodes_.size(), false);
+  const u32 epoch = BeginWalk();
+  std::vector<ExprRef>& stack = walk_stack_;
+  stack.push_back(ref);
   while (!stack.empty()) {
     const ExprRef cur = stack.back();
     stack.pop_back();
-    if (cur == kNoExpr || seen[cur]) {
+    if (cur == kNoExpr || visit_mark_[cur] == epoch) {
       continue;
     }
-    seen[cur] = true;
+    visit_mark_[cur] = epoch;
     const ExprNode& n = nodes_[cur];
     if (n.op == ExprOp::kVar) {
       const i32 id = static_cast<i32>(n.imm);
@@ -244,15 +286,16 @@ void ExprArena::CollectVars(ExprRef ref, std::vector<i32>* vars) const {
 }
 
 void ExprArena::CollectConsts(ExprRef ref, std::vector<i64>* consts) const {
-  std::vector<ExprRef> stack{ref};
-  std::vector<bool> seen(nodes_.size(), false);
+  const u32 epoch = BeginWalk();
+  std::vector<ExprRef>& stack = walk_stack_;
+  stack.push_back(ref);
   while (!stack.empty()) {
     const ExprRef cur = stack.back();
     stack.pop_back();
-    if (cur == kNoExpr || seen[cur]) {
+    if (cur == kNoExpr || visit_mark_[cur] == epoch) {
       continue;
     }
-    seen[cur] = true;
+    visit_mark_[cur] = epoch;
     const ExprNode& n = nodes_[cur];
     if (n.op == ExprOp::kConst) {
       consts->push_back(n.imm);
@@ -370,10 +413,14 @@ u64 NodeHash(const ExprNode& n, u64 hash_a, u64 hash_b) {
 }  // namespace
 
 u64 ExprArena::StructuralHash(ExprRef ref) const {
+  if (static_cast<size_t>(ref) < struct_hash_.size() && struct_hash_[ref] != 0) {
+    return struct_hash_[ref];
+  }
   if (struct_hash_.size() < nodes_.size()) {
     struct_hash_.resize(nodes_.size(), 0);
   }
-  std::vector<ExprRef> stack{ref};
+  std::vector<ExprRef>& stack = walk_stack_;
+  stack.assign(1, ref);
   while (!stack.empty()) {
     const ExprRef cur = stack.back();
     if (struct_hash_[cur] != 0) {

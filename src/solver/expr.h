@@ -9,7 +9,6 @@
 #define RETRACE_SOLVER_EXPR_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/support/common.h"
@@ -55,6 +54,12 @@ struct ExprNode {
 // Arena of hash-consed expression nodes. Node construction performs
 // constant folding and light algebraic simplification, which keeps shadow
 // DAGs small across millions of branch executions.
+//
+// Refs are dense and handed out in creation order: the n-th distinct node
+// is ref n-1, and re-making an existing node returns its original ref.
+// The arena is thread-confined, const methods included: the graph walks
+// (CollectVars, CollectConsts, StructuralHash) reuse per-arena scratch
+// state instead of allocating per call.
 class ExprArena {
  public:
   ExprArena();
@@ -95,10 +100,21 @@ class ExprArena {
 
  private:
   ExprRef Intern(ExprNode node);
+  void GrowTable();
+  // Starts a graph walk: returns a fresh visit epoch (nodes whose mark
+  // equals it were seen by this walk) and an empty walk stack.
+  u32 BeginWalk() const;
 
   std::vector<ExprNode> nodes_;
-  std::unordered_map<u64, std::vector<ExprRef>> dedup_;
+  // Hash-consing table: open addressing with linear probing over refs into
+  // nodes_ (kNoExpr = empty slot). Power-of-two sized, at most half full;
+  // the home slot is the top bits of the node hash.
+  std::vector<ExprRef> table_;
+  u32 table_shift_ = 0;
   mutable std::vector<u64> struct_hash_;  // 0 = not yet computed.
+  mutable std::vector<u32> visit_mark_;   // Per node: epoch of its last visit.
+  mutable u32 visit_epoch_ = 0;
+  mutable std::vector<ExprRef> walk_stack_;
 };
 
 // A path constraint: `expr` must evaluate truthy (want_true) or falsy.

@@ -407,14 +407,20 @@ bool SliceCache::LoadSnapshot(const std::string& path, SnapshotInfo* info) {
   return true;
 }
 
-const std::vector<i32>& IncrementalSolver::VarsOf(ExprRef expr) {
-  auto it = vars_memo_.find(expr);
-  if (it != vars_memo_.end()) {
-    return it->second;
+std::span<const i32> IncrementalSolver::VarsOf(ExprRef expr) {
+  const size_t ref = static_cast<size_t>(expr);
+  if (ref >= vars_memo_.size()) {
+    vars_memo_.resize(std::max(ref + 1, arena_.size()));
   }
-  std::vector<i32> vars;
-  arena_.CollectVars(expr, &vars);
-  return vars_memo_.emplace(expr, std::move(vars)).first->second;
+  VarsSpan& memo = vars_memo_[ref];
+  if (memo.off == kNone) {
+    vars_scratch_.clear();
+    arena_.CollectVars(expr, &vars_scratch_);
+    memo.off = static_cast<u32>(vars_pool_.size());
+    memo.len = static_cast<u32>(vars_scratch_.size());
+    vars_pool_.insert(vars_pool_.end(), vars_scratch_.begin(), vars_scratch_.end());
+  }
+  return {vars_pool_.data() + memo.off, memo.len};
 }
 
 SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
@@ -424,58 +430,85 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   SolveResult result;
 
   // Union-find over constraint indices, merged through shared variables.
-  std::vector<size_t> parent(n);
+  parent_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    parent[i] = i;
+    parent_[i] = static_cast<u32>(i);
   }
-  auto find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  auto find = [&](u32 x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
     }
     return x;
   };
-  auto unite = [&](size_t a, size_t b) { parent[find(a)] = find(b); };
 
-  std::unordered_map<i32, size_t> var_owner;  // var -> first constraint seen.
+  // var_owner_[v]: the first constraint naming v (kNone outside a call).
+  // This pass also memoizes every constraint's variables, so the spans
+  // VarsOf hands out below stay valid for the rest of the call. Constant
+  // constraints (fully folded conditions) form no slice: they hold or
+  // fail regardless of any model, and one that fails ends the call.
   i32 max_var = -1;
-  for (size_t i = 0; i < n; ++i) {
-    for (const i32 v : VarsOf(constraints[i].expr)) {
+  bool constant_fails = false;
+  owner_touched_.clear();
+  constraint_slice_.resize(n);
+  for (size_t i = 0; i < n && !constant_fails; ++i) {
+    const Constraint c = constraints[i];
+    const std::span<const i32> vars = VarsOf(c.expr);
+    if (vars.empty()) {
+      constant_fails = (arena_.Eval(c.expr, {}) != 0) != c.want_true;
+      constraint_slice_[i] = kNone;
+      continue;
+    }
+    constraint_slice_[i] = 0;  // Assigned below.
+    for (const i32 v : vars) {
       max_var = std::max(max_var, v);
-      auto [it, fresh] = var_owner.emplace(v, i);
-      if (!fresh) {
-        unite(i, it->second);
+      const size_t var = static_cast<size_t>(v);
+      if (var >= var_owner_.size()) {
+        var_owner_.resize(var + 1, kNone);
+      }
+      if (var_owner_[var] == kNone) {
+        var_owner_[var] = static_cast<u32>(i);
+        owner_touched_.push_back(v);
+      } else {
+        parent_[find(static_cast<u32>(i))] = find(var_owner_[var]);
       }
     }
   }
-
-  // Constant constraints (fully folded conditions) form no slice: they
-  // hold or fail regardless of any model.
-  for (size_t i = 0; i < n; ++i) {
-    const Constraint c = constraints[i];
-    if (!VarsOf(c.expr).empty()) {
-      continue;
-    }
-    if ((arena_.Eval(c.expr, {}) != 0) != c.want_true) {
-      result.status = SolveStatus::kUnsat;
-      return result;
-    }
+  for (const i32 v : owner_touched_) {
+    var_owner_[static_cast<size_t>(v)] = kNone;
+  }
+  if (constant_fails) {
+    result.status = SolveStatus::kUnsat;
+    return result;
   }
 
   // Group constraints into slices, ordered by first appearance so slice
-  // keys are deterministic for a given trace prefix.
-  std::unordered_map<size_t, size_t> root_slice;
-  std::vector<std::vector<size_t>> slices;
+  // keys are deterministic for a given trace prefix; within a slice,
+  // constraints keep trace order. Counting pass, then a CSR fill.
+  root_slice_.assign(n, kNone);
+  slice_start_.assign(1, 0);
   for (size_t i = 0; i < n; ++i) {
-    if (VarsOf(constraints[i].expr).empty()) {
+    if (constraint_slice_[i] == kNone) {
       continue;
     }
-    const size_t root = find(i);
-    auto [it, fresh] = root_slice.emplace(root, slices.size());
-    if (fresh) {
-      slices.emplace_back();
+    u32& slice = root_slice_[find(static_cast<u32>(i))];
+    if (slice == kNone) {
+      slice = static_cast<u32>(slice_start_.size() - 1);
+      slice_start_.push_back(0);
     }
-    slices[it->second].push_back(i);
+    constraint_slice_[i] = slice;
+    ++slice_start_[slice + 1];
+  }
+  const size_t num_slices = slice_start_.size() - 1;
+  for (size_t s = 0; s < num_slices; ++s) {
+    slice_start_[s + 1] += slice_start_[s];
+  }
+  slice_fill_.assign(slice_start_.begin(), slice_start_.end() - 1);
+  slice_members_.resize(slice_start_.back());
+  for (size_t i = 0; i < n; ++i) {
+    if (constraint_slice_[i] != kNone) {
+      slice_members_[slice_fill_[constraint_slice_[i]]++] = static_cast<u32>(i);
+    }
   }
 
   // Base model: the seed clamped into domains (the same initialization the
@@ -486,9 +519,9 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     model[i] = std::clamp(i < seed.size() ? seed[i] : 0, dom.lo, dom.hi);
   }
 
-  std::vector<Constraint> slice_constraints;
-  std::vector<i32> slice_vars;
-  for (const std::vector<size_t>& slice : slices) {
+  for (size_t s = 0; s < num_slices; ++s) {
+    const std::span<const u32> slice(slice_members_.data() + slice_start_[s],
+                                     slice_start_[s + 1] - slice_start_[s]);
     ++stats_.slices_total;
 
     // Key: constraint structure + polarity in trace order, then each
@@ -496,33 +529,30 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     // `check` accumulates the same content from an independent seed; the
     // UNSAT cache requires both to match, so masking a SAT slice takes a
     // simultaneous 128-bit collision.
-    slice_vars.clear();
+    slice_vars_.clear();
+    slice_constraints_.clear();
     u64 key = 0x452821e638d01377ull;
     u64 check = 0xbe5466cf34e90c6cull;
-    for (const size_t ci : slice) {
+    for (const u32 ci : slice) {
       const Constraint c = constraints[ci];
+      slice_constraints_.push_back(c);
       const u64 expr_hash = arena_.StructuralHash(c.expr);
       key = HashMix(key, expr_hash);
       key = HashMix(key, c.want_true ? 1 : 2);
       check = HashMix(check, c.want_true ? 1 : 2);
       check = HashMix(check, expr_hash);
-      const std::vector<i32>& vars = VarsOf(c.expr);
-      slice_vars.insert(slice_vars.end(), vars.begin(), vars.end());
+      const std::span<const i32> vars = VarsOf(c.expr);
+      slice_vars_.insert(slice_vars_.end(), vars.begin(), vars.end());
     }
-    std::sort(slice_vars.begin(), slice_vars.end());
-    slice_vars.erase(std::unique(slice_vars.begin(), slice_vars.end()), slice_vars.end());
-    for (const i32 v : slice_vars) {
+    std::sort(slice_vars_.begin(), slice_vars_.end());
+    slice_vars_.erase(std::unique(slice_vars_.begin(), slice_vars_.end()), slice_vars_.end());
+    for (const i32 v : slice_vars_) {
       const Interval dom =
           static_cast<size_t>(v) < domains.size() ? domains[v] : Interval{0, 255};
       key = HashMix(key, static_cast<u64>(v));
       key = dom.MixInto(key);
       check = dom.MixInto(check);
       check = HashMix(check, static_cast<u64>(v));
-    }
-
-    slice_constraints.clear();
-    for (const size_t ci : slice) {
-      slice_constraints.push_back(constraints[ci]);
     }
 
     if (cache_ != nullptr) {
@@ -532,20 +562,19 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
         result.steps = 0;
         return result;
       }
-      SliceCache::SliceModel cached;
-      if (cache_->LookupSat(key, &cached)) {
-        for (const auto& [v, value] : cached) {
+      if (cache_->LookupSat(key, &cached_model_)) {
+        for (const auto& [v, value] : cached_model_) {
           if (static_cast<size_t>(v) < model.size()) {
             model[v] = value;
           }
         }
         // Revalidate against the live constraints: a fingerprint collision
         // (or any cache bug) degrades to a miss instead of a wrong model.
-        if (solver_.Satisfies(slice_constraints, model)) {
+        if (solver_.Satisfies(slice_constraints_, model)) {
           ++stats_.slice_sat_hits;
           continue;
         }
-        for (const i32 v : slice_vars) {  // Undo the misapplied sub-model.
+        for (const i32 v : slice_vars_) {  // Undo the misapplied sub-model.
           if (static_cast<size_t>(v) < model.size()) {
             const Interval dom =
                 static_cast<size_t>(v) < domains.size() ? domains[v] : Interval{0, 255};
@@ -557,7 +586,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     }
 
     ++stats_.slices_solved;
-    SolveResult sub = solver_.Solve(slice_constraints, domains, seed);
+    SolveResult sub = solver_.Solve(slice_constraints_, domains, seed);
     result.steps += sub.steps;
     if (sub.status == SolveStatus::kUnsat) {
       if (cache_ != nullptr) {
@@ -571,8 +600,8 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       return result;
     }
     SliceCache::SliceModel sub_model;
-    sub_model.reserve(slice_vars.size());
-    for (const i32 v : slice_vars) {
+    sub_model.reserve(slice_vars_.size());
+    for (const i32 v : slice_vars_) {
       const i64 value = static_cast<size_t>(v) < sub.model.size() ? sub.model[v] : 0;
       sub_model.emplace_back(v, value);
       if (static_cast<size_t>(v) < model.size()) {

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <list>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -252,15 +253,45 @@ class IncrementalSolver {
   const IncrementalStats& stats() const { return stats_; }
 
  private:
-  // Memoized per-expression variable sets; pendings of one search name the
-  // same expressions over and over.
-  const std::vector<i32>& VarsOf(ExprRef expr);
+  // Memoized per-expression variable sets (CollectVars order); pendings of
+  // one search name the same expressions over and over. The span points
+  // into vars_pool_, so it is invalidated by the next VarsOf of an
+  // expression not yet memoized.
+  std::span<const i32> VarsOf(ExprRef expr);
 
   const ExprArena& arena_;
   Solver solver_;
   SliceCache* cache_;
   IncrementalStats stats_;
-  std::unordered_map<ExprRef, std::vector<i32>> vars_memo_;
+
+  static constexpr u32 kNone = ~0u;
+
+  // Dense memo behind VarsOf, indexed by ExprRef: (offset, length) into
+  // one flat pool (off == kNone: not yet collected). Grows with the
+  // arena, never shrinks.
+  struct VarsSpan {
+    u32 off = kNone;
+    u32 len = 0;
+  };
+  std::vector<VarsSpan> vars_memo_;
+  std::vector<i32> vars_pool_;
+  std::vector<i32> vars_scratch_;
+
+  // Per-Solve scratch, reset by every call and never shrunk, so a warm
+  // solver partitions without allocating. var_owner_ stays all-kNone
+  // between calls: each call clears the entries it set, via
+  // owner_touched_, right after the union pass.
+  std::vector<u32> parent_;            // Union-find over constraint indices.
+  std::vector<u32> var_owner_;         // Var id -> first constraint naming it.
+  std::vector<i32> owner_touched_;     // Var ids whose owner this call set.
+  std::vector<u32> root_slice_;        // Union-find root -> slice id.
+  std::vector<u32> constraint_slice_;  // Constraint -> slice id (kNone: constant).
+  std::vector<u32> slice_start_;       // CSR: slice s is members [start[s], start[s+1]).
+  std::vector<u32> slice_fill_;
+  std::vector<u32> slice_members_;     // Constraint indices, slice by slice.
+  std::vector<Constraint> slice_constraints_;
+  std::vector<i32> slice_vars_;
+  SliceCache::SliceModel cached_model_;  // A SAT hit's sub-model; reuses its capacity.
 };
 
 }  // namespace retrace

@@ -130,6 +130,29 @@ TEST(DistReplayTest, TwoShardsReproduceDeepCrashAndAggregateStats) {
   EXPECT_GE(winners, 1);
 }
 
+// A fault-free fleet loses no shard. A shard that exits while the
+// coordinator's last heartbeats or gossip sit unread in its socket makes
+// the coordinator's read end in ECONNRESET; the shard's final kResult,
+// received just before, must still count. Several searches give that
+// exit race room to happen.
+TEST(DistReplayTest, FaultFreeTwoShardSearchesLoseNoShard) {
+  auto pipeline = MustBuild(kDeepGuardedCrash);
+  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
+  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
+  ASSERT_TRUE(user.result.Crashed());
+
+  ReplayConfig config;
+  config.num_shards = 2;
+  config.num_workers = 2;
+  for (u64 search = 0; search < 12; ++search) {
+    config.seed = 100 + search;
+    const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
+    ASSERT_TRUE(replay.reproduced) << "search " << search;
+    EXPECT_EQ(replay.stats.shards_lost, 0u) << "search " << search;
+    EXPECT_FALSE(replay.stats.fallback_inprocess) << "search " << search;
+  }
+}
+
 // Corpus-seeded distributed replay: the fleet partitions the corpus by
 // shard id and every seeded run is counted. Seeding each shard with a
 // known witness makes the reproduction come from a corpus run (the
@@ -456,6 +479,10 @@ int main(int argc, char **argv) {
   // engine finishes runs several times faster than the tree walker.
   shard_cfg.max_runs = 40;
   shard_cfg.gossip_interval_ms = 5;
+  // This test plays a coordinator that sends no heartbeats, and under
+  // TSan the search can outlast the shard's liveness deadline: the shard
+  // would then exit as if the coordinator had died, without a kResult.
+  shard_cfg.heartbeat_timeout_ms = 0;
   bool shard_ok = false;
   std::thread shard([&] {
     shard_ok = RunShard(pipeline->module(), plan, user.report, shard_cfg, /*shard_id=*/1,

@@ -201,8 +201,7 @@ TEST(DistServiceTest, ReportQueueEnforcesBudgets) {
 
 // A restarted daemon warm-starts from the slice-cache snapshot: the
 // second service instance loads the entries the first one saved, and the
-// same report re-searches with strictly more cache hits than the cold
-// run paid.
+// same report re-searches solving fewer slices than the cold run did.
 TEST(DistServiceTest, SnapshotWarmStartsARestartedService) {
   auto pipeline = MustBuild();
   const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
@@ -215,6 +214,7 @@ TEST(DistServiceTest, SnapshotWarmStartsARestartedService) {
   config.snapshot_path = path;
 
   u64 cold_hits = 0;
+  u64 cold_solved = 0;
   u64 saved_entries = 0;
   {
     auto service = pipeline->MakeService(plan, config).take();
@@ -224,7 +224,8 @@ TEST(DistServiceTest, SnapshotWarmStartsARestartedService) {
     ASSERT_EQ(v.origin, VerdictOrigin::kFresh);
     ASSERT_TRUE(v.reproduced);
     cold_hits = v.result.stats.slice_sat_hits + v.result.stats.slice_unsat_hits;
-    ASSERT_GT(v.result.stats.slices_solved, 0u);
+    cold_solved = v.result.stats.slices_solved;
+    ASSERT_GT(cold_solved, 0u);
     saved_entries = service->cache().sat_entries() + service->cache().unsat_entries();
     ASSERT_GT(saved_entries, 0u);
     service->Shutdown();  // Saves the snapshot.
@@ -244,8 +245,13 @@ TEST(DistServiceTest, SnapshotWarmStartsARestartedService) {
     const ServiceVerdict v = service->Submit("alice", report);
     ASSERT_EQ(v.origin, VerdictOrigin::kFresh);
     ASSERT_TRUE(v.reproduced);
+    // Two search workers race on the shared cache, so a cold run whose
+    // second worker reuses the first one's verdicts can already score as
+    // many hits as the warm run. The warm run still solves fewer slices,
+    // and hits no fewer.
     const u64 warm_hits = v.result.stats.slice_sat_hits + v.result.stats.slice_unsat_hits;
-    EXPECT_GT(warm_hits, cold_hits);
+    EXPECT_LT(v.result.stats.slices_solved, cold_solved);
+    EXPECT_GE(warm_hits, cold_hits);
     service->Shutdown();
   }
   std::remove(path.c_str());

@@ -2,6 +2,7 @@
 // round trips for every payload codec, truncated/corrupt-frame
 // rejection, and version-mismatch refusal.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <vector>
@@ -696,6 +697,32 @@ TEST(DistWireTest, JobDecodeRejectsHostilePayloads) {
     WireJob decoded;
     EXPECT_FALSE(DecodeJob(&r, &decoded));
   }
+}
+
+// A Linux AF_UNIX peer that closes with unread data in its own receive
+// buffer leaves the reader its last bytes, then ECONNRESET. Poll must
+// deliver the frames that arrived ahead of the reset before reporting
+// the channel closed: a shard exiting with unread heartbeats still
+// delivers its kResult.
+TEST(DistWireTest, PollDeliversFramesAheadOfAConnectionReset) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  WireChannel near(fds[0]);
+  {
+    WireChannel far(fds[1]);
+    ASSERT_TRUE(near.Send(WireMsg::kHeartbeat, {}));  // Never read by `far`.
+    ASSERT_TRUE(far.Send(WireMsg::kResult, {1, 2, 3}));
+  }  // `far` closes its end with the heartbeat unread.
+
+  std::vector<WireFrame> frames;
+  WireChannel::RecvStatus status = WireChannel::RecvStatus::kOk;
+  for (int i = 0; i < 20 && status == WireChannel::RecvStatus::kOk; ++i) {
+    status = near.Poll(50, &frames);
+  }
+  EXPECT_EQ(status, WireChannel::RecvStatus::kClosed);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].type, WireMsg::kResult);
+  EXPECT_EQ(frames[0].payload, (std::vector<u8>{1, 2, 3}));
 }
 
 }  // namespace

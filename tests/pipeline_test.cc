@@ -171,6 +171,40 @@ TEST(PipelineTest, UserverExperimentOneCombined) {
   EXPECT_TRUE(replay.reproduced) << "runs=" << replay.stats.runs;
 }
 
+// The repository's sentinels: under the dynamic low-coverage plan
+// (4 analysis runs, seed 17), uServer exps 1, 3 and 4 reproduce at one
+// worker and replay seed 31 in exactly 863, 7027 and 2810 runs. Any
+// change to shadow execution, the frontier or the solver that alters a
+// search moves one of these counts.
+TEST(PipelineTest, UserverLcSentinelRunCounts) {
+  auto pipeline = BuildWorkload("userver");
+  AnalysisConfig analysis;
+  analysis.max_runs = 4;
+  analysis.seed = 17;
+  const AnalysisResult lc = pipeline->RunDynamicAnalysis(UserverExploreSpecLC(), analysis);
+  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::Dynamic(lc));
+
+  const struct {
+    int experiment;
+    u64 runs;
+  } kSentinels[] = {{1, 863}, {3, 7027}, {4, 2810}};
+  for (const auto& sentinel : kSentinels) {
+    const Scenario scenario = UserverScenario(sentinel.experiment);
+    Pipeline::UserRunOptions options;
+    options.policy = scenario.policy.get();
+    const auto user = pipeline->RecordUserRun(scenario.spec, plan, options).take();
+    ASSERT_TRUE(user.result.Crashed()) << scenario.name;
+
+    ReplayConfig config;
+    config.max_runs = 20'000;
+    config.seed = 31;
+    config.num_workers = 1;
+    const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
+    EXPECT_TRUE(replay.reproduced) << scenario.name;
+    EXPECT_EQ(replay.stats.runs, sentinel.runs) << scenario.name;
+  }
+}
+
 TEST(PipelineTest, OverheadOrderingOnCoreutils) {
   // Figure 2's qualitative claim: all-branches is the most expensive
   // configuration; the analysis-guided plans instrument fewer executions.

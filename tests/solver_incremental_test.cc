@@ -115,6 +115,155 @@ TEST(IncrementalSolverTest, UnsatSliceRejectsWholeSet) {
   EXPECT_EQ(cache.unsat_entries(), 1u);
 }
 
+// ----- Reused per-call scratch -----
+
+// A trace that exercises every partition shape: slices that a later
+// constraint joins, disjoint single-variable constraints, true constant
+// constraints throughout, a false constant at index 70, and variables
+// past the end of the domain vector (which default to [0, 255]).
+std::vector<Constraint> VariedTrace(ExprArena* arena, u64 salt) {
+  Rng rng(0x51ce + salt);
+  std::vector<Constraint> trace;
+  for (size_t i = 0; i < 80; ++i) {
+    if (i == 70) {
+      trace.push_back({arena->MkConst(0), true});
+      continue;
+    }
+    if (i % 17 == 5) {
+      trace.push_back({arena->MkBin(ExprOp::kLt, arena->MkConst(2), arena->MkConst(3)), true});
+      continue;
+    }
+    const i32 v = static_cast<i32>(rng.NextBelow(44));
+    const ExprRef x = arena->MkVar(v);
+    ExprRef e = kNoExpr;
+    switch (rng.NextBelow(4)) {
+      case 0:
+        e = arena->MkBin(ExprOp::kNe, x, arena->MkVar(static_cast<i32>(rng.NextBelow(44))));
+        break;
+      case 1:
+        e = arena->MkBin(ExprOp::kGt, x, arena->MkConst(rng.NextInRange(0, 200)));
+        break;
+      case 2:
+        e = arena->MkBin(ExprOp::kLt, arena->MkBin(ExprOp::kAdd, x, arena->MkVar(v + 1)),
+                         arena->MkConst(rng.NextInRange(10, 400)));
+        break;
+      default:
+        e = arena->MkBin(ExprOp::kEq, arena->MkBin(ExprOp::kAnd, x, arena->MkConst(1)),
+                         arena->MkConst(static_cast<i64>(rng.NextBelow(2))));
+        break;
+    }
+    trace.push_back({e, rng.NextBelow(4) != 0});
+  }
+  return trace;
+}
+
+// A small step budget keeps the sequences fast; budget-truncated slices
+// come back kUnknown, which the comparison covers too.
+constexpr SolverOptions kQuickSolve{20'000, 512};
+
+void ExpectSameSolve(const SolveResult& got, const SolveResult& want, const std::string& where) {
+  ASSERT_EQ(got.status, want.status) << where;
+  EXPECT_EQ(got.model, want.model) << where;
+  EXPECT_EQ(got.steps, want.steps) << where;
+}
+
+void ExpectSameStats(const IncrementalStats& got, const IncrementalStats& want) {
+  EXPECT_EQ(got.slices_total, want.slices_total);
+  EXPECT_EQ(got.slices_solved, want.slices_solved);
+  EXPECT_EQ(got.slice_sat_hits, want.slice_sat_hits);
+  EXPECT_EQ(got.slice_unsat_hits, want.slice_unsat_hits);
+}
+
+// One solver reused across a varied sequence of calls (long after short
+// and back, negate_last on and off, constant-UNSAT prefixes, and a second
+// trace interned after the first calls, so the per-expression memo must
+// grow) answers every call exactly like a solver built for that call.
+TEST(IncrementalSolverTest, ReusedSolverMatchesFreshSolverPerCall) {
+  ExprArena arena;
+  std::vector<std::vector<Constraint>> traces{VariedTrace(&arena, 0)};
+  const std::vector<Interval> domains(40, Interval{0, 255});
+  Rng rng(7);
+
+  IncrementalSolver reused(arena, kQuickSolve, nullptr);
+  IncrementalStats fresh_total;
+  u64 sat = 0;
+  const size_t kLens[] = {80, 3, 1, 64, 12, 71, 70, 2, 40, 5, 80, 33};
+  for (size_t call = 0; call < 2 * std::size(kLens); ++call) {
+    if (call == std::size(kLens)) {
+      traces.push_back(VariedTrace(&arena, 1));
+    }
+    const std::vector<Constraint>& trace = traces[call % traces.size()];
+    const size_t len = kLens[call % std::size(kLens)];
+    std::vector<i64> seed(40);
+    for (i64& v : seed) {
+      v = rng.NextInRange(0, 255);
+    }
+    for (const bool negate : {false, true}) {
+      const ConstraintSpan span(trace.data(), len, negate);
+      IncrementalSolver fresh(arena, kQuickSolve, nullptr);
+      const SolveResult want = fresh.Solve(span, domains, seed);
+      ExpectSameSolve(reused.Solve(span, domains, seed), want,
+                      "call " + std::to_string(call) + " negate " + std::to_string(negate));
+      sat += want.status == SolveStatus::kSat ? 1 : 0;
+      fresh_total.slices_total += fresh.stats().slices_total;
+      fresh_total.slices_solved += fresh.stats().slices_solved;
+    }
+  }
+  ExpectSameStats(reused.stats(), fresh_total);
+  EXPECT_GT(sat, 0u);
+  EXPECT_GT(fresh_total.slices_solved, 0u);
+}
+
+// The same holds with a slice cache: a reused solver and a fresh solver
+// per call, each over its own cache, produce the same results, the same
+// hit statistics and the same cache contents in the same journal order.
+TEST(IncrementalSolverTest, ReusedSolverMatchesFreshSolverWithCache) {
+  ExprArena arena;
+  const std::vector<Constraint> trace = VariedTrace(&arena, 2);
+  const std::vector<Interval> domains(40, Interval{0, 255});
+  SliceCache reused_cache;
+  SliceCache fresh_cache;
+  reused_cache.EnableJournal();
+  fresh_cache.EnableJournal();
+  IncrementalSolver reused(arena, kQuickSolve, &reused_cache);
+  IncrementalStats fresh_total;
+  Rng rng(11);
+  for (int call = 0; call < 40; ++call) {
+    const size_t len = 1 + rng.NextBelow(trace.size());
+    std::vector<i64> seed(40);
+    for (i64& v : seed) {
+      v = rng.NextInRange(0, 255);
+    }
+    const ConstraintSpan span(trace.data(), len, rng.NextBelow(2) != 0);
+    IncrementalSolver fresh(arena, kQuickSolve, &fresh_cache);
+    const SolveResult want = fresh.Solve(span, domains, seed);
+    ExpectSameSolve(reused.Solve(span, domains, seed), want, "call " + std::to_string(call));
+    fresh_total.slices_total += fresh.stats().slices_total;
+    fresh_total.slices_solved += fresh.stats().slices_solved;
+    fresh_total.slice_sat_hits += fresh.stats().slice_sat_hits;
+    fresh_total.slice_unsat_hits += fresh.stats().slice_unsat_hits;
+  }
+  ExpectSameStats(reused.stats(), fresh_total);
+  EXPECT_GT(fresh_total.slice_sat_hits, 0u);
+
+  std::vector<SliceCache::SatEntry> reused_sat;
+  std::vector<SliceCache::SatEntry> fresh_sat;
+  std::vector<SliceCache::UnsatEntry> reused_unsat;
+  std::vector<SliceCache::UnsatEntry> fresh_unsat;
+  reused_cache.DrainJournal(&reused_sat, &reused_unsat);
+  fresh_cache.DrainJournal(&fresh_sat, &fresh_unsat);
+  ASSERT_EQ(reused_sat.size(), fresh_sat.size());
+  for (size_t i = 0; i < fresh_sat.size(); ++i) {
+    EXPECT_EQ(reused_sat[i].key, fresh_sat[i].key) << i;
+    EXPECT_EQ(reused_sat[i].model, fresh_sat[i].model) << i;
+  }
+  ASSERT_EQ(reused_unsat.size(), fresh_unsat.size());
+  for (size_t i = 0; i < fresh_unsat.size(); ++i) {
+    EXPECT_EQ(reused_unsat[i].key, fresh_unsat[i].key) << i;
+    EXPECT_EQ(reused_unsat[i].check, fresh_unsat[i].check) << i;
+  }
+}
+
 // ----- Slice caches -----
 
 // The same structural slice built in two different arenas (different

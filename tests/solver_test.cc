@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "src/solver/solver.h"
+#include "src/support/rng.h"
 
 namespace retrace {
 namespace {
@@ -19,6 +25,112 @@ TEST(ExprTest, HashConsing) {
   const ExprRef a = arena.MkBin(ExprOp::kAdd, arena.MkVar(0), arena.MkConst(1));
   const ExprRef b = arena.MkBin(ExprOp::kAdd, arena.MkVar(0), arena.MkConst(1));
   EXPECT_EQ(a, b);
+}
+
+// One Mk* call of a random build sequence; operands index earlier steps.
+struct MkStep {
+  int kind = 0;  // 0 const, 1 var, 2 unary, 3 binary.
+  ExprOp op = ExprOp::kConst;
+  i64 value = 0;
+  size_t a = 0;
+  size_t b = 0;
+};
+
+std::vector<MkStep> RandomMkSequence(size_t steps) {
+  constexpr ExprOp kUnary[] = {ExprOp::kNeg, ExprOp::kBitNot, ExprOp::kLogicalNot,
+                               ExprOp::kTruncChar};
+  constexpr ExprOp kBinary[] = {ExprOp::kAdd, ExprOp::kSub, ExprOp::kMul, ExprOp::kAnd,
+                                ExprOp::kXor, ExprOp::kShl, ExprOp::kEq,  ExprOp::kLt,
+                                ExprOp::kGe,  ExprOp::kRem};
+  Rng rng(0xc0de);
+  std::vector<MkStep> seq;
+  for (size_t i = 0; i < steps; ++i) {
+    MkStep step;
+    step.kind = i < 8 ? static_cast<int>(i % 2) : static_cast<int>(rng.NextBelow(4));
+    switch (step.kind) {
+      case 0:
+        step.value = rng.NextInRange(-500, 3000);
+        break;
+      case 1:
+        step.value = rng.NextInRange(0, 400);
+        break;
+      case 2:
+        step.op = kUnary[rng.NextBelow(std::size(kUnary))];
+        step.a = rng.NextBelow(i);
+        break;
+      default:
+        step.op = kBinary[rng.NextBelow(std::size(kBinary))];
+        step.a = rng.NextBelow(i);
+        step.b = rng.NextBelow(i);
+        break;
+    }
+    seq.push_back(step);
+  }
+  return seq;
+}
+
+ExprRef ApplyMkStep(ExprArena* arena, const MkStep& step, const std::vector<ExprRef>& refs) {
+  switch (step.kind) {
+    case 0:
+      return arena->MkConst(step.value);
+    case 1:
+      return arena->MkVar(static_cast<i32>(step.value));
+    case 2:
+      return arena->MkUn(step.op, refs[step.a]);
+    default:
+      return arena->MkBin(step.op, refs[step.a], refs[step.b]);
+  }
+}
+
+// The open-addressing intern table, across several doublings (2048 slots
+// hold 1024 nodes; the sequence interns well over 8192): refs are dense
+// and handed out in creation order, re-making any node returns its
+// original ref without growing the arena, no node is stored twice, and
+// structural hashes match a fresh arena that built other nodes first.
+TEST(ExprTest, InternTableKeepsRefsAcrossGrowth) {
+  const std::vector<MkStep> seq = RandomMkSequence(30'000);
+  ExprArena arena;
+  std::vector<ExprRef> refs;
+  for (const MkStep& step : seq) {
+    const size_t before = arena.size();
+    const ExprRef ref = ApplyMkStep(&arena, step, refs);
+    ASSERT_GE(ref, 0);
+    if (arena.size() != before) {
+      ASSERT_EQ(arena.size(), before + 1);
+      ASSERT_EQ(static_cast<size_t>(ref), before);  // New nodes take the next ref.
+    } else {
+      ASSERT_LT(static_cast<size_t>(ref), before);
+    }
+    refs.push_back(ref);
+  }
+  ASSERT_GT(arena.size(), 8192u);
+
+  std::set<std::tuple<ExprOp, ExprRef, ExprRef, i64>> distinct;
+  for (size_t ref = 0; ref < arena.size(); ++ref) {
+    const ExprNode& n = arena.node(static_cast<ExprRef>(ref));
+    distinct.emplace(n.op, n.a, n.b, n.imm);
+  }
+  EXPECT_EQ(distinct.size(), arena.size());
+
+  const size_t size = arena.size();
+  std::vector<ExprRef> again;
+  for (size_t i = 0; i < seq.size(); ++i) {
+    again.push_back(ApplyMkStep(&arena, seq[i], again));
+    ASSERT_EQ(again.back(), refs[i]) << "step " << i;
+  }
+  EXPECT_EQ(arena.size(), size);
+
+  ExprArena fresh;
+  for (i32 v = 0; v < 777; ++v) {
+    fresh.MkBin(ExprOp::kOr, fresh.MkVar(1000 + v), fresh.MkConst(v));  // Shifts every ref.
+  }
+  std::vector<ExprRef> fresh_refs;
+  for (const MkStep& step : seq) {
+    fresh_refs.push_back(ApplyMkStep(&fresh, step, fresh_refs));
+  }
+  for (size_t i = 0; i < seq.size(); i += 7) {
+    ASSERT_EQ(arena.StructuralHash(refs[i]), fresh.StructuralHash(fresh_refs[i])) << "step " << i;
+  }
 }
 
 TEST(ExprTest, Identities) {
