@@ -170,13 +170,14 @@ const FaultAction* FaultInjectingChannel::Match(u64 frame_index) {
   return hit;
 }
 
-WireChannel::RecvStatus FaultInjectingChannel::Poll(int timeout_ms, std::vector<WireFrame>* out) {
+WireChannel::RecvStatus FaultInjectingChannel::Poll(int timeout_ms, std::vector<WireFrame>* out,
+                                                    int wake_fd) {
   if (closed_) return RecvStatus::kClosed;
 
   std::vector<WireFrame> fresh;
   RecvStatus status = RecvStatus::kOk;
   if (inner_ != nullptr) {
-    status = inner_->Poll(timeout_ms, &fresh);
+    status = inner_->Poll(timeout_ms, &fresh, wake_fd);
   }
 
   // Delayed frames re-enter ahead of this batch: they were received

@@ -95,7 +95,7 @@ class FaultInjectingChannel : public WireChannel {
 
   bool Send(WireMsg type, const std::vector<u8>& payload) override;
   bool Queue(WireMsg type, const std::vector<u8>& payload, bool droppable) override;
-  RecvStatus Poll(int timeout_ms, std::vector<WireFrame>* out) override;
+  RecvStatus Poll(int timeout_ms, std::vector<WireFrame>* out, int wake_fd = -1) override;
 
   u64 tx_bytes() const override;
   u64 rx_bytes() const override;

@@ -1,5 +1,8 @@
 #include "src/dist/shard.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -20,15 +23,48 @@ namespace {
 // asks the fleet for work. A request carves at most kRebalanceBatch
 // entries from the donor; after kMaxEmptyResponses consecutive empty (or
 // timed-out) answers the shard stops holding its frontier open and lets
-// normal termination proceed — re-arming if work ever reappears.
+// normal termination proceed — re-arming if work ever reappears. After
+// an empty answer the next request waits kRebalanceRetryMs: a donor with
+// nothing to spare rarely has more one round trip later, and a tight
+// request loop takes CPU from the searching workers.
 constexpr u32 kRebalanceBatch = 16;
 constexpr int kMaxEmptyResponses = 2;
+constexpr i64 kRebalanceRetryMs = 2;
 
 i64 NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// One-shot "the search finished" latch the gossip pump polls next to its
+// channel. Without it a pump blocked in a gossip-interval poll learns of
+// the search's end only when the interval runs out. If the eventfd
+// cannot be created, fd() is -1 and the pump falls back to waking on
+// its cadence alone.
+class DoneSignal {
+ public:
+  DoneSignal() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+  DoneSignal(const DoneSignal&) = delete;
+  DoneSignal& operator=(const DoneSignal&) = delete;
+  ~DoneSignal() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+
+  // Never cleared: the fd stays readable, which is what a latch means.
+  void Set() {
+    if (fd_ >= 0) {
+      const u64 one = 1;
+      [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
+    }
+  }
+  int fd() const { return fd_; }
+
+ private:
+  int fd_;
+};
 
 // Ships every verdict journaled since the last drain. Returns the number
 // of verdicts published (0 when there was nothing to send).
@@ -208,7 +244,6 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
       cache = owned_cache.get();
     }
   }
-  std::atomic<bool> cancel{false};
   ExprArena arena;
   ReplayEngine engine(module, plan, report, &arena);
   FrontierPort port;
@@ -216,7 +251,6 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   ctx.seed_frontier = std::move(seed_frontier);
   const u64 pendings_seeded = hello.pending_count;
   ctx.cache = cache;
-  ctx.cancel = &cancel;
   ctx.port = &port;
   // Distinct rng streams per shard: worker w of shard s draws from stream
   // s * 1024 + w + 1, so no two workers in the fleet share an initial
@@ -242,11 +276,16 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
 
   ReplayResult result;
   std::atomic<bool> done{false};
+  DoneSignal done_signal;
   std::thread search([&] {
     result = engine.ReproduceShard(config, &ctx);
     done.store(true, std::memory_order_release);
+    done_signal.Set();
   });
 
+  // The pump wakes on a frame, on the search's end, or when the next
+  // timed duty (publish, heartbeat, paced work request) falls due —
+  // never on a fixed nap.
   const int pump_ms = std::clamp(config.gossip_interval_ms, 1, 1000);
   const i64 response_timeout_ms = std::max<i64>(250, 10 * pump_ms);
   // Empty answers in the fleet's first moments mean "not ready", not
@@ -262,7 +301,9 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   u64 rebalance_seq = 0;
   bool request_outstanding = false;
   i64 request_sent_ms = 0;
+  i64 next_request_ms = 0;
   int empty_responses = 0;
+  bool cancelled = false;
   bool channel_ok = true;
   // Liveness bookkeeping. Any received frame proves the coordinator
   // lives; our own kHeartbeat rides the same pump so the coordinator's
@@ -280,7 +321,8 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   auto handle_frame = [&](const WireFrame& frame) {
     switch (frame.type) {
       case WireMsg::kStop:
-        cancel.store(true, std::memory_order_release);
+        cancelled = true;
+        port.Cancel();
         break;
       case WireMsg::kHeartbeat:
         break;  // Pure liveness; arrival already reset the deadline.
@@ -310,8 +352,11 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
           request_outstanding = false;
           if (!batch.pendings.empty()) {
             empty_responses = 0;
-          } else if (NowMs() >= strikes_armed_at_ms) {
-            ++empty_responses;
+          } else {
+            next_request_ms = NowMs() + kRebalanceRetryMs;
+            if (NowMs() >= strikes_armed_at_ms) {
+              ++empty_responses;
+            }
           }
         }
         // Work is imported no matter whose answer it was — dropping
@@ -334,16 +379,18 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
     handle_frame(frame);
   }
   carried_over.clear();
-  while (!done.load(std::memory_order_acquire)) {
-    if (!channel_ok) {
-      // Coordinator is gone: searching on is pointless (nobody can hear
-      // the answer) — wind down and exit.
-      cancel.store(true, std::memory_order_release);
-      std::this_thread::sleep_for(std::chrono::milliseconds(pump_ms));
-      continue;
+  while (channel_ok && !done.load(std::memory_order_acquire)) {
+    const i64 now = NowMs();
+    i64 wake_ms = now + pump_ms;
+    if (config.heartbeat_interval_ms > 0) {
+      wake_ms = std::min(wake_ms, next_heartbeat_ms);
+    }
+    if (next_request_ms > now) {
+      wake_ms = std::min(wake_ms, next_request_ms);  // A paced request falls due.
     }
     std::vector<WireFrame> frames;
-    const WireChannel::RecvStatus status = chan.Poll(pump_ms, &frames);
+    const WireChannel::RecvStatus status = chan.Poll(
+        static_cast<int>(std::max<i64>(0, wake_ms - now)), &frames, done_signal.fd());
     if (status != WireChannel::RecvStatus::kOk) {
       channel_ok = false;
       coordinator_lost = status == WireChannel::RecvStatus::kClosed;
@@ -378,7 +425,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
       next_heartbeat_ms = NowMs() + config.heartbeat_interval_ms;
     }
     // ----- Re-balance state machine (requester side). -----
-    if (rebalance && !cancel.load(std::memory_order_acquire)) {
+    if (rebalance && !cancelled) {
       const size_t frontier_size = port.size();
       if (frontier_size >= low_watermark) {
         empty_responses = 0;  // Work came back (ours or imported): re-arm.
@@ -395,7 +442,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
           // frontier open so a genuinely finished search can terminate;
           // the counter re-arms above if work reappears.
           port.ReleaseHold();
-        } else if (frontier_size < low_watermark) {
+        } else if (frontier_size < low_watermark && NowMs() >= next_request_ms) {
           port.HoldOpen();
           ++rebalance_seq;
           WireWriter w;
@@ -412,6 +459,11 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
         }
       }
     }
+  }
+  if (!channel_ok) {
+    // Coordinator is gone: searching on is pointless (nobody can hear
+    // the answer) — cancel and wait for the workers to wind down.
+    port.Cancel();
   }
   search.join();
 

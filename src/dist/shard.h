@@ -43,13 +43,17 @@ enum class ShardRunStatus {
 /// Protocol, in order: receive kHello (refusing version mismatches at the
 /// framing layer), receive `pending_count` kPending frames, receive
 /// kStart, then search. While searching, a gossip pump on the main thread
-/// (cadence ReplayConfig::gossip_interval_ms) ships freshly proved slice
-/// verdicts to the coordinator, merges verdict batches gossiped back from
-/// other shards, and — when the fleet has more than one shard — runs the
-/// re-balance protocol: kWorkRequest when the local frontier drains below
-/// its watermark, kPendingExport answers carved from the frontier when a
-/// starved peer asks. A kStop frame cancels the search (first-crash-wins).
-/// Ends by sending kResult.
+/// ships freshly proved slice verdicts to the coordinator (at least every
+/// ReplayConfig::gossip_interval_ms), merges verdict batches gossiped
+/// back from other shards, and — when the fleet has more than one shard —
+/// runs the re-balance protocol: kWorkRequest when the local frontier
+/// drains below its watermark (paced after an empty answer),
+/// kPendingExport answers carved from the frontier when a starved peer
+/// asks. The pump blocks in one poll on "a frame arrived, the search
+/// finished, or a timed duty is due", so neither a kStop nor the
+/// search's end waits out the cadence. A kStop frame cancels the search
+/// through FrontierPort::Cancel (first-crash-wins). Ends by sending
+/// kResult.
 ///
 /// `preread` holds frames the caller already pulled off the channel
 /// (ServeShardJob may read kPending/kHello bytes bundled behind kJob);

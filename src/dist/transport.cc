@@ -74,11 +74,17 @@ bool PortIsEphemeral(const std::string& endpoint) {
 // Reaps `pids` with a bounded grace window, then escalates to SIGKILL.
 // A plain blocking waitpid() here would hang the coordinator forever on
 // a child that is wedged (hung shard, fault-injection mute) — the exact
-// children a teardown path most needs to collect.
+// children a teardown path most needs to collect. A child that just sent
+// its kResult exits within microseconds, so the WNOHANG passes back off
+// from kReapFirstNapUs, doubling up to kReapMaxNapUs, instead of
+// charging every job a flat nap.
 constexpr i64 kReapGraceMs = 2'000;
+constexpr useconds_t kReapFirstNapUs = 100;
+constexpr useconds_t kReapMaxNapUs = 10'000;
 
 void ReapWithDeadline(std::vector<int>* pids) {
   const i64 deadline = NowMs() + kReapGraceMs;
+  useconds_t nap_us = kReapFirstNapUs;
   bool all_done = false;
   while (!all_done && NowMs() < deadline) {
     all_done = true;
@@ -92,7 +98,10 @@ void ReapWithDeadline(std::vector<int>* pids) {
         all_done = false;
       }
     }
-    if (!all_done) ::usleep(10'000);
+    if (!all_done) {
+      ::usleep(nap_us);
+      nap_us = std::min(2 * nap_us, kReapMaxNapUs);
+    }
   }
   for (int& pid : *pids) {
     if (pid <= 0) continue;

@@ -1260,14 +1260,21 @@ bool WireChannel::Queue(WireMsg type, const std::vector<u8>& payload, bool dropp
   return !broken_;
 }
 
-WireChannel::RecvStatus WireChannel::Poll(int timeout_ms, std::vector<WireFrame>* out) {
+WireChannel::RecvStatus WireChannel::Poll(int timeout_ms, std::vector<WireFrame>* out,
+                                          int wake_fd) {
   if (fd_ < 0) {
     return RecvStatus::kClosed;
   }
   Flush(/*blocking=*/false);
-  struct pollfd pfd = {};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
+  // pfds[0] is the channel; pfds[1], when present, only cuts the wait
+  // short — it is never read here.
+  struct pollfd pfds[2] = {};
+  pfds[0].fd = fd_;
+  pfds[0].events = POLLIN;
+  pfds[1].fd = wake_fd;
+  pfds[1].events = POLLIN;
+  const nfds_t nfds = wake_fd >= 0 ? 2 : 1;
+  const struct pollfd& pfd = pfds[0];
   bool saw_eof = false;
   // EINTR wakeups (a reaped child's SIGCHLD, a profiler tick) must
   // neither restart the full timeout nor — the old bug — collapse the
@@ -1275,7 +1282,7 @@ WireChannel::RecvStatus WireChannel::Poll(int timeout_ms, std::vector<WireFrame>
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   int wait_ms = timeout_ms;
   for (;;) {
-    const int ready = ::poll(&pfd, 1, wait_ms);
+    const int ready = ::poll(pfds, nfds, wait_ms);
     if (ready < 0) {
       if (errno == EINTR) {
         if (wait_ms > 0) {

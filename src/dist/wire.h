@@ -459,8 +459,11 @@ class WireChannel {
   enum class RecvStatus { kOk, kClosed, kCorrupt, kVersionMismatch };
   /// Flushes queued sends, then waits up to `timeout_ms` for readable
   /// data and appends every frame that completed to `out`. kOk with an
-  /// empty append simply means "nothing yet".
-  virtual RecvStatus Poll(int timeout_ms, std::vector<WireFrame>* out);
+  /// empty append simply means "nothing yet". A readable `wake_fd`
+  /// (e.g. an eventfd the caller's other thread signals) also ends the
+  /// wait early; Poll never reads it, so a latch stays set for the
+  /// caller to inspect.
+  virtual RecvStatus Poll(int timeout_ms, std::vector<WireFrame>* out, int wake_fd = -1);
 
   virtual u64 tx_bytes() const { return tx_; }
   virtual u64 rx_bytes() const { return rx_; }

@@ -387,9 +387,11 @@ u32 DefaultReplayWorkers() {
 // queue mutex — never the reverse, so Attach/Detach cannot deadlock
 // against a pump mid-Import/Export.
 
-void FrontierPort::Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_workers) {
+void FrontierPort::Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_workers,
+                          StopSource* stop) {
   std::lock_guard<std::mutex> lock(mu_);
   frontier_ = frontier;
+  stop_ = stop;
   num_workers_ = std::max(1u, num_workers);
   ever_attached_ = true;
   // A hold acquired before the search started (the pump arms re-balancing
@@ -404,6 +406,12 @@ void FrontierPort::Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_
     frontier_->Push(import_cursor_++ % num_workers_, std::move(pending), priority, direction);
   }
   pre_attach_imports_.clear();
+  // A kStop that beat the search to its start: the workers wake into a
+  // closed frontier and exit without running.
+  if (cancelled_) {
+    stop_->RequestStop();
+    frontier_->Close();
+  }
 }
 
 void FrontierPort::Detach() {
@@ -413,6 +421,16 @@ void FrontierPort::Detach() {
     held_ = false;
   }
   frontier_ = nullptr;
+  stop_ = nullptr;
+}
+
+void FrontierPort::Cancel() {
+  std::lock_guard<std::mutex> lock(mu_);
+  cancelled_ = true;
+  if (frontier_ != nullptr) {
+    stop_->RequestStop();
+    frontier_->Close();
+  }
 }
 
 bool FrontierPort::Import(PortablePending pending) {
@@ -783,7 +801,7 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     // Publish the frontier to the re-balance port before any worker can
     // drain it: the gossip pump may import/export from here on.
     if (shard->port != nullptr) {
-      shard->port->Attach(&frontier, num_workers);
+      shard->port->Attach(&frontier, num_workers, &stop);
     }
   }
 
@@ -1123,26 +1141,6 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     frontier.Retire();
   };
 
-  // External first-crash-wins: a pump thread translates the coordinator's
-  // cancel flag into the in-process stop + frontier close, so workers
-  // blocked in Pop() wake up too. Polling at millisecond granularity is
-  // negligible next to the interpreter runs it interrupts.
-  std::atomic<bool> workers_done{false};
-  std::thread cancel_pump;
-  if (shard != nullptr && shard->cancel != nullptr) {
-    const std::atomic<bool>* cancel = shard->cancel;
-    cancel_pump = std::thread([&stop, &frontier, &workers_done, cancel] {
-      while (!workers_done.load(std::memory_order_acquire)) {
-        if (cancel->load(std::memory_order_acquire)) {
-          stop.RequestStop();
-          frontier.Close();
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    });
-  }
-
   std::vector<std::thread> threads;
   threads.reserve(num_workers);
   for (u32 wid = 0; wid < num_workers; ++wid) {
@@ -1150,10 +1148,6 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
   }
   for (std::thread& t : threads) {
     t.join();
-  }
-  workers_done.store(true, std::memory_order_release);
-  if (cancel_pump.joinable()) {
-    cancel_pump.join();
   }
 
   // Lossless aggregation: every per-worker counter sums into exactly one

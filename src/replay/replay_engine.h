@@ -171,10 +171,11 @@ struct ReplayConfig {
   // --listen` daemon. Fewer endpoints than shards leaves the remaining
   // slots to inbound connections on `tcp_listen`.
   std::vector<std::string> shard_endpoints;
-  // Shard gossip pump cadence in milliseconds: how long the pump waits on
-  // the coordinator socket per iteration, which bounds the latency of
-  // verdict gossip, stop delivery and re-balance traffic. Clamped to
-  // [1, 1000].
+  // Shard verdict-publish cadence in milliseconds: the longest a shard's
+  // pump goes without shipping freshly proved slice verdicts (it also
+  // ships them whenever something else wakes it). Not a latency floor:
+  // the pump wakes at once for an incoming frame (kStop, re-balance
+  // traffic) and for the end of its own search. Clamped to [1, 1000].
   int gossip_interval_ms = 20;
   // Heartbeat cadence riding the gossip pump (wire v5): the shard sends
   // kHeartbeat to the coordinator and the coordinator to every shard at
@@ -436,18 +437,21 @@ struct PortablePending {
 
 template <typename T>
 class WorkStealingQueue;
+class StopSource;
 
 /// \brief Thread-safe window into a running shard search's frontier —
 /// the export hook behind distributed work re-balancing.
 ///
 /// The shard main loop (src/dist/shard.cc) owns a FrontierPort and hands
 /// it to ReproduceShard via ShardContext::port; the engine attaches its
-/// live frontier on entry and detaches before tearing it down. The
-/// shard's gossip pump concurrently uses the port to:
+/// live frontier (and the search's stop source) on entry and detaches
+/// before tearing it down. The shard's gossip pump concurrently uses
+/// the port to:
 ///   - Import() pendings re-balanced from loaded peers,
 ///   - Export() the deepest local entries for starved peers,
 ///   - HoldOpen()/ReleaseHold() keep a drained frontier from declaring
-///     termination while a re-balance request is in flight.
+///     termination while a re-balance request is in flight,
+///   - Cancel() the search when another shard won (kStop).
 ///
 /// **Thread safety:** every method is safe from any thread; an internal
 /// mutex serializes against Attach/Detach, so calls after Detach are
@@ -456,8 +460,10 @@ class WorkStealingQueue;
 /// ReplayStats.
 class FrontierPort {
  public:
-  /// Binds the port to a live frontier. Engine-side only.
-  void Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_workers);
+  /// Binds the port to a live frontier and the stop source its workers
+  /// watch. Applies a Cancel() that arrived before the search started.
+  /// Engine-side only.
+  void Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_workers, StopSource* stop);
   /// Unbinds (releasing any outstanding hold). Engine-side only; must be
   /// called before the frontier is destroyed.
   void Detach();
@@ -483,15 +489,24 @@ class FrontierPort {
   void HoldOpen();
   void ReleaseHold();
 
+  /// First-crash-wins from outside the process: requests the stop (runs
+  /// in flight abort at their next branch) and closes the frontier, so
+  /// workers blocked in Pop() return at once. Before Attach the cancel
+  /// is remembered and Attach applies it; after Detach it is a no-op.
+  /// Idempotent.
+  void Cancel();
+
   u64 imported() const { return imported_; }
   u64 exported() const { return exported_; }
 
  private:
   mutable std::mutex mu_;
   WorkStealingQueue<PortablePending>* frontier_ = nullptr;
+  StopSource* stop_ = nullptr;
   u32 num_workers_ = 1;
   size_t import_cursor_ = 0;
   bool held_ = false;
+  bool cancelled_ = false;
   bool ever_attached_ = false;
   std::vector<PortablePending> pre_attach_imports_;
   std::atomic<u64> imported_{0};
@@ -509,10 +524,6 @@ struct ShardContext {
   /// The shard's gossip pump drains/merges it concurrently with the
   /// search.
   SliceCache* cache = nullptr;
-  /// First-crash-wins across processes: when another shard reproduces
-  /// the bug, the coordinator's stop message sets this flag and the
-  /// engine winds down (runs abort, the frontier closes).
-  const std::atomic<bool>* cancel = nullptr;
   /// Offsets every worker's rng stream so shards explore from distinct
   /// initial inputs; 0 keeps the in-process streams.
   u64 rng_stream = 0;
@@ -521,10 +532,12 @@ struct ShardContext {
   /// defaults (0 of 1) run every seed.
   u32 shard_id = 0;
   u32 num_shards = 1;
-  /// Frontier re-balance hook: when non-null, ReproduceShard attaches
-  /// its live frontier here so the shard's gossip pump can import/export
-  /// pendings mid-search, and folds the port's counters into
-  /// ReplayStats::{pendings_imported,pendings_exported} on exit.
+  /// Frontier re-balance and cancellation hook: when non-null,
+  /// ReproduceShard attaches its live frontier here so the shard's
+  /// gossip pump can import/export pendings and cancel the search
+  /// mid-flight (first-crash-wins across processes), and folds the
+  /// port's counters into ReplayStats::{pendings_imported,
+  /// pendings_exported} on exit.
   FrontierPort* port = nullptr;
 };
 

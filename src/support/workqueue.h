@@ -204,8 +204,8 @@ class WorkStealingQueue {
   }
 
   /// Ends the search: every blocked and future Pop() returns false.
-  /// Callable from any thread — first-crash-wins cancellation and the
-  /// distributed cancel pump both use it.
+  /// Callable from any thread — first-crash-wins cancellation and a
+  /// shard's FrontierPort::Cancel both use it.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -53,6 +53,28 @@ int main(int argc, char **argv) {
 }
 )";
 
+// The same crash behind a ~100k-iteration spin. Every run, the scout's
+// included, then costs over ten milliseconds, far more than the few
+// milliseconds a shard takes to send its first frame, so a shard
+// killed at frame 1 dies mid-search with a wide margin. With the fast
+// program the survivor could win first, and after a win the
+// coordinator clears a lost shard's ledger on purpose instead of
+// recovering it, which left pendings_recovered at 0.
+constexpr const char* kSlowDeepGuardedCrash = R"(
+int main(int argc, char **argv) {
+  if (argc < 3) { return 1; }
+  int spin = 0;
+  while (spin < 100000) { spin = spin + 1; }
+  int hits = 0;
+  if (argv[1][0] == 'a') { hits = hits + 1; }
+  if (argv[1][1] == 'b') { hits = hits + 1; }
+  if (argv[1][2] == 'c') { hits = hits + 1; }
+  if (argv[2][0] > 'm') { hits = hits + 1; }
+  if (hits == 4) { crash(7); }
+  return 0;
+}
+)";
+
 std::unique_ptr<Pipeline> MustBuild(std::string_view app) {
   auto r = Pipeline::FromSources(app, {});
   EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().ToString());
@@ -282,7 +304,7 @@ TEST(FaultChannelTest, PercentScheduleIsDeterministicPerSeed) {
 // ----- End-to-end: shard killed at its first frame, mid-search. -----
 
 TEST(DistFaultTest, ShardClosedMidSearchStillReproducesAndRecoversLedger) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
+  auto pipeline = MustBuild(kSlowDeepGuardedCrash);
   const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
   const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
   ASSERT_TRUE(user.result.Crashed());
@@ -292,8 +314,8 @@ TEST(DistFaultTest, ShardClosedMidSearchStillReproducesAndRecoversLedger) {
   config.num_workers = 2;
   // Shard 0's channel dies at its very first frame: its whole seeded
   // partition is unaccounted and must re-inject into shard 1. A fast
-  // gossip cadence makes that first frame arrive well before either
-  // shard can finish, so the kill is genuinely mid-search.
+  // gossip cadence sends that first frame within milliseconds, and the
+  // slow program keeps both shards searching far longer than that.
   config.fault_spec = "shard0:close@frame1";
   config.gossip_interval_ms = 2;
   config.heartbeat_interval_ms = 2;
@@ -397,7 +419,7 @@ TEST(DistFaultTest, CorruptFrameStormNeverCrashesTheCoordinator) {
 }
 
 TEST(DistFaultTest, TcpShardClosedMidSearchStillReproduces) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
+  auto pipeline = MustBuild(kSlowDeepGuardedCrash);
   const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
   const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
   ASSERT_TRUE(user.result.Crashed());
@@ -408,9 +430,9 @@ TEST(DistFaultTest, TcpShardClosedMidSearchStillReproduces) {
   config.transport = ReplayTransport::kTcp;
   // Same recovery invariant over the TCP transport. TcpTransport::Start
   // consumes kJoin itself, so the decorator's frame counter starts at
-  // the first post-handshake frame — and a fast gossip cadence makes
-  // that frame arrive well before either shard can finish its search,
-  // keeping the kill genuinely mid-search. Shard 0 is the victim
+  // the first post-handshake frame — and a fast gossip cadence sends
+  // that frame within milliseconds, while the slow program keeps both
+  // shards searching far longer. Shard 0 is the victim
   // because deepest-first round-robin dealing guarantees it owns at
   // least one ledgered pending (a tiny scouted frontier may leave the
   // last shard's partition empty).

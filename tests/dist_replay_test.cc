@@ -1,7 +1,8 @@
 // End-to-end tests for the distributed (multi-process) replay scheduler:
 // 2-shard reproduction of the miniature crash scenarios over both
 // transports (fork socketpairs and TCP loopback), in-process parity for
-// num_shards <= 1, shard-aware stats aggregation, and the frontier
+// num_shards <= 1, shard-aware stats aggregation, event-driven handoffs
+// (a slow gossip cadence is no latency floor), and the frontier
 // re-balance protocol (a deliberately starved shard must end with
 // pendings_imported > 0).
 #include <gtest/gtest.h>
@@ -151,6 +152,38 @@ TEST(DistReplayTest, FaultFreeTwoShardSearchesLoseNoShard) {
     EXPECT_EQ(replay.stats.shards_lost, 0u) << "search " << search;
     EXPECT_FALSE(replay.stats.fallback_inprocess) << "search " << search;
   }
+}
+
+// Handoffs are event-driven, so the gossip and heartbeat cadences are
+// not latency floors. With both at 1 s, a shard that stops polling only
+// on its cadence would sit out a full second after its search ends (the
+// winner before sending kResult, the loser after kStop) and the search
+// would take over 1 s. The pump wakes on the search's end and cancels
+// through the frontier port instead, so the whole job returns in a
+// small fraction of one cadence.
+TEST(DistReplayTest, SlowGossipCadenceIsNotALatencyFloor) {
+  auto pipeline = MustBuild(kDeepGuardedCrash);
+  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
+  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
+  ASSERT_TRUE(user.result.Crashed());
+
+  ReplayConfig config;
+  config.num_shards = 2;
+  config.num_workers = 2;
+  config.gossip_interval_ms = 1000;
+  config.heartbeat_interval_ms = 1000;
+  const auto t0 = std::chrono::steady_clock::now();
+  const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
+  const auto took_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+
+  ASSERT_TRUE(replay.reproduced);
+  EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
+  // The shards really ran: the scout did not short-circuit the fleet.
+  ASSERT_EQ(replay.stats.per_shard.size(), 2u);
+  EXPECT_EQ(replay.stats.shards_lost, 0u);
+  EXPECT_LT(took_ms, 500);
 }
 
 // Corpus-seeded distributed replay: the fleet partitions the corpus by

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 
 #include "src/core/pipeline.h"
+#include "src/support/stop_token.h"
 #include "src/support/workqueue.h"
 #include "tests/testutil.h"
 
@@ -575,6 +577,53 @@ TEST(ReplayParallelTest, WorkQueueRefusesExportWhenClosed) {
   out.clear();
   EXPECT_EQ(queue.ExportDeepest(/*max_items=*/8, /*min_keep=*/0, &out), 0u);
   EXPECT_TRUE(out.empty());
+}
+
+// ----- FrontierPort cancellation (a shard's kStop) -----
+
+// A kStop can reach the shard's pump before the search has built its
+// frontier. The port remembers it, and Attach applies it: the stop is
+// requested and the frontier is closed, resident work included.
+TEST(ReplayParallelTest, FrontierPortCancelBeforeAttachClosesOnAttach) {
+  FrontierPort port;
+  port.Cancel();
+
+  WorkStealingQueue<PortablePending> frontier(1);
+  frontier.Push(0, PortablePending{});
+  StopSource stop;
+  port.Attach(&frontier, /*num_workers=*/1, &stop);
+  EXPECT_TRUE(stop.StopRequested());
+  PortablePending out;
+  bool stolen = false;
+  EXPECT_FALSE(frontier.Pop(0, PopOrder::kNewestFirst, &out, &stolen));
+  // A closed frontier refuses re-balanced work so the pump can return it.
+  EXPECT_FALSE(port.Import(PortablePending{}));
+  port.Detach();
+}
+
+// A worker blocked in Pop() on an empty frontier (a peer worker is still
+// busy, so the frontier has not terminated) must return at once when the
+// port is cancelled; the stop is requested for runs in flight. Whether
+// the worker blocks before or after Cancel(), Pop() returns false.
+TEST(ReplayParallelTest, FrontierPortCancelWakesWorkerBlockedInPop) {
+  WorkStealingQueue<PortablePending> frontier(2);  // Worker 1 never retires.
+  StopSource stop;
+  FrontierPort port;
+  port.Attach(&frontier, /*num_workers=*/2, &stop);
+
+  bool popped = true;
+  std::thread worker([&] {
+    PortablePending out;
+    bool stolen = false;
+    popped = frontier.Pop(0, PopOrder::kNewestFirst, &out, &stolen);
+  });
+  port.Cancel();
+  worker.join();
+  EXPECT_FALSE(popped);
+  EXPECT_TRUE(stop.StopRequested());
+
+  port.Detach();
+  port.Cancel();  // After Detach: a no-op, the frontier may be gone.
 }
 
 }  // namespace
