@@ -1,24 +1,25 @@
-// Execution-core microbenchmark: tree-walking interpreter vs bytecode VM.
+// Execution-core microbenchmark: concrete vs shadow execution.
 //
 // The inner loop of every phase — dynamic analysis, replay search,
 // overhead measurement — is "run the program once". This bench measures
 // that loop in isolation on the §5.1 counting-loop microbenchmark
 // (dispatch-bound: one branch + three arithmetic ops per iteration) and
-// end-to-end on a uServer request-serving run, across the axes that
-// change the per-instruction work:
+// end-to-end on a uServer request-serving run. Each row runs one
+// configuration twice, concrete and with symbolic shadow tracking (the
+// replay search's mode), and reports the shadow/concrete slowdown — the
+// cost of instrumented execution the developer site pays per run. The
+// recorder axis changes the per-branch work:
 //
-//   shadow off/on       symbolic shadow lanes (kShadow template split)
-//   plan none/all       kBrFast vs kBrObserved site density with a
-//                       recorder attached (the paper's instrumentation)
+//   plain     no observer attached
+//   rec-none  a recorder whose plan logs no branch (observer call only)
+//   rec-all   a recorder logging every branch (the paper's instrumentation)
 //
-// Both engines are contractually bit-identical (tests/exec_vm_test.cc),
-// so every ratio here is pure dispatch/representation win. Emits
-// BENCH_interp.json next to the human table.
+// Emits BENCH_interp.json, stamped with its host, next to the human table.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -40,17 +41,17 @@ struct Cell {
 
 struct Row {
   std::string name;
-  Cell tree;
-  Cell vm;
-  double Speedup() const {
-    return vm.seconds <= 0 ? 0 : tree.SecsPerRun() / vm.SecsPerRun();
+  Cell concrete;
+  Cell shadow;
+  double Slowdown() const {
+    return concrete.seconds <= 0 ? 0 : shadow.SecsPerRun() / concrete.SecsPerRun();
   }
 };
 
-// Runs `spec` through the cell runner `runs` times on `kind`, optionally
-// with shadow tracking and a recorder specialized on `plan`.
-Cell Measure(const IrModule& module, const InputSpec& spec, NondetPolicy* policy,
-             ExecEngineKind kind, u64 runs, bool shadow, const InstrumentationPlan* plan) {
+// Runs `spec` through the cell runner `runs` times, optionally with shadow
+// tracking and a recorder on `plan`.
+Cell Measure(const IrModule& module, const InputSpec& spec, NondetPolicy* policy, u64 runs,
+             bool shadow, const InstrumentationPlan* plan) {
   CellRunner runner(module, spec);
   Cell cell;
   const auto t0 = std::chrono::steady_clock::now();
@@ -59,14 +60,12 @@ Cell Measure(const IrModule& module, const InputSpec& spec, NondetPolicy* policy
     BranchTraceRecorder recorder(plan != nullptr ? *plan : InstrumentationPlan{});
     CellRunConfig config;
     config.policy = policy;
-    config.engine = kind;
     config.symbolic_syscalls = shadow;
     if (shadow) {
       config.arena = &arena;
     }
     if (plan != nullptr) {
       config.observers = {&recorder};
-      config.plan = plan;
     }
     const CellRunOutput out = runner.Run(config);
     cell.instrs += out.result.stats.instrs;
@@ -75,6 +74,15 @@ Cell Measure(const IrModule& module, const InputSpec& spec, NondetPolicy* policy
   cell.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return cell;
+}
+
+Row MeasureRow(std::string name, const IrModule& module, const InputSpec& spec,
+               NondetPolicy* policy, u64 runs, const InstrumentationPlan* plan) {
+  Row row;
+  row.name = std::move(name);
+  row.concrete = Measure(module, spec, policy, runs, /*shadow=*/false, plan);
+  row.shadow = Measure(module, spec, policy, runs, /*shadow=*/true, plan);
+  return row;
 }
 
 InstrumentationPlan AllBranchesPlan(const IrModule& module) {
@@ -100,10 +108,8 @@ int main() {
   const int scale = BenchScale();
 
   std::printf("==============================================================\n");
-  std::printf("Execution core: tree-walking interpreter vs bytecode VM\n");
-  std::printf("==============================================================\n");
-  std::printf("both engines bit-identical by contract (tests/exec_vm_test.cc);\n");
-  std::printf("RETRACE_EXEC_ENGINE=tree|bytecode flips every pipeline phase\n\n");
+  std::printf("Execution core: concrete vs shadow execution (tree walker)\n");
+  std::printf("==============================================================\n\n");
 
   std::vector<Row> rows;
 
@@ -115,61 +121,33 @@ int main() {
     const u64 runs = 20 * static_cast<u64>(scale);
     const InstrumentationPlan all = AllBranchesPlan(module);
     const InstrumentationPlan none = NoBranchesPlan(module);
-    const struct {
-      const char* name;
-      bool shadow;
-      const InstrumentationPlan* plan;
-    } kConfigs[] = {
-        {"loop/concrete", false, nullptr},
-        {"loop/concrete+rec-none", false, &none},
-        {"loop/concrete+rec-all", false, &all},
-        {"loop/shadow", true, nullptr},
-        {"loop/shadow+rec-all", true, &all},
-    };
-    for (const auto& c : kConfigs) {
-      Row row;
-      row.name = c.name;
-      row.tree = Measure(module, spec, nullptr, ExecEngineKind::kTree, runs, c.shadow, c.plan);
-      row.vm =
-          Measure(module, spec, nullptr, ExecEngineKind::kBytecode, runs, c.shadow, c.plan);
-      rows.push_back(row);
-    }
+    rows.push_back(MeasureRow("loop/plain", module, spec, nullptr, runs, nullptr));
+    rows.push_back(MeasureRow("loop/rec-none", module, spec, nullptr, runs, &none));
+    rows.push_back(MeasureRow("loop/rec-all", module, spec, nullptr, runs, &all));
   }
 
   // ----- End-to-end: uServer serving scripted requests -----
-  // The replay-search inner loop: full shadow-symbolic run of a server
-  // scenario, syscalls through the virtual OS, recorder attached.
+  // The replay-search inner loop: syscalls through the virtual OS; the
+  // shadow + rec-all cell is a replay run with every branch logged.
   {
     auto pipeline = BuildWorkloadOrDie("userver");
     const IrModule& module = pipeline->module();
     const Scenario scenario = UserverScenario(1);
-    const u64 runs = 30 * static_cast<u64>(scale);
+    const u64 runs = 300 * static_cast<u64>(scale);
     const InstrumentationPlan all = AllBranchesPlan(module);
-    const struct {
-      const char* name;
-      bool shadow;
-      const InstrumentationPlan* plan;
-    } kConfigs[] = {
-        {"userver/concrete", false, nullptr},
-        {"userver/shadow+rec-all", true, &all},
-    };
-    for (const auto& c : kConfigs) {
-      Row row;
-      row.name = c.name;
-      row.tree = Measure(module, scenario.spec, scenario.policy.get(), ExecEngineKind::kTree,
-                         runs, c.shadow, c.plan);
-      row.vm = Measure(module, scenario.spec, scenario.policy.get(),
-                       ExecEngineKind::kBytecode, runs, c.shadow, c.plan);
-      rows.push_back(row);
-    }
+    rows.push_back(MeasureRow("userver/plain", module, scenario.spec, scenario.policy.get(),
+                              runs, nullptr));
+    rows.push_back(MeasureRow("userver/rec-all", module, scenario.spec, scenario.policy.get(),
+                              runs, &all));
   }
 
-  std::printf("%-26s %14s %14s %10s %10s %9s\n", "configuration", "tree Mi/s", "vm Mi/s",
-              "tree ms", "vm ms", "speedup");
+  std::printf("%-18s %14s %14s %13s %13s %9s\n", "configuration", "concrete Mi/s",
+              "shadow Mi/s", "concrete ms", "shadow ms", "slowdown");
   for (const Row& row : rows) {
-    std::printf("%-26s %14.1f %14.1f %10.3f %10.3f %8.2fx\n", row.name.c_str(),
-                row.tree.MinstrsPerSec(), row.vm.MinstrsPerSec(),
-                row.tree.SecsPerRun() * 1e3, row.vm.SecsPerRun() * 1e3, row.Speedup());
+    std::printf("%-18s %14.1f %14.1f %13.3f %13.3f %8.2fx\n", row.name.c_str(),
+                row.concrete.MinstrsPerSec(), row.shadow.MinstrsPerSec(),
+                row.concrete.SecsPerRun() * 1e3, row.shadow.SecsPerRun() * 1e3,
+                row.Slowdown());
   }
 
   FILE* json = std::fopen("BENCH_interp.json", "w");
@@ -177,16 +155,19 @@ int main() {
     std::fprintf(stderr, "cannot write BENCH_interp.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"interp\",\n  \"scale\": %d,\n  \"rows\": [\n", scale);
+  std::fprintf(json, "{\n  \"bench\": \"interp\",\n  \"host\": %s,\n  \"scale\": %d,\n",
+               HostStampJson().c_str(), scale);
+  std::fprintf(json, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"runs\": %" PRIu64
-                 ", \"tree_minstrs_per_sec\": %.1f, \"vm_minstrs_per_sec\": %.1f, "
-                 "\"tree_ms_per_run\": %.3f, \"vm_ms_per_run\": %.3f, \"speedup\": %.2f}%s\n",
-                 row.name.c_str(), row.tree.runs, row.tree.MinstrsPerSec(),
-                 row.vm.MinstrsPerSec(), row.tree.SecsPerRun() * 1e3,
-                 row.vm.SecsPerRun() * 1e3, row.Speedup(), i + 1 < rows.size() ? "," : "");
+                 ", \"concrete_minstrs_per_sec\": %.1f, \"shadow_minstrs_per_sec\": %.1f, "
+                 "\"concrete_ms_per_run\": %.3f, \"shadow_ms_per_run\": %.3f, "
+                 "\"shadow_slowdown\": %.2f}%s\n",
+                 row.name.c_str(), row.concrete.runs, row.concrete.MinstrsPerSec(),
+                 row.shadow.MinstrsPerSec(), row.concrete.SecsPerRun() * 1e3,
+                 row.shadow.SecsPerRun() * 1e3, row.Slowdown(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -9,8 +9,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/pipeline.h"
@@ -187,6 +189,34 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
   std::printf("%s\n", title);
   std::printf("(reproduces %s)\n", paper_ref);
   std::printf("==============================================================\n");
+}
+
+// The host a BENCH_*.json was measured on, as a JSON object: hardware
+// threads, compiler and the checkout's commit, suffixed "-dirty" when the
+// tree has uncommitted changes ("unknown" outside a git checkout or
+// without git on PATH).
+inline std::string HostStampJson() {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::string commit = "unknown";
+  const char* command = "git describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null";
+  if (FILE* git = popen(command, "r")) {
+    char line[64] = {};
+    if (std::fgets(line, sizeof(line), git) != nullptr && std::strlen(line) >= 40) {
+      commit.assign(line, std::strcspn(line, "\n"));
+    }
+    pclose(git);
+  }
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "{\"nproc\": %u, \"compiler\": \"%s\", \"commit\": \"%s\"}",
+                std::thread::hardware_concurrency(), compiler, commit.c_str());
+  return buffer;
 }
 
 // Formats a replay result like the paper's tables: seconds, or the infinity

@@ -1,16 +1,6 @@
 #include "src/concolic/cellrun.h"
 
-#include "src/exec/vm.h"
-
 namespace retrace {
-
-ExecEngine* CellRunner::EngineFor(ExecEngineKind kind) {
-  std::unique_ptr<ExecEngine>& slot = kind == ExecEngineKind::kBytecode ? bytecode_ : tree_;
-  if (slot == nullptr) {
-    slot = MakeExecEngine(kind, module_, InterpOptions{});
-  }
-  return slot.get();
-}
 
 CellRunOutput CellRunner::Run(const CellRunConfig& config) {
   CellStore cells(layout_, config.model);
@@ -22,22 +12,20 @@ CellRunOutput CellRunner::Run(const CellRunConfig& config) {
   InterpOptions options;
   options.max_steps = config.max_steps;
   options.external_budget = config.external_budget;
-  ExecEngine* engine = EngineFor(ResolveExecEngineKind(config.engine));
-  engine->set_options(options);
-  engine->set_syscall_handler(&vos);
-  engine->set_shadow_arena(config.arena);
-  engine->ClearObservers();
+  interp_.set_options(options);
+  interp_.set_syscall_handler(&vos);
+  interp_.set_shadow_arena(config.arena);
+  interp_.ClearObservers();
   for (BranchObserver* obs : config.observers) {
-    engine->AddObserver(obs);
+    interp_.AddObserver(obs);
   }
-  engine->SpecializePlan(config.plan);
 
   const std::vector<std::string> argv = layout_.MaterializeArgv(spec_, cells.values());
   const std::vector<std::vector<i32>> argv_cells =
       config.arena != nullptr ? layout_.ArgvCells(spec_) : std::vector<std::vector<i32>>{};
 
   CellRunOutput out;
-  out.result = engine->Run(argv, argv_cells);
+  out.result = interp_.Run(argv, argv_cells);
   out.cells = cells.values();
   out.domains = cells.domains();
   out.cell_info = cells.info();

@@ -3,18 +3,17 @@
 // Every phase of the pipeline — dynamic analysis, user-site recording,
 // developer-site replay — is "interpret the program with some assignment of
 // input cells". CellRunner packages the setup: layout construction, cell
-// store, virtual OS, argv materialization, engine wiring. The runner owns
-// one engine instance per kind and re-uses it across runs (pooled frames
-// and object storage), so a search performing millions of runs pays engine
-// setup once.
+// store, virtual OS, argv materialization, interpreter wiring. The runner
+// owns one interpreter and re-uses it across runs (pooled frames and
+// object storage), so a search performing millions of runs pays
+// interpreter setup once.
 #ifndef RETRACE_CONCOLIC_CELLRUN_H_
 #define RETRACE_CONCOLIC_CELLRUN_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/exec/engine.h"
+#include "src/exec/interp.h"
 #include "src/ir/ir.h"
 #include "src/vos/vos.h"
 
@@ -29,12 +28,6 @@ struct CellRunConfig {
   bool symbolic_syscalls = true;        // Attach cells to syscall results.
   u64 max_steps = 200'000'000;
   Budget* external_budget = nullptr;
-  // Which engine executes the run; kDefault resolves RETRACE_EXEC_ENGINE.
-  ExecEngineKind engine = ExecEngineKind::kDefault;
-  // Instrumentation plan baked into the engine's branch dispatch
-  // (ExecEngine::SpecializePlan). Must be set whenever an observer in
-  // `observers` overrides OnBranchCompiled and trusts the site hint.
-  const InstrumentationPlan* plan = nullptr;
 };
 
 struct CellRunOutput {
@@ -50,7 +43,9 @@ struct CellRunOutput {
 class CellRunner {
  public:
   CellRunner(const IrModule& module, InputSpec spec)
-      : module_(module), spec_(std::move(spec)), layout_(CellLayout::Build(spec_)) {}
+      : spec_(std::move(spec)),
+        layout_(CellLayout::Build(spec_)),
+        interp_(module, InterpOptions{}) {}
 
   const CellLayout& layout() const { return layout_; }
   const InputSpec& spec() const { return spec_; }
@@ -58,14 +53,9 @@ class CellRunner {
   CellRunOutput Run(const CellRunConfig& config);
 
  private:
-  ExecEngine* EngineFor(ExecEngineKind kind);
-
-  const IrModule& module_;
   InputSpec spec_;
   CellLayout layout_;
-  // Lazily constructed, one per engine kind, re-used across runs.
-  std::unique_ptr<ExecEngine> tree_;
-  std::unique_ptr<ExecEngine> bytecode_;
+  Interp interp_;
 };
 
 }  // namespace retrace

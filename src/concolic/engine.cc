@@ -162,7 +162,6 @@ AnalysisResult ConcolicEngine::Analyze(const InputSpec& spec, const AnalysisConf
     run_config.observers = {&collector};
     run_config.max_steps = config.max_steps_per_run;
     run_config.external_budget = &budget;
-    run_config.engine = config.engine;
     CellRunOutput out = runner.Run(run_config);
     ++result.runs;
 

@@ -48,10 +48,6 @@ struct AnalysisConfig {
   // (deduplicated inputs the exploration actually ran, in discovery
   // order). 0 disables collection entirely.
   u64 corpus_max = 64;
-  // Execution engine for exploration runs (src/exec/engine.h); kDefault
-  // resolves the RETRACE_EXEC_ENGINE knob. Purely a wall-clock choice —
-  // both engines are behaviorally bit-identical.
-  ExecEngineKind engine = ExecEngineKind::kDefault;
 };
 
 struct AnalysisResult {

@@ -131,7 +131,6 @@ Result<Pipeline::UserRunOutput> Pipeline::RecordUserRun(const InputSpec& spec,
   run_config.observers = {&recorder};
   run_config.symbolic_syscalls = false;
   run_config.max_steps = options.max_steps;
-  run_config.plan = &plan;
   CellRunOutput run = runner.Run(run_config);
   out.result = run.result;
   out.stdout_text = run.stdout_text;
@@ -162,7 +161,6 @@ Result<Pipeline::UserRunOutput> Pipeline::RecordUserRun(const InputSpec& spec,
     profile_config.arena = &arena_;
     profile_config.observers = {&split, &counter};
     profile_config.max_steps = options.max_steps;
-    profile_config.plan = &plan;
     runner.Run(profile_config);
     split.FillStats(&report.stats);
     report.stats.instrumented_execs = counter.count();
@@ -188,7 +186,6 @@ Pipeline::OverheadSample Pipeline::MeasureOverhead(const InputSpec& spec,
       config.symbolic_syscalls = false;
       if (instrumented) {
         config.observers = {&recorder};
-        config.plan = &plan;
       }
       const auto t0 = std::chrono::steady_clock::now();
       CellRunOutput run = runner.Run(config);
@@ -214,7 +211,6 @@ Pipeline::OverheadSample Pipeline::MeasureOverhead(const InputSpec& spec,
   config.policy = policy;
   config.symbolic_syscalls = false;
   config.observers = {&counter};
-  config.plan = &plan;
   runner.Run(config);
   sample.instrumented_execs = counter.count();
   return sample;

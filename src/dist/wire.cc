@@ -745,9 +745,6 @@ void EncodeConfig(const ReplayConfig& c, WireWriter* w) {
       w->I64(v);
     }
   }
-  // v6: ship the RESOLVED engine (the coordinator's env applies to the
-  // whole fleet; a shard must not re-consult its own environment).
-  w->U8(static_cast<u8>(ResolveExecEngineKind(c.engine)));
 }
 
 bool DecodeConfig(WireReader* r, ReplayConfig* c) {
@@ -799,11 +796,6 @@ bool DecodeConfig(WireReader* r, ReplayConfig* c) {
     }
     c->corpus_seeds.push_back(std::move(seed));
   }
-  u8 engine = 0;
-  if (!r->U8(&engine) || engine > static_cast<u8>(ExecEngineKind::kBytecode)) {
-    return false;
-  }
-  c->engine = static_cast<ExecEngineKind>(engine);
   c->use_syscall_log = use_log != 0;
   c->pick = static_cast<ReplayConfig::Pick>(pick);
   c->solver_cache = cache != 0;

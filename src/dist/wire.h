@@ -52,7 +52,8 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // and the service ingest frames (kReportSubmit/kReportVerdict/
 // kHealthQuery/kHealthStats) let clients stream bug reports at a
 // resident daemon and read its health.
-inline constexpr u16 kWireVersion = 7;
+// v8: one execution engine — the v6 engine byte leaves the kJob config codec.
+inline constexpr u16 kWireVersion = 8;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {

@@ -1,21 +1,12 @@
-// Execution-engine seam: one contract, two interpreters.
+// Execution-engine interfaces: what the interpreter calls out to.
 //
-// Every phase of the pipeline drives the program through this interface.
-// Two implementations exist:
-//   - Interp (src/exec/interp.h): the tree-walking reference interpreter.
-//   - BytecodeVm (src/exec/vm.h): a register bytecode VM with
-//     direct-threaded dispatch, compiled once per module.
-// The two are behaviorally bit-identical by contract: same RunResult,
-// same observer sequence (branch ids, directions, shadow refs), same
-// crash sites, same RunStats — so every run count and sentinel in
-// EXPERIMENTS.md holds under either engine. tests/exec_vm_test.cc
-// enforces the contract differentially.
-#ifndef RETRACE_EXEC_ENGINE_H_
-#define RETRACE_EXEC_ENGINE_H_
+// Interp (src/exec/interp.h), the tree-walking interpreter, is the one
+// execution engine. It reports every executed branch to BranchObserver
+// instances and asks a SyscallHandler for every nondeterministic system
+// call outcome; InterpOptions carries its per-run limits.
+#ifndef RETRACE_SRC_EXEC_ENGINE_H_
+#define RETRACE_SRC_EXEC_ENGINE_H_
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,7 +16,6 @@
 namespace retrace {
 
 class Budget;
-struct InstrumentationPlan;
 
 // One nondeterministic system call outcome, decided by the handler.
 struct SyscallOutcome {
@@ -52,18 +42,6 @@ class BranchObserver {
   virtual ~BranchObserver() = default;
   // `cond_shadow` is kNoExpr for concrete conditions.
   virtual Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) = 0;
-  // Plan-specialized entry point used by the bytecode VM: `site_observed`
-  // is the compiled-in answer to plan.Instrumented(branch_id) for the
-  // plan registered via ExecEngine::SpecializePlan, so observers that
-  // would look the plan up per branch can take the baked answer instead.
-  // The default forwards to OnBranch, which keeps every observer correct
-  // under either engine; overriders must behave identically to their
-  // OnBranch given a truthful hint.
-  virtual Action OnBranchCompiled(i32 branch_id, bool taken, ExprRef cond_shadow,
-                                  bool site_observed) {
-    (void)site_observed;
-    return OnBranch(branch_id, taken, cond_shadow);
-  }
 };
 
 struct InterpOptions {
@@ -74,103 +52,24 @@ struct InterpOptions {
   Budget* external_budget = nullptr;
 };
 
-/// Which execution engine runs the program. kDefault defers the choice
-/// to the RETRACE_EXEC_ENGINE environment knob (tree when unset), so a
-/// whole test or bench process can be flipped onto the VM without
-/// touching call sites; configs that must agree across processes (the
-/// distributed kJob codec) resolve to a concrete engine first.
+// bench/e2e/bench_e2e.cc prints the engine name in its stamp line.
 enum class ExecEngineKind : u8 {
   kDefault = 0,
   kTree = 1,
-  kBytecode = 2,
 };
 
 inline const char* ExecEngineKindName(ExecEngineKind kind) {
   switch (kind) {
     case ExecEngineKind::kDefault: return "default";
     case ExecEngineKind::kTree: return "tree";
-    case ExecEngineKind::kBytecode: return "bytecode";
   }
   return "?";
 }
 
-/// Parses an engine name ("tree" | "bytecode"). False on anything else.
-inline bool ParseExecEngineKind(const char* text, ExecEngineKind* out) {
-  if (text == nullptr) {
-    return false;
-  }
-  if (std::strcmp(text, "tree") == 0) {
-    *out = ExecEngineKind::kTree;
-    return true;
-  }
-  if (std::strcmp(text, "bytecode") == 0) {
-    *out = ExecEngineKind::kBytecode;
-    return true;
-  }
-  return false;
+inline ExecEngineKind ResolveExecEngineKind(ExecEngineKind /*kind*/) {
+  return ExecEngineKind::kTree;
 }
-
-/// Reads RETRACE_EXEC_ENGINE: unset -> kTree; garbage exits loudly with
-/// code 2 (the strict contract of src/support/env.h — an engine sweep
-/// that silently fell back to the tree walker would publish numbers
-/// nobody should trust).
-inline ExecEngineKind ExecEngineKindFromEnv() {
-  const char* text = std::getenv("RETRACE_EXEC_ENGINE");
-  if (text == nullptr) {
-    return ExecEngineKind::kTree;
-  }
-  ExecEngineKind kind = ExecEngineKind::kTree;
-  if (!ParseExecEngineKind(text, &kind)) {
-    std::fprintf(stderr, "RETRACE_EXEC_ENGINE: invalid value '%s' (expected tree|bytecode)\n",
-                 text);
-    std::exit(2);
-  }
-  return kind;
-}
-
-/// Resolves kDefault against the environment; concrete kinds pass through.
-inline ExecEngineKind ResolveExecEngineKind(ExecEngineKind kind) {
-  return kind == ExecEngineKind::kDefault ? ExecEngineKindFromEnv() : kind;
-}
-
-/// \brief The execution contract shared by Interp and BytecodeVm.
-///
-/// An engine is constructed once per (module, thread) and re-used across
-/// runs: per-run state (memory objects, global slots, frames) is pooled
-/// and reset, not reallocated, so a search performing millions of runs
-/// amortizes setup. **Thread safety:** none — one engine per thread,
-/// exactly like the historical Interp.
-class ExecEngine {
- public:
-  virtual ~ExecEngine() = default;
-
-  virtual void set_syscall_handler(SyscallHandler* handler) = 0;
-  virtual void AddObserver(BranchObserver* observer) = 0;
-  virtual void ClearObservers() = 0;
-  /// Enables (non-null) or disables (null) shadow-symbolic tracking for
-  /// subsequent runs. The arena must outlive the runs.
-  virtual void set_shadow_arena(ExprArena* arena) = 0;
-  /// Per-run limits; cheap, call before every Run.
-  virtual void set_options(const InterpOptions& options) = 0;
-  /// Declares which branch sites the current instrumentation plan
-  /// observes, letting the engine bake the answer into its dispatch
-  /// (BytecodeVm recompiles branch opcodes; Interp ignores the hint —
-  /// its observers look the plan up themselves). Null means "no site is
-  /// observed". The plan must stay alive and unmutated while registered;
-  /// observers consulted during Run must agree with it (they receive the
-  /// baked answer through BranchObserver::OnBranchCompiled).
-  virtual void SpecializePlan(const InstrumentationPlan* plan) = 0;
-
-  /// Runs main. `argv` are the concrete argument strings (argv[0]
-  /// included); `argv_cells[i]` optionally names the input cell ids
-  /// backing argv[i]'s bytes (shadow mode).
-  virtual RunResult Run(const std::vector<std::string>& argv,
-                        const std::vector<std::vector<i32>>& argv_cells) = 0;
-
-  /// Convenience for programs whose main takes no arguments.
-  RunResult Run() { return Run({"prog"}, {}); }
-};
 
 }  // namespace retrace
 
-#endif  // RETRACE_EXEC_ENGINE_H_
+#endif  // RETRACE_SRC_EXEC_ENGINE_H_

@@ -1,16 +1,18 @@
 // Concrete IR interpreter with optional shadow-symbolic tracking.
 //
-// The tree-walking reference implementation of the ExecEngine contract
-// (src/exec/engine.h). The interpreter executes the program
-// deterministically given (a) argv byte values, and (b) a SyscallHandler
-// deciding every nondeterministic system-call outcome. With an ExprArena
-// attached it additionally propagates shadow expressions over input cells
-// alongside the concrete values; branch observers then see, for every
-// executed branch, whether its condition was symbolic — the raw signal
-// behind the paper's dynamic analysis, the branch recorder, and the
-// replay engine. The bytecode VM (src/exec/vm.h) is the performance
-// implementation; this walker stays the readable semantics reference the
-// differential suite checks the VM against.
+// The tree-walking interpreter is the system's one execution engine. It
+// executes the program deterministically given (a) argv byte values, and
+// (b) a SyscallHandler (src/exec/engine.h) deciding every nondeterministic
+// system-call outcome. With an ExprArena attached it additionally
+// propagates shadow expressions over input cells alongside the concrete
+// values; branch observers then see, for every executed branch, whether
+// its condition was symbolic — the raw signal behind the paper's dynamic
+// analysis, the branch recorder, and the replay engine.
+//
+// An interpreter is constructed once per (module, thread) and re-used
+// across runs: per-run state (memory objects, global slots, frames) is
+// pooled and reset, not reallocated, so a search performing millions of
+// runs amortizes setup. **Thread safety:** none — one Interp per thread.
 #ifndef RETRACE_EXEC_INTERP_H_
 #define RETRACE_EXEC_INTERP_H_
 
@@ -24,28 +26,27 @@
 
 namespace retrace {
 
-class Interp : public ExecEngine {
+class Interp {
  public:
   Interp(const IrModule& module, InterpOptions options);
 
-  void set_syscall_handler(SyscallHandler* handler) override { syscalls_ = handler; }
-  void AddObserver(BranchObserver* observer) override { observers_.push_back(observer); }
-  void ClearObservers() override { observers_.clear(); }
-  // Enables shadow tracking. The arena must outlive the interpreter runs.
-  void set_shadow_arena(ExprArena* arena) override { arena_ = arena; }
-  void set_options(const InterpOptions& options) override { options_ = options; }
-  // The tree walker has nothing to specialize: its observers consult the
-  // plan themselves (OnBranch path), which is exactly the per-branch cost
-  // the VM's compiled kBrFast/kBrObserved split removes.
-  void SpecializePlan(const InstrumentationPlan* /*plan*/) override {}
+  void set_syscall_handler(SyscallHandler* handler) { syscalls_ = handler; }
+  void AddObserver(BranchObserver* observer) { observers_.push_back(observer); }
+  void ClearObservers() { observers_.clear(); }
+  // Enables (non-null) or disables (null) shadow tracking for subsequent
+  // runs. The arena must outlive the interpreter runs.
+  void set_shadow_arena(ExprArena* arena) { arena_ = arena; }
+  // Per-run limits; cheap, call before every Run.
+  void set_options(const InterpOptions& options) { options_ = options; }
 
   // Runs main. `argv` are the concrete argument strings (argv[0] included);
   // `argv_cells[i]` optionally names the input cell ids backing argv[i]'s
   // bytes (shadow mode).
   RunResult Run(const std::vector<std::string>& argv,
-                const std::vector<std::vector<i32>>& argv_cells) override;
+                const std::vector<std::vector<i32>>& argv_cells);
 
-  using ExecEngine::Run;
+  // Convenience for programs whose main takes no arguments.
+  RunResult Run() { return Run({"prog"}, {}); }
 
  private:
   struct Frame {

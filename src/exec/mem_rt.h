@@ -1,12 +1,9 @@
-// Memory-access and builtin semantics shared by both execution engines.
+// Memory-access and builtin semantics of the interpreter.
 //
-// The tree walker (interp.cc) and the bytecode VM (vm.cc) must trap on
-// exactly the same accesses and run builtins with exactly the same
-// argument validation, data delivery and shadow attachment — the
-// bit-identical contract of src/exec/engine.h. Keeping the logic in one
-// place makes divergence a compile error instead of a parity bug: an
-// engine supplies its memory-object table and arena, this header supplies
-// the semantics.
+// The trap checks, builtin argument validation, data delivery and shadow
+// attachment that interp.cc runs, kept apart from the dispatch loop: the
+// interpreter supplies its memory-object table and arena, this header
+// supplies the semantics.
 #ifndef RETRACE_EXEC_MEM_RT_H_
 #define RETRACE_EXEC_MEM_RT_H_
 
@@ -22,8 +19,7 @@ namespace retrace {
 
 class SyscallHandler;
 
-// IR operator -> shadow-expression operator, shared by both engines'
-// shadow construction.
+// IR operator -> shadow-expression operator, used by shadow construction.
 inline ExprOp ToExprOp(BinaryOp op) {
   switch (op) {
     case BinaryOp::kAdd: return ExprOp::kAdd;
@@ -115,13 +111,13 @@ inline bool ExtractCStringRt(const std::vector<MemObject>& objects, const Value&
   }
 }
 
-// Outcome of one builtin execution, engine-agnostic. The caller turns
+// Outcome of one builtin execution. The caller turns
 // kTrap into a Trap at its current instruction, kExit into run exit, and
 // writes `ret`/`ret_shadow` to its destination on kOk (when has_ret).
 // kStall is "failed without a crash": the engine must leave ip where it
 // is and keep looping (historically, write() with a negative length spins
 // on the call instruction until the step budget trips — preserved, since
-// run counts are part of the bit-identical contract).
+// run counts are pinned by the sentinel tests).
 struct BuiltinRtResult {
   enum class Status { kOk, kTrap, kExit, kStall };
   Status status = Status::kOk;
@@ -138,8 +134,8 @@ struct BuiltinRtResult {
 // results and delivered read() bytes get MkVar shadows, in the same
 // arena-construction order as the historical interpreter. `want_ret`
 // mirrors "the call has a destination": the ret-cell shadow is only
-// interned when someone will store it (arena construction order is part
-// of the bit-identical contract).
+// interned when someone will store it (arena construction order decides
+// every shadow ref a run produces).
 BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool want_ret,
                               std::vector<MemObject>& objects, ExprArena* arena,
                               SyscallHandler* syscalls);

@@ -28,16 +28,6 @@ class BranchTraceRecorder : public BranchObserver {
     return Action::kContinue;
   }
 
-  // Plan-specialized path (bytecode VM): site membership arrives baked
-  // into the branch opcode instead of a per-branch bitset lookup.
-  Action OnBranchCompiled(i32 /*branch_id*/, bool taken, ExprRef /*cond_shadow*/,
-                          bool site_observed) override {
-    if (site_observed) {
-      RecordBit(taken);
-    }
-    return Action::kContinue;
-  }
-
   // Inlined hot path: set one bit, flush on full buffer.
   void RecordBit(bool taken) {
     if (taken) {
@@ -80,14 +70,6 @@ class InstrumentedExecCounter : public BranchObserver {
 
   Action OnBranch(i32 branch_id, bool /*taken*/, ExprRef /*cond_shadow*/) override {
     if (plan_.Instrumented(branch_id)) {
-      ++count_;
-    }
-    return Action::kContinue;
-  }
-
-  Action OnBranchCompiled(i32 /*branch_id*/, bool /*taken*/, ExprRef /*cond_shadow*/,
-                          bool site_observed) override {
-    if (site_observed) {
       ++count_;
     }
     return Action::kContinue;

@@ -64,26 +64,21 @@ struct FailureAccum {
   }
 };
 
+// RETRACE_DEBUG_REPLAY, read once per process: an observer is built for
+// every replay run, thousands per search.
+bool DebugReplayEnabled() {
+  static const bool enabled = std::getenv("RETRACE_DEBUG_REPLAY") != nullptr;
+  return enabled;
+}
+
 // Branch observer implementing the four replay cases of paper §3.1.
 class ReplayObserver : public BranchObserver {
  public:
   ReplayObserver(const InstrumentationPlan& plan, const BitVec& log, FailureAccum* failures)
-      : plan_(plan), log_(log), failures_(failures) {
-    debug_ = std::getenv("RETRACE_DEBUG_REPLAY") != nullptr;
-  }
+      : plan_(plan), log_(log), failures_(failures) {}
 
   Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) override {
-    return Step(branch_id, taken, cond_shadow, plan_.Instrumented(branch_id));
-  }
-
-  // The bytecode VM bakes plan membership into its branch dispatch and
-  // hands it over here, skipping the per-branch bitset lookup.
-  Action OnBranchCompiled(i32 branch_id, bool taken, ExprRef cond_shadow,
-                          bool site_observed) override {
-    return Step(branch_id, taken, cond_shadow, site_observed);
-  }
-
-  Action Step(i32 branch_id, bool taken, ExprRef cond_shadow, bool instrumented) {
+    const bool instrumented = plan_.Instrumented(branch_id);
     const bool symbolic = cond_shadow != kNoExpr;
     if (!instrumented) {
       if (symbolic) {
@@ -130,7 +125,7 @@ class ReplayObserver : public BranchObserver {
       return Action::kContinue;  // Case 3a.
     }
     concrete_mismatch = true;  // Case 3b.
-    if (debug_) {
+    if (DebugReplayEnabled()) {
       std::fprintf(stderr, "[replay] 3b concrete mismatch branch=%d cursor=%zu taken=%d\n",
                    branch_id, cursor - 1, taken ? 1 : 0);
     }
@@ -161,7 +156,6 @@ class ReplayObserver : public BranchObserver {
   const InstrumentationPlan& plan_;
   const BitVec& log_;
   FailureAccum* failures_ = nullptr;
-  bool debug_ = false;
 };
 
 // First-crash-wins cancellation: aborts an in-flight run once another
@@ -334,7 +328,6 @@ ReplayConfig ReplayConfig::FromEnv() {
   config.num_workers = static_cast<u32>(EnvKnobI64("RETRACE_REPLAY_WORKERS", 1, 1, 4096));
   config.num_shards = FirstShardCountFromEnv();
   config.pick = PickFromEnv();
-  config.engine = ExecEngineKindFromEnv();
   config.solver_cache = EnvKnobBool("RETRACE_SOLVER_CACHE", true);
   config.prune_subsumed = EnvKnobBool("RETRACE_REPLAY_PRUNE", false);
   config.transport = TransportFromEnv();
@@ -613,8 +606,6 @@ ReplayResult ReplayEngine::ReproduceSequential(const ReplayConfig& config) {
     run_config.replay_log = replay_log;
     run_config.max_steps = config.max_steps_per_run;
     run_config.external_budget = &budget;
-    run_config.engine = config.engine;
-    run_config.plan = &plan_;
     CellRunOutput out = runner.Run(run_config);
     ++result.stats.runs;
 
@@ -896,8 +887,6 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
       run_config.replay_log = replay_log;
       run_config.max_steps = config.max_steps_per_run;
       run_config.external_budget = &budget;
-      run_config.engine = config.engine;
-      run_config.plan = &plan_;
       CellRunOutput out = runner.Run(run_config);
       ++ws.runs;
 
@@ -1230,8 +1219,6 @@ ReplayEngine::HarvestOutput ReplayEngine::HarvestFrontier(const ReplayConfig& co
     run_config.replay_log = replay_log;
     run_config.max_steps = config.max_steps_per_run;
     run_config.external_budget = &budget;
-    run_config.engine = config.engine;
-    run_config.plan = &plan_;
     CellRunOutput run_out = runner.Run(run_config);
     ++result.stats.runs;
 

@@ -66,8 +66,7 @@ struct ReplayConfig {
   /// Builds a config from the documented RETRACE_* environment knobs
   /// (docs/BENCHMARKS.md): RETRACE_REPLAY_WORKERS, RETRACE_REPLAY_SHARDS
   /// (first entry of a comma-separated sweep list), RETRACE_REPLAY_PICK,
-  /// RETRACE_EXEC_ENGINE, RETRACE_SOLVER_CACHE, RETRACE_REPLAY_PRUNE,
-  /// RETRACE_REPLAY_TRANSPORT
+  /// RETRACE_SOLVER_CACHE, RETRACE_REPLAY_PRUNE, RETRACE_REPLAY_TRANSPORT
   /// and RETRACE_GOSSIP_INTERVAL_MS. Every knob is parsed strictly
   /// (src/support/env.h): an unset knob keeps the field default, garbage
   /// prints the offending value and exits with code 2 — a replay whose
@@ -136,12 +135,6 @@ struct ReplayConfig {
   // so it defaults off: the 1-worker legacy path is bit-identical only
   // with it off.
   bool prune_subsumed = false;
-  // Execution engine for every replay run (src/exec/engine.h). kDefault
-  // resolves the RETRACE_EXEC_ENGINE knob; the two engines are
-  // behaviorally bit-identical, so this only moves wall-clock. Resolved
-  // to a concrete engine before shipping in the kJob codec (wire v6) so
-  // every shard runs the same engine as the coordinator.
-  ExecEngineKind engine = ExecEngineKind::kDefault;
   // Dynamic-analysis corpus seeds: concrete input-cell models (the shape
   // of AnalysisResult::corpus / AnalysisConfig::extra_seed_models) run
   // by the fleet right after each worker's initial random input, so the

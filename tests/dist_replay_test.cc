@@ -508,8 +508,7 @@ int main(int argc, char **argv) {
   shard_cfg.num_workers = 1;
   shard_cfg.solve_batch = 2;  // Leave most of the frontier in the queue.
   // Bound the shard's life, but generously: the donor must still be
-  // mid-search when the work request arrives ~50ms in, and the bytecode
-  // engine finishes runs several times faster than the tree walker.
+  // mid-search when the work request arrives ~50ms in.
   shard_cfg.max_runs = 40;
   shard_cfg.gossip_interval_ms = 5;
   // This test plays a coordinator that sends no heartbeats, and under

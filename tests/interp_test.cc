@@ -304,5 +304,29 @@ TEST(InterpTest, DanglingFramePointerTrap) {
   EXPECT_EQ(r.crash.kind, CrashSite::Kind::kDangling);
 }
 
+TEST(InterpTest, PooledRunsAreReproducible) {
+  // The same interpreter re-run must be indistinguishable from a fresh
+  // one: object-pool generations never leak into results.
+  Compiled c = CompileOrDie(R"(
+    int leaf(int n) { int buf[4]; buf[n & 3] = n; return buf[n & 3] * 2; }
+    int main(int argc, char **argv) {
+      int s = 0;
+      for (int i = 0; i < 10; i = i + 1) { s = s + leaf(i + argv[1][0]); }
+      return s % 251;
+    }
+  )");
+  ASSERT_NE(c.module, nullptr);
+  Interp interp(*c.module, InterpOptions{});
+  const RunResult first = interp.Run({"prog", "k"}, {});
+  const RunResult again = interp.Run({"prog", "k"}, {});
+  const RunResult other = interp.Run({"prog", "Q"}, {});
+  const RunResult back = interp.Run({"prog", "k"}, {});
+  EXPECT_EQ(first.exit_code, again.exit_code);
+  EXPECT_EQ(first.exit_code, back.exit_code);
+  EXPECT_EQ(first.stats.instrs, again.stats.instrs);
+  EXPECT_EQ(first.stats.instrs, back.stats.instrs);
+  EXPECT_NE(first.exit_code, other.exit_code);
+}
+
 }  // namespace
 }  // namespace retrace

@@ -78,7 +78,6 @@ TEST(ReplayCriterionTest, WitnessRetracesExactBitSequence) {
   run_config.model = replay.witness_cells;
   run_config.symbolic_syscalls = false;
   run_config.observers = {&recorder};
-  run_config.plan = &plan;  // Recorder trusts the compiled site bit.
   const CellRunOutput rerun = runner.Run(run_config);
   ASSERT_TRUE(rerun.result.Crashed());
   EXPECT_TRUE(rerun.result.crash.SameSite(user.report.crash));
