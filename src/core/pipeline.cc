@@ -222,9 +222,7 @@ Result<ReplayResult> Pipeline::Reproduce(const BugReport& report,
   if (!PlanMatches(plan)) {
     return PlanMismatch(plan);
   }
-  // The shared arena only backs the sequential path; parallel workers
-  // build thread-confined arenas of their own.
-  ReplayEngine engine(*module_, plan, report, &arena_);
+  ReplayEngine engine(*module_, plan, report);
   if (config.transport == ReplayTransport::kTcp && config.program.app.empty()) {
     // TCP shards rebuild the module from source; fill in what this
     // pipeline was compiled from unless the caller overrode it.

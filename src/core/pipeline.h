@@ -51,7 +51,6 @@ class Pipeline {
 
   const IrModule& module() const { return *module_; }
   const SemaProgram& program() const { return *program_; }
-  ExprArena& arena() { return arena_; }
 
   // ----- Phase 1: pre-deployment analyses -----
   AnalysisResult RunDynamicAnalysis(const InputSpec& spec, const AnalysisConfig& config);

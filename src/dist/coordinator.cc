@@ -232,18 +232,20 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   const u32 num_shards = std::max<u32>(1, fleet->num_shards());
 
   // ----- 1. Scout: grow (or finish) the frontier in-process. -----
-  ExprArena arena;
-  ReplayEngine scout(module, plan, report, &arena);
+  // A short one-worker DFS: monolithic solver, no corpus seeds, no
+  // pruning. It stops once the frontier is wide enough to deal out.
+  ReplayEngine scout(module, plan, report);
   ReplayConfig scout_cfg = config;
   scout_cfg.num_shards = 1;
-  const u64 scout_cap = std::max<u64>(4, 2 * num_shards);
-  ReplayEngine::HarvestOutput harvest =
-      scout.HarvestFrontier(scout_cfg, std::min(scout_cap, config.max_runs),
-                            /*target_frontier=*/4 * num_shards);
-  ReplayResult result = std::move(harvest.result);
+  scout_cfg.pick = ReplayConfig::Pick::kDfs;
+  scout_cfg.solver_cache = false;
+  scout_cfg.prune_subsumed = false;
+  scout_cfg.corpus_seeds.clear();
+  scout_cfg.max_runs = std::min<u64>(std::max<u64>(4, 2 * num_shards), config.max_runs);
+  std::vector<PortablePending> frontier;
+  ReplayResult result = scout.Scout(scout_cfg, /*target_frontier=*/4 * num_shards, &frontier);
   result.stats.harvest_runs = result.stats.runs;
-  if (result.reproduced || result.stats.runs >= config.max_runs ||
-      harvest.frontier.empty()) {
+  if (result.reproduced || result.stats.runs >= config.max_runs || frontier.empty()) {
     // Solved it, exhausted the run cap, or there is nothing to shard
     // (frontier drained — the search space is smaller than the scout).
     result.budget_exhausted = !result.reproduced;
@@ -255,7 +257,6 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   result.stats.per_worker.clear();
 
   // ----- 2. Partition: deepest-first, dealt round-robin. -----
-  std::vector<PortablePending> frontier = std::move(harvest.frontier);
   std::stable_sort(frontier.begin(), frontier.end(),
                    [](const PortablePending& a, const PortablePending& b) {
                      return a.priority > b.priority;

@@ -2,9 +2,10 @@
 //
 // ReplayConfig::num_shards > 1 routes ReplayEngine::Reproduce here. The
 // coordinator:
-//   1. Scouts: runs a bounded in-process search (HarvestFrontier) to
-//      grow an initial pending-set frontier — or to reproduce the bug
-//      outright, in which case no process is ever forked.
+//   1. Scouts: runs ReplayEngine::Scout, a short one-worker DFS on a
+//      private frontier, until the frontier holds 4 pendings per shard;
+//      what is left is exported once and dealt out. A scout that
+//      reproduces the bug outright forks no process.
 //   2. Shards: forks num_shards child processes connected by socketpairs,
 //      ships each its partition of the frontier over the wire format
 //      (deep pendings interleaved round-robin so every shard gets a mix),

@@ -244,8 +244,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
       cache = owned_cache.get();
     }
   }
-  ExprArena arena;
-  ReplayEngine engine(module, plan, report, &arena);
+  ReplayEngine engine(module, plan, report);
   FrontierPort port;
   ShardContext ctx;
   ctx.seed_frontier = std::move(seed_frontier);
@@ -267,8 +266,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   // nothing would otherwise drain, declare termination and exit in the
   // gap before the pump's first watermark check.
   const bool rebalance = hello.num_shards > 1;
-  const u32 workers = std::max(
-      1u, config.num_workers == 0 ? DefaultReplayWorkers() : config.num_workers);
+  const u32 workers = ResolveReplayWorkers(config.num_workers);
   const size_t low_watermark = 2 * static_cast<size_t>(workers);
   if (rebalance) {
     port.HoldOpen();

@@ -5,10 +5,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/dist/coordinator.h"
@@ -173,33 +174,19 @@ class CancelObserver : public BranchObserver {
   const StopSource& stop_;
 };
 
-// The reproduction predicate, shared verbatim by the sequential,
-// parallel and scout loops (they must accept identical witnesses or the
-// distributed path diverges from the in-process one). Reproduction
-// requires reaching the reported crash site having consumed the *entire*
-// branch log: the recorded bits end exactly at the user-site crash, so a
-// run that crashes at the same location with bits left over took a
-// shortcut (e.g. an early signal delivery) and is not the recorded
-// execution.
+// The reproduction predicate. Reproduction requires reaching the
+// reported crash site having consumed the *entire* branch log: the
+// recorded bits end exactly at the user-site crash, so a run that
+// crashes at the same location with bits left over took a shortcut
+// (e.g. an early signal delivery) and is not the recorded execution.
 bool IsReproduction(const RunResult& run, size_t log_cursor, const BugReport& report) {
   return run.Crashed() && run.crash.SameSite(report.crash) &&
          log_cursor == report.branch_log.size();
 }
 
-// Sequential frontier entry: constraints live in the engine's arena.
-struct Pending {
-  std::shared_ptr<std::vector<Constraint>> trace;
-  size_t len = 0;           // Constraints [0, len) form the set.
-  bool negate_last = false;  // Case 1 pendings negate constraint len-1.
-  std::shared_ptr<std::vector<i64>> seed;
-  std::shared_ptr<std::vector<Interval>> domains;
-  u64 log_bits = 0;   // Log bits the prefix consumed (Pick::kLogBits key).
-  u64 dir_bits = 0;   // Logged directions forced (Pick::kDirection key).
-};
-
 // Discipline a fixed (non-portfolio) pick runs — the attribution slot in
-// ReplayStats::discipline_runs. kPortfolio degenerates to DFS with one
-// worker, so it maps there.
+// ReplayStats::discipline_runs. kPortfolio maps to DFS: its worker 0
+// runs DFS, and with one worker that is the whole search.
 SearchDiscipline DisciplineOfPick(ReplayConfig::Pick pick) {
   switch (pick) {
     case ReplayConfig::Pick::kFifo: return SearchDiscipline::kFifo;
@@ -374,6 +361,10 @@ u32 DefaultReplayWorkers() {
   return std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
 }
 
+u32 ResolveReplayWorkers(u32 num_workers) {
+  return num_workers == 0 ? DefaultReplayWorkers() : num_workers;
+}
+
 // ----- FrontierPort: the re-balance window into a live frontier -----
 //
 // Lock order: port mutex, then (inside WorkStealingQueue calls) the
@@ -488,254 +479,66 @@ void FrontierPort::ReleaseHold() {
   }
 }
 
-ReplayResult ReplayEngine::Reproduce(const ReplayConfig& config) {
-  if (config.num_shards > 1) {
-    // Multi-process mode: the coordinator forks shard processes, each of
-    // which re-enters this engine through ReproduceShard.
-    return ReproduceDistributed(module_, plan_, report_, config);
+namespace {
+
+// The trace form of a private search's frontier: constraints over the one
+// worker's arena, never exported until the scout hands them on.
+struct ResidentTrace {
+  std::vector<Constraint> constraints;
+};
+
+// Fingerprint of constraints [0, len) with the last one negated when
+// `negate_last`, over arena hashes: equal to FingerprintConstraints of
+// the same set in portable form, so the key is stable across arenas.
+u64 FingerprintResident(const ExprArena& arena, const std::vector<Constraint>& cs, size_t len,
+                        bool negate_last) {
+  u64 fp = kConstraintFingerprintSeed;
+  for (size_t i = 0; i < len; ++i) {
+    const bool flip = negate_last && i + 1 == len;
+    fp = ExtendConstraintFingerprint(fp, arena.StructuralHash(cs[i].expr),
+                                     cs[i].want_true != flip);
   }
-  const u32 workers = config.num_workers == 0 ? DefaultReplayWorkers() : config.num_workers;
-  if (workers <= 1) {
-    return ReproduceSequential(config);
-  }
-  return ReproduceParallel(config, workers, /*shard=*/nullptr);
+  return fp;
 }
 
-ReplayResult ReplayEngine::ReproduceShard(const ReplayConfig& config, ShardContext* shard) {
-  // Even a single worker runs the parallel scheduler here: the seed
-  // frontier, shared cache and external cancellation all hang off it.
-  const u32 workers = std::max(1u, config.num_workers == 0 ? DefaultReplayWorkers()
-                                                          : config.num_workers);
-  return ReproduceParallel(config, workers, shard);
-}
+// How an entry point runs the one search loop.
+struct SearchShape {
+  u32 workers = 1;
+  size_t solve_batch = 1;
+  // Distributed-shard or service context; null = a plain search.
+  ShardContext* shard = nullptr;
+  // Scout only: stop once the frontier holds this many pendings (0 =
+  // never), and append what is left, exported, to `leftover`.
+  size_t stop_at_frontier = 0;
+  std::vector<PortablePending>* leftover = nullptr;
+};
 
-ReplayResult ReplayEngine::ReproduceSequential(const ReplayConfig& config) {
+// The search loop (paper §3): `shape.workers` workers drain one frontier
+// of pending constraint sets, each solving a set and running its model
+// until some run reproduces the crash or the budgets run out.
+//
+// `Trace` is the frontier's form. A private search (ResidentTrace: one
+// worker, no FrontierPort, no seed frontier) keeps every pending in its
+// worker's arena: nothing else can take them, so it pays for portability
+// only where the scout hands its frontier on. It skips what only a
+// shared frontier needs: the per-pop dedup fingerprint and the
+// per-branch cancellation check. Every other search (PortableTrace)
+// exports each run's trace once and re-imports it per worker on pop.
+template <typename Trace>
+ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
+                       const BugReport& report, const ReplayConfig& config,
+                       const SearchShape& shape) {
+  constexpr bool kPrivate = std::is_same_v<Trace, ResidentTrace>;
+  using Pending = FrontierPending<Trace>;
   const auto t0 = std::chrono::steady_clock::now();
   ReplayResult result;
-  FailureAccum failures(module_.branches.size());
-
-  CellRunner runner(module_, report_.shape);
-  Budget budget = config.wall_ms > 0
-                      ? Budget::StepsAndMillis(config.total_steps, config.wall_ms)
-                      : Budget::Steps(config.total_steps);
-  Solver solver(*arena_, config.solver);
-  // Incremental layer (partition + slice caches); disabled falls back to
-  // the monolithic solver — the bit-identical pre-parallel engine.
-  std::unique_ptr<SliceCache> slice_cache;
-  std::unique_ptr<IncrementalSolver> incremental;
-  if (config.solver_cache) {
-    slice_cache = std::make_unique<SliceCache>(config.slice_cache_capacity);
-    incremental = std::make_unique<IncrementalSolver>(*arena_, config.solver, slice_cache.get());
-  }
-  Rng rng(config.seed);
-
-  // Initial run: random printable input bytes (the developer has no input).
-  std::vector<i64> initial(runner.layout().defaults().size());
-  for (i64& v : initial) {
-    v = rng.NextPrintable();
-  }
-
-  std::deque<Pending> pendings;
-  // Under kLogBits/kDirection the deque doubles as max-heap storage on
-  // the pick's key (the pick is fixed for the whole search), so pops stay
-  // O(log n) instead of a linear scan over frontiers that reach tens of
-  // thousands of entries.
-  const bool heap_pick = config.pick == ReplayConfig::Pick::kLogBits ||
-                         config.pick == ReplayConfig::Pick::kDirection;
-  const bool dir_pick = config.pick == ReplayConfig::Pick::kDirection;
-  auto bits_less = [dir_pick](const Pending& a, const Pending& b) {
-    return (dir_pick ? a.dir_bits : a.log_bits) < (dir_pick ? b.dir_bits : b.log_bits);
-  };
-  // Prefix-subsumption index (prune_subsumed): fingerprints of every
-  // executed constraint prefix and every published pending set.
-  std::unique_ptr<FingerprintSet> subsumed;
-  if (config.prune_subsumed) {
-    subsumed = std::make_unique<FingerprintSet>();
-  }
-  auto publish = [&](Pending pending, u64 fp) {
-    if (subsumed != nullptr && !subsumed->Insert(fp)) {
-      ++result.stats.pendings_pruned;
-      return;
-    }
-    pendings.push_back(std::move(pending));
-    if (heap_pick) {
-      std::push_heap(pendings.begin(), pendings.end(), bits_less);
-    }
-  };
-  const SyscallLog* replay_log =
-      config.use_syscall_log && report_.has_syscall_log ? &report_.syscall_log : nullptr;
-
-  // Mirrors the aggregate counters into the single worker entry, keeping
-  // the per-worker view lossless at any worker count.
-  auto finish = [&]() {
-    if (incremental != nullptr) {
-      const IncrementalStats& inc = incremental->stats();
-      result.stats.slices_solved = inc.slices_solved;
-      result.stats.slice_sat_hits = inc.slice_sat_hits;
-      result.stats.slice_unsat_hits = inc.slice_unsat_hits;
-      result.stats.slice_evictions = slice_cache->evictions();
-    }
-    const size_t disc = static_cast<size_t>(DisciplineOfPick(config.pick));
-    result.stats.discipline_runs[disc] = result.stats.runs;
-    result.stats.discipline_on_log[disc] = result.stats.aborts_forced_direction;
-    result.stats.failure_profile = failures.ToProfile();
-    ReplayWorkerStats worker;
-    worker.runs = result.stats.runs;
-    worker.solver_calls = result.stats.solver_calls;
-    worker.aborts_forced_direction = result.stats.aborts_forced_direction;
-    worker.aborts_concrete_mismatch = result.stats.aborts_concrete_mismatch;
-    worker.aborts_log_exhausted = result.stats.aborts_log_exhausted;
-    worker.crashes_wrong_site = result.stats.crashes_wrong_site;
-    worker.slices_solved = result.stats.slices_solved;
-    worker.slice_sat_hits = result.stats.slice_sat_hits;
-    worker.slice_unsat_hits = result.stats.slice_unsat_hits;
-    worker.pendings_pruned = result.stats.pendings_pruned;
-    worker.corpus_runs = result.stats.corpus_runs;
-    result.stats.per_worker = {worker};
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-
-  // Runs one input; returns true when the bug is reproduced.
-  auto do_run = [&](const std::vector<i64>& model, size_t start_depth) -> bool {
-    ReplayObserver observer(plan_, report_.branch_log, &failures);
-    CellRunConfig run_config;
-    run_config.model = model;
-    run_config.arena = arena_;
-    run_config.observers = {&observer};
-    run_config.replay_log = replay_log;
-    run_config.max_steps = config.max_steps_per_run;
-    run_config.external_budget = &budget;
-    CellRunOutput out = runner.Run(run_config);
-    ++result.stats.runs;
-
-    if (IsReproduction(out.result, observer.cursor, report_)) {
-      result.reproduced = true;
-      result.crash = out.result.crash;
-      result.witness_cells = out.cells;
-      result.witness_argv = runner.layout().MaterializeArgv(runner.spec(), out.cells);
-      return true;
-    }
-    if (out.result.Crashed()) {
-      ++result.stats.crashes_wrong_site;
-      failures.Death(observer.last_blind_branch, failures.deaths_wrong_crash);
-    }
-    if (observer.concrete_mismatch) {
-      ++result.stats.aborts_concrete_mismatch;
-      failures.Death(observer.last_blind_branch, failures.deaths_concrete);
-    }
-    if (observer.log_exhausted) {
-      ++result.stats.aborts_log_exhausted;
-      failures.Death(observer.last_blind_branch, failures.deaths_exhausted);
-    }
-
-    auto trace = std::make_shared<std::vector<Constraint>>(std::move(observer.trace));
-    auto seed = std::make_shared<std::vector<i64>>(std::move(out.cells));
-    auto domains = std::make_shared<std::vector<Interval>>(std::move(out.domains));
-    // Prefix fingerprints for the subsumption index: chain[i] covers
-    // constraints [0, i) as stored. Every *executed* prefix enters the
-    // index (a forced-direction trace's final constraint was not executed
-    // in its stored polarity — it is the 2b pending set itself, inserted
-    // by its own publish below).
-    std::vector<u64> chain;
-    if (subsumed != nullptr) {
-      chain.resize(trace->size() + 1);
-      chain[0] = kConstraintFingerprintSeed;
-      for (size_t i = 0; i < trace->size(); ++i) {
-        chain[i + 1] = ExtendConstraintFingerprint(
-            chain[i], arena_->StructuralHash((*trace)[i].expr), (*trace)[i].want_true);
-      }
-      const size_t executed = trace->size() - (observer.forced_direction ? 1 : 0);
-      for (size_t i = 1; i <= executed; ++i) {
-        subsumed->Insert(chain[i]);
-      }
-    }
-    // Case-1 alternatives, deepest explored first under DFS.
-    for (size_t flip : observer.flippable) {
-      if (flip < start_depth) {
-        continue;  // Already offered by the run that generated this prefix.
-      }
-      const u64 fp = subsumed != nullptr
-                         ? ExtendConstraintFingerprint(
-                               chain[flip], arena_->StructuralHash((*trace)[flip].expr),
-                               !(*trace)[flip].want_true)
-                         : 0;
-      publish(Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
-                      observer.bits_at[flip], observer.dir_at[flip]},
-              fp);
-    }
-    if (observer.forced_direction) {
-      ++result.stats.aborts_forced_direction;
-      // Highest priority: the set that steers the run back onto the log.
-      publish(Pending{trace, trace->size(), /*negate_last=*/false, seed, domains,
-                      observer.cursor, observer.logged_forced},
-              subsumed != nullptr ? chain[trace->size()] : 0);
-    }
-    result.stats.pending_peak = std::max(result.stats.pending_peak,
-                                         static_cast<u64>(pendings.size()));
-    return false;
-  };
-
-  bool found = do_run(initial, 0);
-  // Corpus seeds: dynamic-analysis-discovered inputs run right after the
-  // initial random run, so the frontier starts from exploration's deep
-  // prefixes too. Empty by default — the legacy path is untouched.
-  for (const std::vector<i64>& seed_model : config.corpus_seeds) {
-    if (found || result.stats.runs >= config.max_runs || budget.Exhausted()) {
-      break;
-    }
-    ++result.stats.corpus_runs;
-    found = do_run(seed_model, 0);
-  }
-  if (found) {
-    finish();
-    return result;
-  }
-
-  while (!pendings.empty() && result.stats.runs < config.max_runs && !budget.Exhausted()) {
-    Pending pending;
-    if (config.pick == ReplayConfig::Pick::kFifo) {
-      pending = std::move(pendings.front());
-      pendings.pop_front();
-    } else if (heap_pick) {
-      // Deepest on-log progress first (max-heap; tie order unspecified).
-      std::pop_heap(pendings.begin(), pendings.end(), bits_less);
-      pending = std::move(pendings.back());
-      pendings.pop_back();
-    } else {
-      // kDfs; kPortfolio degenerates to DFS with a single worker.
-      pending = std::move(pendings.back());
-      pendings.pop_back();
-    }
-
-    // Solve over a view of the trace prefix — no per-pop copy.
-    const ConstraintSpan set(pending.trace->data(), pending.len, pending.negate_last);
-    ++result.stats.solver_calls;
-    const SolveResult solved = incremental != nullptr
-                                   ? incremental->Solve(set, *pending.domains, *pending.seed)
-                                   : solver.Solve(set, *pending.domains, *pending.seed);
-    if (solved.status != SolveStatus::kSat) {
-      continue;
-    }
-    if (do_run(solved.model, pending.len)) {
-      break;
-    }
-  }
-
-  result.budget_exhausted = !result.reproduced;
-  finish();
-  return result;
-}
-
-ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num_workers,
-                                             ShardContext* shard) {
-  const auto t0 = std::chrono::steady_clock::now();
-  ReplayResult result;
+  const u32 num_workers = shape.workers;
+  ShardContext* shard = shape.shard;
 
   // Shared scheduler state. Everything the workers share is either
   // immutable (module, plan, report), synchronized here (frontier, dedup
   // registry, winner slot), or lock-free (stop flag, run admission).
-  WorkStealingQueue<PortablePending> frontier(num_workers);
+  WorkStealingQueue<Pending> frontier(num_workers);
   StopSource stop;
   std::mutex winner_mu;
   bool have_winner = false;
@@ -745,11 +548,12 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
   std::vector<ReplayWorkerStats> worker_stats(num_workers);
   // Thread-confined failure telemetry: each worker bumps its own dense
   // accumulator; the join below folds them into the aggregate profile.
-  std::vector<FailureAccum> worker_failures(num_workers, FailureAccum(module_.branches.size()));
+  std::vector<FailureAccum> worker_failures(num_workers, FailureAccum(module.branches.size()));
   // Fleet-wide slice verdict store: once any worker proves a slice
   // SAT/UNSAT, every worker reuses the verdict (null = layer disabled).
-  // A distributed shard shares its process-wide cache instead — the
-  // gossip pump merges remote verdicts into it concurrently.
+  // A distributed shard or the service shares its process-wide cache
+  // instead — a shard's gossip pump merges remote verdicts into it
+  // concurrently.
   std::unique_ptr<SliceCache> owned_cache;
   SliceCache* slice_cache = shard != nullptr ? shard->cache : nullptr;
   if (slice_cache == nullptr && config.solver_cache) {
@@ -770,34 +574,36 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
   std::array<std::atomic<u64>, kNumDisciplines> disc_runs{};
   std::array<std::atomic<u64>, kNumDisciplines> disc_on_log{};
 
-  // Coordinator-shipped frontier: distributed shards start from their
-  // partition of the scout's pending sets, spread round-robin over the
-  // worker deques (workers still perform their own initial random runs —
-  // cross-shard search diversification is part of the speedup).
-  if (shard != nullptr) {
-    for (size_t i = 0; i < shard->seed_frontier.size(); ++i) {
-      PortablePending pending = std::move(shard->seed_frontier[i]);
-      if (subsumed != nullptr) {
-        // Seed entries are unique per shard (the coordinator dealt them),
-        // but indexing them lets the search prune its own rediscoveries
-        // of the scout's subtrees.
-        subsumed->Insert(FingerprintConstraints(*pending.trace, pending.len,
-                                                pending.negate_last));
+  if constexpr (!kPrivate) {
+    // Coordinator-shipped frontier: distributed shards start from their
+    // partition of the scout's pending sets, spread round-robin over the
+    // worker deques (workers still perform their own initial random runs
+    // — cross-shard search diversification is part of the speedup).
+    if (shard != nullptr) {
+      for (size_t i = 0; i < shard->seed_frontier.size(); ++i) {
+        PortablePending pending = std::move(shard->seed_frontier[i]);
+        if (subsumed != nullptr) {
+          // Seed entries are unique per shard (the coordinator dealt
+          // them), but indexing them lets the search prune its own
+          // rediscoveries of the scout's subtrees.
+          subsumed->Insert(FingerprintConstraints(*pending.trace, pending.len,
+                                                  pending.negate_last));
+        }
+        const u64 priority = pending.priority;
+        const u64 direction = pending.dir_score;
+        frontier.Push(i % num_workers, std::move(pending), priority, direction);
       }
-      const u64 priority = pending.priority;
-      const u64 direction = pending.dir_score;
-      frontier.Push(i % num_workers, std::move(pending), priority, direction);
-    }
-    shard->seed_frontier.clear();
-    // Publish the frontier to the re-balance port before any worker can
-    // drain it: the gossip pump may import/export from here on.
-    if (shard->port != nullptr) {
-      shard->port->Attach(&frontier, num_workers, &stop);
+      shard->seed_frontier.clear();
+      // Publish the frontier to the re-balance port before any worker can
+      // drain it: the gossip pump may import/export from here on.
+      if (shard->port != nullptr) {
+        shard->port->Attach(&frontier, num_workers, &stop);
+      }
     }
   }
 
   const SyscallLog* replay_log =
-      config.use_syscall_log && report_.has_syscall_log ? &report_.syscall_log : nullptr;
+      config.use_syscall_log && report.has_syscall_log ? &report.syscall_log : nullptr;
 
   auto worker_fn = [&](u32 wid) {
     ReplayWorkerStats& ws = worker_stats[wid];
@@ -805,7 +611,7 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     // Thread-confined execution context: arena, interpreter harness and
     // solver are all single-threaded by design.
     ExprArena arena;
-    CellRunner runner(module_, report_.shape);
+    CellRunner runner(module, report.shape);
     Solver solver(arena, config.solver);
     std::unique_ptr<IncrementalSolver> incremental;
     if (config.solver_cache) {
@@ -815,6 +621,7 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     const u64 step_share = std::max<u64>(1, config.total_steps / num_workers);
     Budget budget = config.wall_ms > 0 ? Budget::StepsAndMillis(step_share, config.wall_ms)
                                        : Budget::Steps(step_share);
+    CancelObserver cancel(stop);
 
     // The worker's current search discipline. Fixed picks map directly;
     // under kPortfolio workers 0-3 run the four fixed disciplines and
@@ -878,19 +685,22 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     // Runs one input; returns true when the search is over for this worker
     // (it reproduced the bug, or lost the race to another worker's crash).
     auto do_run = [&](const std::vector<i64>& model, size_t start_depth) -> bool {
-      ReplayObserver observer(plan_, report_.branch_log, &failures);
-      CancelObserver cancel(stop);
+      ReplayObserver observer(plan, report.branch_log, &failures);
       CellRunConfig run_config;
       run_config.model = model;
       run_config.arena = &arena;
-      run_config.observers = {&observer, &cancel};
+      run_config.observers = {&observer};
+      if constexpr (!kPrivate) {
+        // Only a shared search can be stopped by someone else mid-run.
+        run_config.observers.push_back(&cancel);
+      }
       run_config.replay_log = replay_log;
       run_config.max_steps = config.max_steps_per_run;
       run_config.external_budget = &budget;
       CellRunOutput out = runner.Run(run_config);
       ++ws.runs;
 
-      if (IsReproduction(out.result, observer.cursor, report_)) {
+      if (IsReproduction(out.result, observer.cursor, report)) {
         std::lock_guard<std::mutex> lock(winner_mu);
         if (!have_winner) {
           have_winner = true;
@@ -931,107 +741,109 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
         disc_on_log[static_cast<size_t>(disc)].fetch_add(1, std::memory_order_relaxed);
       }
 
-      bool any_flip = false;
-      for (size_t flip : observer.flippable) {
-        if (flip >= start_depth) {
-          any_flip = true;
-          break;
+      const bool publishes =
+          observer.forced_direction ||
+          std::any_of(observer.flippable.begin(), observer.flippable.end(),
+                      [start_depth](size_t flip) { return flip >= start_depth; });
+      if (!publishes) {
+        return false;
+      }
+      // Prefix fingerprints for the subsumption index (chain[i] covers
+      // constraints [0, i) as stored); every executed prefix enters the
+      // index — a forced-direction trace's final constraint was not
+      // executed in its stored polarity, so it only enters via its own
+      // publish below.
+      const size_t trace_len = observer.trace.size();
+      std::vector<u64> expr_hash;
+      std::vector<u64> chain;
+      if (subsumed != nullptr) {
+        expr_hash.resize(trace_len);
+        chain.resize(trace_len + 1);
+        chain[0] = kConstraintFingerprintSeed;
+        for (size_t i = 0; i < trace_len; ++i) {
+          expr_hash[i] = arena.StructuralHash(observer.trace[i].expr);
+          chain[i + 1] =
+              ExtendConstraintFingerprint(chain[i], expr_hash[i], observer.trace[i].want_true);
+        }
+        const size_t executed = trace_len - (observer.forced_direction ? 1 : 0);
+        for (size_t i = 1; i <= executed; ++i) {
+          subsumed->Insert(chain[i]);
         }
       }
-      if (any_flip || observer.forced_direction) {
-        // One export per run; all pendings of this run share the snapshot.
-        auto trace = std::make_shared<const PortableTrace>(ExportTrace(arena, observer.trace));
-        auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
-        auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
-        // Prefix fingerprints for the subsumption index (chain[i] covers
-        // constraints [0, i) as stored); every executed prefix enters the
-        // index — a forced-direction trace's final constraint was not
-        // executed in its stored polarity, so it only enters via its own
-        // publish below.
-        std::vector<u64> chain;
-        std::vector<u64> node_hash;
-        if (subsumed != nullptr) {
-          node_hash = PortableNodeHashes(*trace);
-          const std::vector<Constraint>& cs = trace->constraints;
-          chain.resize(cs.size() + 1);
-          chain[0] = kConstraintFingerprintSeed;
-          for (size_t i = 0; i < cs.size(); ++i) {
-            chain[i + 1] =
-                ExtendConstraintFingerprint(chain[i], node_hash[cs[i].expr], cs[i].want_true);
-          }
-          const size_t executed = cs.size() - (observer.forced_direction ? 1 : 0);
-          for (size_t i = 1; i <= executed; ++i) {
-            subsumed->Insert(chain[i]);
-          }
+      // One snapshot per run; all pendings of this run share it.
+      std::shared_ptr<const Trace> trace;
+      if constexpr (kPrivate) {
+        trace = std::make_shared<const ResidentTrace>(ResidentTrace{std::move(observer.trace)});
+      } else {
+        trace = std::make_shared<const PortableTrace>(ExportTrace(arena, observer.trace));
+      }
+      auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
+      auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
+      // Pending::priority/dir_score are the single source of truth; the
+      // queue's key arguments always mirror them.
+      auto publish = [&](Pending pending, u64 fp) {
+        if (subsumed != nullptr && !subsumed->Insert(fp)) {
+          ++ws.pendings_pruned;
+          return;
         }
-        // Case-1 alternatives, deepest explored first under DFS.
-        // PortablePending::priority/dir_score are the single source of
-        // truth; the queue's key arguments always mirror them.
-        auto publish = [&](PortablePending pending, u64 fp) {
-          if (subsumed != nullptr && !subsumed->Insert(fp)) {
-            ++ws.pendings_pruned;
-            return;
-          }
-          const u64 priority = pending.priority;
-          const u64 direction = pending.dir_score;
-          frontier.Push(wid, std::move(pending), priority, direction);
-        };
-        for (size_t flip : observer.flippable) {
-          if (flip < start_depth) {
-            continue;  // Already offered by the run that generated this prefix.
-          }
-          const u64 fp = subsumed != nullptr
-                             ? ExtendConstraintFingerprint(
-                                   chain[flip], node_hash[trace->constraints[flip].expr],
-                                   !trace->constraints[flip].want_true)
-                             : 0;
-          publish(PortablePending{trace, flip + 1, /*negate_last=*/true, seed, domains,
-                                  observer.bits_at[flip], observer.dir_at[flip]},
-                  fp);
+        const u64 priority = pending.priority;
+        const u64 direction = pending.dir_score;
+        frontier.Push(wid, std::move(pending), priority, direction);
+      };
+      // Case-1 alternatives, deepest explored first under DFS.
+      for (size_t flip : observer.flippable) {
+        if (flip < start_depth) {
+          continue;  // Already offered by the run that generated this prefix.
         }
-        if (observer.forced_direction) {
-          // Highest priority under DFS: steers the run back onto the log.
-          publish(PortablePending{trace, trace->constraints.size(), /*negate_last=*/false,
-                                  seed, domains, observer.cursor, observer.logged_forced},
-                  subsumed != nullptr ? chain[trace->constraints.size()] : 0);
-        }
+        const u64 fp = subsumed != nullptr
+                           ? ExtendConstraintFingerprint(chain[flip], expr_hash[flip],
+                                                         !trace->constraints[flip].want_true)
+                           : 0;
+        publish(Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
+                        observer.bits_at[flip], observer.dir_at[flip]},
+                fp);
+      }
+      if (observer.forced_direction) {
+        // Highest priority under DFS: steers the run back onto the log.
+        publish(Pending{trace, trace_len, /*negate_last=*/false, seed, domains, observer.cursor,
+                        observer.logged_forced},
+                subsumed != nullptr ? chain[trace_len] : 0);
       }
       return false;
     };
 
-    // Per-worker import memo: sibling pendings share the same portable
-    // trace, so the full trace is re-interned into this worker's arena
-    // once — and its node hashes computed once — and every pop solves
-    // over a prefix view and fingerprints over the memoized hashes. No
-    // per-pop import, constraint-vector copy, or whole-trace rehash.
-    // Keyed by raw pointer; the keepalive vector pins every keyed trace
-    // so a recycled allocation address can never alias a retired one.
-    struct ImportedTrace {
-      std::vector<Constraint> constraints;
-      std::vector<u64> node_hash;
-    };
-    std::unordered_map<const PortableTrace*, ImportedTrace> import_memo;
-    std::vector<std::shared_ptr<const PortableTrace>> import_keepalive;
-    auto imported_trace =
-        [&](const std::shared_ptr<const PortableTrace>& t) -> const ImportedTrace& {
-      auto it = import_memo.find(t.get());
-      if (it != import_memo.end()) {
-        return it->second;
+    // The popped set's constraints in this worker's arena. Resident
+    // traces already are. A portable trace is re-interned once per
+    // worker — sibling pendings share it — and every pop solves over a
+    // prefix view of the memoized copy: no per-pop import or copy. Keyed
+    // by raw pointer; the keepalive vector pins every keyed trace so a
+    // recycled allocation address can never alias a retired one.
+    std::unordered_map<const Trace*, std::vector<Constraint>> import_memo;
+    std::vector<std::shared_ptr<const Trace>> import_keepalive;
+    auto resident_constraints =
+        [&](const std::shared_ptr<const Trace>& t) -> const std::vector<Constraint>& {
+      if constexpr (kPrivate) {
+        return t->constraints;
+      } else {
+        auto it = import_memo.find(t.get());
+        if (it != import_memo.end()) {
+          return it->second;
+        }
+        if (import_memo.size() >= 64) {  // Bound resident snapshots.
+          import_memo.clear();
+          import_keepalive.clear();
+        }
+        import_keepalive.push_back(t);
+        return import_memo
+            .emplace(t.get(), ImportConstraints(*t, t->constraints.size(),
+                                                /*negate_last=*/false, &arena))
+            .first->second;
       }
-      if (import_memo.size() >= 64) {  // Bound resident snapshots.
-        import_memo.clear();
-        import_keepalive.clear();
-      }
-      import_keepalive.push_back(t);
-      ImportedTrace imported{
-          ImportConstraints(*t, t->constraints.size(), /*negate_last=*/false, &arena),
-          PortableNodeHashes(*t)};
-      return import_memo.emplace(t.get(), std::move(imported)).first->second;
     };
 
-    // Worker-private initial random input. Worker 0 draws exactly the
-    // sequential engine's initial input; the others diversify the start of
-    // the search.
+    // Worker-private initial random input. Worker 0 of an unsharded
+    // search draws from config.seed itself; the others diversify the
+    // start of the search.
     bool done = false;
     if (!stop.StopRequested() && !budget.Exhausted() &&
         runs_admitted.fetch_add(1) < config.max_runs) {
@@ -1069,8 +881,8 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     // solve them back to back before running any model. Sibling pendings
     // share almost every slice, so the batch's first solve warms the cache
     // for the rest; runs follow in pop order.
-    const size_t batch_cap = std::max<u32>(1, config.solve_batch);
-    std::vector<PortablePending> batch;
+    const size_t batch_cap = std::max<size_t>(1, shape.solve_batch);
+    std::vector<Pending> batch;
     struct ReadyRun {
       std::vector<i64> model;
       size_t len = 0;
@@ -1078,6 +890,15 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
     std::vector<ReadyRun> ready;
     u64 runs_at_last_promotion = ws.runs;
     while (!done && !stop.StopRequested() && !budget.Exhausted()) {
+      if (shape.stop_at_frontier > 0 && frontier.size() >= shape.stop_at_frontier) {
+        break;  // Scout: the frontier is wide enough to shard.
+      }
+      if (runs_admitted.load(std::memory_order_relaxed) >= config.max_runs) {
+        // Global run cap, checked before popping so no pending is taken
+        // (or solved) for a run that can never start.
+        frontier.Close();
+        break;
+      }
       if (adaptive && ws.runs - runs_at_last_promotion >= kPromoteInterval) {
         runs_at_last_promotion = ws.runs;
         maybe_promote();
@@ -1088,18 +909,20 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
       }
       ws.steals += stolen;
       ready.clear();
-      for (const PortablePending& pending : batch) {
-        const ImportedTrace& imported = imported_trace(pending.trace);
-        const u64 fp = FingerprintConstraints(*pending.trace, pending.len, pending.negate_last,
-                                              imported.node_hash);
-        {
+      for (const Pending& pending : batch) {
+        const std::vector<Constraint>& constraints = resident_constraints(pending.trace);
+        if constexpr (!kPrivate) {
+          // Only a shared frontier can hand one set out twice (two workers
+          // or shards reaching it independently).
+          const u64 fp =
+              FingerprintResident(arena, constraints, pending.len, pending.negate_last);
           std::lock_guard<std::mutex> lock(dedup_mu);
           if (!tried.insert(fp).second) {
             ++ws.dedup_skips;
             continue;
           }
         }
-        const ConstraintSpan set(imported.constraints.data(), pending.len, pending.negate_last);
+        const ConstraintSpan set(constraints.data(), pending.len, pending.negate_last);
         ++ws.solver_calls;
         SolveResult solved =
             incremental != nullptr ? incremental->Solve(set, *pending.domains, *pending.seed)
@@ -1127,16 +950,40 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
       ws.slice_sat_hits = inc.slice_sat_hits;
       ws.slice_unsat_hits = inc.slice_unsat_hits;
     }
+    if constexpr (kPrivate) {
+      if (shape.leftover != nullptr) {
+        // Scout exit: the one place a private pending leaves its worker.
+        // Each distinct trace is exported once, here, while its arena is
+        // alive; sibling pendings keep sharing the snapshot.
+        std::vector<Pending> left;
+        frontier.Drain(&left);
+        std::unordered_map<const ResidentTrace*, std::shared_ptr<const PortableTrace>> exported;
+        for (Pending& pending : left) {
+          std::shared_ptr<const PortableTrace>& snapshot = exported[pending.trace.get()];
+          if (snapshot == nullptr) {
+            snapshot = std::make_shared<const PortableTrace>(
+                ExportTrace(arena, pending.trace->constraints));
+          }
+          shape.leftover->push_back(PortablePending{
+              snapshot, pending.len, pending.negate_last, std::move(pending.seed),
+              std::move(pending.domains), pending.priority, pending.dir_score});
+        }
+      }
+    }
     frontier.Retire();
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(num_workers);
-  for (u32 wid = 0; wid < num_workers; ++wid) {
-    threads.emplace_back(worker_fn, wid);
-  }
-  for (std::thread& t : threads) {
-    t.join();
+  if (num_workers == 1) {
+    worker_fn(0);  // A one-worker search runs on the calling thread.
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(num_workers);
+    for (u32 wid = 0; wid < num_workers; ++wid) {
+      threads.emplace_back(worker_fn, wid);
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
   }
 
   // Lossless aggregation: every per-worker counter sums into exactly one
@@ -1183,135 +1030,42 @@ ReplayResult ReplayEngine::ReproduceParallel(const ReplayConfig& config, u32 num
   return result;
 }
 
-ReplayEngine::HarvestOutput ReplayEngine::HarvestFrontier(const ReplayConfig& config,
-                                                          u64 max_runs,
-                                                          size_t target_frontier) {
-  const auto t0 = std::chrono::steady_clock::now();
-  HarvestOutput out;
-  ReplayResult& result = out.result;
-  FailureAccum failures(module_.branches.size());
+}  // namespace
 
-  CellRunner runner(module_, report_.shape);
-  Budget budget = config.wall_ms > 0
-                      ? Budget::StepsAndMillis(config.total_steps, config.wall_ms)
-                      : Budget::Steps(config.total_steps);
-  Solver solver(*arena_, config.solver);
-  Rng rng(config.seed);
-
-  std::vector<i64> initial(runner.layout().defaults().size());
-  for (i64& v : initial) {
-    v = rng.NextPrintable();
+ReplayResult ReplayEngine::Reproduce(const ReplayConfig& config) {
+  if (config.num_shards > 1) {
+    // Multi-process mode: the coordinator forks shard processes, each of
+    // which re-enters this engine through ReproduceShard.
+    return ReproduceDistributed(module_, plan_, report_, config);
   }
-
-  const SyscallLog* replay_log =
-      config.use_syscall_log && report_.has_syscall_log ? &report_.syscall_log : nullptr;
-
-  // The scout reuses the sequential frontier shape (arena-resident traces)
-  // and exports whatever survives at the end.
-  std::deque<Pending> pendings;
-
-  auto do_run = [&](const std::vector<i64>& model, size_t start_depth) -> bool {
-    ReplayObserver observer(plan_, report_.branch_log, &failures);
-    CellRunConfig run_config;
-    run_config.model = model;
-    run_config.arena = arena_;
-    run_config.observers = {&observer};
-    run_config.replay_log = replay_log;
-    run_config.max_steps = config.max_steps_per_run;
-    run_config.external_budget = &budget;
-    CellRunOutput run_out = runner.Run(run_config);
-    ++result.stats.runs;
-
-    if (IsReproduction(run_out.result, observer.cursor, report_)) {
-      result.reproduced = true;
-      result.crash = run_out.result.crash;
-      result.witness_cells = run_out.cells;
-      result.witness_argv = runner.layout().MaterializeArgv(runner.spec(), run_out.cells);
-      return true;
-    }
-    if (run_out.result.Crashed()) {
-      ++result.stats.crashes_wrong_site;
-      failures.Death(observer.last_blind_branch, failures.deaths_wrong_crash);
-    }
-    if (observer.concrete_mismatch) {
-      ++result.stats.aborts_concrete_mismatch;
-      failures.Death(observer.last_blind_branch, failures.deaths_concrete);
-    }
-    if (observer.log_exhausted) {
-      ++result.stats.aborts_log_exhausted;
-      failures.Death(observer.last_blind_branch, failures.deaths_exhausted);
-    }
-
-    auto trace = std::make_shared<std::vector<Constraint>>(std::move(observer.trace));
-    auto seed = std::make_shared<std::vector<i64>>(std::move(run_out.cells));
-    auto domains = std::make_shared<std::vector<Interval>>(std::move(run_out.domains));
-    for (size_t flip : observer.flippable) {
-      if (flip < start_depth) {
-        continue;
-      }
-      pendings.push_back(Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
-                                 observer.bits_at[flip], observer.dir_at[flip]});
-    }
-    if (observer.forced_direction) {
-      ++result.stats.aborts_forced_direction;
-      pendings.push_back(Pending{trace, trace->size(), /*negate_last=*/false, seed, domains,
-                                 observer.cursor, observer.logged_forced});
-    }
-    result.stats.pending_peak =
-        std::max(result.stats.pending_peak, static_cast<u64>(pendings.size()));
-    return false;
-  };
-
-  bool reproduced = do_run(initial, 0);
-  // Keep scouting (DFS) until the frontier is wide enough to shard, the
-  // scout budget runs out, or the bug falls before any shard is needed.
-  while (!reproduced && !pendings.empty() && pendings.size() < target_frontier &&
-         result.stats.runs < max_runs && !budget.Exhausted()) {
-    Pending pending = std::move(pendings.back());
-    pendings.pop_back();
-    const ConstraintSpan set(pending.trace->data(), pending.len, pending.negate_last);
-    ++result.stats.solver_calls;
-    const SolveResult solved = solver.Solve(set, *pending.domains, *pending.seed);
-    if (solved.status != SolveStatus::kSat) {
-      continue;
-    }
-    reproduced = do_run(solved.model, pending.len);
+  SearchShape shape;
+  shape.workers = ResolveReplayWorkers(config.num_workers);
+  if (shape.workers == 1) {
+    // One pending per frontier visit: the depth-first order the 1x1
+    // sentinels pin.
+    return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
   }
+  shape.solve_batch = config.solve_batch;
+  return RunSearch<PortableTrace>(module_, plan_, report_, config, shape);
+}
 
-  // Export the surviving frontier arena-independently, one snapshot per
-  // distinct trace (sibling pendings share it, exactly like the parallel
-  // scheduler's per-run export).
-  std::unordered_map<const std::vector<Constraint>*, std::shared_ptr<const PortableTrace>>
-      exported;
-  for (Pending& pending : pendings) {
-    auto it = exported.find(pending.trace.get());
-    if (it == exported.end()) {
-      it = exported
-               .emplace(pending.trace.get(),
-                        std::make_shared<const PortableTrace>(ExportTrace(*arena_,
-                                                                          *pending.trace)))
-               .first;
-    }
-    out.frontier.push_back(PortablePending{
-        it->second, pending.len, pending.negate_last,
-        std::shared_ptr<const std::vector<i64>>(pending.seed),
-        std::shared_ptr<const std::vector<Interval>>(pending.domains), pending.log_bits,
-        pending.dir_bits});
+ReplayResult ReplayEngine::ReproduceShard(const ReplayConfig& config, ShardContext* shard) {
+  SearchShape shape;
+  shape.workers = ResolveReplayWorkers(config.num_workers);
+  shape.solve_batch = config.solve_batch;
+  shape.shard = shard;
+  if (shape.workers == 1 && shard->port == nullptr && shard->seed_frontier.empty()) {
+    return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
   }
+  return RunSearch<PortableTrace>(module_, plan_, report_, config, shape);
+}
 
-  ReplayWorkerStats worker;
-  worker.runs = result.stats.runs;
-  worker.solver_calls = result.stats.solver_calls;
-  worker.aborts_forced_direction = result.stats.aborts_forced_direction;
-  worker.aborts_concrete_mismatch = result.stats.aborts_concrete_mismatch;
-  worker.aborts_log_exhausted = result.stats.aborts_log_exhausted;
-  worker.crashes_wrong_site = result.stats.crashes_wrong_site;
-  result.stats.per_worker = {worker};
-  result.stats.failure_profile = failures.ToProfile();
-  result.budget_exhausted = !result.reproduced && budget.Exhausted();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return out;
+ReplayResult ReplayEngine::Scout(const ReplayConfig& config, size_t target_frontier,
+                                 std::vector<PortablePending>* frontier) {
+  SearchShape shape;
+  shape.stop_at_frontier = target_frontier;
+  shape.leftover = frontier;
+  return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
 }
 
 }  // namespace retrace

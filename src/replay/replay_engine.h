@@ -17,17 +17,20 @@
 // and restart with the resulting input. Reproduction succeeds when a run
 // crashes at the reported crash site.
 //
-// Three schedulers, selected by ReplayConfig:
-//   - num_workers == 1, num_shards <= 1: the original sequential loop,
-//     bit-identical to the pre-parallel engine when solver_cache is off.
+// One search loop, run by every entry point below. Its shape:
+//   - num_workers == 1, num_shards <= 1: one worker on a private
+//     frontier. Nothing else can take its pendings, so they stay in the
+//     worker's arena, and it pops one pending per frontier visit: the
+//     depth-first order the 1x1 sentinels (863/7027/2810 runs) pin.
 //   - num_workers > 1: N threads with thread-confined interpreter/arena/
 //     solver contexts share a work-stealing frontier, exchange pending
 //     sets in arena-portable form, dedup tried sets fleet-wide, share
 //     slice verdicts through a SliceCache, and cancel on first crash.
-//   - num_shards > 1: the coordinator in src/dist/ forks num_shards
-//     processes, each running the thread scheduler above; pending sets
-//     and slice verdicts travel between them over a versioned binary
-//     wire format (src/dist/wire.h).
+//   - num_shards > 1: the coordinator in src/dist/ scouts with a
+//     one-worker private search, then forks num_shards processes, each
+//     running the loop above on a portable frontier; pending sets and
+//     slice verdicts travel between them over a versioned binary wire
+//     format (src/dist/wire.h).
 #ifndef RETRACE_REPLAY_REPLAY_ENGINE_H_
 #define RETRACE_REPLAY_REPLAY_ENGINE_H_
 
@@ -100,11 +103,11 @@ struct ReplayConfig {
   // discipline's pathology does not stall the whole fleet and the best
   // one gains workers over time (ReplayStats::promotions).
   enum class Pick { kDfs, kFifo, kPortfolio, kLogBits, kDirection } pick = Pick::kDfs;
-  // Concolic executions in flight *per process*. 1 = the original
-  // sequential engine; 0 = one per hardware thread.
+  // Concolic executions in flight *per process*. 1 = one worker on a
+  // private frontier (the 1x1 sentinels); 0 = one per hardware thread.
   u32 num_workers = 1;
-  // Replay shard processes. <= 1 keeps everything in-process (the engine
-  // above, bit-identical to its pre-distributed behavior). N > 1 forks N
+  // Replay shard processes. <= 1 keeps everything in-process (the search
+  // above). N > 1 forks N
   // shard processes — each running num_workers threads — from a
   // coordinator that partitions an initial pending-set frontier across
   // them, gossips slice-cache verdicts between them, and cancels the
@@ -113,27 +116,26 @@ struct ReplayConfig {
   u32 num_shards = 1;
   // Incremental solving layer: partition each pending set into
   // independent slices and share slice SAT/UNSAT verdicts fleet-wide
-  // (src/solver/incremental.h). Off = the monolithic solver of the
-  // original engine; num_workers == 1 with this off is bit-identical to
-  // the pre-parallel sequential engine.
+  // (src/solver/incremental.h). Off = the monolithic solver. The 1x1
+  // sentinels are pinned with it on, the default.
   bool solver_cache = true;
   // Upper bound on resident SliceCache entries (0 = unbounded, the
   // historical behavior). Long-horizon daemons reusing one search budget
   // across reports want a bound; evictions surface in
   // ReplayStats::slice_evictions.
   u64 slice_cache_capacity = 0;
-  // Pendings a parallel worker pops (and solves) per frontier visit.
-  // Batching lets sibling pendings — which share almost all slices — hit
-  // the caches back to back while the worker holds its own deque's items
-  // anyway; extras beyond the first never come from stealing.
+  // Pendings a worker pops (and solves) per frontier visit. Batching
+  // lets sibling pendings — which share almost all slices — hit the
+  // caches back to back while the worker holds its own deque's items
+  // anyway; extras beyond the first never come from stealing. One-worker
+  // Reproduce ignores it and pops one at a time (depth-first order).
   u32 solve_batch = 8;
   // Prefix-subsumption pruning: drop a pending at Push time when a
   // structurally identical constraint set was already executed by some
   // run or already published to the frontier (fleet-wide FingerprintSet;
   // ReplayStats::pendings_pruned). Sound — the pruned pending's subtree
   // stays reachable through its subsumer — but it changes run counts,
-  // so it defaults off: the 1-worker legacy path is bit-identical only
-  // with it off.
+  // so it defaults off: the 1x1 sentinels hold only with it off.
   bool prune_subsumed = false;
   // Dynamic-analysis corpus seeds: concrete input-cell models (the shape
   // of AnalysisResult::corpus / AnalysisConfig::extra_seed_models) run
@@ -259,9 +261,9 @@ struct ReplayFailureProfile {
   bool Empty() const { return branches.empty() && deaths_unattributed == 0; }
 };
 
-/// Counters for one worker of the parallel scheduler. The aggregate
-/// ReplayStats sums these losslessly, so `stats.runs` etc. keep their
-/// pre-parallel meaning at any worker count.
+/// Counters for one worker of the search loop. The aggregate
+/// ReplayStats sums these losslessly, so `stats.runs` etc. mean the same
+/// at any worker count.
 struct ReplayWorkerStats {
   u64 runs = 0;
   u64 solver_calls = 0;
@@ -385,10 +387,11 @@ struct ReplayStats {
   // per-branch accumulators in here losslessly; the distributed
   // coordinator merges every shard's profile the same way.
   ReplayFailureProfile failure_profile;
-  // One entry per worker (a single entry mirroring the totals when the
-  // sequential engine ran). In-process: sum of any counter over
+  // One entry per worker of the search loop (one worker: a single entry
+  // mirroring the totals). In-process: sum of any counter over
   // per_worker equals the aggregate above. Distributed: aggregates are
-  // per_worker sums plus the coordinator's harvest_runs contributions.
+  // per_worker sums plus the coordinator's scout (harvest_runs), whose
+  // own worker entry is dropped.
   std::vector<ReplayWorkerStats> per_worker;
   // One entry per shard process; empty unless num_shards > 1.
   std::vector<ReplayShardStats> per_shard;
@@ -398,6 +401,10 @@ struct ReplayStats {
 // [1, 16] (frontier contention outgrows the benefit beyond that for
 // interpreter-bound runs). This is the resolution of num_workers == 0.
 u32 DefaultReplayWorkers();
+
+// ReplayConfig::num_workers as the search runs it: 0 resolves to
+// DefaultReplayWorkers(), anything else is taken as is.
+u32 ResolveReplayWorkers(u32 num_workers);
 
 struct ReplayResult {
   bool reproduced = false;
@@ -409,17 +416,24 @@ struct ReplayResult {
   double wall_seconds = 0.0;
 };
 
-/// A frontier entry in arena-portable form: the shape pending sets take
-/// whenever they leave the producing worker's arena — onto the shared
-/// in-process frontier, or across the process boundary in distributed
-/// mode (encoded by src/dist/wire.h).
+/// A frontier entry: one pending constraint set and the run that
+/// produced it. `Trace` is any type with a `constraints` vector — the
+/// form the run's trace is kept in:
+///   - PortableTrace (PortablePending below): arena-independent. Pending
+///     sets take this form whenever they can leave the producing worker —
+///     on a frontier shared by several workers, or across the process
+///     boundary in distributed mode (encoded by src/dist/wire.h).
+///   - arena-resident: a private one-worker search keeps the trace in its
+///     worker's arena (src/replay/replay_engine.cc) and exports only what
+///     it hands on at exit.
 ///
 /// **Ownership:** `trace`, `seed` and `domains` are immutable shared
 /// snapshots; sibling pendings of one run alias the same trace. The
 /// constraint set is `trace->constraints[0, len)` with the last entry
 /// negated when `negate_last`.
-struct PortablePending {
-  std::shared_ptr<const PortableTrace> trace;
+template <typename Trace>
+struct FrontierPending {
+  std::shared_ptr<const Trace> trace;
   size_t len = 0;
   bool negate_last = false;
   std::shared_ptr<const std::vector<i64>> seed;
@@ -427,6 +441,7 @@ struct PortablePending {
   u64 priority = 0;   // Log bits the prefix consumed (Pick::kLogBits key).
   u64 dir_score = 0;  // Logged directions the set forces (Pick::kDirection key).
 };
+using PortablePending = FrontierPending<PortableTrace>;
 
 template <typename T>
 class WorkStealingQueue;
@@ -542,45 +557,37 @@ struct ShardContext {
 /// (num_shards > 1); forking happens on the calling thread, so call from
 /// a single-threaded context when num_shards > 1.
 ///
-/// **Ownership:** borrows module/plan/report/arena; all must outlive the
-/// engine. `arena` is used by the sequential path only; parallel workers
-/// build private arenas (shared hash-consing is not thread-safe).
+/// **Ownership:** borrows module/plan/report; all must outlive the
+/// engine. Every search worker builds its own arena (shared hash-consing
+/// is not thread-safe).
 class ReplayEngine {
  public:
   /// `plan` must be the plan the report's binary shipped with.
-  ReplayEngine(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report,
-               ExprArena* arena)
-      : module_(module), plan_(plan), report_(report), arena_(arena) {}
+  ReplayEngine(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report)
+      : module_(module), plan_(plan), report_(report) {}
 
   ReplayResult Reproduce(const ReplayConfig& config);
 
-  /// Bounded scout search used by the distributed coordinator: runs the
-  /// sequential loop for at most `max_runs` runs or until the live
-  /// frontier holds at least `target_frontier` pendings, then returns the
-  /// un-consumed frontier in portable form (ready to ship to shards).
-  /// `out.result.reproduced` short-circuits the whole distributed search.
-  struct HarvestOutput {
-    ReplayResult result;
-    std::vector<PortablePending> frontier;
-  };
-  HarvestOutput HarvestFrontier(const ReplayConfig& config, u64 max_runs,
-                                size_t target_frontier);
+  /// The distributed coordinator's scout: a one-worker private search
+  /// (config.num_workers and solve_batch are ignored) that stops on
+  /// config's budgets or once its frontier holds `target_frontier`
+  /// pendings. Whatever is left of the frontier is appended to
+  /// `frontier` in portable form, ready to ship to shards. A reproduced
+  /// result short-circuits the whole distributed search.
+  ReplayResult Scout(const ReplayConfig& config, size_t target_frontier,
+                     std::vector<PortablePending>* frontier);
 
-  /// One distributed shard's in-process search: the parallel scheduler
-  /// (even for num_workers == 1) with `shard`'s seed frontier, shared
-  /// cache and external cancellation wired in. Exposed for src/dist/ and
-  /// tests; `Reproduce` is the normal entry point.
+  /// One distributed shard's in-process search with `shard`'s seed
+  /// frontier, shared cache and external cancellation wired in. With one
+  /// worker, no port and no seeds the frontier is private, as in
+  /// Reproduce. Exposed for src/dist/, the service and tests; `Reproduce`
+  /// is the normal entry point.
   ReplayResult ReproduceShard(const ReplayConfig& config, ShardContext* shard);
 
  private:
-  ReplayResult ReproduceSequential(const ReplayConfig& config);
-  ReplayResult ReproduceParallel(const ReplayConfig& config, u32 num_workers,
-                                 ShardContext* shard);
-
   const IrModule& module_;
   const InstrumentationPlan& plan_;
   const BugReport& report_;
-  ExprArena* arena_;
 };
 
 }  // namespace retrace

@@ -204,8 +204,7 @@ ReplayResult ReplayService::RunSearch(const BugReport& report) {
   // In-process: one shard-shaped search sharing the service's
   // cross-report cache, so the next cluster starts where this one's
   // proofs ended.
-  ExprArena arena;
-  ReplayEngine engine(module_, plan_, report, &arena);
+  ReplayEngine engine(module_, plan_, report);
   ReplayConfig cfg = config_.replay;
   cfg.num_shards = 1;
   ShardContext ctx;

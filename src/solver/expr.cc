@@ -460,11 +460,7 @@ std::vector<u64> PortableNodeHashes(const PortableTrace& trace) {
 }
 
 u64 FingerprintConstraints(const PortableTrace& trace, size_t len, bool negate_last) {
-  return FingerprintConstraints(trace, len, negate_last, PortableNodeHashes(trace));
-}
-
-u64 FingerprintConstraints(const PortableTrace& trace, size_t len, bool negate_last,
-                           const std::vector<u64>& node_hash) {
+  const std::vector<u64> node_hash = PortableNodeHashes(trace);
   Check(len <= trace.constraints.size(), "FingerprintConstraints: len out of range");
   u64 h = kConstraintFingerprintSeed;
   for (size_t i = 0; i < len; ++i) {

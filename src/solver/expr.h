@@ -176,19 +176,14 @@ std::vector<Constraint> ImportConstraints(const PortableTrace& trace, size_t len
                                           bool negate_last, ExprArena* arena);
 
 // Bottom-up structural hashes of every node of `trace` (children precede
-// parents, so one forward pass suffices). Reusable across
-// FingerprintConstraints calls on the same trace — batch siblings on the
-// replay frontier share one trace, so workers memoize this per trace.
+// parents, so one forward pass suffices); entry i agrees with
+// ExprArena::StructuralHash of the same node interned in any arena.
 std::vector<u64> PortableNodeHashes(const PortableTrace& trace);
 
 // Structural fingerprint of constraints [0, len) (with the optional
-// negation), stable across arenas. The scheduler's shared dedup key:
-// two workers whose runs produced structurally identical pending sets
-// solve it only once. The node_hash overload is the per-pop hot path;
-// `node_hash` must be PortableNodeHashes(trace).
+// negation), stable across arenas: the key under which the distributed
+// layer and the subsumption index recognise a pending set.
 u64 FingerprintConstraints(const PortableTrace& trace, size_t len, bool negate_last);
-u64 FingerprintConstraints(const PortableTrace& trace, size_t len, bool negate_last,
-                           const std::vector<u64>& node_hash);
 
 // The chain primitives behind FingerprintConstraints, exposed so the
 // replay engine's prefix-subsumption index can fingerprint every prefix

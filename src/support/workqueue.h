@@ -203,6 +203,21 @@ class WorkStealingQueue {
     return exported;
   }
 
+  /// Moves every resident item into `out`, deque by deque in push order,
+  /// whether or not the queue is closed: a search that hands its leftover
+  /// frontier on (the distributed scout) drains it once its workers are
+  /// done popping.
+  void Drain(std::vector<T>* out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::deque<Entry>& queue : queues_) {
+      for (Entry& entry : queue) {
+        out->push_back(std::move(entry.item));
+      }
+      queue.clear();
+    }
+    total_ = 0;
+  }
+
   /// Ends the search: every blocked and future Pop() returns false.
   /// Callable from any thread — first-crash-wins cancellation and a
   /// shard's FrontierPort::Cancel both use it.

@@ -380,13 +380,14 @@ TEST(DistReplayTest, StarvedShardImportsReBalancedWork) {
   const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
   ASSERT_TRUE(user.result.Crashed());
 
-  // Real pendings to donate: harvest a small frontier the same way the
-  // coordinator's scout does (one run, so nothing is consumed yet).
-  ReplayConfig harvest_cfg;
-  ReplayEngine scout(pipeline->module(), plan, user.report, &pipeline->arena());
-  ReplayEngine::HarvestOutput harvest = scout.HarvestFrontier(harvest_cfg, /*max_runs=*/1,
-                                                              /*target_frontier=*/100);
-  ASSERT_FALSE(harvest.frontier.empty());
+  // Real pendings to donate: scout a small frontier the same way the
+  // coordinator does (one run, so nothing is consumed yet).
+  ReplayConfig scout_cfg;
+  scout_cfg.max_runs = 1;
+  ReplayEngine scout(pipeline->module(), plan, user.report);
+  std::vector<PortablePending> scouted;
+  scout.Scout(scout_cfg, /*target_frontier=*/100, &scouted);
+  ASSERT_FALSE(scouted.empty());
 
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -408,7 +409,7 @@ TEST(DistReplayTest, StarvedShardImportsReBalancedWork) {
     ASSERT_TRUE(chan.Send(WireMsg::kStart, {}));
   }
 
-  const size_t donated = std::min<size_t>(4, harvest.frontier.size());
+  const size_t donated = std::min<size_t>(4, scouted.size());
   bool donated_once = false;
   u64 requests_seen = 0;
   bool have_result = false;
@@ -432,7 +433,7 @@ TEST(DistReplayTest, StarvedShardImportsReBalancedWork) {
         if (!donated_once) {
           donated_once = true;
           for (size_t i = 0; i < donated; ++i) {
-            batch.pendings.push_back(harvest.frontier[i]);
+            batch.pendings.push_back(scouted[i]);
           }
         }
         WireWriter w;
@@ -490,16 +491,17 @@ int main(int argc, char **argv) {
   const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
   ASSERT_TRUE(user.result.Crashed());
 
-  ReplayConfig harvest_cfg;
-  ReplayEngine scout(pipeline->module(), plan, user.report, &pipeline->arena());
-  ReplayEngine::HarvestOutput harvest = scout.HarvestFrontier(harvest_cfg, /*max_runs=*/1,
-                                                              /*target_frontier=*/100);
-  ASSERT_FALSE(harvest.frontier.empty());
-  // Tile the harvest into a deep seed list: plenty resident in the
-  // queue for the donor to carve while its one worker is mid-run.
+  ReplayConfig scout_cfg;
+  scout_cfg.max_runs = 1;
+  ReplayEngine scout(pipeline->module(), plan, user.report);
+  std::vector<PortablePending> scouted;
+  scout.Scout(scout_cfg, /*target_frontier=*/100, &scouted);
+  ASSERT_FALSE(scouted.empty());
+  // Tile the scouted frontier into a deep seed list: plenty resident in
+  // the queue for the donor to carve while its one worker is mid-run.
   std::vector<PortablePending> seeds;
   while (seeds.size() < 20) {
-    seeds.push_back(harvest.frontier[seeds.size() % harvest.frontier.size()]);
+    seeds.push_back(scouted[seeds.size() % scouted.size()]);
   }
 
   int fds[2];

@@ -1,10 +1,12 @@
-// Tests for the multi-worker replay scheduler: sequential parity,
-// multi-worker reproduction of seeded crash scenarios, lossless stats
-// aggregation, and the arena-portable constraint plumbing underneath.
+// Tests for the replay search loop: one-worker determinism, resident vs
+// portable frontier parity, multi-worker reproduction of seeded crash
+// scenarios, lossless stats aggregation, and the arena-portable
+// constraint plumbing underneath.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <thread>
+#include <utility>
 
 #include "src/core/pipeline.h"
 #include "src/support/stop_token.h"
@@ -75,23 +77,20 @@ void ExpectStatsEqual(const ReplayStats& a, const ReplayStats& b) {
   EXPECT_EQ(a.pending_peak, b.pending_peak);
 }
 
-// (a) num_workers = 1 must be bit-identical to the legacy sequential
-// engine: same witness, same stats, run after run.
-TEST(ReplayParallelTest, SingleWorkerMatchesLegacyPath) {
+// (a) A one-worker search is deterministic: same witness, same stats,
+// run after run, and its single worker entry mirrors the totals.
+TEST(ReplayParallelTest, SingleWorkerIsDeterministic) {
   auto pipeline = MustBuild(kGuardedCrash);
   const InstrumentationPlan plan =
       pipeline->MakePlan(PlanInputs::AllBranches());
   const auto user = pipeline->RecordUserRun(GuardedCrashInput(), plan, {}).take();
   ASSERT_TRUE(user.result.Crashed());
 
-  ReplayConfig legacy;
-  legacy.seed = 11;  // num_workers defaults to 1: the sequential engine.
-  const ReplayResult base = pipeline->Reproduce(user.report, plan, legacy).take();
+  ReplayConfig config;
+  config.seed = 11;  // num_workers defaults to 1.
+  const ReplayResult base = pipeline->Reproduce(user.report, plan, config).take();
   ASSERT_TRUE(base.reproduced);
-
-  ReplayConfig explicit_one = legacy;
-  explicit_one.num_workers = 1;
-  const ReplayResult again = pipeline->Reproduce(user.report, plan, explicit_one).take();
+  const ReplayResult again = pipeline->Reproduce(user.report, plan, config).take();
   ASSERT_TRUE(again.reproduced);
 
   EXPECT_EQ(base.witness_cells, again.witness_cells);
@@ -107,6 +106,48 @@ TEST(ReplayParallelTest, SingleWorkerMatchesLegacyPath) {
   EXPECT_EQ(w.aborts_concrete_mismatch, again.stats.aborts_concrete_mismatch);
   EXPECT_EQ(w.aborts_log_exhausted, again.stats.aborts_log_exhausted);
   EXPECT_EQ(w.crashes_wrong_site, again.stats.crashes_wrong_site);
+}
+
+// (a') The frontier's form does not change the search. One-worker
+// Reproduce keeps its pendings arena-resident; attaching a FrontierPort
+// forces the portable form (export per run, import per pop, dedup).
+// With one pending per frontier visit both must find the same witness
+// with the same stats — under a plan with nothing instrumented (a wide
+// case-1 frontier) and under all branches (forced-direction sets).
+TEST(ReplayParallelTest, ResidentAndPortableFrontiersSearchAlike) {
+  auto pipeline = MustBuild(kDeepGuardedCrash);
+  InstrumentationPlan nothing;
+  nothing.method = InstrumentMethod::kDynamic;
+  nothing.branches = DenseBitset(pipeline->module().branches.size());
+  const InstrumentationPlan all = pipeline->MakePlan(PlanInputs::AllBranches());
+  for (const InstrumentationPlan* plan : {&std::as_const(nothing), &all}) {
+    const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), *plan, {}).take();
+    ASSERT_TRUE(user.result.Crashed());
+
+    ReplayConfig config;
+    config.seed = 5;
+    config.solve_batch = 1;
+    const ReplayResult resident = pipeline->Reproduce(user.report, *plan, config).take();
+    ASSERT_TRUE(resident.reproduced);
+
+    ReplayEngine engine(pipeline->module(), *plan, user.report);
+    FrontierPort port;
+    ShardContext ctx;
+    ctx.port = &port;
+    const ReplayResult portable = engine.ReproduceShard(config, &ctx);
+    ASSERT_TRUE(portable.reproduced);
+
+    EXPECT_EQ(resident.witness_cells, portable.witness_cells);
+    EXPECT_EQ(resident.witness_argv, portable.witness_argv);
+    ExpectStatsEqual(resident.stats, portable.stats);
+    EXPECT_GE(resident.stats.solver_calls, 3u);
+    EXPECT_EQ(portable.stats.dedup_skips, 0u);
+    EXPECT_EQ(resident.stats.slices_solved, portable.stats.slices_solved);
+    EXPECT_EQ(resident.stats.slice_sat_hits, portable.stats.slice_sat_hits);
+    EXPECT_EQ(resident.stats.slice_unsat_hits, portable.stats.slice_unsat_hits);
+    EXPECT_EQ(resident.stats.failure_profile.TotalDeaths(),
+              portable.stats.failure_profile.TotalDeaths());
+  }
 }
 
 // (b) num_workers = 4 reproduces each seeded crash scenario, across

@@ -66,8 +66,8 @@ TEST(IncrementalSolverTest, NegateLastViewOnlyAffectsLastConstraint) {
 }
 
 // The monolithic solver over a negate-last span must be bit-identical to
-// the legacy materialize-prefix-and-negate vector path — this is what
-// makes the cache-off engine the bit-identical pre-parallel engine.
+// the materialize-prefix-and-negate vector path: the search solves over
+// prefix views, never over copies.
 TEST(IncrementalSolverTest, SpanSolveMatchesCopiedVectorSolve) {
   ExprArena arena;
   std::vector<Constraint> trace;
@@ -526,10 +526,9 @@ TEST(IncrementalSolverTest, EngineCacheSoundAtOneAndFourWorkers) {
   }
 }
 
-// With the layer off, the engine must not report slice activity (and the
-// sequential path is the bit-identical legacy loop: the monolithic branch
-// is pinned by SpanSolveMatchesCopiedVectorSolve above, and the loop
-// around it is unchanged when solver_cache is false).
+// With the layer off, the engine must not report slice activity (its
+// monolithic branch is pinned by SpanSolveMatchesCopiedVectorSolve
+// above).
 TEST(IncrementalSolverTest, EngineCacheOffReportsNoSliceActivity) {
   auto pipeline = MustBuild(kDeepGuardedCrash);
   const InstrumentationPlan plan =
