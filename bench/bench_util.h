@@ -146,10 +146,12 @@ inline std::vector<u32> ReplayShardsSweep() {
 
 inline u32 ReplayShards() { return ReplayConfig::FromEnv().num_shards; }
 
-inline ReplayTransport ReplayTransportMode() { return ReplayConfig::FromEnv().transport; }
-
+// The shards a bench search runs on. Benches search through Pipeline,
+// which supplies the program sources UsesTcpShards asks for.
 inline const char* ReplayTransportName() {
-  return ReplayTransportMode() == ReplayTransport::kTcp ? "tcp" : "fork";
+  ReplayConfig config = ReplayConfig::FromEnv();
+  config.program.app = "(pipeline sources)";
+  return UsesTcpShards(config) ? "tcp" : "fork";
 }
 
 inline int GossipIntervalMs() { return ReplayConfig::FromEnv().gossip_interval_ms; }

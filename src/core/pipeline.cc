@@ -223,9 +223,9 @@ Result<ReplayResult> Pipeline::Reproduce(const BugReport& report,
     return PlanMismatch(plan);
   }
   ReplayEngine engine(*module_, plan, report);
-  if (config.transport == ReplayTransport::kTcp && config.program.app.empty()) {
-    // TCP shards rebuild the module from source; fill in what this
-    // pipeline was compiled from unless the caller overrode it.
+  if (config.num_shards > 1 && config.program.app.empty()) {
+    // TCP shards rebuild the module from source (UsesTcpShards): supply
+    // what this pipeline was compiled from unless the caller did.
     ReplayConfig with_program = config;
     with_program.program.app = app_source_;
     with_program.program.libs = lib_sources_;
@@ -239,8 +239,8 @@ Result<std::unique_ptr<ReplayService>> Pipeline::MakeService(const Instrumentati
   if (!PlanMatches(plan)) {
     return PlanMismatch(plan);
   }
-  // The fleet ships the whole job to whoever joins; shards rebuild the
-  // module from these sources (same contract as the TCP transport).
+  // A TCP fleet ships each job to whoever joined; those shards rebuild
+  // the module from these sources. A fork fleet never ships them.
   config.replay.program.app = app_source_;
   config.replay.program.libs = lib_sources_;
   return std::make_unique<ReplayService>(*module_, plan, std::move(config));
@@ -375,12 +375,7 @@ Result<Pipeline::AdaptiveResult> Pipeline::ReproduceAdaptive(const BugReport& re
 }
 
 bool Pipeline::VerifyWitness(const BugReport& report, const std::vector<i64>& witness_cells) {
-  CellRunner runner(*module_, report.shape);
-  CellRunConfig config;
-  config.model = witness_cells;
-  config.symbolic_syscalls = false;
-  const CellRunOutput run = runner.Run(config);
-  return run.result.Crashed() && run.result.crash.SameSite(report.crash);
+  return retrace::VerifyWitness(*module_, report, witness_cells);
 }
 
 }  // namespace retrace

@@ -173,12 +173,12 @@ class Pipeline {
   // Builds a ReplayService bound to this pipeline's module: incoming
   // reports cluster by crash fingerprint, one search runs per cluster
   // (on a standing shard fleet when config.replay.num_shards > 1), and
-  // duplicates get the cached verdict. Fills config.replay.program from
-  // this pipeline's sources, like Reproduce does for TCP shards. The
-  // caller still drives the lifecycle: Start() the returned service
-  // before submitting (from a single-threaded context when the fleet
-  // self-spawns — it forks). Reproduce() is unchanged; a service is
-  // additive. Errors on a plan/module branch-count mismatch.
+  // duplicates get the cached verdict; every fresh witness is re-run
+  // (VerifyWitness) before it is published. Fills config.replay.program
+  // from this pipeline's sources, like Reproduce does for TCP shards.
+  // The caller still drives the lifecycle: Start() the returned service
+  // before submitting (from a single-threaded context when it has a
+  // fleet — it forks). Errors on a plan/module branch-count mismatch.
   Result<std::unique_ptr<ReplayService>> MakeService(const InstrumentationPlan& plan,
                                                      ServiceConfig config);
 

@@ -5,23 +5,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "src/dist/fault.h"
-#include "src/dist/shard.h"
-#include "src/dist/transport.h"
+#include "src/dist/fleet.h"
 #include "src/dist/wire.h"
 
 namespace retrace {
 namespace {
-
-// Runaway backstop for shard processes: one process per frontier
-// partition stops paying off long before this.
-constexpr u32 kMaxShards = 64;
 
 // Grace period past the configured wall budget before the coordinator
 // hard-kills shards that stopped responding.
@@ -89,147 +81,22 @@ u64 CountVerdicts(const WireFrame& frame) {
   return static_cast<u64>(sat_count) + unsat_count;
 }
 
-// Builds the transport selected by the config. The fork transport runs
-// RunShard in each child (module/plan/report inherited copy-on-write);
-// the TCP transport ships the whole job — program sources included — to
-// whoever connects, and self-spawns loopback joiners when no remote
-// daemon is configured.
-std::unique_ptr<Transport> MakeTransport(const IrModule& module, const InstrumentationPlan& plan,
-                                         const BugReport& report, const ReplayConfig& shard_cfg,
-                                         const ReplayConfig& config) {
-  if (config.transport == ReplayTransport::kTcp) {
-    WireJob job;
-    job.config = shard_cfg;
-    job.plan = plan;
-    job.report = report;
-    WireWriter w;
-    EncodeJob(job, &w);
-    TcpTransportOptions options;
-    options.token = config.shard_token;
-    return std::make_unique<TcpTransport>(
-        config.tcp_listen, config.shard_endpoints, w.Take(),
-        [token = config.shard_token](const std::string& endpoint) {
-          const int fd = TcpConnect(endpoint);
-          return fd >= 0 &&
-                 ServeShardJob(fd, "loopback-selfspawn", 0, token) == ShardRunStatus::kOk;
-        },
-        std::move(options));
-  }
-  return std::make_unique<LocalForkTransport>([&module, &plan, &report, shard_cfg](
-                                                  u32 slot, int fd) {
-    return RunShard(module, plan, report, shard_cfg, slot, fd);
-  });
-}
-
-// The historical process tree behind the JobFleet seam: the transport is
-// created when the job attaches and torn down when it finishes, so
-// ReproduceDistributed keeps its exact pre-service behavior (fork or
-// TCP handshake per search, fault injection wrap included).
-class OneShotJobFleet final : public JobFleet {
- public:
-  OneShotJobFleet(const IrModule& module, const ReplayConfig& config, FaultSpec fault_spec,
-                  u32 num_shards)
-      : module_(module),
-        config_(config),
-        fault_spec_(std::move(fault_spec)),
-        num_shards_(num_shards) {}
-
-  u32 num_shards() const override { return num_shards_; }
-
-  std::vector<WireChannel*> AttachJob(const ReplayConfig& shard_cfg,
-                                      const InstrumentationPlan& plan,
-                                      const BugReport& report) override {
-    transport_ = MakeTransport(module_, plan, report, shard_cfg, config_);
-    if (!fault_spec_.empty()) {
-      std::fprintf(stderr, "[dist] fault injection armed: %s\n", config_.fault_spec.c_str());
-      transport_ = std::make_unique<FaultInjectingTransport>(std::move(transport_),
-                                                             std::move(fault_spec_), config_.seed);
-    }
-    channels_ = transport_->Start(num_shards_);
-    std::vector<WireChannel*> out(num_shards_, nullptr);
-    for (u32 s = 0; s < num_shards_ && s < channels_.size(); ++s) {
-      out[s] = channels_[s].get();
-    }
-    return out;
-  }
-
-  void KillAll() override {
-    if (transport_ != nullptr) {
-      transport_->Kill();
-    }
-  }
-
-  void FinishJob(const std::vector<bool>& lost) override {
-    if (transport_ == nullptr) {
-      return;
-    }
-    // A lost shard may be a live-but-wedged child that will never exit
-    // on its own; SIGKILL up front so Reap's bounded grace is a
-    // backstop, not a stall.
-    bool any_lost = false;
-    for (const bool flag : lost) {
-      any_lost = any_lost || flag;
-    }
-    if (any_lost) {
-      transport_->Kill();
-    }
-    transport_->Reap();
-    channels_.clear();
-    transport_.reset();
-  }
-
- private:
-  const IrModule& module_;
-  const ReplayConfig& config_;
-  FaultSpec fault_spec_;  // Moved into the wrap on the first attach.
-  u32 num_shards_;
-  std::unique_ptr<Transport> transport_;
-  std::vector<std::unique_ptr<WireChannel>> channels_;
-};
-
 }  // namespace
 
 ReplayResult ReproduceDistributed(const IrModule& module, const InstrumentationPlan& plan,
-                                  const BugReport& report, const ReplayConfig& user_config) {
-  // TCP shards rebuild the module from shipped sources; without them
-  // every joiner would pass the handshake and then reject the job one
-  // by one, silently collapsing the search to the scout. Fall back to
-  // the fork transport (same semantics, this host only) and say so —
-  // Pipeline::Reproduce fills the sources automatically, this path is
-  // direct ReplayEngine users.
-  ReplayConfig config = user_config;
-  if (config.transport == ReplayTransport::kTcp && config.program.app.empty()) {
-    std::fprintf(stderr,
-                 "[dist] tcp transport requires ReplayConfig::program sources "
-                 "(Pipeline::Reproduce fills them); using fork transport instead\n");
-    config.transport = ReplayTransport::kFork;
-  }
-
-  // Parse the fault schedule before any work is spent: like every other
-  // knob, garbage must fail loudly up front, not after the scout ran.
-  FaultSpec fault_spec;
-  if (!config.fault_spec.empty()) {
-    std::string fault_err;
-    if (!ParseFaultSpec(config.fault_spec, &fault_spec, &fault_err)) {
-      std::fprintf(stderr, "retrace: bad RETRACE_FAULT_SPEC \"%s\": %s\n",
-                   config.fault_spec.c_str(), fault_err.c_str());
-      std::exit(2);
-    }
-  }
-
-  const u32 num_shards = std::clamp(config.num_shards, 2u, kMaxShards);
-  OneShotJobFleet fleet(module, config, std::move(fault_spec), num_shards);
-  return RunDistributedJob(module, plan, report, config, &fleet);
+                                  const BugReport& report, const ReplayConfig& config) {
+  ShardFleet fleet(module, config);  // Forks or dials nothing until the job attaches.
+  return RunDistributedJob(module, plan, report, config, fleet);
 }
 
 ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan& plan,
                                const BugReport& report, const ReplayConfig& config,
-                               JobFleet* fleet) {
+                               ShardFleet& fleet) {
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed_seconds = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
-  const u32 num_shards = std::max<u32>(1, fleet->num_shards());
+  const u32 num_shards = fleet.num_shards();
 
   // ----- 1. Scout: grow (or finish) the frontier in-process. -----
   // A short one-worker DFS: monolithic solver, no corpus seeds, no
@@ -270,9 +137,8 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   // evenly; the wall clock is global, minus what the scout spent.
   ReplayConfig shard_cfg = config;
   shard_cfg.num_shards = 1;
-  // Clamp the corpus to what the kJob codec accepts, or every shard
-  // would reject the job at decode. Applied to the fork path too so the
-  // two transports search identically.
+  // Clamp the corpus to what the job codec accepts, or every shard
+  // would reject the job at decode.
   if (shard_cfg.corpus_seeds.size() > kMaxJobCorpusSeeds) {
     std::fprintf(stderr, "[dist] corpus_seeds clamped from %zu to %u (wire job ceiling)\n",
                  shard_cfg.corpus_seeds.size(), kMaxJobCorpusSeeds);
@@ -300,8 +166,8 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
         std::max<i64>(1, config.wall_ms - static_cast<i64>(elapsed_seconds() * 1000.0));
   }
 
-  // ----- 3. Attach the job to the shard fleet (fleet-agnostic). -----
-  std::vector<WireChannel*> channels = fleet->AttachJob(shard_cfg, plan, report);
+  // ----- 3. Attach the job to the shard fleet. -----
+  std::vector<WireChannel*> channels = fleet.AttachJob(shard_cfg, plan, report);
   channels.resize(num_shards, nullptr);
   std::vector<ShardProc> procs(num_shards);
   for (u32 s = 0; s < num_shards; ++s) {
@@ -323,7 +189,7 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   }
   if (live.empty()) {
     // The whole fleet failed to spawn: the scout's result is all we have.
-    fleet->FinishJob(std::vector<bool>(num_shards, false));
+    fleet.FinishJob(std::vector<bool>(num_shards, false));
     result.budget_exhausted = !result.reproduced;
     result.wall_seconds = elapsed_seconds();
     return result;
@@ -750,7 +616,7 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       break;
     }
     if (kill_after_ms > 0 && elapsed_seconds() * 1000.0 > static_cast<double>(kill_after_ms)) {
-      fleet->KillAll();
+      fleet.KillAll();
       for (ShardProc& proc : procs) {
         if (!proc.done && proc.chan != nullptr) {
           proc.lost = true;  // Wall-overrun stragglers, killed unheard.
@@ -761,7 +627,7 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
     }
   }
   // Return the channels to the fleet: snapshot the byte counters first
-  // (a one-shot fleet destroys the channels; a standing fleet keeps the
+  // (the fleet destroys the channels of lost slots and keeps the
   // survivors for the next job) and tell it which slots broke so it can
   // kill/retire them.
   std::vector<bool> lost_slots(num_shards, false);
@@ -773,7 +639,7 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       procs[s].chan = nullptr;
     }
   }
-  fleet->FinishJob(lost_slots);
+  fleet.FinishJob(lost_slots);
 
   // ----- 5. Shard-aware aggregation. -----
   for (u32 s = 0; s < num_shards; ++s) {

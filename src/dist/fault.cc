@@ -266,6 +266,7 @@ std::vector<std::unique_ptr<WireChannel>> FaultInjectingTransport::Start(u32 num
 }
 
 void FaultInjectingTransport::Kill() { inner_->Kill(); }
+void FaultInjectingTransport::KillSlot(u32 slot) { inner_->KillSlot(slot); }
 void FaultInjectingTransport::Reap() { inner_->Reap(); }
 
 }  // namespace retrace

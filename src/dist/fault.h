@@ -41,7 +41,7 @@
 //
 // When several clauses trigger on the same frame, the first one in spec
 // order applies. The decorator lives coordinator-side only: shards never
-// see it, and fault_spec never ships in a kJob.
+// see it, and fault_spec never ships in a job.
 #ifndef RETRACE_DIST_FAULT_H_
 #define RETRACE_DIST_FAULT_H_
 
@@ -123,16 +123,16 @@ class FaultInjectingChannel : public WireChannel {
 };
 
 /// \brief Transport decorator: starts the inner transport, then wraps
-/// every channel whose slot the spec targets. Kill/Reap forward — the
-/// real child processes are the inner transport's to manage.
+/// every channel whose slot the spec targets. Kill/KillSlot/Reap forward
+/// — the real child processes are the inner transport's to manage.
 class FaultInjectingTransport : public Transport {
  public:
   FaultInjectingTransport(std::unique_ptr<Transport> inner, FaultSpec spec, u64 seed);
 
   std::vector<std::unique_ptr<WireChannel>> Start(u32 num_shards) override;
   void Kill() override;
+  void KillSlot(u32 slot) override;
   void Reap() override;
-  const char* name() const override { return "fault"; }
 
  private:
   std::unique_ptr<Transport> inner_;

@@ -2,22 +2,46 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "src/dist/shard.h"
 #include "src/dist/wire.h"
 
 namespace retrace {
+
 namespace {
 
-// Mirrors the coordinator's per-search backstop: a standing fleet has
-// no business being wider than the widest search it can serve.
-constexpr u32 kMaxFleetShards = 64;
+bool AsksForTcp(const ReplayConfig& config) {
+  return config.transport == ReplayTransport::kTcp || !config.shard_endpoints.empty();
+}
 
 }  // namespace
 
-ShardFleet::ShardFleet(const ReplayConfig& config)
-    : config_(config), num_shards_(std::clamp(config.num_shards, 1u, kMaxFleetShards)) {}
+bool UsesTcpShards(const ReplayConfig& config) {
+  return AsksForTcp(config) && !config.program.app.empty();
+}
+
+ShardFleet::ShardFleet(const IrModule& module, const ReplayConfig& config)
+    : module_(module),
+      config_(config),
+      num_shards_(std::clamp(config.num_shards, 1u, kMaxShards)) {
+  // Like every other knob, a garbage fault schedule fails loudly before
+  // any work is spent, not after the scout ran.
+  std::string fault_err;
+  if (!ParseFaultSpec(config_.fault_spec, &fault_spec_, &fault_err)) {
+    std::fprintf(stderr, "retrace: bad RETRACE_FAULT_SPEC \"%s\": %s\n",
+                 config_.fault_spec.c_str(), fault_err.c_str());
+    std::exit(2);
+  }
+  tcp_ = UsesTcpShards(config_);
+  if (!tcp_ && AsksForTcp(config_)) {
+    std::fprintf(stderr,
+                 "[dist] tcp shards require ReplayConfig::program sources "
+                 "(Pipeline fills them); using fork shards instead\n");
+  }
+}
 
 ShardFleet::~ShardFleet() { Shutdown(); }
 
@@ -25,17 +49,25 @@ bool ShardFleet::Start() {
   if (started_) {
     return live_shards() > 0;
   }
-  TcpTransportOptions options;
-  options.token = config_.shard_token;
-  options.persistent = true;
-  transport_ = std::make_unique<TcpTransport>(
-      config_.tcp_listen, config_.shard_endpoints, std::vector<u8>{},
-      [token = config_.shard_token](const std::string& endpoint) {
-        const int fd = TcpConnect(endpoint);
-        return fd >= 0 &&
-               ServeShardJobs(fd, "fleet-selfspawn", 0, token) == ShardRunStatus::kOk;
-      },
-      std::move(options));
+  if (tcp_) {
+    transport_ = std::make_unique<TcpTransport>(
+        config_.tcp_listen, config_.shard_endpoints,
+        [token = config_.shard_token](const std::string& endpoint) {
+          const int fd = TcpConnect(endpoint);
+          return fd >= 0 &&
+                 ServeShardJobs(fd, "loopback-selfspawn", 0, token) == ShardRunStatus::kOk;
+        },
+        config_.shard_token);
+  } else {
+    transport_ = std::make_unique<LocalForkTransport>([this](u32 slot, int fd) {
+      return ServeShardJobs(fd, module_, slot) == ShardRunStatus::kOk;
+    });
+  }
+  if (!fault_spec_.empty()) {
+    std::fprintf(stderr, "[dist] fault injection armed: %s\n", config_.fault_spec.c_str());
+    transport_ =
+        std::make_unique<FaultInjectingTransport>(std::move(transport_), fault_spec_, config_.seed);
+  }
   channels_ = transport_->Start(num_shards_);
   channels_.resize(num_shards_);
   started_ = true;
@@ -50,17 +82,18 @@ bool ShardFleet::Start() {
 std::vector<WireChannel*> ShardFleet::AttachJob(const ReplayConfig& shard_cfg,
                                                 const InstrumentationPlan& plan,
                                                 const BugReport& report) {
-  std::vector<WireChannel*> out(num_shards_, nullptr);
-  if (!started_) {
-    return out;
-  }
+  Start();
   WireJobBegin begin;
   begin.job_id = ++jobs_dispatched_;
   begin.job.config = shard_cfg;
+  if (!tcp_) {
+    begin.job.config.program = {};  // Fork children already hold the module.
+  }
   begin.job.plan = plan;
   begin.job.report = report;
   WireWriter w;
   EncodeJobBegin(begin, &w);
+  std::vector<WireChannel*> out(num_shards_, nullptr);
   for (u32 s = 0; s < num_shards_; ++s) {
     if (channels_[s] == nullptr) {
       continue;
@@ -71,7 +104,9 @@ std::vector<WireChannel*> ShardFleet::AttachJob(const ReplayConfig& shard_cfg,
     if (!channels_[s]->Send(WireMsg::kJobBegin, w.buf())) {
       // Broke while idle: retire the slot now rather than letting the
       // scheduler seed a frontier partition into a dead channel.
+      transport_->KillSlot(s);
       channels_[s].reset();
+      slots_lost_ = true;
       std::fprintf(stderr, "[fleet] shard %u retired: channel broke between jobs\n", s);
       continue;
     }
@@ -89,10 +124,13 @@ void ShardFleet::KillAll() {
 void ShardFleet::FinishJob(const std::vector<bool>& lost) {
   for (u32 s = 0; s < num_shards_ && s < lost.size(); ++s) {
     if (lost[s] && channels_[s] != nullptr) {
-      // Closing the channel is the retire signal: a local child gets
-      // reaped at Shutdown, a remote shardd sees EOF and exits its
-      // serve loop.
+      // A lost shard may be a live-but-wedged child that would never
+      // exit on its own: SIGKILL it now, so the reap at Shutdown is a
+      // backstop and not a stall. Closing the channel is the retire
+      // signal for every other shard (a remote shardd sees EOF).
+      transport_->KillSlot(s);
       channels_[s].reset();
+      slots_lost_ = true;
       std::fprintf(stderr, "[fleet] shard %u retired: lost mid-job\n", s);
     }
   }
@@ -100,7 +138,6 @@ void ShardFleet::FinishJob(const std::vector<bool>& lost) {
 
 void ShardFleet::Shutdown() {
   if (!started_) {
-    transport_.reset();
     return;
   }
   WireWriter w;
@@ -111,11 +148,15 @@ void ShardFleet::Shutdown() {
     }
   }
   channels_.clear();  // Closes every fd — the backstop for shards that missed kJobEnd.
-  if (transport_ != nullptr) {
-    transport_->Reap();
-    transport_.reset();
+  if (tcp_ && slots_lost_) {
+    // FinishJob could not SIGKILL a lost TCP child by slot; every
+    // survivor has its kJobEnd, so no reap waits on a wedged one.
+    transport_->Kill();
   }
+  transport_->Reap();
+  transport_.reset();
   started_ = false;
+  slots_lost_ = false;
 }
 
 u32 ShardFleet::live_shards() const {

@@ -1,62 +1,85 @@
-// Standing shard fleet for the replay service.
+// The shard fleet: the processes every distributed search runs on.
 //
-// The one-shot scheduler (ReproduceDistributed) builds a process tree
-// per search and tears it down with the result. A service ingesting a
-// stream of bug reports cannot afford that: every report would pay the
-// fork/dial/handshake tax again and — worse — every shard would start
-// with a cold slice cache, re-proving path constraints the previous
-// report already settled. ShardFleet keeps the shard processes (and
-// their caches) alive across searches:
+// A one-shot search (ReproduceDistributed) builds a ShardFleet, runs one
+// job on it and shuts it down; the replay service keeps one standing, so
+// consecutive reports skip the fork/dial tax and reuse the shards' warm
+// slice caches. Every shard runs ServeShardJobs and every job is a
+// kJobBegin. One rule (UsesTcpShards) picks how shards come to exist:
 //
-//   Start()      — TCP transport in persistent mode: shards join with
-//                  kJoin (token-checked) and then wait; no job ships in
-//                  the handshake. Each shard runs ServeShardJobs.
-//   AttachJob()  — sends kJobBegin{job_id, job} down every live channel;
-//                  the shard rebuilds the pipeline from the shipped
-//                  sources and serves the search like any one-shot job,
-//                  kResult last. Implements the coordinator's JobFleet
-//                  seam, so RunDistributedJob drives the search itself.
-//   FinishJob()  — retires slots that died mid-job (closing the channel
-//                  is the retire signal); survivors idle until the next
-//                  AttachJob, slice caches warm.
-//   Shutdown()   — kJobEnd to every live shard, then reap.
+//   fork — LocalForkTransport: children serve jobs on the module they
+//          inherited. No kJoin, no sources shipped.
+//   tcp  — TcpTransport: joiners (retrace_shardd, or loopback children it
+//          self-spawns) send kJoin and rebuild the module from the
+//          sources each kJobBegin ships.
 //
-// **Thread safety:** none — drive a fleet from one thread (the service's
-// worker thread). **Stats caveat:** channel byte counters are cumulative
-// per shard process, not per job.
+// Start forks or dials; AttachJob starts a fleet that is not started
+// yet, so a search whose scout reproduces forks nothing. FinishJob
+// retires slots lost mid-job; Shutdown sends kJobEnd and reaps.
+// ReplayConfig::fault_spec wraps the transport in FaultInjectingTransport
+// (src/dist/fault.h); a malformed spec exits 2 when the fleet is built.
+//
+// **Thread safety:** none — drive a fleet from one thread. Start (and so
+// the first AttachJob) forks: call it from a single-threaded context.
+// **Stats caveat:** channel byte counters are cumulative per shard
+// process, not per job.
 #ifndef RETRACE_DIST_FLEET_H_
 #define RETRACE_DIST_FLEET_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "src/dist/coordinator.h"
+#include "src/dist/fault.h"
 #include "src/dist/transport.h"
 
 namespace retrace {
 
-/// \brief A shard fleet that outlives any single search.
-class ShardFleet final : public JobFleet {
- public:
-  /// `config` supplies the fleet shape and transport knobs: num_shards
-  /// (clamped to [1, 64]), tcp_listen, shard_endpoints, shard_token.
-  /// With no endpoints and an ephemeral listen port the fleet
-  /// self-spawns loopback shard processes, exactly like the one-shot
-  /// TCP transport.
-  explicit ShardFleet(const ReplayConfig& config);
-  ~ShardFleet() override;
+/// Widest fleet a config can ask for: one process per frontier
+/// partition stops paying off long before this.
+inline constexpr u32 kMaxShards = 64;
 
-  /// Launches/connects the shards (kJoin handshake, no job). Returns
-  /// false when not a single shard could be established.
+/// The transport rule: a distributed search with `config` runs on TCP
+/// shards when transport == kTcp or any shard endpoint is set and
+/// ReplayConfig::program holds the sources TCP shards rebuild the module
+/// from (Pipeline fills them), and on fork shards otherwise. A fleet
+/// that asked for TCP without sources says it falls back to fork.
+bool UsesTcpShards(const ReplayConfig& config);
+
+/// \brief The shard processes behind distributed searches.
+class ShardFleet {
+ public:
+  /// `module` must outlive the fleet; fork children serve jobs on it.
+  /// `config` supplies the fleet shape and transport knobs: num_shards
+  /// (clamped to [1, kMaxShards]), transport, tcp_listen,
+  /// shard_endpoints, shard_token, fault_spec, program.
+  ShardFleet(const IrModule& module, const ReplayConfig& config);
+  ~ShardFleet();
+
+  ShardFleet(const ShardFleet&) = delete;
+  ShardFleet& operator=(const ShardFleet&) = delete;
+
+  /// Launches/connects the shards. Returns false when not a single
+  /// shard could be established. Idempotent.
   bool Start();
 
-  u32 num_shards() const override { return num_shards_; }
+  /// Number of shard slots AttachJob returns. Dead slots come back null
+  /// rather than shrinking the vector, so shard ids stay dense.
+  u32 num_shards() const { return num_shards_; }
+
+  /// Starts the fleet if needed, attaches `plan`/`report` under
+  /// `shard_cfg` to every live slot and returns its channel, null per
+  /// unavailable slot. The channels stay owned by the fleet.
   std::vector<WireChannel*> AttachJob(const ReplayConfig& shard_cfg,
                                       const InstrumentationPlan& plan,
-                                      const BugReport& report) override;
-  void KillAll() override;
-  void FinishJob(const std::vector<bool>& lost) override;
+                                      const BugReport& report);
+
+  /// Hard-stops every local shard (wall-budget overrun past the grace).
+  void KillAll();
+
+  /// Ends the job. `lost[s]` marks slots that died, wedged or broke
+  /// mid-search; those retire (a lost fork child is SIGKILLed now, a
+  /// TCP fleet's self-spawned children at Shutdown) and the rest stay for
+  /// the next job, caches warm.
+  void FinishJob(const std::vector<bool>& lost);
 
   /// Graceful end: kJobEnd to every live shard, close the channels,
   /// reap local children. Idempotent; the destructor calls it.
@@ -66,15 +89,19 @@ class ShardFleet final : public JobFleet {
   /// lost shards retire, the fleet never respawns).
   u32 live_shards() const;
 
-  /// Jobs handed to AttachJob so far (also the next kJobBegin job_id).
+  /// Jobs handed to AttachJob so far (also the last kJobBegin job_id).
   u64 jobs_dispatched() const { return jobs_dispatched_; }
 
  private:
+  const IrModule& module_;
   ReplayConfig config_;
+  FaultSpec fault_spec_;
+  bool tcp_ = false;
   u32 num_shards_ = 0;
   u64 jobs_dispatched_ = 0;
   bool started_ = false;
-  std::unique_ptr<TcpTransport> transport_;
+  bool slots_lost_ = false;  // Some slot retired since Start.
+  std::unique_ptr<Transport> transport_;
   std::vector<std::unique_ptr<WireChannel>> channels_;  // null = retired.
 };
 

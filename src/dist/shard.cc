@@ -141,12 +141,11 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   std::unordered_map<u64, std::vector<std::shared_ptr<const PortableTrace>>> trace_dedup;
   // Handshake silence deadline is fixed, not the configured heartbeat
   // timeout: the coordinator handshakes a TCP fleet serially, so a slow
-  // peer ahead of us must not read as coordinator death. 60s matches
-  // ServeShardJob's kJob window.
+  // peer ahead of us must not read as coordinator death.
   i64 handshake_silence_deadline = NowMs() + 60'000;
   while (!started) {
-    // Frames the caller pre-read (bundled behind kJob) come first; only
-    // then does the channel get polled, preserving stream order.
+    // Frames the caller pre-read (bundled behind kJobBegin) come first;
+    // only then does the channel get polled, preserving stream order.
     std::vector<WireFrame> frames = std::move(preread);
     preread.clear();
     if (frames.empty()) {
@@ -230,9 +229,9 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   }
 
   // ----- Search, with the gossip pump on this thread. -----
-  // The cache is externally owned for standing shards (cross-job
-  // warmth), private for one-shot runs; either way gossip journaling is
-  // on, and a job with solver_cache off runs cache-less regardless.
+  // The cache is externally owned for ServeShardJobs (cross-job
+  // warmth), private otherwise; either way gossip journaling is on, and
+  // a job with solver_cache off runs cache-less regardless.
   std::unique_ptr<SliceCache> owned_cache;
   SliceCache* cache = nullptr;
   if (config.solver_cache) {
@@ -513,74 +512,13 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   return ShardRunStatus::kOk;
 }
 
-bool RunShard(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report,
-              const ReplayConfig& config, u32 shard_id, int fd) {
-  WireChannel chan(fd);
-  return RunShardOn(chan, module, plan, report, config, shard_id) == ShardRunStatus::kOk;
-}
+namespace {
 
-ShardRunStatus ServeShardJob(int fd, const std::string& ident, u32 worker_override,
-                             const std::string& token) {
-  WireChannel chan(fd);
-  WireWriter join_writer;
-  EncodeJoin(WireJoin{ident, worker_override, token}, &join_writer);
-  if (!chan.Send(WireMsg::kJoin, join_writer.buf())) {
-    return ShardRunStatus::kCoordinatorLost;
-  }
-  // The job frame carries full program sources; give a slow coordinator
-  // (or a big program) a generous-but-bounded window.
-  const i64 deadline = NowMs() + 60'000;
-  std::vector<WireFrame> frames;
-  while (frames.empty()) {
-    const i64 remaining = deadline - NowMs();
-    if (remaining <= 0) {
-      return ShardRunStatus::kCoordinatorLost;
-    }
-    const WireChannel::RecvStatus status =
-        chan.Poll(static_cast<int>(std::min<i64>(remaining, 200)), &frames);
-    if (status == WireChannel::RecvStatus::kClosed) {
-      return ShardRunStatus::kCoordinatorLost;
-    }
-    if (status != WireChannel::RecvStatus::kOk) {
-      return ShardRunStatus::kProtocolError;
-    }
-  }
-  if (frames[0].type != WireMsg::kJob) {
-    return ShardRunStatus::kProtocolError;
-  }
-  WireJob job;
-  {
-    WireReader r(frames[0].payload.data(), frames[0].payload.size());
-    if (!DecodeJob(&r, &job)) {
-      return ShardRunStatus::kProtocolError;
-    }
-  }
-  if (job.config.program.app.empty()) {
-    return ShardRunStatus::kProtocolError;
-  }
-  if (worker_override > 0) {
-    job.config.num_workers = worker_override;
-  }
-  auto built = Pipeline::FromSources(job.config.program.app, job.config.program.libs);
-  if (!built.ok()) {
-    return ShardRunStatus::kProtocolError;  // Source skew between builds.
-  }
-  std::unique_ptr<Pipeline> pipeline = built.take();
-  // Frames bundled behind kJob in the same read batch (the coordinator
-  // pipelines kPending/kHello/kStart immediately) are handed through so
-  // nothing already parsed is lost.
-  return RunShardOn(chan, pipeline->module(), job.plan, job.report, job.config, kAnyShardId,
-                    std::vector<WireFrame>(frames.begin() + 1, frames.end()));
-}
-
-ShardRunStatus ServeShardJobs(int fd, const std::string& ident, u32 worker_override,
-                              const std::string& token) {
-  WireChannel chan(fd);
-  WireWriter join_writer;
-  EncodeJoin(WireJoin{ident, worker_override, token}, &join_writer);
-  if (!chan.Send(WireMsg::kJoin, join_writer.buf())) {
-    return ShardRunStatus::kCoordinatorLost;
-  }
+// The shard loop behind both ServeShardJobs forms. `inherited` is the
+// fork child's module; null means rebuild each job's module from the
+// sources it ships.
+ShardRunStatus ServeJobs(WireChannel& chan, const IrModule* inherited, u32 expected_shard_id,
+                         u32 worker_override) {
   // Persists across jobs: the whole point of a standing shard. Sized by
   // the first cache-enabled job (later capacity changes are ignored —
   // resizing a warm cache would throw away exactly the warmth a
@@ -590,8 +528,8 @@ ShardRunStatus ServeShardJobs(int fd, const std::string& ident, u32 worker_overr
   std::vector<WireFrame> frames;
   for (;;) {
     if (frames.empty()) {
-      // Between jobs a standing shard waits indefinitely; the fleet owns
-      // the lifecycle and ends it with kJobEnd or by closing the channel.
+      // Between jobs a shard waits indefinitely; the fleet owns the
+      // lifecycle and ends it with kJobEnd or by closing the channel.
       const WireChannel::RecvStatus status = chan.Poll(1000, &frames);
       if (status == WireChannel::RecvStatus::kClosed) {
         // A vanished coordinator after at least one served job is an
@@ -632,38 +570,34 @@ ShardRunStatus ServeShardJobs(int fd, const std::string& ident, u32 worker_overr
         continue;
       }
       case WireMsg::kJobBegin:
-      case WireMsg::kJob:
         break;  // A job — handled below.
       default:
         return ShardRunStatus::kProtocolError;
     }
-    const bool one_shot = frame.type == WireMsg::kJob;
-    WireJob job;
+    WireJobBegin begin;
     {
       WireReader r(frame.payload.data(), frame.payload.size());
-      if (one_shot) {
-        if (!DecodeJob(&r, &job)) {
-          return ShardRunStatus::kProtocolError;
-        }
-      } else {
-        WireJobBegin begin;
-        if (!DecodeJobBegin(&r, &begin)) {
-          return ShardRunStatus::kProtocolError;
-        }
-        job = std::move(begin.job);
+      if (!DecodeJobBegin(&r, &begin)) {
+        return ShardRunStatus::kProtocolError;
       }
     }
-    if (job.config.program.app.empty()) {
-      return ShardRunStatus::kProtocolError;
-    }
+    WireJob& job = begin.job;
     if (worker_override > 0) {
       job.config.num_workers = worker_override;
     }
-    auto built = Pipeline::FromSources(job.config.program.app, job.config.program.libs);
-    if (!built.ok()) {
-      return ShardRunStatus::kProtocolError;  // Source skew between builds.
+    const IrModule* module = inherited;
+    std::unique_ptr<Pipeline> pipeline;
+    if (module == nullptr) {
+      if (job.config.program.app.empty()) {
+        return ShardRunStatus::kProtocolError;
+      }
+      auto built = Pipeline::FromSources(job.config.program.app, job.config.program.libs);
+      if (!built.ok()) {
+        return ShardRunStatus::kProtocolError;  // Source skew between builds.
+      }
+      pipeline = built.take();
+      module = &pipeline->module();
     }
-    std::unique_ptr<Pipeline> pipeline = built.take();
     SliceCache* job_cache = nullptr;
     if (job.config.solver_cache) {
       if (cache == nullptr) {
@@ -672,20 +606,34 @@ ShardRunStatus ServeShardJobs(int fd, const std::string& ident, u32 worker_overr
       }
       job_cache = cache.get();
     }
-    // Frames pipelined behind the job frame (kPending/kHello/kStart)
-    // are handed through so nothing already parsed is lost.
-    const ShardRunStatus status =
-        RunShardOn(chan, pipeline->module(), job.plan, job.report, job.config, kAnyShardId,
-                   std::move(frames), job_cache);
+    // Frames pipelined behind kJobBegin (kPending/kHello/kStart) are
+    // handed through so nothing already parsed is lost.
+    const ShardRunStatus status = RunShardOn(chan, *module, job.plan, job.report, job.config,
+                                             expected_shard_id, std::move(frames), job_cache);
     frames.clear();
     if (status != ShardRunStatus::kOk) {
       return status;
     }
     ++jobs_served;
-    if (one_shot) {
-      return ShardRunStatus::kOk;
-    }
   }
+}
+
+}  // namespace
+
+ShardRunStatus ServeShardJobs(int fd, const std::string& ident, u32 worker_override,
+                              const std::string& token) {
+  WireChannel chan(fd);
+  WireWriter join_writer;
+  EncodeJoin(WireJoin{ident, worker_override, token}, &join_writer);
+  if (!chan.Send(WireMsg::kJoin, join_writer.buf())) {
+    return ShardRunStatus::kCoordinatorLost;
+  }
+  return ServeJobs(chan, nullptr, kAnyShardId, worker_override);
+}
+
+ShardRunStatus ServeShardJobs(int fd, const IrModule& module, u32 slot) {
+  WireChannel chan(fd);
+  return ServeJobs(chan, &module, slot, 0);
 }
 
 }  // namespace retrace

@@ -1,16 +1,18 @@
 // Shard-process side of the distributed replay scheduler.
 //
-// A shard joins the fleet over either transport (src/dist/transport.h):
-//   - forked by the coordinator over a socketpair, inheriting the
-//     compiled module, the instrumentation plan and the bug report by
-//     copy-on-write memory (RunShard), or
+// Every shard process runs one loop, ServeShardJobs: it waits for a
+// kJobBegin, serves that job's search (RunShardOn) and waits for the
+// next, until kJobEnd. It joins the fleet over either transport
+// (src/dist/transport.h):
+//   - forked by the coordinator over a socketpair, serving jobs on the
+//     compiled module it inherited by copy-on-write, or
 //   - connected over TCP — possibly from another host — in which case it
-//     first handshakes kJoin/kJob and rebuilds the module from the
-//     program sources the job ships (ServeShardJob; lowering is
-//     deterministic, so branch ids match the coordinator's).
-// Either way, only frontier entries, slice verdicts, re-balanced
-// pendings and the final result cross the process boundary, over the
-// wire format of src/dist/wire.h.
+//     first sends kJoin and rebuilds the module from the program sources
+//     each job ships (lowering is deterministic, so branch ids match the
+//     coordinator's).
+// Either way, only jobs, frontier entries, slice verdicts, re-balanced
+// pendings and results cross the process boundary, over the wire format
+// of src/dist/wire.h.
 #ifndef RETRACE_DIST_SHARD_H_
 #define RETRACE_DIST_SHARD_H_
 
@@ -23,7 +25,7 @@ namespace retrace {
 
 /// Sentinel for RunShardOn: accept whatever shard id the coordinator's
 /// kHello assigns (a TCP joiner does not know its slot in advance; a
-/// forked child does and passes its slot to catch cross-wiring bugs).
+/// forked child does and checks its slot to catch cross-wiring bugs).
 inline constexpr u32 kAnyShardId = 0xffffffffu;
 
 /// How a shard run ended, from the shard's point of view. The
@@ -56,8 +58,9 @@ enum class ShardRunStatus {
 /// kResult.
 ///
 /// `preread` holds frames the caller already pulled off the channel
-/// (ServeShardJob may read kPending/kHello bytes bundled behind kJob);
-/// they are served before any new poll, preserving stream order.
+/// (ServeShardJobs may read kPending/kHello bytes bundled behind
+/// kJobBegin); they are served before any new poll, preserving stream
+/// order.
 ///
 /// `external_cache` lets a standing shard (ServeShardJobs) keep one
 /// slice cache alive across jobs: when non-null (and the job enables
@@ -79,42 +82,29 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
                           std::vector<WireFrame> preread = {},
                           SliceCache* external_cache = nullptr);
 
-/// \brief Fork-transport entry point: wraps `fd` and runs RunShardOn.
+/// \brief The shard loop: serves jobs on a connected coordinator socket
+/// until the fleet says goodbye.
 ///
-/// Takes ownership of `fd`. Never writes to stdio — the caller is a
-/// forked child that must _exit() immediately after, which is also why
-/// this collapses the run status to a bool exit code.
-bool RunShard(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report,
-              const ReplayConfig& config, u32 shard_id, int fd);
-
-/// \brief TCP-transport entry point: serves one job on a connected
-/// coordinator socket.
-///
-/// Sends kJoin (tagged `ident`, carrying `token` for the listener's
-/// shared-secret check), receives kJob, rebuilds the pipeline from the
-/// shipped program sources, then runs RunShardOn. When
-/// `worker_override` > 0 it replaces the job's num_workers (a remote
-/// host knows its own core count better than the coordinator does).
-/// Takes ownership of `fd`; never writes to stdio (callers log). Used by
-/// tools/retrace_shardd and the TCP transport's loopback self-spawn.
-ShardRunStatus ServeShardJob(int fd, const std::string& ident, u32 worker_override = 0,
-                             const std::string& token = "");
-
-/// \brief Standing-fleet entry point: serves jobs on a connected
-/// coordinator socket until the fleet says goodbye.
-///
-/// Sends kJoin once, then loops: wait (indefinitely — the fleet owns the
-/// lifecycle) for kJobBegin, rebuild the pipeline for that job, run
-/// RunShardOn, repeat. kJobEnd — or a channel closed after at least one
-/// served job — is an orderly shutdown (kOk). One slice cache persists
-/// across jobs (sized by the first cache-enabled job), which is where
-/// cross-report cache warmth on a shard fleet comes from. Also accepts a
-/// legacy one-shot kJob as "serve exactly one job, then exit", so
-/// retrace_shardd speaks both protocols with one loop. Relay traffic
-/// that arrives between jobs (heartbeats, another job's tail gossip) is
-/// discarded; work requests get an honest empty answer.
+/// TCP joiner form. Sends kJoin once (tagged `ident`, carrying `token`
+/// for the listener's shared-secret check), then loops: wait
+/// (indefinitely — the fleet owns the lifecycle) for kJobBegin, rebuild
+/// the pipeline from the job's program sources, run RunShardOn, repeat.
+/// When `worker_override` > 0 it replaces each job's num_workers (a
+/// remote host knows its own core count better than the coordinator
+/// does). kJobEnd — or a channel closed after at least one served job —
+/// is an orderly shutdown (kOk). One slice cache persists across jobs
+/// (sized by the first cache-enabled job), which is where cross-report
+/// cache warmth on a shard fleet comes from. Relay traffic that arrives
+/// between jobs (heartbeats, another job's tail gossip) is discarded;
+/// work requests get an honest empty answer. Takes ownership of `fd`;
+/// never writes to stdio (callers log). Used by tools/retrace_shardd and
+/// the TCP transport's loopback self-spawn.
 ShardRunStatus ServeShardJobs(int fd, const std::string& ident, u32 worker_override = 0,
                               const std::string& token = "");
+
+/// \brief Fork-child form of the same loop: no kJoin, and every job runs
+/// on `module`, the one the child inherited, as shard `slot`.
+ShardRunStatus ServeShardJobs(int fd, const IrModule& module, u32 slot);
 
 }  // namespace retrace
 

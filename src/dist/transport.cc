@@ -255,18 +255,22 @@ void LocalForkTransport::Kill() {
   }
 }
 
+void LocalForkTransport::KillSlot(u32 slot) {
+  if (slot < pids_.size() && pids_[slot] > 0) {
+    ::kill(pids_[slot], SIGKILL);
+  }
+}
+
 void LocalForkTransport::Reap() { ReapWithDeadline(&pids_); }
 
 // ----- TcpTransport -----
 
 TcpTransport::TcpTransport(std::string listen_endpoint, std::vector<std::string> endpoints,
-                           std::vector<u8> job, SelfSpawnMain self_spawn,
-                           TcpTransportOptions options)
+                           SelfSpawnMain self_spawn, std::string token)
     : listen_(std::move(listen_endpoint)),
       endpoints_(std::move(endpoints)),
-      job_(std::move(job)),
       self_spawn_(std::move(self_spawn)),
-      options_(std::move(options)) {}
+      token_(std::move(token)) {}
 
 TcpTransport::~TcpTransport() {
   if (listen_fd_ >= 0) {
@@ -276,7 +280,7 @@ TcpTransport::~TcpTransport() {
 
 std::unique_ptr<WireChannel> TcpTransport::Handshake(int fd, i64 deadline_ms) {
   auto chan = std::make_unique<WireChannel>(fd);
-  // The joiner speaks first: exactly one kJoin, then it waits for kJob.
+  // The joiner speaks first: exactly one kJoin, then it waits for jobs.
   std::vector<WireFrame> frames;
   while (frames.empty()) {
     const i64 remaining = deadline_ms - NowMs();
@@ -297,14 +301,9 @@ std::unique_ptr<WireChannel> TcpTransport::Handshake(int fd, i64 deadline_ms) {
   // Shared-secret check happens here, before any job bytes ship: a
   // joiner with the wrong token learns nothing about the program under
   // replay, it just sees its socket close.
-  if (!options_.token.empty() && join.token != options_.token) {
+  if (!token_.empty() && join.token != token_) {
     std::fprintf(stderr, "[dist] tcp: refused joiner '%s': bad auth token\n",
                  join.ident.c_str());
-    return nullptr;
-  }
-  // A standing fleet ships no job at join time; jobs attach later via
-  // kJobBegin on the live channel.
-  if (!options_.persistent && !chan->Send(WireMsg::kJob, job_)) {
     return nullptr;
   }
   return chan;

@@ -1,24 +1,24 @@
 // Transport seam of the distributed replay scheduler.
 //
-// The coordinator (src/dist/coordinator.cc) speaks the wire protocol of
+// ShardFleet (src/dist/fleet.h) speaks the wire protocol of
 // src/dist/wire.h over one WireChannel per shard and does not care how
 // those channels came to exist. A Transport owns exactly that concern:
 //
-//   - LocalForkTransport: fork() + AF_UNIX socketpairs on this host —
-//     the historical (and default) deployment, where shards inherit the
-//     compiled module by copy-on-write and no job frame is ever sent.
+//   - LocalForkTransport: fork() + AF_UNIX socketpairs on this host (the
+//     default). Children inherit the compiled module by copy-on-write,
+//     so no kJoin is exchanged and no program sources ship.
 //   - TcpTransport: a TCP listener on the coordinator; shards join by
 //     connecting (tools/retrace_shardd, possibly from another host) and
-//     handshake with kJoin, after which the coordinator ships the full
-//     search job (program sources + plan + report + config) as a kJob
-//     frame. With ReplayConfig::shard_endpoints set the coordinator
-//     dials out to waiting `retrace_shardd --listen` daemons instead;
-//     with neither, it self-spawns local children that connect back over
-//     loopback — the full TCP path without any remote host, which is
-//     what the tests and the CI smoke leg exercise.
+//     handshake with kJoin, which carries the auth token. Jobs attach
+//     later with kJobBegin, whose payload ships the program sources.
+//     With ReplayConfig::shard_endpoints set the coordinator dials out
+//     to waiting `retrace_shardd --listen` daemons instead; with neither,
+//     it self-spawns local children that connect back over loopback —
+//     the full TCP path without any remote host, which is what the tests
+//     and the CI smoke legs exercise.
 //
-// Everything after Start() — seeding frontiers, verdict gossip, work
-// re-balancing, first-crash-wins — is transport-agnostic.
+// Everything after Start() — attaching jobs, seeding frontiers, verdict
+// gossip, work re-balancing, first-crash-wins — is transport-agnostic.
 #ifndef RETRACE_DIST_TRANSPORT_H_
 #define RETRACE_DIST_TRANSPORT_H_
 
@@ -44,10 +44,10 @@ int TcpConnect(const std::string& endpoint);
 /// \brief How shard processes come to exist and get wired to the
 /// coordinator.
 ///
-/// **Thread safety:** none — the coordinator drives a Transport from the
-/// single thread that called ReproduceDistributed. **Lifecycle:** call
-/// Start() once; Kill() at most once after Start(); Reap() exactly once
-/// before destruction when Start() was called.
+/// **Thread safety:** none — a ShardFleet drives its Transport from one
+/// thread. **Lifecycle:** call Start() once; Kill() and KillSlot() only
+/// after Start(); Reap() exactly once before destruction when Start()
+/// was called.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -63,14 +63,17 @@ class Transport {
   /// their socket closing when the coordinator drops the channel.
   virtual void Kill() = 0;
 
+  /// SIGKILLs the local child behind `slot`, if the transport knows
+  /// which one it is; the rest of the fleet keeps running.
+  virtual void KillSlot(u32 slot) = 0;
+
   /// Reaps (waitpid) every local child Start() created. No-op for
   /// purely remote fleets.
   virtual void Reap() = 0;
-
-  virtual const char* name() const = 0;
 };
 
-/// \brief fork() + socketpair transport (single host, default).
+/// \brief fork() + socketpair transport (single host, default). Slot s
+/// is child s, so KillSlot hits exactly the lost shard.
 class LocalForkTransport : public Transport {
  public:
   /// `shard_main` runs inside each forked child with (slot, child_fd)
@@ -82,66 +85,51 @@ class LocalForkTransport : public Transport {
 
   std::vector<std::unique_ptr<WireChannel>> Start(u32 num_shards) override;
   void Kill() override;
+  void KillSlot(u32 slot) override;
   void Reap() override;
-  const char* name() const override { return "fork"; }
 
  private:
   ShardMain shard_main_;
   std::vector<int> pids_;  // -1 for slots that failed to spawn.
 };
 
-/// Listener-side policy knobs for TcpTransport (v7).
-struct TcpTransportOptions {
-  /// Shared-secret auth (RETRACE_SHARD_TOKEN). When non-empty, a kJoin
-  /// whose token differs is refused before any job bytes ship; empty
-  /// means auth off (trusted local setups, the historical behavior).
-  std::string token;
-  /// Standing-fleet mode: the handshake validates kJoin (and the token)
-  /// but ships no kJob — the fleet attaches jobs later with kJobBegin,
-  /// so the channels outlive any single search.
-  bool persistent = false;
-};
-
-/// \brief TCP transport: listener on the coordinator, kJoin/kJob
+/// \brief TCP transport: listener on the coordinator, one kJoin
 /// handshake per shard connection.
 class TcpTransport : public Transport {
  public:
   /// Runs in a self-spawned child (loopback mode): connect to
-  /// `endpoint` and serve one job. Return value = child exit status.
+  /// `endpoint` and serve jobs. Return value = child exit status.
   using SelfSpawnMain = std::function<bool(const std::string& endpoint)>;
 
-  /// `job` is the encoded WireJob payload shipped to every shard after
-  /// its kJoin (unused in persistent mode). `endpoints` are dialed out
-  /// to. With no endpoints and an *ephemeral* listen port (":0" —
-  /// unknowable to remote hosts), the transport forks `self_spawn`
-  /// children that connect back over loopback; a fixed listen port
-  /// instead waits for real inbound joiners (`retrace_shardd
-  /// <host:port>`).
+  /// `endpoints` are dialed out to. With no endpoints and an *ephemeral*
+  /// listen port (":0" — unknowable to remote hosts), the transport
+  /// forks `self_spawn` children that connect back over loopback; a
+  /// fixed listen port instead waits for real inbound joiners
+  /// (`retrace_shardd <host:port>`). `token` is the shared secret
+  /// (RETRACE_SHARD_TOKEN): a kJoin whose token differs is refused
+  /// before any job bytes ship; empty means auth off.
   TcpTransport(std::string listen_endpoint, std::vector<std::string> endpoints,
-               std::vector<u8> job, SelfSpawnMain self_spawn,
-               TcpTransportOptions options = {});
+               SelfSpawnMain self_spawn, std::string token);
   ~TcpTransport() override;
 
   std::vector<std::unique_ptr<WireChannel>> Start(u32 num_shards) override;
   void Kill() override;
+  /// No-op: joiners take slots in arrival order, so no slot maps to a
+  /// known pid. A retired shard sees its channel close and exits (and
+  /// ShardFleet kills self-spawned children at Shutdown after a loss).
+  void KillSlot(u32) override {}
   void Reap() override;
-  const char* name() const override { return "tcp"; }
-
-  /// Actual "host:port" after binding (ephemeral port resolved); empty
-  /// until Start().
-  const std::string& bound_endpoint() const { return bound_; }
 
  private:
-  // Completes the shard-side of one connection: waits for kJoin, checks
-  // the auth token, ships the job (unless persistent). Returns the
-  // ready channel or null on handshake/auth failure.
+  // Completes the shard-side of one connection: waits for kJoin and
+  // checks the auth token. Returns the ready channel or null on
+  // handshake/auth failure.
   std::unique_ptr<WireChannel> Handshake(int fd, i64 deadline_ms);
 
   std::string listen_;
   std::vector<std::string> endpoints_;
-  std::vector<u8> job_;
   SelfSpawnMain self_spawn_;
-  TcpTransportOptions options_;
+  std::string token_;
   std::string bound_;
   int listen_fd_ = -1;
   std::vector<int> pids_;  // Self-spawned children only.

@@ -713,7 +713,7 @@ bool DecodeHeartbeat(WireReader* r, WireHeartbeat* out) {
   return r->U64(&out->seq) && r->ok();
 }
 
-// ----- Job codec (TCP transport handshake) -----
+// ----- Job codec (the payload of kJobBegin) -----
 
 namespace {
 

@@ -53,7 +53,9 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // kHealthQuery/kHealthStats) let clients stream bug reports at a
 // resident daemon and read its health.
 // v8: one execution engine — the v6 engine byte leaves the kJob config codec.
-inline constexpr u16 kWireVersion = 8;
+// v9: one job protocol — kJob (type 8) is retired; every shard, forked or
+// joined over TCP, receives its jobs as kJobBegin and leaves on kJobEnd.
+inline constexpr u16 kWireVersion = 9;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {
@@ -65,7 +67,7 @@ enum class WireMsg : u16 {
   kResult = 6,    // Shard -> coordinator: final result + stats.
   // ----- TCP transport handshake (never seen on fork socketpairs) -----
   kJoin = 7,  // Shard -> coordinator: first frame after connect.
-  kJob = 8,   // Coordinator -> shard: program sources + plan + report + config.
+  // 8 is retired (kJob until v8): never reuse it.
   // ----- Frontier re-balancing -----
   kWorkRequest = 9,     // Starved shard -> coordinator -> donor shard.
   kPendingExport = 10,  // Donor shard -> coordinator -> starved shard.
@@ -223,7 +225,7 @@ bool DecodeFailureProfile(WireReader* r, ReplayFailureProfile* out);
 /// dialing): identifies the joiner. The framing layer has already
 /// enforced the wire version by the time this decodes. Both fields are
 /// advisory/diagnostic: the daemon applies its own --workers override
-/// locally after kJob decodes — the coordinator validates but does not
+/// locally after each job decodes — the coordinator validates but does not
 /// act on this echo.
 struct WireJoin {
   std::string ident;       // Free-form "host/pid" tag for diagnostics.
@@ -239,7 +241,8 @@ bool DecodeJoin(WireReader* r, WireJoin* out);
 
 /// Everything a remote host needs to run one shard search: the program
 /// sources (lowering is deterministic, so a rebuilt module has the same
-/// branch ids as the coordinator's), the instrumentation plan, the bug
+/// branch ids as the coordinator's; empty for fork shards, which inherit
+/// the module), the instrumentation plan, the bug
 /// report, and the search-relevant ReplayConfig subset. Decode validates
 /// aggressively — counts against the payload, enum ranges, stream/file
 /// indices, log-length consistency — because a listening retrace_shardd
@@ -253,7 +256,7 @@ struct WireJob {
 void EncodeJob(const WireJob& job, WireWriter* w);
 bool DecodeJob(WireReader* r, WireJob* out);
 
-/// BugReport <-> bytes, shared by the kJob codec and the v7 service
+/// BugReport <-> bytes, shared by the job codec and the v7 service
 /// ingest path (kReportSubmit carries a bare report). Decode applies the
 /// same hostile-input validation as the job codec.
 void EncodeReport(const BugReport& report, WireWriter* w);
@@ -265,12 +268,11 @@ bool DecodeReport(WireReader* r, BugReport* out);
 /// in the same cluster; any structural difference lands elsewhere.
 u64 ReportFingerprint(const BugReport& report);
 
-// ----- Standing shard fleet (v7) -----
+// ----- Shard fleet job exchange (v7; the only job protocol since v9) -----
 
-/// Attaches one job to an already-joined shard. The standing fleet sends
-/// this instead of the one-shot kJob handshake frame; the payload nests
-/// the full job codec, so a shard rebuilds the pipeline per job exactly
-/// as a one-shot TCP shard would.
+/// Attaches one job to a live shard. The payload nests the job codec: a
+/// TCP shard rebuilds the pipeline from its sources, a fork shard ships
+/// none and runs on the module it inherited.
 struct WireJobBegin {
   u64 job_id = 0;  // Coordinator-local, strictly increasing (diagnostics).
   WireJob job;
@@ -369,7 +371,7 @@ struct WireWorkRequest {
 /// not make a donor carve up its whole frontier in one frame.
 inline constexpr u32 kMaxWorkRequestWant = 4096;
 
-/// Ceilings the kJob config codec enforces on corpus seeds (a listening
+/// Ceilings the job config codec enforces on corpus seeds (a listening
 /// retrace_shardd decodes them off the network). The coordinator clamps
 /// the outgoing config to these before encoding, so an oversized corpus
 /// degrades to "ship the first seeds that fit" instead of every shard

@@ -35,7 +35,7 @@ struct InstrumentationPlan {
   // Refinement provenance: 0 = straight out of the analyses; each
   // adaptive refinement round (src/instrument/refine.h) bumps the level
   // by one and appends to `provenance`. Both travel with the plan over
-  // the wire (kJob codec, wire v4) so a remote shard reports the same
+  // the wire (job codec, wire v4) so a remote shard reports the same
   // plan identity the coordinator chose.
   u32 detail_level = 0;
   std::string provenance;

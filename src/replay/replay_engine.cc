@@ -1068,4 +1068,14 @@ ReplayResult ReplayEngine::Scout(const ReplayConfig& config, size_t target_front
   return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
 }
 
+bool VerifyWitness(const IrModule& module, const BugReport& report,
+                   const std::vector<i64>& witness_cells) {
+  CellRunner runner(module, report.shape);
+  CellRunConfig config;
+  config.model = witness_cells;
+  config.symbolic_syscalls = false;
+  const CellRunOutput run = runner.Run(config);
+  return run.result.Crashed() && run.result.crash.SameSite(report.crash);
+}
+
 }  // namespace retrace

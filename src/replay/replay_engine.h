@@ -58,8 +58,8 @@ enum class ReplayTransport {
 
 /// Program sources a TCP shard needs to rebuild the module on a remote
 /// host (lowering is deterministic, so branch ids match the
-/// coordinator's). Filled automatically by Pipeline::Reproduce; required
-/// whenever transport == kTcp.
+/// coordinator's). Filled automatically by Pipeline::Reproduce and
+/// Pipeline::MakeService; required whenever the shards are TCP shards.
 struct ReplayProgramSources {
   std::string app;
   std::vector<std::string> libs;
@@ -107,12 +107,12 @@ struct ReplayConfig {
   // private frontier (the 1x1 sentinels); 0 = one per hardware thread.
   u32 num_workers = 1;
   // Replay shard processes. <= 1 keeps everything in-process (the search
-  // above). N > 1 forks N
-  // shard processes — each running num_workers threads — from a
-  // coordinator that partitions an initial pending-set frontier across
-  // them, gossips slice-cache verdicts between them, and cancels the
-  // fleet on the first reproduced crash (src/dist/coordinator.h). Fork
-  // happens on the calling thread; call from a single-threaded context.
+  // above). N > 1 runs N shard processes — each running num_workers
+  // threads — under a coordinator that partitions an initial pending-set
+  // frontier across them, gossips slice-cache verdicts between them, and
+  // cancels the fleet on the first reproduced crash
+  // (src/dist/coordinator.h). Fork shards fork on the calling thread;
+  // call from a single-threaded context.
   u32 num_shards = 1;
   // Incremental solving layer: partition each pending set into
   // independent slices and share slice SAT/UNSAT verdicts fleet-wide
@@ -144,13 +144,15 @@ struct ReplayConfig {
   // byte-ladders) instead of random bytes alone. Partitioned across the
   // fleet: shard s runs seeds with index % num_shards == s, and within a
   // shard workers split that slice round-robin — no seed runs twice.
-  // Ships to remote shards inside the kJob config codec. Empty (the
+  // Ships to every shard inside the job config codec. Empty (the
   // default) changes nothing.
   std::vector<std::vector<i64>> corpus_seeds;
   // ----- Distributed mode only (ignored when num_shards <= 1) -----
-  // Shard transport. kFork (default) forks children over socketpairs —
-  // bit-identical to the pre-transport coordinator. kTcp makes the
-  // coordinator listen on `tcp_listen` and accept shard connections:
+  // Shard transport, for one-shot searches and the service's fleet alike
+  // (UsesTcpShards in src/dist/fleet.h). kFork (default) forks children
+  // over socketpairs. kTcp — implied by a non-empty `shard_endpoints` —
+  // makes the coordinator listen on `tcp_listen` and accept shard
+  // connections:
   // remote hosts join the fleet by running `retrace_shardd <host:port>`
   // against a *fixed* listen port; with `shard_endpoints` set the
   // coordinator instead dials out to daemons waiting in `retrace_shardd
@@ -175,7 +177,7 @@ struct ReplayConfig {
   // Heartbeat cadence riding the gossip pump (wire v5): the shard sends
   // kHeartbeat to the coordinator and the coordinator to every shard at
   // least this often, so silence is meaningful on an otherwise idle
-  // channel. 0 disables outbound heartbeats. Ships in the kJob config.
+  // channel. 0 disables outbound heartbeats. Ships in the job config.
   int heartbeat_interval_ms = 100;
   // Liveness deadline: a shard silent for this long is declared dead by
   // the coordinator (its unaccounted frontier pendings re-deal to live
@@ -193,13 +195,13 @@ struct ReplayConfig {
   // src/dist/fault.h; a malformed spec aborts loudly (exit 2, like every
   // other strict knob). Empty = no faults. Never shipped to shards.
   std::string fault_spec;
-  // Program sources for kTcp (see ReplayProgramSources). Ignored by
-  // kFork, which inherits the module by copy-on-write.
+  // Program sources for TCP shards (see ReplayProgramSources). Fork
+  // shards inherit the module by copy-on-write and never receive them.
   ReplayProgramSources program;
   // Shared-secret auth token for the kTcp listener (RETRACE_SHARD_TOKEN,
   // wire v7). Non-empty: every joiner's kJoin must carry the same token
   // or the connection is refused before any job bytes ship. Empty: auth
-  // off (trusted local setups). Never shipped inside the kJob codec —
+  // off (trusted local setups). Never shipped inside the job codec —
   // the secret authenticates the channel, it must not ride it.
   std::string shard_token;
 };
@@ -589,6 +591,12 @@ class ReplayEngine {
   const InstrumentationPlan& plan_;
   const BugReport& report_;
 };
+
+/// Runs the witness input concretely and checks it crashes at the
+/// report's crash site. Pipeline::VerifyWitness and the replay service
+/// both call this before trusting a reproduction.
+bool VerifyWitness(const IrModule& module, const BugReport& report,
+                   const std::vector<i64>& witness_cells);
 
 }  // namespace retrace
 

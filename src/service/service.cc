@@ -34,7 +34,7 @@ bool ReplayService::Start() {
     }
   }
   if (config_.replay.num_shards > 1) {
-    fleet_ = std::make_unique<ShardFleet>(config_.replay);
+    fleet_ = std::make_unique<ShardFleet>(module_, config_.replay);
     if (fleet_->Start()) {
       fleet_shards_ = fleet_->num_shards();
       fleet_live_ = fleet_->live_shards();
@@ -178,6 +178,17 @@ void ReplayService::WorkerLoop() {
     lock.unlock();
 
     ReplayResult result = RunSearch(report);
+    if (result.reproduced && !VerifyWitness(module_, report, result.witness_cells)) {
+      // Never publish a witness that does not crash where the report
+      // says: every attached submitter would inherit it.
+      std::fprintf(stderr,
+                   "[service] cluster %016llx: witness failed to verify; publishing not "
+                   "reproduced\n",
+                   static_cast<unsigned long long>(fingerprint));
+      result.reproduced = false;
+      result.witness_argv.clear();
+      result.witness_cells.clear();
+    }
 
     lock.lock();
     searches_run_ += 1;
@@ -199,7 +210,7 @@ void ReplayService::WorkerLoop() {
 
 ReplayResult ReplayService::RunSearch(const BugReport& report) {
   if (fleet_ != nullptr) {
-    return RunDistributedJob(module_, plan_, report, config_.replay, fleet_.get());
+    return RunDistributedJob(module_, plan_, report, config_.replay, *fleet_);
   }
   // In-process: one shard-shaped search sharing the service's
   // cross-report cache, so the next cluster starts where this one's

@@ -12,12 +12,15 @@
 //                                           └─ novel     → admission FIFO
 //                                                           (per-tenant caps)
 //   worker: dequeue → search on the standing fleet (or in-process with
-//           the service's cross-report slice cache) → complete cluster
-//           → wake every attached submitter.
+//           the service's cross-report slice cache) → re-run the
+//           witness (VerifyWitness) → complete cluster → wake every
+//           attached submitter. A witness that fails to verify is
+//           published as "not reproduced".
 //
 // One search per crash cluster, ever: N identical reports cost one
-// search and N verdicts. The standing ShardFleet (num_shards > 1)
-// outlives every search, so consecutive novel reports skip the
+// search and N verdicts. The standing ShardFleet (num_shards > 1; fork
+// shards by default, TCP shards under the same rule as a one-shot
+// search) outlives every search, so consecutive novel reports skip the
 // fork/dial/handshake tax and hit shard-resident warm slice caches; the
 // in-process mode (num_shards <= 1) keeps its warmth in the service's
 // own SliceCache, which can snapshot to disk on shutdown and reload on
@@ -26,7 +29,7 @@
 // **Threading:** Submit blocks the calling thread until its cluster has
 // a verdict and may be called from many threads; one worker thread runs
 // searches strictly in admission order. Call Start() before any other
-// thread exists when the fleet self-spawns (it forks).
+// thread exists when the fleet has shards (it forks).
 #ifndef RETRACE_SERVICE_SERVICE_H_
 #define RETRACE_SERVICE_SERVICE_H_
 
@@ -46,8 +49,8 @@ namespace retrace {
 
 struct ServiceConfig {
   /// Per-search template: budgets, worker counts, transport knobs.
-  /// num_shards > 1 runs every search on a standing ShardFleet (program
-  /// sources required — Pipeline::MakeService fills them);
+  /// num_shards > 1 runs every search on a standing ShardFleet (TCP
+  /// shards need program sources — Pipeline::MakeService fills them);
   /// num_shards <= 1 searches in-process against the service's own
   /// slice cache.
   ReplayConfig replay;

@@ -2,9 +2,10 @@
 // 2-shard reproduction of the miniature crash scenarios over both
 // transports (fork socketpairs and TCP loopback), in-process parity for
 // num_shards <= 1, shard-aware stats aggregation, event-driven handoffs
-// (a slow gossip cadence is no latency floor), and the frontier
-// re-balance protocol (a deliberately starved shard must end with
-// pendings_imported > 0).
+// (a slow gossip cadence is no latency floor), the frontier re-balance
+// protocol (a deliberately starved shard must end with
+// pendings_imported > 0), and a ShardFleet serving several jobs over
+// each transport.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -13,6 +14,8 @@
 #include <thread>
 
 #include "src/core/pipeline.h"
+#include "src/dist/coordinator.h"
+#include "src/dist/fleet.h"
 #include "src/dist/shard.h"
 #include "src/dist/wire.h"
 #include "tests/testutil.h"
@@ -397,8 +400,9 @@ TEST(DistReplayTest, StarvedShardImportsReBalancedWork) {
   shard_cfg.gossip_interval_ms = 5;
   bool shard_ok = false;
   std::thread shard([&] {
-    shard_ok = RunShard(pipeline->module(), plan, user.report, shard_cfg, /*shard_id=*/0,
-                        fds[1]);
+    WireChannel shard_chan(fds[1]);
+    shard_ok = RunShardOn(shard_chan, pipeline->module(), plan, user.report, shard_cfg,
+                          /*expected_shard_id=*/0) == ShardRunStatus::kOk;
   });
 
   WireChannel chan(fds[0]);
@@ -519,8 +523,9 @@ int main(int argc, char **argv) {
   shard_cfg.heartbeat_timeout_ms = 0;
   bool shard_ok = false;
   std::thread shard([&] {
-    shard_ok = RunShard(pipeline->module(), plan, user.report, shard_cfg, /*shard_id=*/1,
-                        fds[1]);
+    WireChannel shard_chan(fds[1]);
+    shard_ok = RunShardOn(shard_chan, pipeline->module(), plan, user.report, shard_cfg,
+                          /*expected_shard_id=*/1) == ShardRunStatus::kOk;
   });
   // Joins on every exit path, including a fatal ASSERT mid-test. Declared
   // before `chan` so the channel's destructor closes the socket first —
@@ -644,6 +649,119 @@ TEST(DistReplayTest, TwoShardsReproduceSyscallBug) {
   config.num_workers = 1;  // 2 processes x 1 thread.
   const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
   ASSERT_TRUE(replay.reproduced);
+}
+
+// ----- ShardFleet: one fleet, many jobs -----
+//
+// RunDistributedJob is driven directly against a fleet the test owns,
+// the way the replay service drives its standing fleet. Each scenario
+// runs over both transports.
+
+struct FleetFixture {
+  std::unique_ptr<Pipeline> pipeline = MustBuild(kDeepGuardedCrash);
+  InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
+  Pipeline::UserRunOutput user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
+
+  ReplayConfig Config(ReplayTransport transport) const {
+    ReplayConfig config;
+    config.num_shards = 2;
+    config.num_workers = 1;
+    config.transport = transport;
+    config.program.app = kDeepGuardedCrash;  // TCP shards rebuild the module from it.
+    return config;
+  }
+
+  ReplayResult Run(ShardFleet& fleet, const ReplayConfig& config) const {
+    return RunDistributedJob(pipeline->module(), plan, user.report, config, fleet);
+  }
+};
+
+// One fleet serves three jobs, its counters right after each, and no
+// shard is lost along the way. The scout never settles this report on
+// its own (at these seeds), so every job reaches both shards.
+void FleetServesThreeJobs(ReplayTransport transport) {
+  const FleetFixture f;
+  ASSERT_TRUE(f.user.result.Crashed());
+  ReplayConfig config = f.Config(transport);
+  ShardFleet fleet(f.pipeline->module(), config);
+  ASSERT_TRUE(fleet.Start());
+  EXPECT_EQ(fleet.num_shards(), 2u);
+  EXPECT_EQ(fleet.live_shards(), 2u);
+  for (u64 job = 1; job <= 3; ++job) {
+    config.seed = 290 + job;
+    const ReplayResult replay = f.Run(fleet, config);
+    ASSERT_TRUE(replay.reproduced) << "job " << job;
+    ASSERT_EQ(replay.stats.per_shard.size(), 2u) << "job " << job;
+    EXPECT_TRUE(f.pipeline->VerifyWitness(f.user.report, replay.witness_cells));
+    EXPECT_EQ(replay.stats.shards_lost, 0u) << "job " << job;
+    EXPECT_EQ(fleet.jobs_dispatched(), job);
+    EXPECT_EQ(fleet.live_shards(), 2u) << "job " << job;
+  }
+  fleet.Shutdown();
+  EXPECT_EQ(fleet.live_shards(), 0u);
+}
+
+// The same report twice: each shard keeps its slice cache between jobs,
+// so the duplicate re-proves fewer slices than the first search did.
+void DuplicateJobStartsWarm(ReplayTransport transport) {
+  const FleetFixture f;
+  ASSERT_TRUE(f.user.result.Crashed());
+  const ReplayConfig config = f.Config(transport);
+  ShardFleet fleet(f.pipeline->module(), config);
+  const ReplayResult first = f.Run(fleet, config);
+  const ReplayResult second = f.Run(fleet, config);
+  ASSERT_TRUE(first.reproduced);
+  ASSERT_TRUE(second.reproduced);
+  ASSERT_EQ(first.stats.per_shard.size(), 2u);
+  ASSERT_EQ(second.stats.per_shard.size(), 2u);
+  EXPECT_EQ(fleet.jobs_dispatched(), 2u);
+  EXPECT_GT(first.stats.slices_solved, 0u);
+  EXPECT_LT(second.stats.slices_solved, first.stats.slices_solved);
+}
+
+// A shard whose channel closes at its first frame retires with its slot;
+// the job still reproduces, and the next job runs on the survivor alone.
+void LostShardRetiresAndTheSurvivorServesOn(ReplayTransport transport) {
+  const FleetFixture f;
+  ASSERT_TRUE(f.user.result.Crashed());
+  ReplayConfig config = f.Config(transport);
+  config.fault_spec = "shard0:close@frame1";
+  ShardFleet fleet(f.pipeline->module(), config);
+  ASSERT_TRUE(fleet.Start());
+
+  const ReplayResult hit = f.Run(fleet, config);
+  ASSERT_TRUE(hit.reproduced);
+  EXPECT_TRUE(f.pipeline->VerifyWitness(f.user.report, hit.witness_cells));
+  ASSERT_EQ(hit.stats.per_shard.size(), 2u);
+  EXPECT_EQ(hit.stats.shards_lost, 1u);
+  EXPECT_TRUE(hit.stats.per_shard[0].lost);
+  EXPECT_EQ(fleet.live_shards(), 1u);
+
+  config.seed = 7;
+  const ReplayResult next = f.Run(fleet, config);
+  ASSERT_TRUE(next.reproduced);
+  EXPECT_TRUE(f.pipeline->VerifyWitness(f.user.report, next.witness_cells));
+  EXPECT_EQ(next.stats.shards_lost, 0u);
+  ASSERT_EQ(next.stats.per_shard.size(), 2u);    // The scout did not settle it.
+  EXPECT_EQ(next.stats.per_shard[0].runs, 0u);  // Retired slot: nothing ran there.
+  EXPECT_GT(next.stats.per_shard[1].runs, 0u);  // The survivor ran the job.
+  EXPECT_EQ(fleet.jobs_dispatched(), 2u);
+  EXPECT_EQ(fleet.live_shards(), 1u);
+}
+
+TEST(DistReplayTest, ForkFleetServesThreeJobs) { FleetServesThreeJobs(ReplayTransport::kFork); }
+TEST(DistReplayTest, TcpFleetServesThreeJobs) { FleetServesThreeJobs(ReplayTransport::kTcp); }
+TEST(DistReplayTest, ForkFleetDuplicateJobStartsWarm) {
+  DuplicateJobStartsWarm(ReplayTransport::kFork);
+}
+TEST(DistReplayTest, TcpFleetDuplicateJobStartsWarm) {
+  DuplicateJobStartsWarm(ReplayTransport::kTcp);
+}
+TEST(DistReplayTest, ForkFleetLostShardRetiresAndTheSurvivorServesOn) {
+  LostShardRetiresAndTheSurvivorServesOn(ReplayTransport::kFork);
+}
+TEST(DistReplayTest, TcpFleetLostShardRetiresAndTheSurvivorServesOn) {
+  LostShardRetiresAndTheSurvivorServesOn(ReplayTransport::kTcp);
 }
 
 }  // namespace

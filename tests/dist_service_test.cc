@@ -2,9 +2,10 @@
 // reports cluster onto one search, distinct reports open distinct
 // clusters on the same resident service, admission budgets reject at the
 // door, health stats expose the cluster table, and the slice-cache
-// snapshot warm-starts a restarted daemon. All searches run in-process
-// (num_shards = 1) so the suite is fork-free and ThreadSanitizer-clean;
-// the standing TCP fleet is covered by the CI service smoke leg.
+// snapshot warm-starts a restarted daemon, and every published witness
+// re-verifies. Searches run in-process (num_shards = 1) except on the
+// default fork fleet of one test; the ShardFleet tests of
+// dist_replay_test.cc and the CI service smoke legs cover the fleet.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -91,6 +92,7 @@ TEST(DistServiceTest, DuplicateReportsCostOneSearch) {
   int fresh = 0;
   for (const ServiceVerdict& v : verdicts) {
     EXPECT_TRUE(v.reproduced);
+    EXPECT_TRUE(pipeline->VerifyWitness(report, v.result.witness_cells));
     EXPECT_EQ(v.cluster, verdicts[0].cluster);
     if (v.origin == VerdictOrigin::kFresh) {
       ++fresh;
@@ -151,6 +153,30 @@ TEST(DistServiceTest, DistinctReportsOpenDistinctClusters) {
   const u64 dup_reports =
       (health.rows[0].fp == v1.cluster ? health.rows[0] : health.rows[1]).reports;
   EXPECT_EQ(dup_reports, 2u);
+  service->Shutdown();
+}
+
+// With num_shards > 1 the service searches on its standing fleet, fork
+// shards by default, and publishes only witnesses that re-verify.
+TEST(DistServiceTest, ForkFleetPublishesVerifiedWitnesses) {
+  auto pipeline = MustBuild();
+  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
+  const BugReport first = RecordCrash(pipeline.get(), plan, "7");
+  const BugReport second = RecordCrash(pipeline.get(), plan, "77");
+
+  ServiceConfig config;
+  config.replay.num_shards = 2;
+  auto service = pipeline->MakeService(plan, config).take();
+  ASSERT_TRUE(service->Start());
+  for (const BugReport* report : {&first, &second, &first}) {
+    const ServiceVerdict v = service->Submit("alice", *report);
+    ASSERT_TRUE(v.reproduced);
+    EXPECT_TRUE(pipeline->VerifyWitness(*report, v.result.witness_cells));
+  }
+  const WireHealthStats health = service->HealthStats();
+  EXPECT_EQ(health.searches_run, 2u);
+  EXPECT_EQ(health.fleet_shards, 2u);
+  EXPECT_EQ(health.fleet_live, 2u);
   service->Shutdown();
 }
 

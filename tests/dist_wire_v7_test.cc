@@ -1,107 +1,138 @@
-// Wire v7 tests: the standing-fleet job exchange (kJobBegin/kJobEnd),
-// the service ingest codecs (kReportSubmit/kReportVerdict/kHealthStats),
-// the structural report fingerprint behind crash clustering, and the
-// shared-secret join token. Every decoder faces network bytes from a
-// listening daemon, so each one gets the same hostile-input treatment as
-// the older codecs: truncation sweeps, forged enums, absurd counts.
+// The "v7" in this file and suite name is historical: it is kept so
+// existing test names stay stable. It does not name a wire version
+// (there is one kWireVersion; tests/dist_wire_testutil.h).
+//
+// Wire tests for the standing-fleet job exchange (kJobBegin/kJobEnd and
+// what a job never carries), the service ingest codecs
+// (kReportSubmit/kReportVerdict/kHealthStats), the structural report
+// fingerprint behind crash clustering, and the shared-secret join token.
+// Every decoder faces network bytes from a listening daemon, so each one
+// gets the same hostile-input treatment as the search codecs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "src/dist/wire.h"
+#include "tests/dist_wire_testutil.h"
 
 namespace retrace {
 namespace {
 
-BugReport MakeReport(char salt) {
-  BugReport report;
-  report.method = InstrumentMethod::kDynamic;
-  for (int i = 0; i < 17; ++i) {
-    report.branch_log.PushBit(((i + salt) % 3) == 0);
+std::vector<Sample> ValidPayloads() {
+  WireJob minimal;  // Fork-shard shape: no sources, defaults elsewhere.
+  minimal.config.max_runs = 321;
+  minimal.report = MakeReport('b');
+  std::vector<Sample> rows = {
+      Row("job_begin_minimal", Begin(7, minimal), EncodeJobBegin, DecodeJobBegin),
+      Row("job_end", WireJobEnd{99}, EncodeJobEnd, DecodeJobEnd),
+      Row("report_submit", WireReportSubmit{"alice", MakeReport('c')}, EncodeReportSubmit,
+          DecodeReportSubmit),
+      Row("health_stats", MakeStats(), EncodeHealthStats, DecodeHealthStats),
+  };
+  for (const VerdictOrigin origin : {VerdictOrigin::kFresh, VerdictOrigin::kAttached,
+                                     VerdictOrigin::kCached, VerdictOrigin::kRejected}) {
+    WireReportVerdict verdict;
+    verdict.cluster = 0xfeedfaceull;
+    verdict.origin = static_cast<u8>(origin);
+    verdict.result.result.reproduced = origin != VerdictOrigin::kRejected;
+    verdict.result.result.stats.runs = 55;
+    rows.push_back(Row("report_verdict_" + std::to_string(verdict.origin), verdict,
+                       EncodeReportVerdict, DecodeReportVerdict));
   }
-  report.has_syscall_log = true;
-  report.syscall_log = {{Builtin::kRead, 13}, {Builtin::kPollSignal, 1}};
-  report.crash.kind = CrashSite::Kind::kExplicit;
-  report.crash.func = 2;
-  report.crash.loc = SourceLoc{0, 5, 3};
-  report.crash.code = 7;
-  report.shape.argv = {"prog", std::string(1, salt), "7"};
-  report.shape.argv_public = {false, true};
-  report.shape.world.listen_fd = -1;
-  return report;
+  return rows;
 }
 
-WireJob MakeJob() {
-  WireJob job;
-  job.config.max_runs = 321;
-  job.config.program.app = "int main() { return 0; }";
-  job.report = MakeReport('a');
-  return job;
+TEST(DistWireV7Test, EveryCodecRoundTripsByteExactly) {
+  for (const Sample& row : ValidPayloads()) {
+    ExpectRoundTrip(row);
+  }
 }
 
-// ----- Standing-fleet job exchange -----
+TEST(DistWireV7Test, EveryCodecRejectsEveryTruncatedPrefix) {
+  for (const Sample& row : ValidPayloads()) {
+    ExpectEveryPrefixRefused(row);
+  }
+}
 
-TEST(DistWireV7Test, JobBeginRoundTripsByteExactly) {
-  WireJobBegin begin;
-  begin.job_id = 42;
-  begin.job = MakeJob();
-  WireWriter w;
-  EncodeJobBegin(begin, &w);
-  const std::vector<u8> payload = w.Take();
+std::vector<HostileCase> HostilePayloads() {
+  std::vector<HostileCase> cases;
+  cases.push_back({"join_hostile_token",
+                   Encode(EncodeJoin, WireJoin{"shard-7/991", 4, std::string(100'000, 's')}),
+                   DecoderOf(DecodeJoin)});
+  cases.push_back({"submit_hostile_tenant",
+                   Encode(EncodeReportSubmit,
+                          WireReportSubmit{std::string(100'000, 't'), MakeReport('c')}),
+                   DecoderOf(DecodeReportSubmit)});
+  {
+    WireReportVerdict verdict;
+    verdict.cluster = 1;
+    std::vector<u8> payload = Encode(EncodeReportVerdict, verdict);
+    payload[8] = 4;  // The origin byte follows the u64 cluster: one past kRejected.
+    cases.push_back({"verdict_forged_origin", payload, DecoderOf(DecodeReportVerdict)});
+  }
+  {
+    WireHealthStats stats = MakeStats();
+    stats.rows.clear();
+    std::vector<u8> payload = Encode(EncodeHealthStats, stats);
+    // The row count is the last u32 of the payload (no rows follow):
+    // past the protocol ceiling it is refused before allocation.
+    std::fill(payload.end() - 4, payload.end() - 1, 0xff);
+    payload.back() = 0x7f;
+    cases.push_back({"health_absurd_rows", payload, DecoderOf(DecodeHealthStats)});
+    stats.rows = {{0x11ull, 3, 0, 1}};  // Valid states are 0..2.
+    cases.push_back({"health_forged_state", Encode(EncodeHealthStats, stats),
+                     DecoderOf(DecodeHealthStats)});
+  }
+  return cases;
+}
 
-  WireReader r(payload.data(), payload.size());
+TEST(DistWireV7Test, EveryDecoderRefusesHostilePayloads) {
+  for (const HostileCase& c : HostilePayloads()) {
+    ExpectRefused(c);
+  }
+}
+
+// A shipped job never nests the coordinator's transport or fleet shape,
+// its fault schedule (a coordinator-local test harness), its auth token
+// (which authenticates the channel, it must not ride it) or its shard
+// endpoints. Those fields change no byte on the wire.
+TEST(DistWireV7Test, JobBeginShipsNoCoordinatorState) {
+  WireJob job = MakeJob();
+  const std::vector<u8> clean = Encode(EncodeJobBegin, Begin(1, job));
+  job.config.num_shards = 4;
+  job.config.transport = ReplayTransport::kTcp;
+  job.config.fault_spec = "all:close@frame1";
+  job.config.shard_token = "super-secret";
+  job.config.shard_endpoints = {"10.0.0.1:7000"};
+  const std::vector<u8> payload = Encode(EncodeJobBegin, Begin(1, job));
+  EXPECT_EQ(payload, clean);
+
   WireJobBegin decoded;
+  decoded.job.config.fault_spec = "stale-from-last-job";
+  WireReader r(payload.data(), payload.size());
   ASSERT_TRUE(DecodeJobBegin(&r, &decoded));
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(decoded.job_id, 42u);
-  EXPECT_EQ(decoded.job.config.max_runs, 321u);
-  EXPECT_EQ(decoded.job.config.program.app, begin.job.config.program.app);
-
-  WireWriter w2;
-  EncodeJobBegin(decoded, &w2);
-  EXPECT_EQ(w2.buf(), payload);
-}
-
-TEST(DistWireV7Test, JobBeginRejectsTruncationEverywhere) {
-  WireJobBegin begin;
-  begin.job_id = 7;
-  begin.job = MakeJob();
-  WireWriter w;
-  EncodeJobBegin(begin, &w);
-  for (size_t cut = 0; cut < w.buf().size(); ++cut) {
-    WireReader r(w.buf().data(), cut);
-    WireJobBegin decoded;
-    EXPECT_FALSE(DecodeJobBegin(&r, &decoded)) << "cut " << cut;
-  }
-}
-
-TEST(DistWireV7Test, JobEndRoundTripsAndRejectsTruncation) {
-  WireJobEnd end;
-  end.jobs_served = 99;
-  WireWriter w;
-  EncodeJobEnd(end, &w);
-  WireReader r(w.buf().data(), w.buf().size());
-  WireJobEnd decoded;
-  ASSERT_TRUE(DecodeJobEnd(&r, &decoded));
-  EXPECT_EQ(decoded.jobs_served, 99u);
-
-  for (size_t cut = 0; cut < w.buf().size(); ++cut) {
-    WireReader rc(w.buf().data(), cut);
-    EXPECT_FALSE(DecodeJobEnd(&rc, &decoded)) << "cut " << cut;
-  }
+  EXPECT_EQ(decoded.job_id, 1u);
+  EXPECT_EQ(decoded.job.config.num_shards, 1u);
+  EXPECT_EQ(decoded.job.config.transport, ReplayTransport::kFork);
+  EXPECT_TRUE(decoded.job.config.fault_spec.empty());
+  EXPECT_TRUE(decoded.job.config.shard_token.empty());
+  EXPECT_TRUE(decoded.job.config.shard_endpoints.empty());
+  // What it does carry arrives intact.
+  EXPECT_EQ(decoded.job.config.heartbeat_timeout_ms, 30'000);
+  EXPECT_EQ(decoded.job.config.corpus_seeds, job.config.corpus_seeds);
+  EXPECT_EQ(decoded.job.config.program.libs, job.config.program.libs);
+  EXPECT_EQ(decoded.job.plan.provenance, job.plan.provenance);
+  EXPECT_EQ(decoded.job.report.shape.world.files, job.report.shape.world.files);
+  EXPECT_TRUE(decoded.job.report.crash.SameSite(job.report.crash));
 }
 
 // ----- Report fingerprint (crash clustering) -----
 
-TEST(DistWireV7Test, FingerprintIsStableAcrossCopies) {
-  const BugReport a = MakeReport('a');
-  const BugReport b = MakeReport('a');  // Same crash, independently built.
-  EXPECT_EQ(ReportFingerprint(a), ReportFingerprint(b));
-}
-
-TEST(DistWireV7Test, FingerprintSeparatesStructurallyDifferentReports) {
+TEST(DistWireV7Test, FingerprintIsStableAndSeparatesStructurallyDifferentReports) {
   const BugReport base = MakeReport('a');
+  EXPECT_EQ(ReportFingerprint(base), ReportFingerprint(MakeReport('a')));
   // A different argv shape is a different cluster.
   EXPECT_NE(ReportFingerprint(base), ReportFingerprint(MakeReport('b')));
   // So is one flipped branch-log bit.
@@ -115,220 +146,6 @@ TEST(DistWireV7Test, FingerprintSeparatesStructurallyDifferentReports) {
   BugReport moved = base;
   moved.crash.func = 3;
   EXPECT_NE(ReportFingerprint(base), ReportFingerprint(moved));
-}
-
-// ----- Service ingest: kReportSubmit -----
-
-TEST(DistWireV7Test, ReportSubmitRoundTripsByteExactly) {
-  WireReportSubmit submit;
-  submit.tenant = "alice";
-  submit.report = MakeReport('c');
-  WireWriter w;
-  EncodeReportSubmit(submit, &w);
-  const std::vector<u8> payload = w.Take();
-
-  WireReader r(payload.data(), payload.size());
-  WireReportSubmit decoded;
-  ASSERT_TRUE(DecodeReportSubmit(&r, &decoded));
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(decoded.tenant, "alice");
-  EXPECT_EQ(ReportFingerprint(decoded.report), ReportFingerprint(submit.report));
-
-  WireWriter w2;
-  EncodeReportSubmit(decoded, &w2);
-  EXPECT_EQ(w2.buf(), payload);
-}
-
-TEST(DistWireV7Test, ReportSubmitRejectsHostileTenantAndTruncation) {
-  WireReportSubmit hostile;
-  hostile.tenant = std::string(100'000, 't');
-  hostile.report = MakeReport('c');
-  WireWriter w;
-  EncodeReportSubmit(hostile, &w);
-  WireReader r(w.buf().data(), w.buf().size());
-  WireReportSubmit decoded;
-  EXPECT_FALSE(DecodeReportSubmit(&r, &decoded));
-
-  WireReportSubmit ok;
-  ok.tenant = "bob";
-  ok.report = MakeReport('d');
-  WireWriter w2;
-  EncodeReportSubmit(ok, &w2);
-  for (size_t cut = 0; cut < w2.buf().size(); ++cut) {
-    WireReader rc(w2.buf().data(), cut);
-    EXPECT_FALSE(DecodeReportSubmit(&rc, &decoded)) << "cut " << cut;
-  }
-}
-
-// ----- Service ingest: kReportVerdict -----
-
-TEST(DistWireV7Test, ReportVerdictRoundTripsEveryOrigin) {
-  for (const VerdictOrigin origin :
-       {VerdictOrigin::kFresh, VerdictOrigin::kAttached, VerdictOrigin::kCached,
-        VerdictOrigin::kRejected}) {
-    WireReportVerdict verdict;
-    verdict.cluster = 0xfeedfaceull;
-    verdict.origin = static_cast<u8>(origin);
-    verdict.result.result.reproduced = (origin != VerdictOrigin::kRejected);
-    verdict.result.result.stats.runs = 55;
-    WireWriter w;
-    EncodeReportVerdict(verdict, &w);
-    const std::vector<u8> payload = w.Take();
-
-    WireReader r(payload.data(), payload.size());
-    WireReportVerdict decoded;
-    ASSERT_TRUE(DecodeReportVerdict(&r, &decoded));
-    EXPECT_EQ(r.remaining(), 0u);
-    EXPECT_EQ(decoded.cluster, verdict.cluster);
-    EXPECT_EQ(decoded.origin, static_cast<u8>(origin));
-    EXPECT_EQ(decoded.result.result.reproduced, verdict.result.result.reproduced);
-    EXPECT_EQ(decoded.result.result.stats.runs, 55u);
-
-    WireWriter w2;
-    EncodeReportVerdict(decoded, &w2);
-    EXPECT_EQ(w2.buf(), payload);
-  }
-}
-
-TEST(DistWireV7Test, ReportVerdictRejectsForgedOriginByte) {
-  WireReportVerdict verdict;
-  verdict.cluster = 1;
-  verdict.origin = static_cast<u8>(VerdictOrigin::kFresh);
-  WireWriter w;
-  EncodeReportVerdict(verdict, &w);
-  std::vector<u8> payload = w.Take();
-  // The origin byte sits right after the u64 cluster fingerprint.
-  payload[8] = 4;  // One past kRejected: no such origin.
-  WireReader r(payload.data(), payload.size());
-  WireReportVerdict decoded;
-  EXPECT_FALSE(DecodeReportVerdict(&r, &decoded));
-}
-
-// ----- Service ingest: kHealthStats -----
-
-WireHealthStats MakeStats() {
-  WireHealthStats stats;
-  stats.reports_ingested = 10;
-  stats.clusters = 3;
-  stats.searches_run = 3;
-  stats.duplicates_attached = 4;
-  stats.cached_verdicts = 2;
-  stats.rejected = 1;
-  stats.queue_depth = 5;
-  stats.in_flight = 1;
-  stats.cache_sat_entries = 1234;
-  stats.cache_unsat_entries = 567;
-  stats.cache_evictions = 8;
-  stats.snapshot_loaded = 1;
-  stats.fleet_shards = 4;
-  stats.fleet_live = 3;
-  stats.fleet_jobs = 17;
-  stats.rows = {{0xaaull, 2, 1, 6}, {0xbbull, 1, 0, 1}, {0xccull, 0, 0, 1}};
-  return stats;
-}
-
-TEST(DistWireV7Test, HealthStatsRoundTripsByteExactly) {
-  const WireHealthStats stats = MakeStats();
-  WireWriter w;
-  EncodeHealthStats(stats, &w);
-  const std::vector<u8> payload = w.Take();
-
-  WireReader r(payload.data(), payload.size());
-  WireHealthStats decoded;
-  ASSERT_TRUE(DecodeHealthStats(&r, &decoded));
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(decoded.reports_ingested, 10u);
-  EXPECT_EQ(decoded.duplicates_attached, 4u);
-  EXPECT_EQ(decoded.cache_sat_entries, 1234u);
-  EXPECT_EQ(decoded.snapshot_loaded, 1u);
-  EXPECT_EQ(decoded.fleet_live, 3u);
-  ASSERT_EQ(decoded.rows.size(), 3u);
-  EXPECT_EQ(decoded.rows[0].fp, 0xaaull);
-  EXPECT_EQ(decoded.rows[0].state, 2u);
-  EXPECT_EQ(decoded.rows[0].reproduced, 1u);
-  EXPECT_EQ(decoded.rows[0].reports, 6u);
-
-  WireWriter w2;
-  EncodeHealthStats(decoded, &w2);
-  EXPECT_EQ(w2.buf(), payload);
-}
-
-TEST(DistWireV7Test, HealthStatsRejectsHostileRows) {
-  // A row count past the protocol ceiling is refused before allocation.
-  {
-    WireHealthStats stats = MakeStats();
-    stats.rows.clear();
-    WireWriter w;
-    EncodeHealthStats(stats, &w);
-    std::vector<u8> payload = w.Take();
-    // The row count is the last u32 of the payload (no rows follow).
-    const size_t off = payload.size() - 4;
-    payload[off] = 0xff;
-    payload[off + 1] = 0xff;
-    payload[off + 2] = 0xff;
-    payload[off + 3] = 0x7f;
-    WireReader r(payload.data(), payload.size());
-    WireHealthStats decoded;
-    EXPECT_FALSE(DecodeHealthStats(&r, &decoded));
-  }
-  // A forged cluster state byte (valid states are 0..2).
-  {
-    WireHealthStats stats = MakeStats();
-    stats.rows = {{0x11ull, 3, 0, 1}};
-    WireWriter w;
-    EncodeHealthStats(stats, &w);
-    WireReader r(w.buf().data(), w.buf().size());
-    WireHealthStats decoded;
-    EXPECT_FALSE(DecodeHealthStats(&r, &decoded));
-  }
-}
-
-TEST(DistWireV7Test, HealthStatsRejectsTruncationEverywhere) {
-  WireWriter w;
-  EncodeHealthStats(MakeStats(), &w);
-  for (size_t cut = 0; cut < w.buf().size(); ++cut) {
-    WireReader r(w.buf().data(), cut);
-    WireHealthStats decoded;
-    EXPECT_FALSE(DecodeHealthStats(&r, &decoded)) << "cut " << cut;
-  }
-}
-
-// ----- Shared-secret join token -----
-
-TEST(DistWireV7Test, JoinTokenRoundTripsAndLengthIsCapped) {
-  WireJoin join;
-  join.ident = "shard-7/991";
-  join.num_workers = 4;
-  join.token = "fleet-secret";
-  WireWriter w;
-  EncodeJoin(join, &w);
-  WireReader r(w.buf().data(), w.buf().size());
-  WireJoin decoded;
-  ASSERT_TRUE(DecodeJoin(&r, &decoded));
-  EXPECT_EQ(decoded.token, "fleet-secret");
-
-  WireJoin hostile = join;
-  hostile.token = std::string(100'000, 's');
-  WireWriter w2;
-  EncodeJoin(hostile, &w2);
-  WireReader r2(w2.buf().data(), w2.buf().size());
-  EXPECT_FALSE(DecodeJoin(&r2, &decoded));
-}
-
-TEST(DistWireV7Test, AuthTokenNeverRidesTheJob) {
-  // The token authenticates the channel at join time; a shipped job must
-  // never leak the coordinator's secret to the remote process beyond the
-  // handshake it already passed.
-  WireJob job = MakeJob();
-  job.config.shard_token = "super-secret";
-  WireWriter w;
-  EncodeJob(job, &w);
-  WireReader r(w.buf().data(), w.buf().size());
-  WireJob decoded;
-  ASSERT_TRUE(DecodeJob(&r, &decoded));
-  EXPECT_TRUE(decoded.config.shard_token.empty());
-  // Same for the coordinator's shard endpoint list.
-  EXPECT_TRUE(decoded.config.shard_endpoints.empty());
 }
 
 }  // namespace

@@ -11,12 +11,14 @@
 #   SHARDS=2                  shard fleet width (1 = in-process search)
 #   SHARDD_PORTS="7911 7912"  when set, start one local
 #                             `retrace_shardd --listen` per port and
-#                             point the coordinator at them; when empty,
-#                             the coordinator self-spawns loopback shard
-#                             processes (no separate daemons needed)
+#                             point the coordinator at them (setting
+#                             RETRACE_SHARD_ENDPOINTS makes its fleet
+#                             dial TCP shards); when empty, the
+#                             coordinator forks local shard processes
+#                             (no separate daemons needed)
 #   TOKEN=...                 shared secret; exported as
 #                             RETRACE_SHARD_TOKEN to every process so
-#                             the fleet handshake is authenticated
+#                             the TCP fleet handshake is authenticated
 #   SNAPSHOT=/path/cache.img  slice-cache snapshot (loaded on start,
 #                             saved on shutdown); empty = off
 #   SERVE_ARGS="--cap-ms 30000"  extra retrace_serviced serve arguments

@@ -22,9 +22,10 @@
 //                          [--snapshot PATH]
 //     Start the daemon. Prints "serving on H:P" (the bound endpoint,
 //     ephemeral port resolved) on stderr when ready. --shards > 1
-//     starts a standing TCP shard fleet (self-spawned loopback shard
-//     processes by default; set RETRACE_SHARD_ENDPOINTS to dial waiting
-//     retrace_shardd daemons instead). --snapshot loads the slice-cache
+//     starts a standing shard fleet: it forks local shard processes by
+//     default; RETRACE_REPLAY_TRANSPORT=tcp self-spawns loopback TCP
+//     shards instead, and RETRACE_SHARD_ENDPOINTS dials waiting
+//     retrace_shardd daemons. --snapshot loads the slice-cache
 //     snapshot on start and saves it on shutdown (SIGTERM/SIGINT).
 //
 //   retrace_serviced submit <H:P> --exp N [--tenant T]
@@ -34,8 +35,8 @@
 //   retrace_serviced health <H:P>
 //     Query and print the daemon's health stats.
 //
-// Auth: RETRACE_SHARD_TOKEN (when set) authenticates the *shard fleet*
-// listener, same as the one-shot TCP transport. The ingest socket is
+// Auth: RETRACE_SHARD_TOKEN (when set) authenticates a TCP shard
+// fleet's listener, as for a one-shot search. The ingest socket is
 // separate and unauthenticated — front it with whatever the deployment
 // trusts.
 #include <signal.h>
@@ -189,7 +190,7 @@ int Serve(const std::string& listen, u32 shards, u32 workers, u64 queue_cap, u64
     return 1;
   }
   std::unique_ptr<ReplayService> service = made.take();
-  // Start before any other thread exists: a self-spawning fleet forks.
+  // Start before any other thread exists: the shard fleet forks.
   if (!service->Start()) {
     std::fprintf(stderr, "retrace_serviced: service failed to start\n");
     return 1;

@@ -1,28 +1,23 @@
 // retrace_shardd: remote shard daemon for the distributed replay
 // scheduler's TCP transport.
 //
-// A replay coordinator running with ReplayConfig::transport = kTcp
-// listens on host:port; this daemon joins its fleet from any machine
-// that can reach it. The coordinator ships the whole job over the wire
-// (program sources + instrumentation plan + bug report + search config,
-// digest-checked and version-gated), the daemon rebuilds the module
-// locally — lowering is deterministic, so branch ids match — runs one
+// A replay coordinator whose shard fleet uses TCP (ReplayConfig::
+// transport = kTcp, or shard_endpoints set) listens on host:port; this
+// daemon joins its fleet from any machine that can reach it. The daemon
+// runs the one shard loop (ServeShardJobs): it sends kJoin, then serves
+// each job the fleet attaches with kJobBegin — the job ships the program
+// sources, instrumentation plan, bug report and search config,
+// digest-checked and version-gated, and the daemon rebuilds the module
+// locally (lowering is deterministic, so branch ids match), runs one
 // shard search, streams verdict gossip and re-balance traffic while it
-// runs, and reports the result.
-//
-// The daemon speaks both job protocols: a one-shot coordinator ships
-// kJob in the handshake (serve it, then the connection is done); a
-// standing fleet (retrace_serviced) validates the join and attaches
-// jobs later with kJobBegin — the daemon then serves job after job on
-// the same connection, slice cache warm across them, until kJobEnd or
-// the fleet closes the channel.
+// runs, and reports the result. The slice cache stays warm across jobs
+// until kJobEnd or the fleet closes the channel: a one-shot search sends
+// one job, a standing fleet (retrace_serviced) many.
 //
 // Usage:
 //   retrace_shardd <host:port>             join a coordinator; serve its
-//                                          jobs until the connection
-//                                          ends (one job for a one-shot
-//                                          coordinator, many for a
-//                                          standing fleet), then exit.
+//                                          jobs until the fleet ends the
+//                                          connection, then exit.
 //   retrace_shardd --listen <host:port>    wait for coordinators to dial
 //                                          in (ReplayConfig::
 //                                          shard_endpoints); serves jobs
@@ -46,7 +41,7 @@
 //                 lockstep).
 //
 // Exit codes (connect mode):
-//   0  job served and the result delivered.
+//   0  jobs served until the fleet ended the connection.
 //   1  job failed (unreachable coordinator, protocol error, bad job).
 //   2  usage error.
 //   3  coordinator lost mid-job (crashed or went silent past the
