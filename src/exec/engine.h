@@ -44,11 +44,23 @@ class BranchObserver {
   virtual Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) = 0;
 };
 
+// Told about every read() call just before it executes. Those are the
+// points where a run can be saved and later resumed (Interp::Save,
+// Interp::Resume).
+class ReadListener {
+ public:
+  virtual ~ReadListener() = default;
+  virtual void BeforeRead() = 0;
+};
+
+// Instructions per external-budget charge.
+inline constexpr u64 kBudgetChunk = 1024;
+
 struct InterpOptions {
   u64 max_steps = 500'000'000;
   int max_call_depth = 512;
-  // External budget shared with an enclosing analysis; checked coarsely
-  // (every 1024 instructions).
+  // External budget shared with an enclosing analysis; charged
+  // kBudgetChunk steps every kBudgetChunk instructions.
   Budget* external_budget = nullptr;
 };
 

@@ -27,6 +27,7 @@ i32 Interp::AllocObject(i64 size, bool is_char) {
   }
   obj.alive = true;
   obj.is_char = is_char;
+  obj.Reshape();
   return id;
 }
 
@@ -36,6 +37,7 @@ void Interp::FreeObject(i32 id) {
   ++obj.gen;
   obj.cells.clear();
   obj.shadows.clear();
+  obj.dirty = ~u64{0};
   free_objects_.push_back(id);
 }
 
@@ -49,6 +51,7 @@ void Interp::ResetObjectPool() {
     }
     obj.cells.clear();
     obj.shadows.clear();
+    obj.dirty = ~u64{0};
     // Descending push: pop_back then hands out ids 0, 1, 2, ... — the
     // same allocation order a freshly constructed interpreter produces.
     free_objects_.push_back(id);
@@ -116,16 +119,123 @@ bool Interp::CheckMemAccess(const Value& addr, i64 index, const Instr& instr, co
   return true;
 }
 
+namespace {
+
+using SavedObject = Interp::SavedObject;
+
+size_t PageCount(size_t size, u8 page_shift) {
+  return (size + (size_t{1} << page_shift) - 1) >> page_shift;
+}
+
+// True when `a` and `b` split their cells into the same pages.
+bool SamePaging(const SavedObject& a, const SavedObject& b) {
+  return a.size == b.size && a.page_shift == b.page_shift && a.shadowed == b.shadowed;
+}
+
+// Saves `obj`, sharing with `prev` (its last save, or null) every page
+// not dirty since.
+std::shared_ptr<const SavedObject> SaveObject(const MemObject& obj, const SavedObject* prev) {
+  auto out = std::make_shared<SavedObject>();
+  out->size = obj.cells.size();
+  out->gen = obj.gen;
+  out->alive = obj.alive;
+  out->is_char = obj.is_char;
+  out->shadowed = !obj.shadows.empty();
+  out->page_shift = obj.page_shift;
+  const bool share = prev != nullptr && SamePaging(*prev, *out);
+  out->pages.resize(PageCount(out->size, out->page_shift));
+  for (size_t p = 0; p < out->pages.size(); ++p) {
+    if (share && ((obj.dirty >> p) & 1) == 0) {
+      out->pages[p] = prev->pages[p];
+      continue;
+    }
+    const size_t lo = p << obj.page_shift;
+    const size_t hi = std::min(out->size, lo + (size_t{1} << obj.page_shift));
+    auto page = std::make_shared<SavedObject::Page>();
+    page->cells.assign(obj.cells.begin() + lo, obj.cells.begin() + hi);
+    if (out->shadowed) {
+      page->shadows.assign(obj.shadows.begin() + lo, obj.shadows.begin() + hi);
+    }
+    out->pages[p] = std::move(page);
+  }
+  return out;
+}
+
+// Makes `obj` equal to `target`. `live` is the object's last save or
+// restore: pages not dirty since, and shared by `live` and `target`,
+// already hold the right cells.
+void RestoreObject(const SavedObject& target, const SavedObject* live, MemObject* obj) {
+  const bool share = live != nullptr && SamePaging(*live, target);
+  obj->cells.resize(target.size);
+  obj->shadows.resize(target.shadowed ? target.size : 0);
+  obj->gen = target.gen;
+  obj->alive = target.alive;
+  obj->is_char = target.is_char;
+  obj->page_shift = target.page_shift;
+  for (size_t p = 0; p < target.pages.size(); ++p) {
+    const SavedObject::Page& page = *target.pages[p];
+    if (share && ((obj->dirty >> p) & 1) == 0 && live->pages[p] == target.pages[p]) {
+      continue;
+    }
+    const size_t lo = p << target.page_shift;
+    std::copy(page.cells.begin(), page.cells.end(), obj->cells.begin() + lo);
+    std::copy(page.shadows.begin(), page.shadows.end(), obj->shadows.begin() + lo);
+  }
+  obj->dirty = 0;
+}
+
+}  // namespace
+
+void Interp::Save(State* out) {
+  saved_objects_.resize(objects_.size());
+  out->objects.resize(objects_.size());
+  for (size_t id = 0; id < objects_.size(); ++id) {
+    MemObject& obj = objects_[id];
+    std::shared_ptr<const SavedObject>& saved = saved_objects_[id];
+    if (obj.dirty != 0 || saved == nullptr) {
+      saved = SaveObject(obj, saved.get());
+      obj.dirty = 0;
+    }
+    out->objects[id] = saved;
+  }
+  out->free_objects = free_objects_;
+  out->global_slots = global_slots_;
+  out->global_shadows = global_shadows_;
+  out->frames = frames_;
+  out->stats = stats_;
+  // The dispatch loop already counted the read's call instruction; the
+  // resumed loop counts it again.
+  --out->stats.instrs;
+}
+
+RunResult Interp::Resume(const State& from) {
+  objects_.resize(from.objects.size());
+  saved_objects_.resize(from.objects.size());
+  for (size_t id = 0; id < from.objects.size(); ++id) {
+    MemObject& obj = objects_[id];
+    std::shared_ptr<const SavedObject>& saved = saved_objects_[id];
+    if (obj.dirty != 0 || saved != from.objects[id]) {
+      RestoreObject(*from.objects[id], saved.get(), &obj);
+      saved = from.objects[id];
+    }
+  }
+  free_objects_ = from.free_objects;
+  global_slots_ = from.global_slots;
+  global_shadows_ = from.global_shadows;
+  frames_ = from.frames;
+  stats_ = from.stats;
+  if (options_.external_budget != nullptr) {
+    options_.external_budget->Consume(from.budget_steps());
+  }
+  return Execute();
+}
+
 RunResult Interp::Run(const std::vector<std::string>& argv,
                       const std::vector<std::vector<i32>>& argv_cells) {
   // Reset per-run state (object storage is pooled, not reallocated).
   ResetObjectPool();
   frames_.clear();
   stats_ = RunStats{};
-  has_crash_ = false;
-  abort_requested_ = false;
-  exit_requested_ = false;
-  exit_code_ = 0;
 
   // Static objects.
   for (const StaticObjectInfo& info : module_.static_objects) {
@@ -183,8 +293,14 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
     main_frame.slots[1] = Value::Ptr(argv_array, objects_[argv_array].gen, 0);
   }
   frames_.push_back(std::move(main_frame));
+  return Execute();
+}
 
-  // ----- Main loop -----
+RunResult Interp::Execute() {
+  has_crash_ = false;
+  abort_requested_ = false;
+  exit_requested_ = false;
+  exit_code_ = 0;
   RunResult result;
   while (!frames_.empty()) {
     Frame& frame = frames_.back();
@@ -203,8 +319,8 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
       result.stats = stats_;
       return result;
     }
-    if (options_.external_budget != nullptr && (stats_.instrs & 1023) == 0 &&
-        !options_.external_budget->Consume(1024)) {
+    if (options_.external_budget != nullptr && stats_.instrs % kBudgetChunk == 0 &&
+        !options_.external_budget->Consume(kBudgetChunk)) {
       result.status = RunResult::Status::kBudget;
       result.stats = stats_;
       return result;
@@ -365,6 +481,7 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
         Value v = EvalOperand(instr.c, frame);
         ExprRef shadow = shadow_on() ? EvalShadow(instr.c, frame) : kNoExpr;
         MemObject& m = objects_[obj];
+        m.Touch(off);
         if (m.is_char && v.IsInt()) {
           v = Value::Int(static_cast<i64>(static_cast<u8>(v.num)));
           if (shadow != kNoExpr) {
@@ -392,6 +509,10 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
         break;
       }
       case Opcode::kCall: {
+        if (read_listener_ != nullptr && instr.callee_is_builtin &&
+            static_cast<Builtin>(instr.callee) == Builtin::kRead) {
+          read_listener_->BeforeRead();
+        }
         if (!ExecCall(instr, frame)) {
           break;  // Crash or exit raised below.
         }

@@ -12,10 +12,14 @@
 // An interpreter is constructed once per (module, thread) and re-used
 // across runs: per-run state (memory objects, global slots, frames) is
 // pooled and reset, not reallocated, so a search performing millions of
-// runs amortizes setup. **Thread safety:** none — one Interp per thread.
+// runs amortizes setup. A run starts at main (Run) or at a State saved
+// just before one of an earlier run's read() calls (Resume), skipping
+// the instructions before it. **Thread safety:** none — one Interp per
+// thread.
 #ifndef RETRACE_EXEC_INTERP_H_
 #define RETRACE_EXEC_INTERP_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,27 +32,6 @@ namespace retrace {
 
 class Interp {
  public:
-  Interp(const IrModule& module, InterpOptions options);
-
-  void set_syscall_handler(SyscallHandler* handler) { syscalls_ = handler; }
-  void AddObserver(BranchObserver* observer) { observers_.push_back(observer); }
-  void ClearObservers() { observers_.clear(); }
-  // Enables (non-null) or disables (null) shadow tracking for subsequent
-  // runs. The arena must outlive the interpreter runs.
-  void set_shadow_arena(ExprArena* arena) { arena_ = arena; }
-  // Per-run limits; cheap, call before every Run.
-  void set_options(const InterpOptions& options) { options_ = options; }
-
-  // Runs main. `argv` are the concrete argument strings (argv[0] included);
-  // `argv_cells[i]` optionally names the input cell ids backing argv[i]'s
-  // bytes (shadow mode).
-  RunResult Run(const std::vector<std::string>& argv,
-                const std::vector<std::vector<i32>>& argv_cells);
-
-  // Convenience for programs whose main takes no arguments.
-  RunResult Run() { return Run({"prog"}, {}); }
-
- private:
   struct Frame {
     const IrFunction* fn = nullptr;
     std::vector<Value> slots;
@@ -60,6 +43,75 @@ class Interp {
     bool ret_dst_char = false;
   };
 
+  // A saved memory object. Its cells are stored in the object's pages
+  // (MemObject::page_shift); a page not written between two saves of the
+  // object is shared by both.
+  struct SavedObject {
+    struct Page {
+      std::vector<Value> cells;
+      std::vector<ExprRef> shadows;  // Empty unless `shadowed`.
+    };
+    std::vector<std::shared_ptr<const Page>> pages;
+    size_t size = 0;
+    u32 gen = 0;
+    bool alive = false;
+    bool is_char = false;
+    bool shadowed = false;
+    u8 page_shift = 0;
+  };
+
+  // A run paused at the top of the dispatch loop, about to execute a
+  // read() call: the object pool, globals, call stack and counters.
+  // The states one interpreter saves share every object, and every page
+  // of an object, that did not change between saves, so a save copies
+  // only the pages written since the previous one.
+  struct State {
+    std::vector<std::shared_ptr<const SavedObject>> objects;
+    std::vector<i32> free_objects;
+    std::vector<Value> global_slots;
+    std::vector<ExprRef> global_shadows;
+    std::vector<Frame> frames;
+    RunStats stats;
+
+    // Steps the run had charged to the external budget by this point.
+    u64 budget_steps() const { return stats.instrs / kBudgetChunk * kBudgetChunk; }
+  };
+
+  Interp(const IrModule& module, InterpOptions options);
+
+  void set_syscall_handler(SyscallHandler* handler) { syscalls_ = handler; }
+  void AddObserver(BranchObserver* observer) { observers_.push_back(observer); }
+  void ClearObservers() { observers_.clear(); }
+  // Enables (non-null) or disables (null) shadow tracking for subsequent
+  // runs. The arena must outlive the interpreter runs.
+  void set_shadow_arena(ExprArena* arena) { arena_ = arena; }
+  // Per-run limits; cheap, call before every Run.
+  void set_options(const InterpOptions& options) { options_ = options; }
+  // Null: no notifications (the default).
+  void set_read_listener(ReadListener* listener) { read_listener_ = listener; }
+
+  // Runs main. `argv` are the concrete argument strings (argv[0] included);
+  // `argv_cells[i]` optionally names the input cell ids backing argv[i]'s
+  // bytes (shadow mode).
+  RunResult Run(const std::vector<std::string>& argv,
+                const std::vector<std::vector<i32>>& argv_cells);
+
+  // Convenience for programs whose main takes no arguments.
+  RunResult Run() { return Run({"prog"}, {}); }
+
+  // Saves the paused run. Only valid inside ReadListener::BeforeRead.
+  void Save(State* out);
+  // Restores `from`, charges the external budget the steps the run had
+  // charged by then, and runs to the end. `from` must have been saved by
+  // this interpreter with the same shadow mode, handler state and
+  // observer state as now; the result is then the one the saved run got.
+  RunResult Resume(const State& from);
+
+  // The object pool and free list, for tests.
+  const std::vector<MemObject>& objects() const { return objects_; }
+  const std::vector<i32>& free_objects() const { return free_objects_; }
+
+ private:
   bool shadow_on() const { return arena_ != nullptr; }
 
   i32 AllocObject(i64 size, bool is_char);
@@ -71,6 +123,8 @@ class Interp {
   // runs — unobservable, since no output carries absolute generations and
   // every generation comparison is between values captured in one run.
   void ResetObjectPool();
+  // Clears the per-run flags and executes until the run ends.
+  RunResult Execute();
 
   Value EvalOperand(const Operand& op, const Frame& frame) const;
   ExprRef EvalShadow(const Operand& op, const Frame& frame) const;
@@ -89,6 +143,7 @@ class Interp {
   SyscallHandler* syscalls_ = nullptr;
   std::vector<BranchObserver*> observers_;
   ExprArena* arena_ = nullptr;
+  ReadListener* read_listener_ = nullptr;
 
   // Per-run state (pooled across runs; see ResetObjectPool).
   std::vector<MemObject> objects_;
@@ -96,6 +151,9 @@ class Interp {
   std::vector<Value> global_slots_;
   std::vector<ExprRef> global_shadows_;
   std::vector<Frame> frames_;
+  // The last save or restore of each object: equal to the live object
+  // in every page whose MemObject::dirty bit is clear.
+  std::vector<std::shared_ptr<const SavedObject>> saved_objects_;
   RunStats stats_;
   CrashSite pending_crash_;
   bool has_crash_ = false;

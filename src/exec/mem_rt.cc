@@ -156,6 +156,7 @@ BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool wa
       return TrapResult(kind);
     }
     MemObject& m = objects[buf.obj];
+    m.Touch(buf.num, static_cast<i64>(outcome.data.size()));
     for (size_t i = 0; i < outcome.data.size(); ++i) {
       m.cells[buf.num + i] = Value::Int(outcome.data[i]);
       if (arena != nullptr && !m.shadows.empty()) {

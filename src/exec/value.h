@@ -41,6 +41,30 @@ struct MemObject {
   u32 gen = 1;
   bool alive = false;
   bool is_char = false;
+  // Change tracking for Interp::Save, which copies only what changed:
+  // the cells form at most 64 pages of 2^page_shift cells, and `dirty`
+  // has a bit for each page written since the object was last saved or
+  // restored. Every bit is set when the object itself changed (allocated,
+  // freed or reset).
+  u8 page_shift = kMinPageShift;
+  u64 dirty = ~u64{0};
+
+  static constexpr u8 kMinPageShift = 6;
+
+  void Touch(i64 off) { dirty |= u64{1} << (off >> page_shift); }
+  void Touch(i64 first, i64 count) {
+    for (i64 page = first >> page_shift; page <= (first + count - 1) >> page_shift; ++page) {
+      dirty |= u64{1} << page;
+    }
+  }
+  // After `cells` was resized: re-pages the object and marks it changed.
+  void Reshape() {
+    page_shift = kMinPageShift;
+    while ((cells.size() >> page_shift) >= 64) {
+      ++page_shift;
+    }
+    dirty = ~u64{0};
+  }
 };
 
 // Where and why a run crashed. Crash sites compare by location, which is

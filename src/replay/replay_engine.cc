@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "src/dist/coordinator.h"
+#include "src/replay/replay_run.h"
 #include "src/solver/incremental.h"
 #include "src/support/env.h"
 #include "src/support/stop_token.h"
@@ -20,144 +21,6 @@
 
 namespace retrace {
 namespace {
-
-// Dense per-branch accumulator behind the failure-telemetry layer: one
-// slot per branch location, bumped with plain array writes so telemetry
-// stays invisible to the search (no allocation, no decision changes —
-// run counts remain bit-identical to the pre-telemetry engine). Each
-// worker owns one and folds it into the sparse aggregate profile once,
-// when its search ends.
-struct FailureAccum {
-  explicit FailureAccum(size_t num_branches)
-      : deaths_concrete(num_branches, 0),
-        deaths_exhausted(num_branches, 0),
-        deaths_wrong_crash(num_branches, 0),
-        blind_execs(num_branches, 0) {}
-
-  std::vector<u64> deaths_concrete;
-  std::vector<u64> deaths_exhausted;
-  std::vector<u64> deaths_wrong_crash;
-  std::vector<u64> blind_execs;
-  u64 unattributed = 0;
-
-  void Death(i32 last_blind_branch, std::vector<u64>& cls) {
-    if (last_blind_branch >= 0 && static_cast<size_t>(last_blind_branch) < cls.size()) {
-      ++cls[last_blind_branch];
-    } else {
-      ++unattributed;
-    }
-  }
-
-  // Sparse, branch-id-sorted view (the wire/merge shape).
-  ReplayFailureProfile ToProfile() const {
-    ReplayFailureProfile profile;
-    for (size_t id = 0; id < blind_execs.size(); ++id) {
-      if (blind_execs[id] == 0 && deaths_concrete[id] == 0 && deaths_exhausted[id] == 0 &&
-          deaths_wrong_crash[id] == 0) {
-        continue;
-      }
-      profile.branches.push_back(BranchFailureCounts{
-          static_cast<u32>(id), deaths_concrete[id], deaths_exhausted[id],
-          deaths_wrong_crash[id], blind_execs[id]});
-    }
-    profile.deaths_unattributed = unattributed;
-    return profile;
-  }
-};
-
-// RETRACE_DEBUG_REPLAY, read once per process: an observer is built for
-// every replay run, thousands per search.
-bool DebugReplayEnabled() {
-  static const bool enabled = std::getenv("RETRACE_DEBUG_REPLAY") != nullptr;
-  return enabled;
-}
-
-// Branch observer implementing the four replay cases of paper §3.1.
-class ReplayObserver : public BranchObserver {
- public:
-  ReplayObserver(const InstrumentationPlan& plan, const BitVec& log, FailureAccum* failures)
-      : plan_(plan), log_(log), failures_(failures) {}
-
-  Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) override {
-    const bool instrumented = plan_.Instrumented(branch_id);
-    const bool symbolic = cond_shadow != kNoExpr;
-    if (!instrumented) {
-      if (symbolic) {
-        // Case 1: both directions remain explorable. This is also where
-        // the search is blind — the log cannot check the direction — so
-        // the telemetry layer remembers the most recent such branch as
-        // the attribution point for an off-log death later in the run.
-        flippable.push_back(trace.size());
-        trace.push_back(Constraint{cond_shadow, taken});
-        bits_at.push_back(cursor);
-        dir_at.push_back(logged_forced);
-        last_blind_branch = branch_id;
-        if (failures_ != nullptr && static_cast<size_t>(branch_id) <
-                                        failures_->blind_execs.size()) {
-          ++failures_->blind_execs[branch_id];
-        }
-      }
-      // Case 4: nothing to do.
-      return Action::kContinue;
-    }
-    if (cursor >= log_.size()) {
-      // The recorded execution ended (it crashed); running past the log on
-      // an instrumented branch means this path already diverged.
-      log_exhausted = true;
-      return Action::kAbort;
-    }
-    const bool logged = log_.GetBit(cursor++);
-    if (symbolic) {
-      if (taken == logged) {
-        trace.push_back(Constraint{cond_shadow, taken});  // Case 2a.
-        bits_at.push_back(cursor);
-        dir_at.push_back(logged_forced++);
-        return Action::kContinue;
-      }
-      // Case 2b: append the constraint forcing the *logged* direction and
-      // abort; the engine pushes this set so the next input follows the log.
-      trace.push_back(Constraint{cond_shadow, logged});
-      bits_at.push_back(cursor);
-      dir_at.push_back(logged_forced++);
-      forced_direction = true;
-      return Action::kAbort;
-    }
-    if (taken == logged) {
-      return Action::kContinue;  // Case 3a.
-    }
-    concrete_mismatch = true;  // Case 3b.
-    if (DebugReplayEnabled()) {
-      std::fprintf(stderr, "[replay] 3b concrete mismatch branch=%d cursor=%zu taken=%d\n",
-                   branch_id, cursor - 1, taken ? 1 : 0);
-    }
-    return Action::kAbort;
-  }
-
-  std::vector<Constraint> trace;
-  // Log bits consumed when each trace entry was recorded — the priority
-  // of the pending set ending at that constraint under Pick::kLogBits.
-  std::vector<size_t> bits_at;
-  // Logged directions (case-2 constraints) in the trace *before* each
-  // entry — the Pick::kDirection score of a flip at that entry: how many
-  // logged directions the flip's constraint set forces. A forced-
-  // direction (2b) full set scores `logged_forced` itself, which counts
-  // its own forcing constraint.
-  std::vector<u64> dir_at;
-  std::vector<size_t> flippable;
-  size_t cursor = 0;
-  u64 logged_forced = 0;
-  bool forced_direction = false;
-  bool concrete_mismatch = false;
-  bool log_exhausted = false;
-  // Last case-1 branch this run executed (-1: none yet) — the telemetry
-  // attribution point for an off-log death.
-  i32 last_blind_branch = -1;
-
- private:
-  const InstrumentationPlan& plan_;
-  const BitVec& log_;
-  FailureAccum* failures_ = nullptr;
-};
 
 // First-crash-wins cancellation: aborts an in-flight run once another
 // worker has reproduced the bug, instead of letting it finish a pointless
@@ -611,7 +474,6 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     // Thread-confined execution context: arena, interpreter harness and
     // solver are all single-threaded by design.
     ExprArena arena;
-    CellRunner runner(module, report.shape);
     Solver solver(arena, config.solver);
     std::unique_ptr<IncrementalSolver> incremental;
     if (config.solver_cache) {
@@ -622,6 +484,15 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     Budget budget = config.wall_ms > 0 ? Budget::StepsAndMillis(step_share, config.wall_ms)
                                        : Budget::Steps(step_share);
     CancelObserver cancel(stop);
+    ReplayRunLimits limits;
+    limits.syscall_log = replay_log;
+    limits.max_steps = config.max_steps_per_run;
+    limits.budget = &budget;
+    if constexpr (!kPrivate) {
+      // Only a shared search can be stopped by someone else mid-run.
+      limits.cancel = &cancel;
+    }
+    ReplayRunner runner(module, plan, report, &arena, &failures, limits);
 
     // The worker's current search discipline. Fixed picks map directly;
     // under kPortfolio workers 0-3 run the four fixed disciplines and
@@ -685,22 +556,15 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     // Runs one input; returns true when the search is over for this worker
     // (it reproduced the bug, or lost the race to another worker's crash).
     auto do_run = [&](const std::vector<i64>& model, size_t start_depth) -> bool {
-      ReplayObserver observer(plan, report.branch_log, &failures);
-      CellRunConfig run_config;
-      run_config.model = model;
-      run_config.arena = &arena;
-      run_config.observers = {&observer};
-      if constexpr (!kPrivate) {
-        // Only a shared search can be stopped by someone else mid-run.
-        run_config.observers.push_back(&cancel);
+      if (config.model_tap) {
+        config.model_tap(wid, model);
       }
-      run_config.replay_log = replay_log;
-      run_config.max_steps = config.max_steps_per_run;
-      run_config.external_budget = &budget;
-      CellRunOutput out = runner.Run(run_config);
+      ReplayRun run = runner.Run(model);
+      CellRunOutput& out = run.out;
+      ReplayPath& path = run.path;
       ++ws.runs;
 
-      if (IsReproduction(out.result, observer.cursor, report)) {
+      if (IsReproduction(out.result, path.cursor, report)) {
         std::lock_guard<std::mutex> lock(winner_mu);
         if (!have_winner) {
           have_winner = true;
@@ -721,29 +585,29 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       }
       if (out.result.Crashed()) {
         ++ws.crashes_wrong_site;
-        failures.Death(observer.last_blind_branch, failures.deaths_wrong_crash);
+        failures.Death(path.last_blind_branch, failures.deaths_wrong_crash);
       }
-      if (observer.concrete_mismatch) {
+      if (path.concrete_mismatch) {
         ++ws.aborts_concrete_mismatch;
-        failures.Death(observer.last_blind_branch, failures.deaths_concrete);
+        failures.Death(path.last_blind_branch, failures.deaths_concrete);
       }
-      if (observer.log_exhausted) {
+      if (path.log_exhausted) {
         ++ws.aborts_log_exhausted;
-        failures.Death(observer.last_blind_branch, failures.deaths_exhausted);
+        failures.Death(path.last_blind_branch, failures.deaths_exhausted);
       }
-      if (observer.forced_direction) {
+      if (path.forced_direction) {
         ++ws.aborts_forced_direction;
       }
       // Promotion accounting: this completed run earns (or costs) its
       // discipline's on-log rate.
       disc_runs[static_cast<size_t>(disc)].fetch_add(1, std::memory_order_relaxed);
-      if (observer.forced_direction) {
+      if (path.forced_direction) {
         disc_on_log[static_cast<size_t>(disc)].fetch_add(1, std::memory_order_relaxed);
       }
 
       const bool publishes =
-          observer.forced_direction ||
-          std::any_of(observer.flippable.begin(), observer.flippable.end(),
+          path.forced_direction ||
+          std::any_of(path.flippable.begin(), path.flippable.end(),
                       [start_depth](size_t flip) { return flip >= start_depth; });
       if (!publishes) {
         return false;
@@ -753,7 +617,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       // index — a forced-direction trace's final constraint was not
       // executed in its stored polarity, so it only enters via its own
       // publish below.
-      const size_t trace_len = observer.trace.size();
+      const size_t trace_len = path.trace.size();
       std::vector<u64> expr_hash;
       std::vector<u64> chain;
       if (subsumed != nullptr) {
@@ -761,11 +625,11 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         chain.resize(trace_len + 1);
         chain[0] = kConstraintFingerprintSeed;
         for (size_t i = 0; i < trace_len; ++i) {
-          expr_hash[i] = arena.StructuralHash(observer.trace[i].expr);
+          expr_hash[i] = arena.StructuralHash(path.trace[i].expr);
           chain[i + 1] =
-              ExtendConstraintFingerprint(chain[i], expr_hash[i], observer.trace[i].want_true);
+              ExtendConstraintFingerprint(chain[i], expr_hash[i], path.trace[i].want_true);
         }
-        const size_t executed = trace_len - (observer.forced_direction ? 1 : 0);
+        const size_t executed = trace_len - (path.forced_direction ? 1 : 0);
         for (size_t i = 1; i <= executed; ++i) {
           subsumed->Insert(chain[i]);
         }
@@ -773,9 +637,9 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       // One snapshot per run; all pendings of this run share it.
       std::shared_ptr<const Trace> trace;
       if constexpr (kPrivate) {
-        trace = std::make_shared<const ResidentTrace>(ResidentTrace{std::move(observer.trace)});
+        trace = std::make_shared<const ResidentTrace>(ResidentTrace{std::move(path.trace)});
       } else {
-        trace = std::make_shared<const PortableTrace>(ExportTrace(arena, observer.trace));
+        trace = std::make_shared<const PortableTrace>(ExportTrace(arena, path.trace));
       }
       auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
       auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
@@ -791,7 +655,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         frontier.Push(wid, std::move(pending), priority, direction);
       };
       // Case-1 alternatives, deepest explored first under DFS.
-      for (size_t flip : observer.flippable) {
+      for (size_t flip : path.flippable) {
         if (flip < start_depth) {
           continue;  // Already offered by the run that generated this prefix.
         }
@@ -800,13 +664,13 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
                                                          !trace->constraints[flip].want_true)
                            : 0;
         publish(Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
-                        observer.bits_at[flip], observer.dir_at[flip]},
+                        path.bits_at[flip], path.dir_at[flip]},
                 fp);
       }
-      if (observer.forced_direction) {
+      if (path.forced_direction) {
         // Highest priority under DFS: steers the run back onto the log.
-        publish(Pending{trace, trace_len, /*negate_last=*/false, seed, domains, observer.cursor,
-                        observer.logged_forced},
+        publish(Pending{trace, trace_len, /*negate_last=*/false, seed, domains, path.cursor,
+                        path.logged_forced},
                 subsumed != nullptr ? chain[trace_len] : 0);
       }
       return false;
@@ -944,6 +808,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         done = do_run(run.model, run.len);
       }
     }
+    ws.resumed_runs = runner.resumed_runs();
+    ws.instrs_skipped = runner.instrs_skipped();
     if (incremental != nullptr) {
       const IncrementalStats& inc = incremental->stats();
       ws.slices_solved = inc.slices_solved;
@@ -1004,6 +870,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     result.stats.pendings_pruned += ws.pendings_pruned;
     result.stats.corpus_runs += ws.corpus_runs;
     result.stats.promotions += ws.promotions;
+    result.stats.resumed_runs += ws.resumed_runs;
+    result.stats.instrs_skipped += ws.instrs_skipped;
   }
   for (const FailureAccum& fa : worker_failures) {
     result.stats.failure_profile.Merge(fa.ToProfile());

@@ -14,8 +14,11 @@
 //   4. concrete, not instrumented  -> keep going.
 // Aborted runs pull the next pending constraint set (depth-first by
 // default), solve it over a prefix view of its trace (no per-pop copy),
-// and restart with the resulting input. Reproduction succeeds when a run
-// crashes at the reported crash site.
+// and run the resulting input. A run starts at the deepest read()
+// checkpoint of its worker's previous run whose consumed input the new
+// input still matches, or at main when none does
+// (src/replay/replay_run.h).
+// Reproduction succeeds when a run crashes at the reported crash site.
 //
 // One search loop, run by every entry point below. Its shape:
 //   - num_workers == 1, num_shards <= 1: one worker on a private
@@ -36,6 +39,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -204,6 +208,9 @@ struct ReplayConfig {
   // off (trusted local setups). Never shipped inside the job codec —
   // the secret authenticates the channel, it must not ride it.
   std::string shard_token;
+  // Test tap, in-process only (never shipped to shards): called on the
+  // worker's thread with every model the worker runs, in run order.
+  std::function<void(u32 worker, const std::vector<i64>& model)> model_tap;
 };
 
 /// The search disciplines a portfolio fleet runs, in the index order of
@@ -284,6 +291,12 @@ struct ReplayWorkerStats {
   u64 pendings_pruned = 0;  // Dropped at Push by the subsumption index.
   u64 corpus_runs = 0;      // Runs seeded from ReplayConfig::corpus_seeds.
   u64 promotions = 0;       // Times this adaptive worker switched discipline.
+  // Checkpoint resume (src/replay/replay_run.h): runs that started at a
+  // read() checkpoint instead of main, and the instructions they skipped.
+  // In-process only: the wire does not carry them, so a distributed
+  // search's per_worker entries from shards read 0.
+  u64 resumed_runs = 0;
+  u64 instrs_skipped = 0;
 };
 
 /// Counters for one shard process of the distributed scheduler
@@ -350,6 +363,11 @@ struct ReplayStats {
   u64 corpus_runs = 0;
   // Adaptive-worker discipline switches under Pick::kPortfolio.
   u64 promotions = 0;
+  // Checkpoint resume: runs that started at a read() checkpoint, and the
+  // instructions they did not re-execute. Summed over this process's
+  // workers only; shard-side counts do not reach the coordinator.
+  u64 resumed_runs = 0;
+  u64 instrs_skipped = 0;
   // Per-discipline run accounting (SearchDiscipline index order):
   // completed (non-cancelled) runs attributed to the discipline whose
   // pop produced them, and how many of those ended in a forced logged

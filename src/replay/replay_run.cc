@@ -1,0 +1,204 @@
+#include "src/replay/replay_run.h"
+
+#include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+
+namespace retrace {
+
+ReplayFailureProfile FailureAccum::ToProfile() const {
+  ReplayFailureProfile profile;
+  for (size_t id = 0; id < blind_execs.size(); ++id) {
+    if (blind_execs[id] == 0 && deaths_concrete[id] == 0 && deaths_exhausted[id] == 0 &&
+        deaths_wrong_crash[id] == 0) {
+      continue;
+    }
+    profile.branches.push_back(BranchFailureCounts{static_cast<u32>(id), deaths_concrete[id],
+                                                   deaths_exhausted[id], deaths_wrong_crash[id],
+                                                   blind_execs[id]});
+  }
+  profile.deaths_unattributed = unattributed;
+  return profile;
+}
+
+namespace {
+
+// RETRACE_DEBUG_REPLAY, read once per process: an observer is built for
+// every replay run, thousands per search.
+bool DebugReplayEnabled() {
+  static const bool enabled = std::getenv("RETRACE_DEBUG_REPLAY") != nullptr;
+  return enabled;
+}
+
+}  // namespace
+
+// Branch observer implementing the four replay cases of paper §3.1.
+class ReplayObserver : public BranchObserver {
+ public:
+  ReplayObserver(const InstrumentationPlan& plan, const BitVec& log, FailureAccum* failures)
+      : plan_(plan), log_(log), failures_(failures) {}
+
+  Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) override {
+    const bool instrumented = plan_.Instrumented(branch_id);
+    const bool symbolic = cond_shadow != kNoExpr;
+    if (!instrumented) {
+      if (symbolic) {
+        // Case 1: both directions remain explorable. This is also where
+        // the search is blind — the log cannot check the direction — so
+        // the telemetry layer remembers the most recent such branch as
+        // the attribution point for an off-log death later in the run.
+        path.flippable.push_back(path.trace.size());
+        path.blind_branches.push_back(branch_id);
+        path.trace.push_back(Constraint{cond_shadow, taken});
+        path.bits_at.push_back(path.cursor);
+        path.dir_at.push_back(path.logged_forced);
+        path.last_blind_branch = branch_id;
+        if (failures_ != nullptr) {
+          failures_->BlindExec(branch_id);
+        }
+      }
+      // Case 4: nothing to do.
+      return Action::kContinue;
+    }
+    if (path.cursor >= log_.size()) {
+      // The recorded execution ended (it crashed); running past the log on
+      // an instrumented branch means this path already diverged.
+      path.log_exhausted = true;
+      return Action::kAbort;
+    }
+    const bool logged = log_.GetBit(path.cursor++);
+    if (symbolic) {
+      if (taken == logged) {
+        path.trace.push_back(Constraint{cond_shadow, taken});  // Case 2a.
+        path.bits_at.push_back(path.cursor);
+        path.dir_at.push_back(path.logged_forced++);
+        return Action::kContinue;
+      }
+      // Case 2b: append the constraint forcing the *logged* direction and
+      // abort; the engine pushes this set so the next input follows the log.
+      path.trace.push_back(Constraint{cond_shadow, logged});
+      path.bits_at.push_back(path.cursor);
+      path.dir_at.push_back(path.logged_forced++);
+      path.forced_direction = true;
+      return Action::kAbort;
+    }
+    if (taken == logged) {
+      return Action::kContinue;  // Case 3a.
+    }
+    path.concrete_mismatch = true;  // Case 3b.
+    if (DebugReplayEnabled()) {
+      std::fprintf(stderr, "[replay] 3b concrete mismatch branch=%d cursor=%zu taken=%d\n",
+                   branch_id, path.cursor - 1, taken ? 1 : 0);
+    }
+    return Action::kAbort;
+  }
+
+  ReplayPath path;
+
+ private:
+  const InstrumentationPlan& plan_;
+  const BitVec& log_;
+  FailureAccum* failures_ = nullptr;
+};
+
+ReplayRunner::ReplayRunner(const IrModule& module, const InstrumentationPlan& plan,
+                           const BugReport& report, ExprArena* arena, FailureAccum* failures,
+                           ReplayRunLimits limits)
+    : plan_(plan),
+      report_(report),
+      arena_(arena),
+      failures_(failures),
+      limits_(limits),
+      cells_(module, report.shape) {}
+
+ReplayRunner::~ReplayRunner() = default;
+
+ReplayRun ReplayRunner::Run(const std::vector<i64>& model) {
+  // Checkpoint k is usable when the model matches the cells consumed
+  // before each of checkpoints 0..k, and the budget could have paid for
+  // the steps before it without running out.
+  size_t depth = 0;
+  while (depth < depth_ && entries_[depth].run.Matches(model, cells_.layout())) {
+    ++depth;
+  }
+  while (depth > 0 && limits_.budget != nullptr &&
+         !limits_.budget->Affords(entries_[depth - 1].run.exec.budget_steps())) {
+    --depth;
+  }
+  depth_ = depth;  // Deeper checkpoints are off this run's path.
+  const Entry* from = depth > 0 ? &entries_[depth - 1] : nullptr;
+
+  ReplayObserver observer(plan_, report_.branch_log, failures_);
+  if (from != nullptr) {
+    const Mark& mark = from->mark;
+    ReplayPath& path = observer.path;
+    auto prefix = [](auto& out, const auto& stacked, size_t len) {
+      out.assign(stacked.begin(), stacked.begin() + static_cast<std::ptrdiff_t>(len));
+    };
+    prefix(path.trace, path_.trace, mark.trace_len);
+    prefix(path.bits_at, path_.bits_at, mark.trace_len);
+    prefix(path.dir_at, path_.dir_at, mark.trace_len);
+    prefix(path.flippable, path_.flippable, mark.flippable_len);
+    prefix(path.blind_branches, path_.blind_branches, mark.flippable_len);
+    path.cursor = mark.cursor;
+    path.logged_forced = mark.logged_forced;
+    path.last_blind_branch = mark.last_blind_branch;
+    if (failures_ != nullptr) {
+      for (i32 branch_id : path.blind_branches) {
+        failures_->BlindExec(branch_id);
+      }
+    }
+    ++resumed_runs_;
+    instrs_skipped_ += from->run.exec.stats.instrs;
+  }
+
+  CellRunConfig config;
+  config.model = model;
+  config.arena = arena_;
+  config.observers = {&observer};
+  if (limits_.cancel != nullptr) {
+    config.observers.push_back(limits_.cancel);
+  }
+  config.replay_log = limits_.syscall_log;
+  config.max_steps = limits_.max_steps;
+  config.external_budget = limits_.budget;
+  config.checkpoints = this;
+  config.resume_from = from != nullptr ? &from->run : nullptr;
+
+  ReplayRun run;
+  observer_ = &observer;
+  run.out = cells_.Run(config);
+  observer_ = nullptr;
+  run.path = std::move(observer.path);
+  run.resumed_at = from != nullptr ? static_cast<i64>(from->run.read_index) : -1;
+  return run;
+}
+
+RunCheckpoint* ReplayRunner::AtRead(size_t read_index) {
+  if (read_index != depth_ || depth_ >= kMaxCheckpoints) {
+    return nullptr;
+  }
+  // path_ holds the path up to the previous checkpoint; extend it with
+  // what the run observed since.
+  const Mark prev = depth_ > 0 ? entries_[depth_ - 1].mark : Mark{};
+  const ReplayPath& live = observer_->path;
+  auto extend = [](auto& stacked, const auto& observed, size_t len) {
+    stacked.resize(len);
+    stacked.insert(stacked.end(), observed.begin() + static_cast<std::ptrdiff_t>(len),
+                   observed.end());
+  };
+  extend(path_.trace, live.trace, prev.trace_len);
+  extend(path_.bits_at, live.bits_at, prev.trace_len);
+  extend(path_.dir_at, live.dir_at, prev.trace_len);
+  extend(path_.flippable, live.flippable, prev.flippable_len);
+  extend(path_.blind_branches, live.blind_branches, prev.flippable_len);
+  if (entries_.size() == depth_) {
+    entries_.emplace_back();
+  }
+  Entry& entry = entries_[depth_++];
+  entry.mark = Mark{live.trace.size(), live.flippable.size(), live.cursor, live.logged_forced,
+                    live.last_blind_branch};
+  return &entry.run;
+}
+
+}  // namespace retrace

@@ -1,0 +1,167 @@
+// One search worker's replay runs: the four branch cases of paper §3.1
+// observed over a CellRunner, and runs resumed from read() checkpoints.
+//
+// A replay search runs thousands of models that mostly agree with the
+// input of the run before: the solver starts from the parent run's input
+// and re-solves only the negated slice. ReplayRunner keeps a stack of
+// checkpoints along the path of its most recent run, one just before
+// each read() call, and starts every run at the deepest checkpoint whose
+// consumed input cells the new model still matches (RunCheckpoint::
+// Matches). Starting at main is the depth-0 case. A resumed run is the
+// run a start at main would have produced: same RunResult, cells and
+// observer path, the same failure-profile counts, and the same charge to
+// the step budget.
+#ifndef RETRACE_REPLAY_REPLAY_RUN_H_
+#define RETRACE_REPLAY_REPLAY_RUN_H_
+
+#include <deque>
+#include <vector>
+
+#include "src/concolic/cellrun.h"
+#include "src/replay/replay_engine.h"
+
+namespace retrace {
+
+// Dense per-branch accumulator behind the failure-telemetry layer: one
+// slot per branch location, bumped with plain array writes so telemetry
+// stays invisible to the search (no allocation, no decision changes —
+// run counts remain bit-identical to the pre-telemetry engine). Each
+// worker owns one and folds it into the sparse aggregate profile once,
+// when its search ends.
+struct FailureAccum {
+  explicit FailureAccum(size_t num_branches)
+      : deaths_concrete(num_branches, 0),
+        deaths_exhausted(num_branches, 0),
+        deaths_wrong_crash(num_branches, 0),
+        blind_execs(num_branches, 0) {}
+
+  std::vector<u64> deaths_concrete;
+  std::vector<u64> deaths_exhausted;
+  std::vector<u64> deaths_wrong_crash;
+  std::vector<u64> blind_execs;
+  u64 unattributed = 0;
+
+  void Death(i32 last_blind_branch, std::vector<u64>& cls) {
+    if (last_blind_branch >= 0 && static_cast<size_t>(last_blind_branch) < cls.size()) {
+      ++cls[last_blind_branch];
+    } else {
+      ++unattributed;
+    }
+  }
+  void BlindExec(i32 branch_id) {
+    if (static_cast<size_t>(branch_id) < blind_execs.size()) {
+      ++blind_execs[branch_id];
+    }
+  }
+
+  // Sparse, branch-id-sorted view (the wire/merge shape).
+  ReplayFailureProfile ToProfile() const;
+
+  bool operator==(const FailureAccum&) const = default;
+};
+
+// What the §3.1 observer saw in one run.
+struct ReplayPath {
+  std::vector<Constraint> trace;
+  // Log bits consumed when each trace entry was recorded — the priority
+  // of the pending set ending at that constraint under Pick::kLogBits.
+  std::vector<size_t> bits_at;
+  // Logged directions (case-2 constraints) in the trace *before* each
+  // entry — the Pick::kDirection score of a flip at that entry: how many
+  // logged directions the flip's constraint set forces. A forced-
+  // direction (2b) full set scores `logged_forced` itself, which counts
+  // its own forcing constraint.
+  std::vector<u64> dir_at;
+  // Trace indices of the case-1 constraints, and their branch ids.
+  std::vector<size_t> flippable;
+  std::vector<i32> blind_branches;
+  size_t cursor = 0;
+  u64 logged_forced = 0;
+  bool forced_direction = false;
+  bool concrete_mismatch = false;
+  bool log_exhausted = false;
+  // Last case-1 branch this run executed (-1: none yet) — the telemetry
+  // attribution point for an off-log death.
+  i32 last_blind_branch = -1;
+
+  bool operator==(const ReplayPath&) const = default;
+};
+
+struct ReplayRun {
+  CellRunOutput out;
+  ReplayPath path;
+  // Index of the read() the run resumed at; -1 when it started at main.
+  i64 resumed_at = -1;
+};
+
+// Per-run settings shared by every run of one worker.
+struct ReplayRunLimits {
+  const SyscallLog* syscall_log = nullptr;  // Null: syscall results are not pinned.
+  u64 max_steps = 100'000'000;
+  Budget* budget = nullptr;         // Charged every run's steps, skipped ones included.
+  BranchObserver* cancel = nullptr;  // Optional second observer.
+};
+
+class ReplayObserver;
+
+// **Thread safety:** none; one runner per worker. **Ownership:** borrows
+// module, plan, report, arena, failures and the limits' pointees; all
+// must outlive the runner. Every run of one runner must use the same
+// arena, because checkpoints hold its expression refs.
+class ReplayRunner : private CheckpointSink {
+ public:
+  // Checkpoints kept per runner (the deepest reads of a longer run get
+  // none). Each holds the program's frames and globals, the OS state and
+  // copies of the objects that changed since the checkpoint before.
+  static constexpr size_t kMaxCheckpoints = 256;
+
+  ReplayRunner(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report,
+               ExprArena* arena, FailureAccum* failures, ReplayRunLimits limits);
+  ~ReplayRunner() override;
+
+  // Runs `model` from the deepest checkpoint it matches whose skipped
+  // steps fit in the budget, or from main.
+  ReplayRun Run(const std::vector<i64>& model);
+
+  const CellLayout& layout() const { return cells_.layout(); }
+  const InputSpec& spec() const { return cells_.spec(); }
+  u64 resumed_runs() const { return resumed_runs_; }
+  u64 instrs_skipped() const { return instrs_skipped_; }
+
+ private:
+  // Where a checkpoint sits on the path: lengths of ReplayPath's arrays
+  // (trace/bits_at/dir_at and flippable/blind_branches) and its scalars.
+  struct Mark {
+    size_t trace_len = 0;
+    size_t flippable_len = 0;
+    size_t cursor = 0;
+    u64 logged_forced = 0;
+    i32 last_blind_branch = -1;
+  };
+  struct Entry {
+    RunCheckpoint run;
+    Mark mark;
+  };
+
+  RunCheckpoint* AtRead(size_t read_index) override;
+
+  const InstrumentationPlan& plan_;
+  const BugReport& report_;
+  ExprArena* arena_;
+  FailureAccum* failures_;
+  ReplayRunLimits limits_;
+  CellRunner cells_;
+  // entries_[0, depth_) are the checkpoints on the most recent run's
+  // path; `path_` holds that path up to the deepest one. Entries past
+  // depth_ are spares whose storage the next checkpoints reuse.
+  std::deque<Entry> entries_;
+  size_t depth_ = 0;
+  ReplayPath path_;
+  ReplayObserver* observer_ = nullptr;  // Of the run in progress.
+  u64 resumed_runs_ = 0;
+  u64 instrs_skipped_ = 0;
+};
+
+}  // namespace retrace
+
+#endif  // RETRACE_REPLAY_REPLAY_RUN_H_

@@ -27,6 +27,9 @@ class Budget {
   bool Consume(u64 n = 1);
 
   bool Exhausted() const;
+  // True when `n` more steps would still leave room (the deadline is not
+  // consulted).
+  bool Affords(u64 n) const { return steps_used_ + n < max_steps_; }
   u64 steps_used() const { return steps_used_; }
   u64 max_steps() const { return max_steps_; }
 

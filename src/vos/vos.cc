@@ -132,6 +132,25 @@ i32 CellStore::AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* valu
   return id;
 }
 
+void CellStore::SaveDynamic(Dynamic* out) const {
+  out->values.assign(values_.begin() + num_static_, values_.end());
+  out->domains.assign(domains_.begin() + num_static_, domains_.end());
+  out->info.assign(info_.begin() + num_static_, info_.end());
+  out->occurrence = occurrence_;
+  out->trace = dynamic_trace_;
+}
+
+void CellStore::RestoreDynamic(const Dynamic& from) {
+  values_.resize(num_static_);
+  values_.insert(values_.end(), from.values.begin(), from.values.end());
+  domains_.resize(num_static_);
+  domains_.insert(domains_.end(), from.domains.begin(), from.domains.end());
+  info_.resize(num_static_);
+  info_.insert(info_.end(), from.info.begin(), from.info.end());
+  occurrence_ = from.occurrence;
+  dynamic_trace_ = from.trace;
+}
+
 // ----- VirtualOs -------------------------------------------------------------
 
 VirtualOs::VirtualOs(const WorldShape& shape, CellStore* cells, const CellLayout* layout)
@@ -146,6 +165,29 @@ VirtualOs::VirtualOs(const WorldShape& shape, CellStore* cells, const CellLayout
     }
     fds_[shape_.listen_fd] = FdEntry{FdEntry::Type::kListen, -1, 0};
   }
+}
+
+void VirtualOs::Save(State* out) const {
+  out->fds = fds_;
+  out->next_conn = next_conn_;
+  out->open_conns = open_conns_;
+  out->stdout_text = stdout_;
+  out->fd_output = fd_output_;
+  out->log_cursor = log_cursor_;
+  out->log_diverged = log_diverged_;
+  cells_->SaveDynamic(&out->cells);
+}
+
+void VirtualOs::Restore(const State& from) {
+  fds_ = from.fds;
+  next_conn_ = from.next_conn;
+  open_conns_ = from.open_conns;
+  stdout_ = from.stdout_text;
+  fd_output_ = from.fd_output;
+  log_cursor_ = from.log_cursor;
+  log_diverged_ = from.log_diverged;
+  last_read_ = CellRange{};
+  cells_->RestoreDynamic(from.cells);
 }
 
 i32 VirtualOs::AllocFd(FdEntry entry) {
@@ -244,6 +286,7 @@ SyscallOutcome VirtualOs::DoRead(const std::vector<i64>& int_args) {
   const i64 fd = int_args[0];
   const i64 n = std::max<i64>(0, int_args[1]);
   SyscallOutcome out;
+  last_read_ = CellRange{};
   if (fd < 0 || fd >= static_cast<i64>(fds_.size())) {
     out.ret = -1;
     return out;
@@ -270,6 +313,7 @@ SyscallOutcome VirtualOs::DoRead(const std::vector<i64>& int_args) {
       out.data.push_back(static_cast<u8>(cells_->ValueOf(byte_cell)));
       out.data_cells.push_back(byte_cell);
     }
+    last_read_ = CellRange{layout_->StreamByteCell(e.stream, e.cursor), static_cast<i32>(ret)};
     e.cursor += ret;
   }
   return out;

@@ -17,6 +17,7 @@
 #ifndef RETRACE_VOS_VOS_H_
 #define RETRACE_VOS_VOS_H_
 
+#include <array>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -147,8 +148,22 @@ class CellStore {
     i32 cell = -1;
   };
 
+  // The dynamic cells allocated so far, and what allocating the next one
+  // depends on.
+  struct Dynamic {
+    std::vector<i64> values;
+    std::vector<Interval> domains;
+    std::vector<CellInfo> info;
+    std::array<int, kNumBuiltins> occurrence{};
+    std::vector<DynRecord> trace;
+  };
+
   // Allocates (or resolves) the next dynamic cell for syscall kind `sys`.
   i32 AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* value_out);
+
+  void SaveDynamic(Dynamic* out) const;
+  // Replaces the dynamic cells; static cells keep their values.
+  void RestoreDynamic(const Dynamic& from);
 
   i64 ValueOf(i32 cell) const { return values_[cell]; }
   const std::vector<i64>& values() const { return values_; }
@@ -164,7 +179,7 @@ class CellStore {
   std::vector<i64> model_;
   i32 num_static_ = 0;
   NondetPolicy* policy_ = nullptr;
-  std::unordered_map<int, int> occurrence_;  // Builtin -> count.
+  std::array<int, kNumBuiltins> occurrence_{};  // Per Builtin.
   std::vector<DynRecord> dynamic_trace_;
 };
 
@@ -184,6 +199,33 @@ using SyscallLog = std::vector<SyscallRecord>;
 // Cell-driven SyscallHandler. Captures all program output per fd.
 class VirtualOs : public SyscallHandler {
  public:
+  struct FdEntry {
+    enum class Type { kClosed, kStdin, kStdout, kListen, kFile, kConn };
+    Type type = Type::kClosed;
+    i32 stream = -1;
+    i64 cursor = 0;
+  };
+
+  // Input cells [first, first + count): the stream bytes one read()
+  // delivered.
+  struct CellRange {
+    i32 first = 0;
+    i32 count = 0;
+  };
+
+  // Everything a run has changed in the OS and its cell store: enough to
+  // continue the run from here (Interp::State holds the program's side).
+  struct State {
+    std::vector<FdEntry> fds;
+    size_t next_conn = 0;
+    int open_conns = 0;
+    std::string stdout_text;
+    std::unordered_map<i32, std::string> fd_output;
+    size_t log_cursor = 0;
+    bool log_diverged = false;
+    CellStore::Dynamic cells;
+  };
+
   VirtualOs(const WorldShape& shape, CellStore* cells, const CellLayout* layout);
 
   // Pins syscall results from a shipped log. On the first divergence
@@ -199,15 +241,15 @@ class VirtualOs : public SyscallHandler {
   const std::string& stdout_text() const { return stdout_; }
   std::string WrittenTo(i32 fd) const;
   bool log_diverged() const { return log_diverged_; }
+  // The bytes the latest read() delivered (count 0: none).
+  CellRange last_read() const { return last_read_; }
+
+  void Save(State* out) const;
+  // Continues from `from`, which must come from a VirtualOs over the same
+  // shape, layout and replay log.
+  void Restore(const State& from);
 
  private:
-  struct FdEntry {
-    enum class Type { kClosed, kStdin, kStdout, kListen, kFile, kConn };
-    Type type = Type::kClosed;
-    i32 stream = -1;
-    i64 cursor = 0;
-  };
-
   i32 AllocFd(FdEntry entry);
   bool FdReadable(i64 fd) const;
   i64 RemainingBytes(const FdEntry& entry) const;
@@ -235,6 +277,7 @@ class VirtualOs : public SyscallHandler {
   int open_conns_ = 0;
   std::string stdout_;
   std::unordered_map<i32, std::string> fd_output_;
+  CellRange last_read_;
 };
 
 }  // namespace retrace

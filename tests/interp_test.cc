@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/exec/interp.h"
+#include "src/support/budget.h"
 #include "tests/testutil.h"
 
 namespace retrace {
@@ -326,6 +327,149 @@ TEST(InterpTest, PooledRunsAreReproducible) {
   EXPECT_EQ(first.stats.instrs, again.stats.instrs);
   EXPECT_EQ(first.stats.instrs, back.stats.instrs);
   EXPECT_NE(first.exit_code, other.exit_code);
+}
+
+// Saves the interpreter, and a copy of its scripted handler, just before
+// read() number `at`.
+class SaveAtRead : public ReadListener {
+ public:
+  SaveAtRead(Interp* interp, const ScriptedSyscalls* syscalls, int at)
+      : interp_(interp), syscalls_(syscalls), at_(at) {}
+
+  void BeforeRead() override {
+    if (reads_++ == at_) {
+      interp_->Save(&state);
+      handler = *syscalls_;
+      saved = true;
+    }
+  }
+
+  Interp::State state;
+  ScriptedSyscalls handler;
+  bool saved = false;
+
+ private:
+  Interp* interp_;
+  const ScriptedSyscalls* syscalls_;
+  int at_;
+  int reads_ = 0;
+};
+
+// Each round reads up to 7 bytes into a frame object, spins, prints a
+// checksum and echoes the bytes: several reads, frames allocated and freed
+// between them, and enough instructions to charge the budget many times.
+constexpr std::string_view kRoundReader = R"(
+  int checksum(char *buf, int n) {
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) { s = s * 31 + buf[i]; }
+    return s;
+  }
+  int round_trip(int round) {
+    char buf[8];
+    int n = read(0, buf, 7);
+    if (n <= 0) { return -1; }
+    int spin = 0;
+    while (spin < 300) { spin = spin + 1; }
+    print_int(checksum(buf, n) + round);
+    write(1, buf, n);
+    return n;
+  }
+  int main() {
+    int total = 0;
+    for (int round = 0; round < 8; round = round + 1) {
+      int n = round_trip(round);
+      if (n < 0) { break; }
+      total = total + n;
+    }
+    return total;
+  }
+)";
+
+TEST(InterpTest, ResumeAtReadMatchesUninterruptedRun) {
+  Compiled c = CompileOrDie(kRoundReader);
+  ASSERT_NE(c.module, nullptr);
+  const std::string input = "abcdefghijklmnopqrstuvwxyz0123456789";
+  ScriptedSyscalls whole_io(input);
+  Budget whole_budget = Budget::Steps(1'000'000);
+  InterpOptions whole_options;
+  whole_options.external_budget = &whole_budget;
+  Interp whole(*c.module, whole_options);
+  whole.set_syscall_handler(&whole_io);
+  const RunResult expected = whole.Run();
+  ASSERT_EQ(expected.status, RunResult::Status::kExit);
+  ASSERT_EQ(expected.exit_code, static_cast<i64>(input.size()));
+  ASSERT_GT(whole_budget.steps_used(), 4 * kBudgetChunk);
+
+  for (int at = 0; at < 6; ++at) {
+    for (bool scramble : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "read " << at << (scramble ? ", scrambled" : ""));
+      Interp interp(*c.module, InterpOptions{});
+      ScriptedSyscalls io(input);
+      interp.set_syscall_handler(&io);
+      SaveAtRead saver(&interp, &io, at);
+      interp.set_read_listener(&saver);
+      interp.Run();
+      interp.set_read_listener(nullptr);
+      ASSERT_TRUE(saver.saved);
+      if (scramble) {
+        // An unrelated run in between reuses every pooled object.
+        ScriptedSyscalls other("zz");
+        interp.set_syscall_handler(&other);
+        interp.Run();
+      }
+
+      ScriptedSyscalls resumed_io = saver.handler;
+      Budget budget = Budget::Steps(1'000'000);
+      InterpOptions options;
+      options.external_budget = &budget;
+      interp.set_options(options);
+      interp.set_syscall_handler(&resumed_io);
+      const RunResult got = interp.Resume(saver.state);
+
+      EXPECT_EQ(got.status, expected.status);
+      EXPECT_EQ(got.exit_code, expected.exit_code);
+      EXPECT_EQ(got.stats.instrs, expected.stats.instrs);
+      EXPECT_EQ(got.stats.branch_execs, expected.stats.branch_execs);
+      EXPECT_EQ(got.stats.calls, expected.stats.calls);
+      EXPECT_EQ(got.stats.syscalls, expected.stats.syscalls);
+      EXPECT_EQ(budget.steps_used(), whole_budget.steps_used());
+      EXPECT_EQ(resumed_io.printed(), whole_io.printed());
+      EXPECT_EQ(resumed_io.written(), whole_io.written());
+      ASSERT_EQ(interp.objects().size(), whole.objects().size());
+      for (size_t id = 0; id < whole.objects().size(); ++id) {
+        const MemObject& a = interp.objects()[id];
+        const MemObject& b = whole.objects()[id];
+        EXPECT_EQ(a.gen, b.gen) << "object " << id;
+        EXPECT_EQ(a.alive, b.alive) << "object " << id;
+        EXPECT_EQ(a.cells, b.cells) << "object " << id;
+      }
+      EXPECT_EQ(interp.free_objects(), whole.free_objects());
+    }
+  }
+}
+
+TEST(InterpTest, ResumeTwiceFromOneSave) {
+  // A saved state is immutable: resuming it again, after the first resume
+  // changed every object, gives the same run again.
+  Compiled c = CompileOrDie(kRoundReader);
+  ASSERT_NE(c.module, nullptr);
+  const std::string input = "the quick brown fox jumps";
+  Interp interp(*c.module, InterpOptions{});
+  ScriptedSyscalls io(input);
+  interp.set_syscall_handler(&io);
+  SaveAtRead saver(&interp, &io, 2);
+  interp.set_read_listener(&saver);
+  const RunResult expected = interp.Run();
+  interp.set_read_listener(nullptr);
+  ASSERT_TRUE(saver.saved);
+  for (int rep = 0; rep < 3; ++rep) {
+    ScriptedSyscalls resumed_io = saver.handler;
+    interp.set_syscall_handler(&resumed_io);
+    const RunResult got = interp.Resume(saver.state);
+    EXPECT_EQ(got.exit_code, expected.exit_code);
+    EXPECT_EQ(got.stats.instrs, expected.stats.instrs);
+    EXPECT_EQ(resumed_io.printed(), io.printed());
+  }
 }
 
 }  // namespace

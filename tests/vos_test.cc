@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "src/concolic/cellrun.h"
 #include "src/instrument/syscall_log.h"
 #include "tests/testutil.h"
@@ -245,6 +248,211 @@ TEST(VosTest, StripContentsKeepsShape) {
   ASSERT_EQ(stripped.streams.size(), 1u);
   EXPECT_TRUE(stripped.streams[0].bytes.empty());
   EXPECT_EQ(stripped.streams[0].length, 12);
+}
+
+// An echo server over two connections that arrive one after the other:
+// accepts, selects and chunked reads interleave, every request is echoed
+// to its connection and printed to stdout.
+constexpr std::string_view kEchoServer = R"(
+  int main() {
+    int fds[2];
+    fds[0] = 3;
+    int conn = -1;
+    int served = 0;
+    char buf[16];
+    for (int loops = 0; loops < 40; loops = loops + 1) {
+      int n = 1;
+      if (conn >= 0) { fds[1] = conn; n = 2; }
+      int ready = select_fd(fds, n);
+      if (ready < 0) {
+        if (conn < 0) { break; }
+        ready = 1;  // Drained: read the end of the stream.
+      }
+      if (fds[ready] == 3) { conn = accept_conn(3); continue; }
+      int r = read(conn, buf, 15);
+      if (r <= 0) { close(conn); conn = -1; continue; }
+      buf[r] = 0;
+      print_str(buf);
+      write(conn, buf, r);
+      served = served + r;
+    }
+    return served;
+  }
+)";
+
+InputSpec EchoSpec() {
+  InputSpec spec;
+  spec.argv = {"prog"};
+  spec.world.listen_fd = 3;
+  spec.world.connection_streams = {0, 1};
+  spec.world.streams.push_back(StreamShape{"c0", {'G', 'E', 'T', ' ', '/', 'a', 'b'}, 7, 3});
+  spec.world.streams.push_back(StreamShape{"c1", {'P', 'O', 'S', 'T', ' ', 'x'}, 6, 4});
+  return spec;
+}
+
+// One run's OS side: a cell store and the virtual OS over it.
+struct EchoWorld {
+  EchoWorld(const InputSpec& spec, const CellLayout& layout)
+      : cells(layout, {}), vos(spec.world, &cells, &layout) {}
+  CellStore cells;
+  VirtualOs vos;
+};
+
+// Saves the interpreter and the OS just before read() number `at`.
+class SaveOsAtRead : public ReadListener {
+ public:
+  SaveOsAtRead(Interp* interp, const VirtualOs* vos, int at)
+      : interp_(interp), vos_(vos), at_(at) {}
+
+  void BeforeRead() override {
+    if (reads_++ == at_) {
+      interp_->Save(&exec);
+      vos_->Save(&os);
+    }
+  }
+
+  int reads() const { return reads_; }
+
+  Interp::State exec;
+  VirtualOs::State os;
+
+ private:
+  Interp* interp_;
+  const VirtualOs* vos_;
+  int at_;
+  int reads_ = 0;
+};
+
+TEST(VosTest, ResumeAtReadMatchesUninterruptedRun) {
+  Compiled c = CompileOrDie(kEchoServer);
+  ASSERT_NE(c.module, nullptr);
+  const InputSpec spec = EchoSpec();
+  const CellLayout layout = CellLayout::Build(spec);
+
+  EchoWorld whole_world(spec, layout);
+  Interp whole(*c.module, InterpOptions{});
+  whole.set_syscall_handler(&whole_world.vos);
+  SaveOsAtRead counter(&whole, &whole_world.vos, -1);
+  whole.set_read_listener(&counter);
+  const RunResult expected = whole.Run();
+  ASSERT_EQ(expected.status, RunResult::Status::kExit);
+  ASSERT_EQ(expected.exit_code, 13);
+  ASSERT_EQ(whole_world.vos.stdout_text(), "GET /abPOST x");
+  ASSERT_EQ(whole_world.vos.WrittenTo(4), "GET /abPOST x");
+  ASSERT_GE(counter.reads(), 6);
+
+  for (int at = 0; at < counter.reads(); ++at) {
+    SCOPED_TRACE(testing::Message() << "read " << at);
+    Interp interp(*c.module, InterpOptions{});
+    EchoWorld first(spec, layout);
+    interp.set_syscall_handler(&first.vos);
+    SaveOsAtRead saver(&interp, &first.vos, at);
+    interp.set_read_listener(&saver);
+    interp.Run();
+    interp.set_read_listener(nullptr);
+
+    EchoWorld resumed(spec, layout);
+    resumed.vos.Restore(saver.os);
+    interp.set_syscall_handler(&resumed.vos);
+    const RunResult got = interp.Resume(saver.exec);
+
+    EXPECT_EQ(got.status, expected.status);
+    EXPECT_EQ(got.exit_code, expected.exit_code);
+    EXPECT_EQ(got.stats.instrs, expected.stats.instrs);
+    EXPECT_EQ(got.stats.syscalls, expected.stats.syscalls);
+    EXPECT_EQ(resumed.vos.stdout_text(), whole_world.vos.stdout_text());
+    EXPECT_EQ(resumed.vos.WrittenTo(4), whole_world.vos.WrittenTo(4));
+    EXPECT_EQ(resumed.cells.values(), whole_world.cells.values());
+    EXPECT_EQ(resumed.cells.domains(), whole_world.cells.domains());
+    ASSERT_EQ(resumed.cells.info().size(), whole_world.cells.info().size());
+    for (size_t i = 0; i < whole_world.cells.info().size(); ++i) {
+      EXPECT_EQ(resumed.cells.info()[i].tag1, whole_world.cells.info()[i].tag1) << i;
+      EXPECT_EQ(resumed.cells.info()[i].sys, whole_world.cells.info()[i].sys) << i;
+    }
+    const auto& got_trace = resumed.cells.dynamic_trace();
+    const auto& want_trace = whole_world.cells.dynamic_trace();
+    ASSERT_EQ(got_trace.size(), want_trace.size());
+    for (size_t i = 0; i < want_trace.size(); ++i) {
+      EXPECT_EQ(got_trace[i].kind, want_trace[i].kind) << i;
+      EXPECT_EQ(got_trace[i].value, want_trace[i].value) << i;
+      EXPECT_EQ(got_trace[i].cell, want_trace[i].cell) << i;
+    }
+    ASSERT_EQ(interp.objects().size(), whole.objects().size());
+    for (size_t id = 0; id < whole.objects().size(); ++id) {
+      EXPECT_EQ(interp.objects()[id].gen, whole.objects()[id].gen) << "object " << id;
+      EXPECT_EQ(interp.objects()[id].cells, whole.objects()[id].cells) << "object " << id;
+    }
+    EXPECT_EQ(interp.free_objects(), whole.free_objects());
+  }
+}
+
+// Collects every checkpoint of a run.
+class KeepAll : public CheckpointSink {
+ public:
+  RunCheckpoint* AtRead(size_t read_index) override {
+    EXPECT_EQ(read_index, taken.size());
+    return &taken.emplace_back();
+  }
+  std::deque<RunCheckpoint> taken;
+};
+
+TEST(VosTest, CheckpointsRecordWhatTheRunConsumed) {
+  Compiled c = CompileOrDie(kEchoServer);
+  ASSERT_NE(c.module, nullptr);
+  CellRunner runner(*c.module, EchoSpec());
+  KeepAll sink;
+  CellRunConfig config;
+  config.checkpoints = &sink;
+  const CellRunOutput whole = runner.Run(config);
+  ASSERT_GE(sink.taken.size(), 6u);
+  // Read k's checkpoint holds the bytes read k-1 delivered and the
+  // syscall results since read k-1; together they are every cell the
+  // run consumed before its last read.
+  std::vector<i32> consumed;
+  for (const RunCheckpoint& ckpt : sink.taken) {
+    for (const RunCheckpoint::ConsumedCell& cell : ckpt.consumed) {
+      EXPECT_EQ(cell.value, whole.cells[cell.cell]);
+      consumed.push_back(cell.cell);
+    }
+  }
+  std::sort(consumed.begin(), consumed.end());
+  EXPECT_EQ(std::adjacent_find(consumed.begin(), consumed.end()), consumed.end());
+  // Stream 0's 7 bytes (cells 0-6) are all read before the run's last read.
+  EXPECT_EQ(std::count_if(consumed.begin(), consumed.end(), [&](i32 c) { return c < 7; }), 7);
+
+  // The run's own model matches every checkpoint; a model that changes a
+  // byte matches exactly the checkpoints before that byte's read.
+  std::vector<i64> model = whole.cells;
+  for (const RunCheckpoint& ckpt : sink.taken) {
+    EXPECT_TRUE(ckpt.Matches(model, runner.layout()));
+  }
+  model[0] = 'P';
+  size_t matching = 0;
+  while (matching < sink.taken.size() && sink.taken[matching].Matches(model, runner.layout())) {
+    ++matching;
+  }
+  EXPECT_EQ(matching, 1u);  // Only the checkpoint before the first read.
+
+  // The syscall results before the first read (select, accept) are
+  // consumed before it too.
+  ASSERT_FALSE(whole.dyn_trace.empty());
+  const CellStore::DynRecord& first = whole.dyn_trace[0];
+  ASSERT_EQ(first.kind, Builtin::kSelectFd);
+  model = whole.cells;
+  model[first.cell] = first.value == 0 ? -1 : 0;
+  EXPECT_FALSE(sink.taken[0].Matches(model, runner.layout()));
+
+  // Resuming at every checkpoint reproduces the run.
+  for (const RunCheckpoint& ckpt : sink.taken) {
+    CellRunConfig resume;
+    resume.model = whole.cells;
+    resume.resume_from = &ckpt;
+    const CellRunOutput got = runner.Run(resume);
+    EXPECT_EQ(got.result.exit_code, whole.result.exit_code);
+    EXPECT_EQ(got.result.stats.instrs, whole.result.stats.instrs);
+    EXPECT_EQ(got.cells, whole.cells);
+    EXPECT_EQ(got.stdout_text, whole.stdout_text);
+  }
 }
 
 }  // namespace
