@@ -1,5 +1,5 @@
 // Incremental solving layer microbenchmark: partitioned vs. monolithic
-// solves, slice caches cold vs. warm.
+// solves, slice caches cold vs. warm, and delta solving on a frontier.
 //
 // Workload: synthetic constraint sets shaped like replay pendings — S
 // independent slices (one per small group of input cells), each a short
@@ -11,17 +11,28 @@
 //   cache-cold    IncrementalSolver, fresh SliceCache every call
 //   cache-warm    IncrementalSolver, one SliceCache across calls
 //
-// Emits BENCH_solver.json (machine-readable) next to the human table so
-// the perf trajectory is tracked from PR 2 on.
+// The `frontier` rows replay a search's pops instead: a chain of pendings
+// of ~500 constraints over ~140 single-cell slices, each its parent's
+// solved set plus the few constraints the parent's run added, the last
+// one flipped (see FrontierChain). The same chain is solved extending
+// each parent's SliceState (`frontier-delta`) and from depth 0
+// (`frontier-depth0`), each over its own cache. The two must return the
+// same status and model on every solve; if they ever differ the bench
+// exits 1.
+//
+// Emits BENCH_solver.json (machine-readable, stamped with the host)
+// next to the human table.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/solver/incremental.h"
+#include "src/support/rng.h"
 
 namespace retrace {
 namespace {
@@ -66,7 +77,119 @@ struct Row {
   double ns_per_solve = 0;
   u64 slices_solved = 0;
   u64 sat_hits = 0;
+  u64 inherited = 0;
 };
+
+// ----- Frontier chain: a replay search's pops -----
+
+constexpr i32 kFrontierVars = 140;
+constexpr size_t kFrontierPrefix = 490;  // Constraints of the chain's root set.
+constexpr size_t kFrontierReset = 16;    // Pops before the chain restarts at the root.
+
+// The branch a run over `model` records when it reads cell `v` for the
+// `nth` time, in whichever polarity the model takes. Like a parser, the
+// program compares a cell against a fixed sequence of characters, so the
+// same slices recur across pops and most slice lookups hit the cache, as
+// in a search.
+Constraint RecordBranch(ExprArena* arena, const std::vector<i64>& model, i32 v, size_t nth) {
+  static constexpr i64 kChars[] = {' ', '/', '0', ':', 'A', 'a', 'z'};
+  const ExprRef x = arena->MkVar(v);
+  const ExprRef k = arena->MkConst(kChars[(static_cast<size_t>(v) * 3 + nth) % std::size(kChars)]);
+  ExprRef e = kNoExpr;
+  switch ((static_cast<size_t>(v) + nth) % 3) {
+    case 0: e = arena->MkBin(ExprOp::kGt, x, k); break;
+    case 1: e = arena->MkBin(ExprOp::kNe, x, k); break;
+    default: e = arena->MkBin(ExprOp::kLt, x, k); break;
+  }
+  return {e, arena->Eval(e, model) != 0};
+}
+
+// Appends a run's next branch, on a random cell, to `trace`.
+void RecordNext(ExprArena* arena, const std::vector<i64>& model, Rng* rng,
+                std::vector<Constraint>* trace) {
+  const i32 v = static_cast<i32>(rng->NextBelow(kFrontierVars));
+  size_t nth = 0;
+  for (const Constraint& c : *trace) {
+    std::vector<i32> vars;
+    arena->CollectVars(c.expr, &vars);
+    nth += vars.size() == 1 && vars[0] == v ? 1 : 0;
+  }
+  trace->push_back(RecordBranch(arena, model, v, nth));
+}
+
+// Solves a replay-shaped chain of pendings: every pop is the parent's
+// solved set plus the 3-4 constraints its run recorded, up to one of
+// them, flipped. A SAT pop becomes the next parent; an UNSAT one is
+// dropped, and the next pop extends the same parent again (a sibling).
+// Every kFrontierReset pops the chain goes back to the root set. With
+// `delta`, each solve extends its parent's SliceState. Only the Solve
+// calls are timed. Appends each solve's status and model to `results`.
+Row FrontierChain(ExprArena* arena, bool delta, u64 pops,
+                  std::vector<SolveResult>* results) {
+  const std::vector<Interval> domains(kFrontierVars, Interval{0, 255});
+  Rng rng(0xf207);
+  std::vector<i64> root_model(kFrontierVars);
+  for (i64& v : root_model) {
+    v = rng.NextInRange(0, 255);
+  }
+  auto root = std::make_shared<std::vector<Constraint>>();
+  for (size_t i = 0; i < kFrontierPrefix; ++i) {
+    RecordNext(arena, root_model, &rng, root.get());
+  }
+
+  SliceCache cache;
+  IncrementalSolver solver(*arena, SolverOptions{}, &cache);
+  // The root set is a pending too: solve it once, at depth 0.
+  auto root_state = std::make_shared<SliceState>();
+  SolveResult root_solve = solver.Solve(ConstraintSpan(root->data(), root->size()), domains,
+                                        root_model, nullptr, delta ? root_state.get() : nullptr);
+  root_state->set_owner = root;
+  results->push_back(root_solve);
+
+  std::shared_ptr<const std::vector<Constraint>> parent = root;
+  std::shared_ptr<const SliceState> parent_state = root_state;
+  std::vector<i64> parent_model = root_model;
+  double ns = 0;
+  for (u64 pop = 0; pop < pops; ++pop) {
+    if (pop % kFrontierReset == 0) {
+      parent = root;
+      parent_state = root_state;
+      parent_model = root_model;
+    }
+    // The parent's run: its solved set, then the branches it recorded.
+    auto trace = std::make_shared<std::vector<Constraint>>(*parent);
+    const size_t added = 3 + rng.NextBelow(2);
+    for (size_t i = 0; i < added; ++i) {
+      RecordNext(arena, parent_model, &rng, trace.get());
+    }
+    const size_t len = parent->size() + 1 + rng.NextBelow(added);
+    auto state = std::make_shared<SliceState>();
+    const auto t0 = std::chrono::steady_clock::now();
+    SolveResult solved =
+        solver.Solve(ConstraintSpan(trace->data(), len, /*negate_last=*/true), domains,
+                     parent_model, delta ? parent_state.get() : nullptr,
+                     delta ? state.get() : nullptr);
+    ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count();
+    state->set_owner = trace;
+    if (solved.status == SolveStatus::kSat) {
+      // The child's run follows the flip: its trace starts with the set.
+      auto child = std::make_shared<std::vector<Constraint>>(trace->begin(), trace->begin() + len);
+      child->back().want_true = !child->back().want_true;
+      parent = child;
+      parent_state = state;
+      parent_model = solved.model;
+    }
+    results->push_back(std::move(solved));
+  }
+  Row row;
+  row.name = delta ? "frontier-delta" : "frontier-depth0";
+  row.iters = pops;
+  row.ns_per_solve = ns / static_cast<double>(pops);
+  row.slices_solved = solver.stats().slices_solved;
+  row.sat_hits = solver.stats().slice_sat_hits;
+  row.inherited = solver.stats().slices_inherited;
+  return row;
+}
 
 template <typename Fn>
 Row Measure(const std::string& name, u64 iters, Fn&& solve_once) {
@@ -141,22 +264,63 @@ int Main() {
                 row.ns_per_solve, base / row.ns_per_solve, row.slices_solved, row.sat_hits);
   }
 
+  // Frontier chain, both ways over one arena (the chain interns the same
+  // expressions in the same order either way).
+  const u64 pops = 4000 * static_cast<u64>(BenchScale());
+  ExprArena frontier_arena;
+  std::vector<SolveResult> from_base;
+  std::vector<SolveResult> from_depth0;
+  std::vector<Row> frontier_rows;
+  frontier_rows.push_back(FrontierChain(&frontier_arena, /*delta=*/false, pops, &from_depth0));
+  frontier_rows.push_back(FrontierChain(&frontier_arena, /*delta=*/true, pops, &from_base));
+  u64 sat = 0;
+  for (size_t i = 0; i < from_depth0.size(); ++i) {
+    if (i >= from_base.size() || from_base[i].status != from_depth0[i].status ||
+        from_base[i].model != from_depth0[i].model) {
+      std::fprintf(stderr, "bench_solver: frontier solve %zu differs from base and depth 0\n", i);
+      return 1;
+    }
+    sat += from_depth0[i].status == SolveStatus::kSat ? 1 : 0;
+  }
+  std::printf("\nfrontier chain: %" PRIu64 " pops of ~%zu constraints over %d cells, %" PRIu64
+              " SAT; delta and depth-0 agree on every solve\n",
+              pops, kFrontierPrefix, kFrontierVars, sat);
+  std::printf("%-16s %12s %12s %12s %12s %12s\n", "config", "ns/solve", "vs depth 0",
+              "slicesolves", "sat hits", "inherited");
+  for (const Row& row : frontier_rows) {
+    std::printf("%-16s %12.0f %11.2fx %12" PRIu64 " %12" PRIu64 " %12" PRIu64 "\n",
+                row.name.c_str(), row.ns_per_solve,
+                frontier_rows[0].ns_per_solve / row.ns_per_solve, row.slices_solved,
+                row.sat_hits, row.inherited);
+  }
+
   FILE* json = std::fopen("BENCH_solver.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_solver.json\n");
     return 1;
   }
   std::fprintf(json,
-               "{\n  \"bench\": \"solver\",\n  \"slices\": %d,\n  \"constraints\": %zu,\n"
-               "  \"iters\": %" PRIu64 ",\n  \"results\": [\n",
-               kSlices, p->constraints.size(), iters);
+               "{\n  \"bench\": \"solver\",\n  \"host\": %s,\n  \"slices\": %d,\n"
+               "  \"constraints\": %zu,\n  \"iters\": %" PRIu64 ",\n  \"results\": [\n",
+               HostStampJson().c_str(), kSlices, p->constraints.size(), iters);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"ns_per_solve\": %.1f, \"speedup_vs_monolithic\": "
-                 "%.3f, \"slices_solved\": %" PRIu64 ", \"sat_hits\": %" PRIu64 "}%s\n",
+                 "%.3f, \"slices_solved\": %" PRIu64 ", \"sat_hits\": %" PRIu64 "},\n",
                  row.name.c_str(), row.ns_per_solve, base / row.ns_per_solve, row.slices_solved,
-                 row.sat_hits, i + 1 < rows.size() ? "," : "");
+                 row.sat_hits);
+  }
+  // The frontier rows' baseline is the depth-0 row.
+  for (size_t i = 0; i < frontier_rows.size(); ++i) {
+    const Row& row = frontier_rows[i];
+    std::fprintf(json,
+                 "    {\"name\": \"%s\", \"pops\": %" PRIu64 ", \"ns_per_solve\": %.1f, "
+                 "\"speedup_vs_depth0\": %.3f, \"slices_solved\": %" PRIu64
+                 ", \"sat_hits\": %" PRIu64 ", \"inherited\": %" PRIu64 "}%s\n",
+                 row.name.c_str(), row.iters, row.ns_per_solve,
+                 frontier_rows[0].ns_per_solve / row.ns_per_solve, row.slices_solved,
+                 row.sat_hits, row.inherited, i + 1 < frontier_rows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -695,6 +695,10 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       result.stats.pendings_pruned += ss.pendings_pruned;
       result.stats.corpus_runs += ss.corpus_runs;
       result.stats.promotions += ss.promotions;
+      result.stats.resumed_runs += ss.resumed_runs;
+      result.stats.instrs_skipped += ss.instrs_skipped;
+      result.stats.slices_inherited += ss.slices_inherited;
+      result.stats.solves_from_base += ss.solves_from_base;
       result.stats.failure_profile.Merge(ss.failure_profile);
       for (size_t d = 0; d < kNumDisciplines; ++d) {
         result.stats.discipline_runs[d] += ss.discipline_runs[d];
@@ -756,6 +760,10 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
     result.stats.slice_unsat_hits += fb.stats.slice_unsat_hits;
     result.stats.corpus_runs += fb.stats.corpus_runs;
     result.stats.promotions += fb.stats.promotions;
+    result.stats.resumed_runs += fb.stats.resumed_runs;
+    result.stats.instrs_skipped += fb.stats.instrs_skipped;
+    result.stats.slices_inherited += fb.stats.slices_inherited;
+    result.stats.solves_from_base += fb.stats.solves_from_base;
     result.stats.failure_profile.Merge(fb.stats.failure_profile);
     if (fb.reproduced) {
       result.reproduced = true;

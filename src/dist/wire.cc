@@ -455,7 +455,15 @@ void EncodeWorkerStats(const ReplayWorkerStats& w, WireWriter* out) {
   out->U64(w.pendings_pruned);
   out->U64(w.corpus_runs);
   out->U64(w.promotions);
+  // v10.
+  out->U64(w.resumed_runs);
+  out->U64(w.instrs_skipped);
+  out->U64(w.slices_inherited);
+  out->U64(w.solves_from_base);
 }
+
+// Encoded size of one ReplayWorkerStats: 19 u64 counters.
+constexpr size_t kWorkerStatsBytes = 19 * 8;
 
 bool DecodeWorkerStats(WireReader* r, ReplayWorkerStats* w) {
   return r->U64(&w->runs) && r->U64(&w->solver_calls) && r->U64(&w->aborts_forced_direction) &&
@@ -463,7 +471,9 @@ bool DecodeWorkerStats(WireReader* r, ReplayWorkerStats* w) {
          r->U64(&w->crashes_wrong_site) && r->U64(&w->steals) && r->U64(&w->dedup_skips) &&
          r->U64(&w->cancelled_runs) && r->U64(&w->slices_solved) &&
          r->U64(&w->slice_sat_hits) && r->U64(&w->slice_unsat_hits) &&
-         r->U64(&w->pendings_pruned) && r->U64(&w->corpus_runs) && r->U64(&w->promotions);
+         r->U64(&w->pendings_pruned) && r->U64(&w->corpus_runs) && r->U64(&w->promotions) &&
+         r->U64(&w->resumed_runs) && r->U64(&w->instrs_skipped) &&
+         r->U64(&w->slices_inherited) && r->U64(&w->solves_from_base);
 }
 
 void EncodeStats(const ReplayStats& s, WireWriter* out) {
@@ -487,6 +497,11 @@ void EncodeStats(const ReplayStats& s, WireWriter* out) {
   out->U64(s.pendings_pruned);
   out->U64(s.corpus_runs);
   out->U64(s.promotions);
+  // v10: in-process search counters.
+  out->U64(s.resumed_runs);
+  out->U64(s.instrs_skipped);
+  out->U64(s.slices_inherited);
+  out->U64(s.solves_from_base);
   // v5: graceful-degradation counters. Zero in shard-originated payloads
   // (only the coordinator observes deaths), carried for codec fidelity.
   out->U64(s.shards_lost);
@@ -514,7 +529,9 @@ bool DecodeStats(WireReader* r, ReplayStats* s) {
         r->U64(&s->slice_sat_hits) && r->U64(&s->slice_unsat_hits) &&
         r->U64(&s->slice_evictions) && r->U64(&s->pendings_exported) &&
         r->U64(&s->pendings_imported) && r->U64(&s->rebalance_rounds) &&
-        r->U64(&s->pendings_pruned) && r->U64(&s->corpus_runs) && r->U64(&s->promotions))) {
+        r->U64(&s->pendings_pruned) && r->U64(&s->corpus_runs) && r->U64(&s->promotions) &&
+        r->U64(&s->resumed_runs) && r->U64(&s->instrs_skipped) &&
+        r->U64(&s->slices_inherited) && r->U64(&s->solves_from_base))) {
     return false;
   }
   u8 fallback = 0;
@@ -534,7 +551,7 @@ bool DecodeStats(WireReader* r, ReplayStats* s) {
     }
   }
   u32 worker_count = 0;
-  if (!r->U32(&worker_count) || !r->FitsCount(worker_count, 15 * 8)) {
+  if (!r->U32(&worker_count) || !r->FitsCount(worker_count, kWorkerStatsBytes)) {
     return false;
   }
   s->per_worker.resize(worker_count);

@@ -55,7 +55,10 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // v8: one execution engine — the v6 engine byte leaves the kJob config codec.
 // v9: one job protocol — kJob (type 8) is retired; every shard, forked or
 // joined over TCP, receives its jobs as kJobBegin and leaves on kJobEnd.
-inline constexpr u16 kWireVersion = 9;
+// v10: in-process search counters ride the stats codec — resumed_runs,
+// instrs_skipped, slices_inherited and solves_from_base, per worker and
+// in the aggregate — so shard-side counts reach the coordinator.
+inline constexpr u16 kWireVersion = 10;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {

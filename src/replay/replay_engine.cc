@@ -345,10 +345,24 @@ void FrontierPort::ReleaseHold() {
 namespace {
 
 // The trace form of a private search's frontier: constraints over the one
-// worker's arena, never exported until the scout hands them on.
+// worker's arena, never exported until the scout hands them on. `base`
+// is the slice state of the solve whose model ran this trace (null for
+// the first run and corpus seeds): every pending of the trace extends it
+// (delta solving, src/solver/incremental.h), and it is freed with the
+// last of them. The constraints are shared on their own because the
+// state borrows them (SliceState::Rebase) and pins them, never the trace
+// itself.
 struct ResidentTrace {
-  std::vector<Constraint> constraints;
+  std::shared_ptr<const std::vector<Constraint>> constraints;
+  std::shared_ptr<const SliceState> base;
 };
+
+const std::vector<Constraint>& StoredConstraints(const ResidentTrace& trace) {
+  return *trace.constraints;
+}
+const std::vector<Constraint>& StoredConstraints(const PortableTrace& trace) {
+  return trace.constraints;
+}
 
 // Fingerprint of constraints [0, len) with the last one negated when
 // `negate_last`, over arena hashes: equal to FingerprintConstraints of
@@ -555,7 +569,10 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
 
     // Runs one input; returns true when the search is over for this worker
     // (it reproduced the bug, or lost the race to another worker's crash).
-    auto do_run = [&](const std::vector<i64>& model, size_t start_depth) -> bool {
+    // `state` is the slice state of the solve that produced `model`, if
+    // any; a private search hands it to the pendings this run publishes.
+    auto do_run = [&](const std::vector<i64>& model, size_t start_depth,
+                      std::shared_ptr<SliceState> state) -> bool {
       if (config.model_tap) {
         config.model_tap(wid, model);
       }
@@ -635,14 +652,22 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         }
       }
       // One snapshot per run; all pendings of this run share it.
+      auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
+      auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
       std::shared_ptr<const Trace> trace;
       if constexpr (kPrivate) {
-        trace = std::make_shared<const ResidentTrace>(ResidentTrace{std::move(path.trace)});
+        auto constraints = std::make_shared<const std::vector<Constraint>>(std::move(path.trace));
+        // The run's trace starts with the set its model solved, so the
+        // state can borrow it from this trace (and this run's domains,
+        // when unchanged) instead of pinning the parent's.
+        if (state != nullptr && !state->Rebase(constraints, domains)) {
+          state.reset();
+        }
+        trace = std::make_shared<const ResidentTrace>(
+            ResidentTrace{std::move(constraints), std::move(state)});
       } else {
         trace = std::make_shared<const PortableTrace>(ExportTrace(arena, path.trace));
       }
-      auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
-      auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
       // Pending::priority/dir_score are the single source of truth; the
       // queue's key arguments always mirror them.
       auto publish = [&](Pending pending, u64 fp) {
@@ -661,7 +686,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         }
         const u64 fp = subsumed != nullptr
                            ? ExtendConstraintFingerprint(chain[flip], expr_hash[flip],
-                                                         !trace->constraints[flip].want_true)
+                                                         !StoredConstraints(*trace)[flip].want_true)
                            : 0;
         publish(Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
                         path.bits_at[flip], path.dir_at[flip]},
@@ -687,7 +712,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     auto resident_constraints =
         [&](const std::shared_ptr<const Trace>& t) -> const std::vector<Constraint>& {
       if constexpr (kPrivate) {
-        return t->constraints;
+        return StoredConstraints(*t);
       } else {
         auto it = import_memo.find(t.get());
         if (it != import_memo.end()) {
@@ -715,7 +740,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       for (i64& v : initial) {
         v = rng.NextPrintable();
       }
-      done = do_run(initial, 0);
+      done = do_run(initial, 0, nullptr);
     }
 
     // Corpus seeds: the fleet's slice of the dynamic-analysis corpus,
@@ -738,7 +763,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         break;
       }
       ++ws.corpus_runs;
-      done = do_run(config.corpus_seeds[i], 0);
+      done = do_run(config.corpus_seeds[i], 0, nullptr);
     }
 
     // Batched frontier solves: pop up to K pendings per frontier visit and
@@ -750,6 +775,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     struct ReadyRun {
       std::vector<i64> model;
       size_t len = 0;
+      std::shared_ptr<SliceState> state;
     };
     std::vector<ReadyRun> ready;
     u64 runs_at_last_promotion = ws.runs;
@@ -788,11 +814,25 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         }
         const ConstraintSpan set(constraints.data(), pending.len, pending.negate_last);
         ++ws.solver_calls;
-        SolveResult solved =
-            incremental != nullptr ? incremental->Solve(set, *pending.domains, *pending.seed)
-                                   : solver.Solve(set, *pending.domains, *pending.seed);
+        SolveResult solved;
+        std::shared_ptr<SliceState> state;
+        if (incremental == nullptr) {
+          solved = solver.Solve(set, *pending.domains, *pending.seed);
+        } else if constexpr (kPrivate) {
+          // Extend the slice state of the solve that produced this trace,
+          // and keep this solve's own for the run it produces.
+          state = std::make_shared<SliceState>();
+          solved = incremental->Solve(set, *pending.domains, *pending.seed,
+                                      pending.trace->base.get(), state.get());
+          state->set_owner = pending.trace->constraints;
+          state->domains_owner = pending.domains;
+        } else {
+          // A portable trace can run on any worker or shard: no state
+          // travels with it, so every solve starts at depth 0.
+          solved = incremental->Solve(set, *pending.domains, *pending.seed);
+        }
         if (solved.status == SolveStatus::kSat) {
-          ready.push_back(ReadyRun{std::move(solved.model), pending.len});
+          ready.push_back(ReadyRun{std::move(solved.model), pending.len, std::move(state)});
         }
       }
       for (ReadyRun& run : ready) {
@@ -805,7 +845,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
           done = true;
           break;
         }
-        done = do_run(run.model, run.len);
+        done = do_run(run.model, run.len, std::move(run.state));
       }
     }
     ws.resumed_runs = runner.resumed_runs();
@@ -815,6 +855,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       ws.slices_solved = inc.slices_solved;
       ws.slice_sat_hits = inc.slice_sat_hits;
       ws.slice_unsat_hits = inc.slice_unsat_hits;
+      ws.slices_inherited = inc.slices_inherited;
+      ws.solves_from_base = inc.solves_from_base;
     }
     if constexpr (kPrivate) {
       if (shape.leftover != nullptr) {
@@ -828,7 +870,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
           std::shared_ptr<const PortableTrace>& snapshot = exported[pending.trace.get()];
           if (snapshot == nullptr) {
             snapshot = std::make_shared<const PortableTrace>(
-                ExportTrace(arena, pending.trace->constraints));
+                ExportTrace(arena, *pending.trace->constraints));
           }
           shape.leftover->push_back(PortablePending{
               snapshot, pending.len, pending.negate_last, std::move(pending.seed),
@@ -872,6 +914,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     result.stats.promotions += ws.promotions;
     result.stats.resumed_runs += ws.resumed_runs;
     result.stats.instrs_skipped += ws.instrs_skipped;
+    result.stats.slices_inherited += ws.slices_inherited;
+    result.stats.solves_from_base += ws.solves_from_base;
   }
   for (const FailureAccum& fa : worker_failures) {
     result.stats.failure_profile.Merge(fa.ToProfile());

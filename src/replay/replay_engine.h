@@ -293,10 +293,13 @@ struct ReplayWorkerStats {
   u64 promotions = 0;       // Times this adaptive worker switched discipline.
   // Checkpoint resume (src/replay/replay_run.h): runs that started at a
   // read() checkpoint instead of main, and the instructions they skipped.
-  // In-process only: the wire does not carry them, so a distributed
-  // search's per_worker entries from shards read 0.
   u64 resumed_runs = 0;
   u64 instrs_skipped = 0;
+  // Delta solving (src/solver/incremental.h): slices taken over from the
+  // parent solve's state (also counted in slice_sat_hits), and solves
+  // that started from such a state. Zero on portable frontiers.
+  u64 slices_inherited = 0;
+  u64 solves_from_base = 0;
 };
 
 /// Counters for one shard process of the distributed scheduler
@@ -364,10 +367,14 @@ struct ReplayStats {
   // Adaptive-worker discipline switches under Pick::kPortfolio.
   u64 promotions = 0;
   // Checkpoint resume: runs that started at a read() checkpoint, and the
-  // instructions they did not re-execute. Summed over this process's
-  // workers only; shard-side counts do not reach the coordinator.
+  // instructions they did not re-execute (summed over workers and, since
+  // wire v10, shards).
   u64 resumed_runs = 0;
   u64 instrs_skipped = 0;
+  // Delta solving: slices inherited from a parent solve's state, and
+  // solves that started from one (summed like resumed_runs).
+  u64 slices_inherited = 0;
+  u64 solves_from_base = 0;
   // Per-discipline run accounting (SearchDiscipline index order):
   // completed (non-cancelled) runs attributed to the discipline whose
   // pop produced them, and how many of those ended in a forced logged

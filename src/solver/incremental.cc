@@ -423,15 +423,109 @@ std::span<const i32> IncrementalSolver::VarsOf(ExprRef expr) {
   return {vars_pool_.data() + memo.off, memo.len};
 }
 
+namespace {
+
+Interval DomainOf(const std::vector<Interval>& domains, i32 v) {
+  return static_cast<size_t>(v) < domains.size() ? domains[v] : Interval{0, 255};
+}
+
+// The base of every depth-0 solve.
+const SliceState kEmptyState;
+
+// True when base slice `slice` may be taken over as is: its resolution
+// is inheritable and no variable's domain changed.
+bool Inherits(const SliceState& base, u32 slice, const std::vector<Interval>& domains) {
+  if (base.inheritable[slice] == 0) {
+    return false;
+  }
+  if (base.domains == &domains) {
+    return true;
+  }
+  for (u32 k = base.var_start[slice]; k < base.var_start[slice + 1]; ++k) {
+    if (!(DomainOf(domains, base.vars[k]) == DomainOf(*base.domains, base.vars[k]))) {
+      return false;  // The slice key changed with the domain.
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool SliceState::Prefixes(ConstraintSpan other) const {
+  const size_t len = set.size();
+  if (len > other.size()) {
+    return false;
+  }
+  if (len == 0) {
+    return true;
+  }
+  // Only the last entry of either view can be negated.
+  for (size_t i = 0; other.data != set.data && i + 1 < len; ++i) {
+    if (!(other.data[i] == set.data[i])) {
+      return false;
+    }
+  }
+  return other[len - 1] == set[len - 1];
+}
+
+bool SliceState::Rebase(std::shared_ptr<const std::vector<Constraint>> trace,
+                        std::shared_ptr<const std::vector<Interval>> trace_domains) {
+  const ConstraintSpan view(trace->data(), set.size());
+  if (trace->size() < set.size() || !Prefixes(view)) {
+    return false;
+  }
+  set = view;
+  set_owner = std::move(trace);
+  if (domains != nullptr && *trace_domains == *domains) {
+    domains = trace_domains.get();
+    domains_owner = std::move(trace_domains);
+  }
+  return true;
+}
+
+void SliceState::Clear() {
+  set = ConstraintSpan();
+  domains = nullptr;
+  set_owner.reset();
+  domains_owner.reset();
+  max_var = -1;
+  var_slice.clear();
+  member_start.assign(1, 0);
+  members.clear();
+  var_start.assign(1, 0);
+  vars.clear();
+  values.clear();
+  inheritable.clear();
+}
+
 SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
                                      const std::vector<Interval>& domains,
-                                     const std::vector<i64>& seed) {
+                                     const std::vector<i64>& seed, const SliceState* base,
+                                     SliceState* out) {
   const size_t n = constraints.size();
   SolveResult result;
+  if (out != nullptr) {
+    out->Clear();
+  }
+  // Without a cache every slice is re-solved from the call's seed, so
+  // there is nothing to inherit and no state worth keeping.
+  const bool keep = out != nullptr && cache_ != nullptr;
+  if (base == nullptr || cache_ == nullptr || !base->Prefixes(constraints)) {
+    base = &kEmptyState;
+  } else {
+    ++stats_.solves_from_base;
+  }
+  const size_t base_len = base->set.size();
+  const u32 base_slices = static_cast<u32>(base->num_slices());
 
-  // Union-find over constraint indices, merged through shared variables.
-  parent_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
+  // Union-find over nodes: the base's slices [0, base_slices), then one
+  // node per delta constraint. A delta constraint joins the base slice
+  // owning any of its variables, or the delta constraint that named the
+  // variable first. At depth 0 the nodes are just the constraints.
+  const size_t num_nodes = base_slices + (n - base_len);
+  auto delta_index = [&](u32 node) { return base_len + (node - base_slices); };
+  parent_.resize(num_nodes);
+  for (size_t i = 0; i < num_nodes; ++i) {
     parent_[i] = static_cast<u32>(i);
   }
   auto find = [&](u32 x) {
@@ -442,35 +536,41 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     return x;
   };
 
-  // var_owner_[v]: the first constraint naming v (kNone outside a call).
-  // This pass also memoizes every constraint's variables, so the spans
-  // VarsOf hands out below stay valid for the rest of the call. Constant
-  // constraints (fully folded conditions) form no slice: they hold or
-  // fail regardless of any model, and one that fails ends the call.
-  i32 max_var = -1;
+  // var_owner_[v]: the first delta node naming v (kNone outside a call).
+  // A span from VarsOf is used up before the next VarsOf call: memoizing
+  // a new expression may move the pool. Constant constraints (fully
+  // folded conditions) form no slice: they hold or fail regardless of
+  // any model, and one that fails ends the call. The base's constants
+  // all held: it was solved SAT.
+  i32 max_var = base->max_var;
   bool constant_fails = false;
   owner_touched_.clear();
-  constraint_slice_.resize(n);
-  for (size_t i = 0; i < n && !constant_fails; ++i) {
-    const Constraint c = constraints[i];
+  node_slice_.resize(num_nodes);
+  std::fill(node_slice_.begin(), node_slice_.begin() + base_slices, 0);
+  for (u32 node = base_slices; node < num_nodes && !constant_fails; ++node) {
+    const Constraint c = constraints[delta_index(node)];
     const std::span<const i32> vars = VarsOf(c.expr);
     if (vars.empty()) {
       constant_fails = (arena_.Eval(c.expr, {}) != 0) != c.want_true;
-      constraint_slice_[i] = kNone;
+      node_slice_[node] = kNone;
       continue;
     }
-    constraint_slice_[i] = 0;  // Assigned below.
+    node_slice_[node] = 0;  // Assigned below.
     for (const i32 v : vars) {
       max_var = std::max(max_var, v);
       const size_t var = static_cast<size_t>(v);
+      if (var < base->var_slice.size() && base->var_slice[var] != kNone) {
+        parent_[find(node)] = find(base->var_slice[var]);
+        continue;
+      }
       if (var >= var_owner_.size()) {
         var_owner_.resize(var + 1, kNone);
       }
       if (var_owner_[var] == kNone) {
-        var_owner_[var] = static_cast<u32>(i);
+        var_owner_[var] = node;
         owner_touched_.push_back(v);
       } else {
-        parent_[find(static_cast<u32>(i))] = find(var_owner_[var]);
+        parent_[find(node)] = find(var_owner_[var]);
       }
     }
   }
@@ -482,21 +582,23 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     return result;
   }
 
-  // Group constraints into slices, ordered by first appearance so slice
-  // keys are deterministic for a given trace prefix; within a slice,
-  // constraints keep trace order. Counting pass, then a CSR fill.
-  root_slice_.assign(n, kNone);
+  // Group nodes into slices, ordered by first appearance so slice keys
+  // are deterministic for a given trace prefix: base slices are already
+  // in that order and every delta constraint comes after them, so node
+  // order is first-appearance order. Counting pass, then a CSR fill
+  // that keeps node order within a slice.
+  root_slice_.assign(num_nodes, kNone);
   slice_start_.assign(1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (constraint_slice_[i] == kNone) {
+  for (u32 node = 0; node < num_nodes; ++node) {
+    if (node_slice_[node] == kNone) {
       continue;
     }
-    u32& slice = root_slice_[find(static_cast<u32>(i))];
+    u32& slice = root_slice_[find(node)];
     if (slice == kNone) {
       slice = static_cast<u32>(slice_start_.size() - 1);
       slice_start_.push_back(0);
     }
-    constraint_slice_[i] = slice;
+    node_slice_[node] = slice;
     ++slice_start_[slice + 1];
   }
   const size_t num_slices = slice_start_.size() - 1;
@@ -504,10 +606,10 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     slice_start_[s + 1] += slice_start_[s];
   }
   slice_fill_.assign(slice_start_.begin(), slice_start_.end() - 1);
-  slice_members_.resize(slice_start_.back());
-  for (size_t i = 0; i < n; ++i) {
-    if (constraint_slice_[i] != kNone) {
-      slice_members_[slice_fill_[constraint_slice_[i]]++] = static_cast<u32>(i);
+  slice_nodes_.resize(slice_start_.back());
+  for (u32 node = 0; node < num_nodes; ++node) {
+    if (node_slice_[node] != kNone) {
+      slice_nodes_[slice_fill_[node_slice_[node]]++] = node;
     }
   }
 
@@ -519,10 +621,54 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     model[i] = std::clamp(i < seed.size() ? seed[i] : 0, dom.lo, dom.hi);
   }
 
+  // Where each slice's state comes from when `keep`: a base slice, or
+  // entry d of the resolved (dirty) slices recorded below.
+  slice_origin_.clear();
+  dirty_.Clear();
+
   for (size_t s = 0; s < num_slices; ++s) {
-    const std::span<const u32> slice(slice_members_.data() + slice_start_[s],
+    const std::span<const u32> nodes(slice_nodes_.data() + slice_start_[s],
                                      slice_start_[s + 1] - slice_start_[s]);
+    const u32 head = nodes[0];
     ++stats_.slices_total;
+
+    // A base slice the delta left alone, with unchanged domains and an
+    // inheritable resolution: the cache would return the sub-model it
+    // was validated with, and revalidation would pass again.
+    if (head < base_slices && nodes.size() == 1 && Inherits(*base, head, domains)) {
+      for (u32 k = base->var_start[head]; k < base->var_start[head + 1]; ++k) {
+        model[base->vars[k]] = base->values[k];
+      }
+      ++stats_.slice_sat_hits;
+      ++stats_.slices_inherited;
+      if (keep) {
+        slice_origin_.push_back(SliceOrigin{true, head});
+      }
+      continue;
+    }
+
+    // Everything else is resolved through the caches. Its constraints,
+    // in trace order: merged base slices interleave, delta constraints
+    // follow them. At depth 0 the nodes are the constraint indices.
+    std::span<const u32> members = nodes;
+    if (base_len != 0) {
+      slice_members_.clear();
+      u32 merged_base = 0;
+      for (const u32 node : nodes) {
+        if (node < base_slices) {
+          ++merged_base;
+          slice_members_.insert(slice_members_.end(),
+                                base->members.begin() + base->member_start[node],
+                                base->members.begin() + base->member_start[node + 1]);
+        } else {
+          slice_members_.push_back(static_cast<u32>(delta_index(node)));
+        }
+      }
+      if (merged_base > 1) {
+        std::sort(slice_members_.begin(), slice_members_.end());
+      }
+      members = slice_members_;
+    }
 
     // Key: constraint structure + polarity in trace order, then each
     // mentioned variable with its domain (ascending, deduplicated).
@@ -533,7 +679,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     slice_constraints_.clear();
     u64 key = 0x452821e638d01377ull;
     u64 check = 0xbe5466cf34e90c6cull;
-    for (const u32 ci : slice) {
+    for (const u32 ci : members) {
       const Constraint c = constraints[ci];
       slice_constraints_.push_back(c);
       const u64 expr_hash = arena_.StructuralHash(c.expr);
@@ -547,14 +693,17 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     std::sort(slice_vars_.begin(), slice_vars_.end());
     slice_vars_.erase(std::unique(slice_vars_.begin(), slice_vars_.end()), slice_vars_.end());
     for (const i32 v : slice_vars_) {
-      const Interval dom =
-          static_cast<size_t>(v) < domains.size() ? domains[v] : Interval{0, 255};
+      const Interval dom = DomainOf(domains, v);
       key = HashMix(key, static_cast<u64>(v));
       key = dom.MixInto(key);
       check = dom.MixInto(check);
       check = HashMix(check, static_cast<u64>(v));
     }
 
+    // Whether a later solve may inherit this slice's resolution.
+    bool inheritable = false;
+    bool resolved = false;
+    bool hit_failed = false;
     if (cache_ != nullptr) {
       if (cache_->LookupUnsat(key, check)) {
         ++stats_.slice_unsat_hits;
@@ -572,44 +721,122 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
         // (or any cache bug) degrades to a miss instead of a wrong model.
         if (solver_.Satisfies(slice_constraints_, model)) {
           ++stats_.slice_sat_hits;
-          continue;
-        }
-        for (const i32 v : slice_vars_) {  // Undo the misapplied sub-model.
-          if (static_cast<size_t>(v) < model.size()) {
-            const Interval dom =
-                static_cast<size_t>(v) < domains.size() ? domains[v] : Interval{0, 255};
-            model[v] = std::clamp(static_cast<size_t>(v) < seed.size() ? seed[v] : 0, dom.lo,
-                                  dom.hi);
+          resolved = true;
+          // Only a model of exactly the slice's variables validates
+          // independently of the seed.
+          inheritable = keep && cached_model_.size() == slice_vars_.size() &&
+                        std::equal(slice_vars_.begin(), slice_vars_.end(), cached_model_.begin(),
+                                   [](i32 v, const auto& entry) { return v == entry.first; });
+        } else {
+          hit_failed = true;
+          for (const i32 v : slice_vars_) {  // Undo the misapplied sub-model.
+            if (static_cast<size_t>(v) < model.size()) {
+              const Interval dom = DomainOf(domains, v);
+              model[v] = std::clamp(static_cast<size_t>(v) < seed.size() ? seed[v] : 0, dom.lo,
+                                    dom.hi);
+            }
           }
         }
       }
     }
 
-    ++stats_.slices_solved;
-    SolveResult sub = solver_.Solve(slice_constraints_, domains, seed);
-    result.steps += sub.steps;
-    if (sub.status == SolveStatus::kUnsat) {
+    if (!resolved) {
+      ++stats_.slices_solved;
+      SolveResult sub = solver_.Solve(slice_constraints_, domains, seed);
+      result.steps += sub.steps;
+      if (sub.status == SolveStatus::kUnsat) {
+        if (cache_ != nullptr) {
+          cache_->StoreUnsat(key, check);
+        }
+        result.status = SolveStatus::kUnsat;
+        return result;
+      }
+      if (sub.status != SolveStatus::kSat) {
+        result.status = SolveStatus::kUnknown;
+        return result;
+      }
+      SliceCache::SliceModel sub_model;
+      sub_model.reserve(slice_vars_.size());
+      for (const i32 v : slice_vars_) {
+        const i64 value = static_cast<size_t>(v) < sub.model.size() ? sub.model[v] : 0;
+        sub_model.emplace_back(v, value);
+        if (static_cast<size_t>(v) < model.size()) {
+          model[v] = value;
+        }
+      }
       if (cache_ != nullptr) {
-        cache_->StoreUnsat(key, check);
+        cache_->StoreSat(key, std::move(sub_model));
       }
-      result.status = SolveStatus::kUnsat;
-      return result;
+      // The next lookup returns this sub-model, unless the store lost to
+      // the entry that failed revalidation (first store wins).
+      inheritable = cache_ != nullptr && !hit_failed;
     }
-    if (sub.status != SolveStatus::kSat) {
-      result.status = SolveStatus::kUnknown;
-      return result;
-    }
-    SliceCache::SliceModel sub_model;
-    sub_model.reserve(slice_vars_.size());
-    for (const i32 v : slice_vars_) {
-      const i64 value = static_cast<size_t>(v) < sub.model.size() ? sub.model[v] : 0;
-      sub_model.emplace_back(v, value);
-      if (static_cast<size_t>(v) < model.size()) {
-        model[v] = value;
+
+    if (keep) {
+      slice_origin_.push_back(SliceOrigin{false, static_cast<u32>(dirty_.num_slices())});
+      dirty_.members.insert(dirty_.members.end(), members.begin(), members.end());
+      dirty_.member_start.push_back(static_cast<u32>(dirty_.members.size()));
+      for (const i32 v : slice_vars_) {
+        dirty_.vars.push_back(v);
+        dirty_.values.push_back(model[v]);
       }
+      dirty_.var_start.push_back(static_cast<u32>(dirty_.vars.size()));
+      dirty_.inheritable.push_back(inheritable ? 1 : 0);
     }
-    if (cache_ != nullptr) {
-      cache_->StoreSat(key, std::move(sub_model));
+  }
+
+  if (keep) {
+    // The solved set's state: every slice in order, sized exactly (states
+    // stay alive in the frontier). Consecutive slices of one source are
+    // copied as one run: most of a state is its base's, in base order.
+    out->set = constraints;
+    out->domains = &domains;
+    out->max_var = max_var;
+    out->var_slice.assign(static_cast<size_t>(max_var + 1), kNone);
+    size_t num_members = 0;
+    size_t num_vars = 0;
+    for (const SliceOrigin& origin : slice_origin_) {
+      const SliceState& from = origin.from_base ? *base : dirty_;
+      num_members += from.member_start[origin.slice + 1] - from.member_start[origin.slice];
+      num_vars += from.var_start[origin.slice + 1] - from.var_start[origin.slice];
+    }
+    out->member_start.reserve(num_slices + 1);
+    out->members.reserve(num_members);
+    out->var_start.reserve(num_slices + 1);
+    out->vars.reserve(num_vars);
+    out->values.reserve(num_vars);
+    out->inheritable.reserve(num_slices);
+    for (size_t i = 0; i < slice_origin_.size();) {
+      const SliceOrigin origin = slice_origin_[i];
+      size_t run = 1;
+      while (i + run < slice_origin_.size() &&
+             slice_origin_[i + run].from_base == origin.from_base &&
+             slice_origin_[i + run].slice == origin.slice + run) {
+        ++run;
+      }
+      const SliceState& from = origin.from_base ? *base : dirty_;
+      const u32 first = origin.slice;
+      const u32 last = first + static_cast<u32>(run);
+      const u32 member_base = static_cast<u32>(out->members.size());
+      const u32 var_base = static_cast<u32>(out->vars.size());
+      out->members.insert(out->members.end(), from.members.begin() + from.member_start[first],
+                          from.members.begin() + from.member_start[last]);
+      out->vars.insert(out->vars.end(), from.vars.begin() + from.var_start[first],
+                       from.vars.begin() + from.var_start[last]);
+      out->values.insert(out->values.end(), from.values.begin() + from.var_start[first],
+                         from.values.begin() + from.var_start[last]);
+      out->inheritable.insert(out->inheritable.end(), from.inheritable.begin() + first,
+                              from.inheritable.begin() + last);
+      for (u32 b = first; b < last; ++b) {
+        const u32 slice = static_cast<u32>(out->num_slices());
+        out->member_start.push_back(member_base + from.member_start[b + 1] -
+                                    from.member_start[first]);
+        out->var_start.push_back(var_base + from.var_start[b + 1] - from.var_start[first]);
+        for (u32 k = from.var_start[b]; k < from.var_start[b + 1]; ++k) {
+          out->var_slice[static_cast<size_t>(from.vars[k])] = slice;
+        }
+      }
+      i += run;
     }
   }
 

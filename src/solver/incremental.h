@@ -17,6 +17,13 @@
 //      the slice mentions), shared by all workers of a search. Once any
 //      worker proves a slice SAT or UNSAT, no worker solves it again.
 //
+//   3. Delta solving: a pending is its parent run's path prefix plus a
+//      few constraints, so a solve can start from the SliceState of the
+//      solve whose model produced that run. Only the slices the delta
+//      creates or merges, and slices whose variables' domains changed,
+//      go through the caches; every other slice is inherited with the
+//      sub-model it was validated with. See SliceState below.
+//
 // Soundness: the key covers structure, polarity and domains, so a hit is
 // the *same* subproblem — a cached model is revalidated against the live
 // constraints before use (a fingerprint collision therefore degrades to
@@ -31,6 +38,7 @@
 
 #include <atomic>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -229,6 +237,87 @@ struct IncrementalStats {
   u64 slices_solved = 0;     // Slices actually sent to the local search.
   u64 slice_sat_hits = 0;    // Slices satisfied straight from the cache.
   u64 slice_unsat_hits = 0;  // Sets rejected straight from the UNSAT cache.
+  // Delta solving: slices taken over from a base state without touching
+  // the cache (each also counts in slices_total and slice_sat_hits, as
+  // the hit it replaces), and solves that started from a base state.
+  u64 slices_inherited = 0;
+  u64 solves_from_base = 0;
+};
+
+/// \brief The slices of one solved constraint set and how each was
+/// resolved: the base a later solve extends (delta solving).
+///
+/// A replay pending is its parent run's path prefix plus a few
+/// constraints, and that prefix is exactly the set the parent pending
+/// solved. `IncrementalSolver::Solve` given the parent's state as base
+/// therefore only partitions the delta: constraints `[base size, n)`.
+/// Base slices the delta does not touch keep their resolution; slices
+/// the delta creates or merges are resolved as in a depth-0 solve (key,
+/// UNSAT lookup, SAT lookup + revalidation, or solve + store), in the
+/// same first-appearance order, so the model, the status, the counters
+/// and the cache contents are those of the depth-0 solve.
+///
+/// Inheritance rules. A base slice is re-resolved through the cache
+/// instead of inherited when
+///   - the domain of one of its variables changed (its key changed), or
+///   - it is not `inheritable`: its cache hit failed revalidation (that
+///     path solves from the call's seed, so it must be re-run), or the
+///     hit's model did not cover exactly the slice's variables (the
+///     revalidation then depended on the seed), or there was no cache.
+/// A base whose constraints are not a prefix of the new set, by ExprRef
+/// and polarity, is ignored: the solve starts from depth 0, which is
+/// also the case for every set with no base (the search's first run, a
+/// corpus seed's run, portable traces).
+///
+/// Bounded caches: an inherited slice is not looked up, so it does not
+/// refresh its entry's LRU recency, and it keeps its sub-model even if
+/// its entry was evicted meanwhile (a depth-0 solve would re-solve it).
+/// Both are sound. An unbounded cache with one writer never forgets or
+/// replaces an entry, so there inheriting is exact.
+///
+/// **Ownership:** it borrows the constraints and the domains vector the
+/// solve that filled it was given (`set`, `domains`): keep both alive
+/// and unchanged while the state serves as a base. `set_owner` and
+/// `domains_owner` may own them; Solve never touches those fields.
+/// Rebase moves the borrow to equal storage the caller already keeps,
+/// such as the trace of the run the model produced, which starts with
+/// the solved set. The replay engine does that when it hands the state
+/// to that run's pendings, which share it; it is freed with the last of
+/// them.
+struct SliceState {
+  static constexpr u32 kNone = ~0u;
+
+  size_t num_slices() const { return member_start.size() - 1; }
+  /// True when `other` starts with this state's constraints, by ExprRef
+  /// and polarity.
+  bool Prefixes(ConstraintSpan other) const;
+  /// Borrows the solved set from `trace` instead, which must start with
+  /// it (false, and nothing changes, when it does not), and the domains
+  /// from `trace_domains` when they are equal to the state's. Taking
+  /// ownership of both, the state then pins only what the caller keeps
+  /// anyway, and later Prefixes and domain checks against the same
+  /// storage are a pointer compare.
+  bool Rebase(std::shared_ptr<const std::vector<Constraint>> trace,
+              std::shared_ptr<const std::vector<Interval>> trace_domains);
+  /// Back to the empty state (the depth-0 base), keeping capacity.
+  void Clear();
+
+  ConstraintSpan set;                             // The solved set.
+  const std::vector<Interval>* domains = nullptr;  // The domains it was solved under.
+  std::shared_ptr<const void> set_owner;
+  std::shared_ptr<const void> domains_owner;
+  i32 max_var = -1;
+  std::vector<u32> var_slice;  // Var id -> slice (kNone: not mentioned).
+  // Slices in first-appearance order. Slice s owns constraint indices
+  // members[member_start[s], member_start[s+1]) in trace order, and
+  // vars/values[var_start[s], var_start[s+1]): its variables ascending
+  // and the value each has in the validated sub-model.
+  std::vector<u32> member_start{0};
+  std::vector<u32> members;
+  std::vector<u32> var_start{0};
+  std::vector<i32> vars;
+  std::vector<i64> values;
+  std::vector<u8> inheritable;  // Per slice.
 };
 
 /// \brief Per-worker solving facade over the shared slice caches.
@@ -247,8 +336,15 @@ class IncrementalSolver {
   IncrementalSolver(const ExprArena& arena, SolverOptions options, SliceCache* cache)
       : arena_(arena), solver_(arena, options), cache_(cache) {}
 
+  /// Solves `constraints`. With `base` (a state an earlier SAT solve of
+  /// this search filled), the solve extends it by the delta; see
+  /// SliceState for when it falls back to depth 0. With `out`, a SAT
+  /// solve leaves its own state there for the next solve to extend (on
+  /// any other status `out` is left empty). `base` and `out` must not
+  /// alias.
   SolveResult Solve(ConstraintSpan constraints, const std::vector<Interval>& domains,
-                    const std::vector<i64>& seed);
+                    const std::vector<i64>& seed, const SliceState* base = nullptr,
+                    SliceState* out = nullptr);
 
   const IncrementalStats& stats() const { return stats_; }
 
@@ -280,18 +376,28 @@ class IncrementalSolver {
   // Per-Solve scratch, reset by every call and never shrunk, so a warm
   // solver partitions without allocating. var_owner_ stays all-kNone
   // between calls: each call clears the entries it set, via
-  // owner_touched_, right after the union pass.
-  std::vector<u32> parent_;            // Union-find over constraint indices.
-  std::vector<u32> var_owner_;         // Var id -> first constraint naming it.
-  std::vector<i32> owner_touched_;     // Var ids whose owner this call set.
-  std::vector<u32> root_slice_;        // Union-find root -> slice id.
-  std::vector<u32> constraint_slice_;  // Constraint -> slice id (kNone: constant).
-  std::vector<u32> slice_start_;       // CSR: slice s is members [start[s], start[s+1]).
+  // owner_touched_, right after the union pass. Nodes are the base's
+  // slices followed by the delta constraints.
+  std::vector<u32> parent_;         // Union-find over nodes.
+  std::vector<u32> var_owner_;      // Var id -> first delta node naming it.
+  std::vector<i32> owner_touched_;  // Var ids whose owner this call set.
+  std::vector<u32> root_slice_;     // Union-find root -> slice id.
+  std::vector<u32> node_slice_;     // Node -> slice id (kNone: constant).
+  std::vector<u32> slice_start_;    // CSR: slice s is nodes [start[s], start[s+1]).
   std::vector<u32> slice_fill_;
-  std::vector<u32> slice_members_;     // Constraint indices, slice by slice.
+  std::vector<u32> slice_nodes_;    // Nodes, slice by slice.
+  std::vector<u32> slice_members_;  // One resolved slice's constraint indices.
   std::vector<Constraint> slice_constraints_;
   std::vector<i32> slice_vars_;
   SliceCache::SliceModel cached_model_;  // A SAT hit's sub-model; reuses its capacity.
+  // Building the `out` state: where each slice comes from, and the
+  // slices resolved through the caches in this call.
+  struct SliceOrigin {
+    bool from_base = false;
+    u32 slice = 0;  // Index into the base, or into dirty_.
+  };
+  std::vector<SliceOrigin> slice_origin_;
+  SliceState dirty_;
 };
 
 }  // namespace retrace

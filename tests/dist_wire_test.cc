@@ -195,6 +195,27 @@ std::vector<HostileCase> HostilePayloads() {
     }
     cases.push_back({"export_over_cap", capped.Take(), DecoderOf(DecodePendingExport)});
   }
+  {
+    // A v9 shard result: its stats payload lacks the four v10 counters,
+    // in the aggregate and in each worker entry. Cut them out of a v10
+    // encoding by their distinct sample values.
+    std::vector<u8> payload = Encode(EncodeShardResult, MakeShardResult());
+    const ReplayStats& stats = MakeShardResult().result.stats;
+    for (const u64 first : {stats.resumed_runs, stats.per_worker[0].resumed_runs,
+                            stats.per_worker[1].resumed_runs}) {
+      WireWriter counters;
+      for (u64 v = first; v < first + 4; ++v) {
+        counters.U64(v);
+      }
+      const auto at = std::search(payload.begin(), payload.end(), counters.buf().begin(),
+                                  counters.buf().end());
+      EXPECT_NE(at, payload.end());
+      if (at != payload.end()) {
+        payload.erase(at, at + static_cast<std::ptrdiff_t>(counters.buf().size()));
+      }
+    }
+    cases.push_back({"shard_result_v9_stats", payload, DecoderOf(DecodeShardResult)});
+  }
   cases.push_back({"join_hostile_ident",
                    Encode(EncodeJoin, WireJoin{std::string(100'000, 'x'), 8, ""}),
                    DecoderOf(DecodeJoin)});

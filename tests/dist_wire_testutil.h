@@ -68,7 +68,8 @@ inline ReplayWorkerStats MakeWorkerStats(u64 base) {
        {&w.runs, &w.solver_calls, &w.aborts_forced_direction, &w.aborts_concrete_mismatch,
         &w.aborts_log_exhausted, &w.crashes_wrong_site, &w.steals, &w.dedup_skips,
         &w.cancelled_runs, &w.slices_solved, &w.slice_sat_hits, &w.slice_unsat_hits,
-        &w.pendings_pruned, &w.corpus_runs, &w.promotions}) {
+        &w.pendings_pruned, &w.corpus_runs, &w.promotions, &w.resumed_runs,
+        &w.instrs_skipped, &w.slices_inherited, &w.solves_from_base}) {
     *field = ++base;
   }
   return w;
@@ -93,6 +94,7 @@ inline WireShardResult MakeShardResult() {
         &s.dedup_skips, &s.cancelled_runs, &s.slices_solved, &s.slice_sat_hits,
         &s.slice_unsat_hits, &s.slice_evictions, &s.pendings_exported, &s.pendings_imported,
         &s.rebalance_rounds, &s.pendings_pruned, &s.corpus_runs, &s.promotions,
+        &s.resumed_runs, &s.instrs_skipped, &s.slices_inherited, &s.solves_from_base,
         &s.shards_lost, &s.pendings_recovered, &s.heartbeats_missed}) {
     *field = ++next;
   }
@@ -283,6 +285,10 @@ inline void ExpectSame(const ReplayWorkerStats& want, const ReplayWorkerStats& g
   RETRACE_EXPECT_FIELD(pendings_pruned);
   RETRACE_EXPECT_FIELD(corpus_runs);
   RETRACE_EXPECT_FIELD(promotions);
+  RETRACE_EXPECT_FIELD(resumed_runs);
+  RETRACE_EXPECT_FIELD(instrs_skipped);
+  RETRACE_EXPECT_FIELD(slices_inherited);
+  RETRACE_EXPECT_FIELD(solves_from_base);
 }
 
 // The shipped subset: coordinator-side fields (harvest_runs, wire byte
@@ -308,6 +314,10 @@ inline void ExpectSame(const ReplayStats& want, const ReplayStats& got, const st
   RETRACE_EXPECT_FIELD(pendings_pruned);
   RETRACE_EXPECT_FIELD(corpus_runs);
   RETRACE_EXPECT_FIELD(promotions);
+  RETRACE_EXPECT_FIELD(resumed_runs);
+  RETRACE_EXPECT_FIELD(instrs_skipped);
+  RETRACE_EXPECT_FIELD(slices_inherited);
+  RETRACE_EXPECT_FIELD(solves_from_base);
   RETRACE_EXPECT_FIELD(shards_lost);
   RETRACE_EXPECT_FIELD(pendings_recovered);
   RETRACE_EXPECT_FIELD(heartbeats_missed);
