@@ -22,7 +22,6 @@
 // in seconds. On a single-core host all of the measured speedup is
 // diversification. Wire overhead is reported honestly per table: total
 // bytes shipped both ways and the verdicts gossiped between shards.
-#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdlib>
@@ -47,8 +46,7 @@ std::vector<u32> WorkerCounts(u32 shards) {
 }
 
 // Default sweep: experiments 1-4 (e5 historically exceeds the cap at every
-// count — target it explicitly with RETRACE_BENCH_EXPERIMENTS=5, usually
-// together with RETRACE_REPLAY_PICK=logbits).
+// count — target it explicitly with RETRACE_BENCH_EXPERIMENTS=5).
 std::vector<int> Experiments() {
   const char* env = std::getenv("RETRACE_BENCH_EXPERIMENTS");
   if (env == nullptr) {
@@ -217,10 +215,6 @@ int Main() {
               cap_ms / 1000, cap_ms % 1000);
   std::printf("solver cache: %s (RETRACE_SOLVER_CACHE=0 disables the incremental layer)\n",
               SolverCacheEnabled() ? "on" : "off");
-  std::printf("pick heuristic: %s (RETRACE_REPLAY_PICK=dfs|fifo|logbits|direction|portfolio)\n",
-              ReplayPickName());
-  std::printf("subsumption pruning: %s (RETRACE_REPLAY_PRUNE=1 enables)\n",
-              ReplayPruneEnabled() ? "on" : "off");
   std::printf("corpus mutation: %u mutants/seed (RETRACE_REPLAY_CORPUS_MUTATE)\n",
               corpus_mutants);
   std::printf("corpus seeding: %s, %zu dynamic-analysis seeds (RETRACE_REPLAY_CORPUS=1 "
@@ -252,16 +246,12 @@ int Main() {
     u64 total_slices_solved = 0;
     u64 total_wire_bytes = 0;
     u64 total_verdicts_gossiped = 0;
-    u64 total_pruned = 0;
     u64 total_corpus_runs = 0;
-    u64 total_promotions = 0;
     u64 total_runs = 0;
     u64 total_shards_lost = 0;
     u64 total_pendings_recovered = 0;
     u64 total_heartbeats_missed = 0;
     u64 total_fallbacks = 0;
-    std::array<u64, kNumDisciplines> disc_runs{};
-    std::array<u64, kNumDisciplines> disc_on_log{};
     // Per-shard aggregation over every cell of this table: process-level
     // runs, wire traffic (re-balance frames included — they ride the
     // same channels the byte counters watch) and re-balance activity.
@@ -304,18 +294,12 @@ int Main() {
         total_slices_solved += replay.stats.slices_solved;
         total_wire_bytes += replay.stats.wire_bytes_tx + replay.stats.wire_bytes_rx;
         total_verdicts_gossiped += replay.stats.verdicts_gossiped;
-        total_pruned += replay.stats.pendings_pruned;
         total_corpus_runs += replay.stats.corpus_runs;
-        total_promotions += replay.stats.promotions;
         total_runs += replay.stats.runs;
         total_shards_lost += replay.stats.shards_lost;
         total_pendings_recovered += replay.stats.pendings_recovered;
         total_heartbeats_missed += replay.stats.heartbeats_missed;
         total_fallbacks += replay.stats.fallback_inprocess ? 1 : 0;
-        for (size_t d = 0; d < kNumDisciplines; ++d) {
-          disc_runs[d] += replay.stats.discipline_runs[d];
-          disc_on_log[d] += replay.stats.discipline_on_log[d];
-        }
         for (const ReplayShardStats& sh : replay.stats.per_shard) {
           if (sh.shard_id >= shard_agg.size()) {
             continue;
@@ -364,20 +348,9 @@ int Main() {
                 lookups > 0 ? 100.0 * static_cast<double>(total_sat_hits + total_unsat_hits) /
                                   static_cast<double>(lookups)
                             : 0.0);
-    std::printf("search quality (all cells): %" PRIu64 " pendings pruned, %" PRIu64
-                " corpus runs, %" PRIu64 " promotions (%" PRIu64 " runs total)\n",
-                total_pruned, total_corpus_runs, total_promotions, total_runs);
-    std::printf("per-discipline on-log rates:");
-    for (size_t d = 0; d < kNumDisciplines; ++d) {
-      if (disc_runs[d] == 0) {
-        continue;
-      }
-      std::printf(" %s %" PRIu64 "/%" PRIu64 " (%.1f%%)", SearchDisciplineName(d),
-                  disc_on_log[d], disc_runs[d],
-                  100.0 * static_cast<double>(disc_on_log[d]) /
-                      static_cast<double>(disc_runs[d]));
-    }
-    std::printf("\n");
+    std::printf("corpus seeding (all cells): %" PRIu64 " corpus runs (%" PRIu64
+                " runs total)\n",
+                total_corpus_runs, total_runs);
     if (shards > 1) {
       std::printf("wire overhead (all cells): %.1f KB shipped, %" PRIu64
                   " verdicts gossiped between shards\n",

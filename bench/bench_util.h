@@ -68,8 +68,8 @@ inline AnalysisConfig HighCoverageConfig() {
   return config;
 }
 
-// Single-value replay knobs (workers, pick, solver cache, pruning,
-// shards, transport, gossip cadence) are parsed by the engine's own
+// Single-value replay knobs (workers, solver cache, shards, transport,
+// gossip cadence) are parsed by the engine's own
 // ReplayConfig::FromEnv (src/replay/replay_engine.h) — one strict,
 // documented parser shared by benches, CI legs, and tools, instead of
 // per-bench getenv scatter. The thin wrappers below exist for benches
@@ -77,22 +77,7 @@ inline AnalysisConfig HighCoverageConfig() {
 // because sweeping a *list* of shard counts is a bench concept.
 inline u32 ReplayWorkers() { return ReplayConfig::FromEnv().num_workers; }
 
-inline ReplayConfig::Pick ReplayPick() { return ReplayConfig::FromEnv().pick; }
-
-inline const char* ReplayPickName() {
-  switch (ReplayPick()) {
-    case ReplayConfig::Pick::kFifo: return "fifo";
-    case ReplayConfig::Pick::kLogBits: return "logbits";
-    case ReplayConfig::Pick::kDirection: return "direction";
-    case ReplayConfig::Pick::kPortfolio: return "portfolio";
-    case ReplayConfig::Pick::kDfs: break;
-  }
-  return "dfs";
-}
-
 inline bool SolverCacheEnabled() { return ReplayConfig::FromEnv().solver_cache; }
-
-inline bool ReplayPruneEnabled() { return ReplayConfig::FromEnv().prune_subsumed; }
 
 // Corpus-seeding knob: RETRACE_REPLAY_CORPUS=1 hands the dynamic
 // analysis' model corpus (AnalysisResult::corpus) to the replay engine

@@ -48,8 +48,9 @@ struct ShardProc {
 // same constraint fingerprint the shards' dedup uses. The ledger is the
 // recovery source of truth: seeded partitions and every re-balance
 // carve move through it, a clean kResult clears it, and a death
-// re-injects whatever is still unaccounted (at-least-once — duplicates
-// die in the receivers' FingerprintSet subsumption).
+// re-injects whatever is still unaccounted (at-least-once — a copy the
+// receiving search already tried dies in its per-pop `tried` dedup,
+// which every shared-frontier search in RunSearch runs).
 struct LedgerEntry {
   u64 fp = 0;
   PortablePending pending;
@@ -99,14 +100,13 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   const u32 num_shards = fleet.num_shards();
 
   // ----- 1. Scout: grow (or finish) the frontier in-process. -----
-  // A short one-worker DFS: monolithic solver, no corpus seeds, no
-  // pruning. It stops once the frontier is wide enough to deal out.
+  // A short one-worker DFS: monolithic solver, no corpus seeds. It stops
+  // once the frontier is wide enough to deal out.
   ReplayEngine scout(module, plan, report);
   ReplayConfig scout_cfg = config;
   scout_cfg.num_shards = 1;
   scout_cfg.pick = ReplayConfig::Pick::kDfs;
   scout_cfg.solver_cache = false;
-  scout_cfg.prune_subsumed = false;
   scout_cfg.corpus_seeds.clear();
   scout_cfg.max_runs = std::min<u64>(std::max<u64>(4, 2 * num_shards), config.max_runs);
   std::vector<PortablePending> frontier;
@@ -330,9 +330,8 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   // and is now exporting) starts being tracked at the receiver — the
   // first moment the coordinator can know it exists.
   auto transfer_ledger = [&](u32 from, u32 to, const WireFrame& frame) {
-    WireReader r(frame.payload.data(), frame.payload.size());
     WirePendingExport batch;
-    if (!DecodePendingExport(&r, &batch)) {
+    if (!DecodePayload(frame.payload, DecodePendingExport, &batch)) {
       return;  // Digest-checked upstream; tracked best-effort.
     }
     for (PortablePending& pending : batch.pendings) {
@@ -353,8 +352,7 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   };
   auto route_work_request = [&](u32 requester, const WireFrame& frame) {
     WireWorkRequest request;
-    WireReader r(frame.payload.data(), frame.payload.size());
-    if (!DecodeWorkRequest(&r, &request)) {
+    if (!DecodePayload(frame.payload, DecodeWorkRequest, &request)) {
       return;  // Digest-checked upstream; a malformed request is a peer bug.
     }
     const PendingRequest pending{requester, request.seq};
@@ -410,11 +408,11 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   // Re-injects a dead shard's unaccounted ledger column into the live
   // fleet as unsolicited kPendingExport batches (seq 0 — matches no
   // requester's outstanding answer; the pumps import unsolicited work
-  // unconditionally). At-least-once by design: a pending the shard
-  // already solved re-proves cheaply and dies in FingerprintSet
-  // subsumption, while the one pending that held the reproducing input
-  // is guaranteed a new home. With nobody live the column moves to the
-  // orphan pool for the in-process fallback.
+  // unconditionally). At-least-once by design: a pending the receiver
+  // already tried dies in its search's per-pop `tried` dedup, one only
+  // the dead shard ran costs one re-run, and the one pending that held
+  // the reproducing input is guaranteed a new home. With nobody live the
+  // column moves to the orphan pool for the in-process fallback.
   auto recover_ledger = [&](u32 dead) {
     if (ledger[dead].empty()) {
       return;
@@ -579,8 +577,7 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
             reroute_export(s, frame);
           }
         } else if (frame.type == WireMsg::kResult) {
-          WireReader r(frame.payload.data(), frame.payload.size());
-          if (DecodeShardResult(&r, &proc.res)) {
+          if (DecodePayload(frame.payload, DecodeShardResult, &proc.res)) {
             proc.have_result = true;
             if (proc.res.result.reproduced && !have_winner) {
               have_winner = true;
@@ -674,7 +671,6 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       shard_stats.pendings_exported = ss.pendings_exported;
       shard_stats.pendings_imported = ss.pendings_imported;
       shard_stats.rebalance_rounds = ss.rebalance_rounds;
-      shard_stats.pendings_pruned = ss.pendings_pruned;
       shard_stats.wall_seconds = proc.res.result.wall_seconds;
       result.stats.runs += ss.runs;
       result.stats.solver_calls += ss.solver_calls;
@@ -692,18 +688,12 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       result.stats.pendings_exported += ss.pendings_exported;
       result.stats.pendings_imported += ss.pendings_imported;
       result.stats.rebalance_rounds += ss.rebalance_rounds;
-      result.stats.pendings_pruned += ss.pendings_pruned;
       result.stats.corpus_runs += ss.corpus_runs;
-      result.stats.promotions += ss.promotions;
       result.stats.resumed_runs += ss.resumed_runs;
       result.stats.instrs_skipped += ss.instrs_skipped;
       result.stats.slices_inherited += ss.slices_inherited;
       result.stats.solves_from_base += ss.solves_from_base;
       result.stats.failure_profile.Merge(ss.failure_profile);
-      for (size_t d = 0; d < kNumDisciplines; ++d) {
-        result.stats.discipline_runs[d] += ss.discipline_runs[d];
-        result.stats.discipline_on_log[d] += ss.discipline_on_log[d];
-      }
       result.stats.pending_peak = std::max(result.stats.pending_peak, ss.pending_peak);
       result.stats.per_worker.insert(result.stats.per_worker.end(), ss.per_worker.begin(),
                                      ss.per_worker.end());
@@ -759,7 +749,6 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
     result.stats.slice_sat_hits += fb.stats.slice_sat_hits;
     result.stats.slice_unsat_hits += fb.stats.slice_unsat_hits;
     result.stats.corpus_runs += fb.stats.corpus_runs;
-    result.stats.promotions += fb.stats.promotions;
     result.stats.resumed_runs += fb.stats.resumed_runs;
     result.stats.instrs_skipped += fb.stats.instrs_skipped;
     result.stats.slices_inherited += fb.stats.slices_inherited;

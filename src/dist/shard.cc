@@ -84,9 +84,8 @@ u64 PublishVerdicts(SliceCache* cache, WireChannel* chan) {
 
 // Merges a gossiped verdict batch; returns how many verdicts it carried.
 u64 MergeVerdicts(const WireFrame& frame, SliceCache* cache) {
-  WireReader r(frame.payload.data(), frame.payload.size());
   WireVerdicts verdicts;
-  if (!DecodeVerdicts(&r, &verdicts)) {
+  if (!DecodePayload(frame.payload, DecodeVerdicts, &verdicts)) {
     return 0;  // Digest-checked upstream; a decode failure is a peer bug.
   }
   const u64 n = verdicts.sat.size() + verdicts.unsat.size();
@@ -104,9 +103,8 @@ u64 MergeVerdicts(const WireFrame& frame, SliceCache* cache) {
 // routes them to the starved requester.
 void AnswerWorkRequest(const WireFrame& frame, FrontierPort* port, WireChannel* chan) {
   WireWorkRequest request;
-  WireReader r(frame.payload.data(), frame.payload.size());
   WirePendingExport batch;
-  if (DecodeWorkRequest(&r, &request)) {
+  if (DecodePayload(frame.payload, DecodeWorkRequest, &request)) {
     // Echo the requester's identity and sequence so the answer can be
     // matched against (exactly) the request it serves.
     batch.requester_shard_id = request.shard_id;
@@ -170,8 +168,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
       }
       switch (frame.type) {
         case WireMsg::kHello: {
-          WireReader r(frame.payload.data(), frame.payload.size());
-          if (!DecodeHello(&r, &hello) ||
+          if (!DecodePayload(frame.payload, DecodeHello, &hello) ||
               (expected_shard_id != kAnyShardId && hello.shard_id != expected_shard_id)) {
             return ShardRunStatus::kProtocolError;
           }
@@ -179,9 +176,8 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
           break;
         }
         case WireMsg::kPending: {
-          WireReader r(frame.payload.data(), frame.payload.size());
           PortablePending pending;
-          if (!DecodePending(&r, &pending)) {
+          if (!DecodePayload(frame.payload, DecodePending, &pending)) {
             return ShardRunStatus::kProtocolError;
           }
           // Sibling pendings of one scouted run arrive as separate frames
@@ -333,9 +329,8 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
         AnswerWorkRequest(frame, &port, &chan);
         break;
       case WireMsg::kPendingExport: {
-        WireReader r(frame.payload.data(), frame.payload.size());
         WirePendingExport batch;
-        if (!DecodePendingExport(&r, &batch)) {
+        if (!DecodePayload(frame.payload, DecodePendingExport, &batch)) {
           break;  // Digest-checked upstream; a decode failure is a peer bug.
         }
         // Only the echo of the request we are actually waiting on drives
@@ -557,10 +552,9 @@ ShardRunStatus ServeJobs(WireChannel& chan, const IrModule* inherited, u32 expec
       case WireMsg::kWorkRequest: {
         // Honest "nothing to spare" so a starved peer's give-up counter
         // keeps moving even when the donor the relay picked is idle.
-        WireReader r(frame.payload.data(), frame.payload.size());
         WireWorkRequest request;
         WirePendingExport batch;
-        if (DecodeWorkRequest(&r, &request)) {
+        if (DecodePayload(frame.payload, DecodeWorkRequest, &request)) {
           batch.requester_shard_id = request.shard_id;
           batch.seq = request.seq;
         }
@@ -576,8 +570,7 @@ ShardRunStatus ServeJobs(WireChannel& chan, const IrModule* inherited, u32 expec
     }
     WireJobBegin begin;
     {
-      WireReader r(frame.payload.data(), frame.payload.size());
-      if (!DecodeJobBegin(&r, &begin)) {
+      if (!DecodePayload(frame.payload, DecodeJobBegin, &begin)) {
         return ShardRunStatus::kProtocolError;
       }
     }

@@ -294,8 +294,8 @@ std::unique_ptr<WireChannel> TcpTransport::Handshake(int fd, i64 deadline_ms) {
     }
   }
   WireJoin join;
-  WireReader r(frames[0].payload.data(), frames[0].payload.size());
-  if (frames.size() != 1 || frames[0].type != WireMsg::kJoin || !DecodeJoin(&r, &join)) {
+  if (frames.size() != 1 || frames[0].type != WireMsg::kJoin ||
+      !DecodePayload(frames[0].payload, DecodeJoin, &join)) {
     return nullptr;
   }
   // Shared-secret check happens here, before any job bytes ship: a

@@ -246,7 +246,6 @@ void EncodePending(const PortablePending& pending, WireWriter* w) {
     w->I64(dom.hi);
   }
   w->U64(pending.priority);
-  w->U64(pending.dir_score);
 }
 
 bool DecodePending(WireReader* r, PortablePending* out) {
@@ -325,8 +324,7 @@ bool DecodePending(WireReader* r, PortablePending* out) {
     domains->push_back(dom);
   }
   u64 priority = 0;
-  u64 dir_score = 0;
-  if (!r->U64(&priority) || !r->U64(&dir_score) || !r->ok()) {
+  if (!r->U64(&priority) || !r->ok()) {
     return false;
   }
   // Variable ids must name real input cells: seed/domains snapshots cover
@@ -346,7 +344,6 @@ bool DecodePending(WireReader* r, PortablePending* out) {
   out->seed = std::move(seed);
   out->domains = std::move(domains);
   out->priority = priority;
-  out->dir_score = dir_score;
   return true;
 }
 
@@ -452,9 +449,7 @@ void EncodeWorkerStats(const ReplayWorkerStats& w, WireWriter* out) {
   out->U64(w.slices_solved);
   out->U64(w.slice_sat_hits);
   out->U64(w.slice_unsat_hits);
-  out->U64(w.pendings_pruned);
   out->U64(w.corpus_runs);
-  out->U64(w.promotions);
   // v10.
   out->U64(w.resumed_runs);
   out->U64(w.instrs_skipped);
@@ -462,8 +457,8 @@ void EncodeWorkerStats(const ReplayWorkerStats& w, WireWriter* out) {
   out->U64(w.solves_from_base);
 }
 
-// Encoded size of one ReplayWorkerStats: 19 u64 counters.
-constexpr size_t kWorkerStatsBytes = 19 * 8;
+// Encoded size of one ReplayWorkerStats: 17 u64 counters.
+constexpr size_t kWorkerStatsBytes = 17 * 8;
 
 bool DecodeWorkerStats(WireReader* r, ReplayWorkerStats* w) {
   return r->U64(&w->runs) && r->U64(&w->solver_calls) && r->U64(&w->aborts_forced_direction) &&
@@ -471,8 +466,7 @@ bool DecodeWorkerStats(WireReader* r, ReplayWorkerStats* w) {
          r->U64(&w->crashes_wrong_site) && r->U64(&w->steals) && r->U64(&w->dedup_skips) &&
          r->U64(&w->cancelled_runs) && r->U64(&w->slices_solved) &&
          r->U64(&w->slice_sat_hits) && r->U64(&w->slice_unsat_hits) &&
-         r->U64(&w->pendings_pruned) && r->U64(&w->corpus_runs) && r->U64(&w->promotions) &&
-         r->U64(&w->resumed_runs) && r->U64(&w->instrs_skipped) &&
+         r->U64(&w->corpus_runs) && r->U64(&w->resumed_runs) && r->U64(&w->instrs_skipped) &&
          r->U64(&w->slices_inherited) && r->U64(&w->solves_from_base);
 }
 
@@ -494,9 +488,7 @@ void EncodeStats(const ReplayStats& s, WireWriter* out) {
   out->U64(s.pendings_exported);
   out->U64(s.pendings_imported);
   out->U64(s.rebalance_rounds);
-  out->U64(s.pendings_pruned);
   out->U64(s.corpus_runs);
-  out->U64(s.promotions);
   // v10: in-process search counters.
   out->U64(s.resumed_runs);
   out->U64(s.instrs_skipped);
@@ -508,12 +500,6 @@ void EncodeStats(const ReplayStats& s, WireWriter* out) {
   out->U64(s.pendings_recovered);
   out->U64(s.heartbeats_missed);
   out->U8(s.fallback_inprocess ? 1 : 0);
-  for (const u64 v : s.discipline_runs) {
-    out->U64(v);
-  }
-  for (const u64 v : s.discipline_on_log) {
-    out->U64(v);
-  }
   out->U32(static_cast<u32>(s.per_worker.size()));
   for (const ReplayWorkerStats& w : s.per_worker) {
     EncodeWorkerStats(w, out);
@@ -529,8 +515,7 @@ bool DecodeStats(WireReader* r, ReplayStats* s) {
         r->U64(&s->slice_sat_hits) && r->U64(&s->slice_unsat_hits) &&
         r->U64(&s->slice_evictions) && r->U64(&s->pendings_exported) &&
         r->U64(&s->pendings_imported) && r->U64(&s->rebalance_rounds) &&
-        r->U64(&s->pendings_pruned) && r->U64(&s->corpus_runs) && r->U64(&s->promotions) &&
-        r->U64(&s->resumed_runs) && r->U64(&s->instrs_skipped) &&
+        r->U64(&s->corpus_runs) && r->U64(&s->resumed_runs) && r->U64(&s->instrs_skipped) &&
         r->U64(&s->slices_inherited) && r->U64(&s->solves_from_base))) {
     return false;
   }
@@ -540,16 +525,6 @@ bool DecodeStats(WireReader* r, ReplayStats* s) {
     return false;
   }
   s->fallback_inprocess = fallback != 0;
-  for (u64& v : s->discipline_runs) {
-    if (!r->U64(&v)) {
-      return false;
-    }
-  }
-  for (u64& v : s->discipline_on_log) {
-    if (!r->U64(&v)) {
-      return false;
-    }
-  }
   u32 worker_count = 0;
   if (!r->U32(&worker_count) || !r->FitsCount(worker_count, kWorkerStatsBytes)) {
     return false;
@@ -754,7 +729,6 @@ void EncodeConfig(const ReplayConfig& c, WireWriter* w) {
   // self-termination deadline matches the coordinator's expectations.
   w->I32(c.heartbeat_interval_ms);
   w->I32(c.heartbeat_timeout_ms);
-  w->U8(c.prune_subsumed ? 1 : 0);
   w->U32(static_cast<u32>(c.corpus_seeds.size()));
   for (const std::vector<i64>& seed : c.corpus_seeds) {
     w->U32(static_cast<u32>(seed.size()));
@@ -768,17 +742,16 @@ bool DecodeConfig(WireReader* r, ReplayConfig* c) {
   u8 use_log = 0;
   u8 pick = 0;
   u8 cache = 0;
-  u8 prune = 0;
   if (!(r->U64(&c->max_runs) && r->I64(&c->wall_ms) && r->U64(&c->total_steps) &&
         r->U64(&c->max_steps_per_run) && r->U64(&c->solver.max_steps) &&
         r->U64(&c->solver.max_enumeration) && r->U64(&c->seed) && r->U8(&use_log) &&
         r->U8(&pick) && r->U32(&c->num_workers) && r->U8(&cache) &&
         r->U64(&c->slice_cache_capacity) && r->U32(&c->solve_batch) &&
         r->I32(&c->gossip_interval_ms) && r->I32(&c->heartbeat_interval_ms) &&
-        r->I32(&c->heartbeat_timeout_ms) && r->U8(&prune))) {
+        r->I32(&c->heartbeat_timeout_ms))) {
     return false;
   }
-  if (pick > static_cast<u8>(ReplayConfig::Pick::kDirection) || c->num_workers > 4096 ||
+  if (pick > static_cast<u8>(ReplayConfig::Pick::kFifo) || c->num_workers > 4096 ||
       c->solve_batch > 65536) {
     return false;
   }
@@ -816,7 +789,6 @@ bool DecodeConfig(WireReader* r, ReplayConfig* c) {
   c->use_syscall_log = use_log != 0;
   c->pick = static_cast<ReplayConfig::Pick>(pick);
   c->solver_cache = cache != 0;
-  c->prune_subsumed = prune != 0;
   // A shipped job always runs one in-process shard search on the remote
   // side; transport fields never nest.
   c->num_shards = 1;

@@ -32,10 +32,10 @@ namespace retrace {
 inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // v2: kJoin/kJob handshake (TCP transport), kWorkRequest/kPendingExport
 // (frontier re-balancing), re-balance counters in the stats codec.
-// v3: search-quality layer — pending dir_score (Pick::kDirection key),
-// prune/corpus config fields (corpus seeds ride the kJob config codec),
-// pendings_pruned/corpus_runs/promotions + per-discipline run accounting
-// in the stats codecs.
+// v3: search-quality layer — a per-pending direction score, prune/corpus
+// config fields (corpus seeds ride the kJob config codec), pruning/
+// corpus/promotion counters + per-discipline run accounting in the stats
+// codecs.
 // v4: adaptive planning — plan detail_level/provenance in the plan codec,
 // and the off-log failure profile (sparse per-branch death counters,
 // strictly increasing branch ids) in the stats codec.
@@ -58,7 +58,11 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // v10: in-process search counters ride the stats codec — resumed_runs,
 // instrs_skipped, slices_inherited and solves_from_base, per worker and
 // in the aggregate — so shard-side counts reach the coordinator.
-inline constexpr u16 kWireVersion = 10;
+// v11: one pick rule — pendings drop the direction score; worker and
+// aggregate stats drop pendings_pruned, promotions and the per-discipline
+// run arrays; the job config drops the prune byte, and its pick byte
+// accepts only dfs (0) and fifo (1).
+inline constexpr u16 kWireVersion = 11;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {
@@ -150,6 +154,16 @@ struct WireFrame {
   WireMsg type = WireMsg::kStop;
   std::vector<u8> payload;
 };
+
+/// Decodes one frame's whole payload with `decode`. Fails unless the
+/// decoder succeeds and reads every byte: a payload with bytes left over
+/// (e.g. one laid out by an older wire version) is refused, not
+/// half-read.
+template <typename T>
+bool DecodePayload(const std::vector<u8>& payload, bool (*decode)(WireReader*, T*), T* out) {
+  WireReader r(payload.data(), payload.size());
+  return decode(&r, out) && r.remaining() == 0;
+}
 
 /// Appends one complete frame (header + payload) to `out`.
 void AppendFrame(WireMsg type, const std::vector<u8>& payload, std::vector<u8>* out);

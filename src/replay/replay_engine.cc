@@ -47,45 +47,11 @@ bool IsReproduction(const RunResult& run, size_t log_cursor, const BugReport& re
          log_cursor == report.branch_log.size();
 }
 
-// Discipline a fixed (non-portfolio) pick runs — the attribution slot in
-// ReplayStats::discipline_runs. kPortfolio maps to DFS: its worker 0
-// runs DFS, and with one worker that is the whole search.
-SearchDiscipline DisciplineOfPick(ReplayConfig::Pick pick) {
-  switch (pick) {
-    case ReplayConfig::Pick::kFifo: return SearchDiscipline::kFifo;
-    case ReplayConfig::Pick::kLogBits: return SearchDiscipline::kLogBits;
-    case ReplayConfig::Pick::kDirection: return SearchDiscipline::kDirection;
-    case ReplayConfig::Pick::kDfs:
-    case ReplayConfig::Pick::kPortfolio: break;
-  }
-  return SearchDiscipline::kDfs;
-}
-
-// Adaptive promotion cadence: an adaptive worker re-evaluates every
-// kPromoteInterval of its own runs, and a fixed discipline is eligible
-// once the fleet has attributed kPromoteMinRuns runs to it.
-constexpr u64 kPromoteInterval = 32;
-constexpr u64 kPromoteMinRuns = 16;
-
 // Strict enum-knob parsing for ReplayConfig::FromEnv — same contract as
 // src/support/env.h: unset keeps the default, garbage exits loudly.
 [[noreturn]] void BadReplayKnob(const char* name, const char* value, const char* expected) {
   std::fprintf(stderr, "%s: invalid value '%s' (expected %s)\n", name, value, expected);
   std::exit(2);
-}
-
-ReplayConfig::Pick PickFromEnv() {
-  const char* env = std::getenv("RETRACE_REPLAY_PICK");
-  if (env == nullptr) {
-    return ReplayConfig::Pick::kDfs;
-  }
-  const std::string pick = env;
-  if (pick == "dfs") return ReplayConfig::Pick::kDfs;
-  if (pick == "fifo") return ReplayConfig::Pick::kFifo;
-  if (pick == "logbits") return ReplayConfig::Pick::kLogBits;
-  if (pick == "direction") return ReplayConfig::Pick::kDirection;
-  if (pick == "portfolio") return ReplayConfig::Pick::kPortfolio;
-  BadReplayKnob("RETRACE_REPLAY_PICK", env, "dfs|fifo|logbits|direction|portfolio");
 }
 
 ReplayTransport TransportFromEnv() {
@@ -177,9 +143,7 @@ ReplayConfig ReplayConfig::FromEnv() {
   ReplayConfig config;
   config.num_workers = static_cast<u32>(EnvKnobI64("RETRACE_REPLAY_WORKERS", 1, 1, 4096));
   config.num_shards = FirstShardCountFromEnv();
-  config.pick = PickFromEnv();
   config.solver_cache = EnvKnobBool("RETRACE_SOLVER_CACHE", true);
-  config.prune_subsumed = EnvKnobBool("RETRACE_REPLAY_PRUNE", false);
   config.transport = TransportFromEnv();
   config.gossip_interval_ms =
       static_cast<int>(EnvKnobI64("RETRACE_GOSSIP_INTERVAL_MS", 20, 1, 1000));
@@ -248,9 +212,7 @@ void FrontierPort::Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_
   }
   // Imports that raced ahead of the frontier's existence land now.
   for (PortablePending& pending : pre_attach_imports_) {
-    const u64 priority = pending.priority;
-    const u64 direction = pending.dir_score;
-    frontier_->Push(import_cursor_++ % num_workers_, std::move(pending), priority, direction);
+    frontier_->Push(import_cursor_++ % num_workers_, std::move(pending));
   }
   pre_attach_imports_.clear();
   // A kStop that beat the search to its start: the workers wake into a
@@ -293,10 +255,7 @@ bool FrontierPort::Import(PortablePending pending) {
   // A closed frontier will never be popped again (termination or run
   // cap): refusing lets the pump return the pending to the fleet
   // instead of burying it in a queue that is about to be destroyed.
-  const u64 priority = pending.priority;
-  const u64 direction = pending.dir_score;
-  if (!frontier_->PushIfOpen(import_cursor_ % num_workers_, std::move(pending), priority,
-                             direction)) {
+  if (!frontier_->PushIfOpen(import_cursor_ % num_workers_, std::move(pending))) {
     return false;
   }
   ++import_cursor_;
@@ -356,13 +315,6 @@ struct ResidentTrace {
   std::shared_ptr<const std::vector<Constraint>> constraints;
   std::shared_ptr<const SliceState> base;
 };
-
-const std::vector<Constraint>& StoredConstraints(const ResidentTrace& trace) {
-  return *trace.constraints;
-}
-const std::vector<Constraint>& StoredConstraints(const PortableTrace& trace) {
-  return trace.constraints;
-}
 
 // Fingerprint of constraints [0, len) with the last one negated when
 // `negate_last`, over arena hashes: equal to FingerprintConstraints of
@@ -438,19 +390,6 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     slice_cache = owned_cache.get();
   }
   const u64 rng_stream = shard != nullptr ? shard->rng_stream : 0;
-  // Fleet-wide prefix-subsumption index (prune_subsumed): fingerprints
-  // of every executed prefix and every published pending, shared by all
-  // workers so cross-worker duplicates die at Push time.
-  std::unique_ptr<FingerprintSet> subsumed;
-  if (config.prune_subsumed) {
-    subsumed = std::make_unique<FingerprintSet>();
-  }
-  // Per-discipline run accounting for the adaptive promotion layer:
-  // completed runs and forced-direction (on-log) aborts attributed to
-  // the discipline whose pop produced the run.
-  std::array<std::atomic<u64>, kNumDisciplines> disc_runs{};
-  std::array<std::atomic<u64>, kNumDisciplines> disc_on_log{};
-
   if constexpr (!kPrivate) {
     // Coordinator-shipped frontier: distributed shards start from their
     // partition of the scout's pending sets, spread round-robin over the
@@ -458,17 +397,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     // — cross-shard search diversification is part of the speedup).
     if (shard != nullptr) {
       for (size_t i = 0; i < shard->seed_frontier.size(); ++i) {
-        PortablePending pending = std::move(shard->seed_frontier[i]);
-        if (subsumed != nullptr) {
-          // Seed entries are unique per shard (the coordinator dealt
-          // them), but indexing them lets the search prune its own
-          // rediscoveries of the scout's subtrees.
-          subsumed->Insert(FingerprintConstraints(*pending.trace, pending.len,
-                                                  pending.negate_last));
-        }
-        const u64 priority = pending.priority;
-        const u64 direction = pending.dir_score;
-        frontier.Push(i % num_workers, std::move(pending), priority, direction);
+        frontier.Push(i % num_workers, std::move(shard->seed_frontier[i]));
       }
       shard->seed_frontier.clear();
       // Publish the frontier to the re-balance port before any worker can
@@ -508,64 +437,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     }
     ReplayRunner runner(module, plan, report, &arena, &failures, limits);
 
-    // The worker's current search discipline. Fixed picks map directly;
-    // under kPortfolio workers 0-3 run the four fixed disciplines and
-    // the rest start adaptive (randomized DFS/FIFO) until the promotion
-    // layer moves them onto whichever fixed discipline earns the best
-    // on-log-run rate.
-    SearchDiscipline disc = DisciplineOfPick(config.pick);
-    const bool adaptive = config.pick == ReplayConfig::Pick::kPortfolio && wid >= 4;
-    if (config.pick == ReplayConfig::Pick::kPortfolio) {
-      switch (wid) {
-        case 0: disc = SearchDiscipline::kDfs; break;
-        case 1: disc = SearchDiscipline::kFifo; break;
-        case 2: disc = SearchDiscipline::kLogBits; break;
-        case 3: disc = SearchDiscipline::kDirection; break;
-        default: disc = SearchDiscipline::kRandom; break;
-      }
-    }
-    auto pop_order = [&]() -> PopOrder {
-      switch (disc) {
-        case SearchDiscipline::kDfs:
-          return PopOrder::kNewestFirst;
-        case SearchDiscipline::kFifo:
-          return PopOrder::kOldestFirst;
-        case SearchDiscipline::kLogBits:
-          return PopOrder::kHighestPriority;
-        case SearchDiscipline::kDirection:
-          return PopOrder::kHighestDirection;
-        case SearchDiscipline::kRandom:
-          return (rng.Next() & 1) != 0 ? PopOrder::kNewestFirst : PopOrder::kOldestFirst;
-      }
-      return PopOrder::kNewestFirst;
-    };
-    // Promotes an adaptive worker onto the best-earning fixed discipline
-    // (on-log rate = forced-direction aborts per completed run), once
-    // some fixed discipline has enough attributed runs to rank.
-    auto maybe_promote = [&]() {
-      SearchDiscipline best = disc;
-      double best_rate = -1.0;
-      for (size_t d = 0; d < static_cast<size_t>(SearchDiscipline::kRandom); ++d) {
-        const u64 runs = disc_runs[d].load(std::memory_order_relaxed);
-        if (runs < kPromoteMinRuns) {
-          continue;
-        }
-        const double rate = static_cast<double>(disc_on_log[d].load(std::memory_order_relaxed)) /
-                            static_cast<double>(runs);
-        if (rate > best_rate) {
-          best_rate = rate;
-          best = static_cast<SearchDiscipline>(d);
-        }
-      }
-      // Only a discipline that actually earns on-log runs is worth
-      // switching to: an all-zero field would otherwise collapse every
-      // adaptive worker onto DFS (first index) and destroy the
-      // randomized diversification the portfolio exists to preserve.
-      if (best_rate > 0.0 && best != disc) {
-        disc = best;
-        ++ws.promotions;
-      }
-    };
+    const PopOrder pop_order = config.pick == ReplayConfig::Pick::kFifo ? PopOrder::kOldestFirst
+                                                                        : PopOrder::kNewestFirst;
 
     // Runs one input; returns true when the search is over for this worker
     // (it reproduced the bug, or lost the race to another worker's crash).
@@ -615,12 +488,6 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       if (path.forced_direction) {
         ++ws.aborts_forced_direction;
       }
-      // Promotion accounting: this completed run earns (or costs) its
-      // discipline's on-log rate.
-      disc_runs[static_cast<size_t>(disc)].fetch_add(1, std::memory_order_relaxed);
-      if (path.forced_direction) {
-        disc_on_log[static_cast<size_t>(disc)].fetch_add(1, std::memory_order_relaxed);
-      }
 
       const bool publishes =
           path.forced_direction ||
@@ -629,29 +496,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       if (!publishes) {
         return false;
       }
-      // Prefix fingerprints for the subsumption index (chain[i] covers
-      // constraints [0, i) as stored); every executed prefix enters the
-      // index — a forced-direction trace's final constraint was not
-      // executed in its stored polarity, so it only enters via its own
-      // publish below.
-      const size_t trace_len = path.trace.size();
-      std::vector<u64> expr_hash;
-      std::vector<u64> chain;
-      if (subsumed != nullptr) {
-        expr_hash.resize(trace_len);
-        chain.resize(trace_len + 1);
-        chain[0] = kConstraintFingerprintSeed;
-        for (size_t i = 0; i < trace_len; ++i) {
-          expr_hash[i] = arena.StructuralHash(path.trace[i].expr);
-          chain[i + 1] =
-              ExtendConstraintFingerprint(chain[i], expr_hash[i], path.trace[i].want_true);
-        }
-        const size_t executed = trace_len - (path.forced_direction ? 1 : 0);
-        for (size_t i = 1; i <= executed; ++i) {
-          subsumed->Insert(chain[i]);
-        }
-      }
       // One snapshot per run; all pendings of this run share it.
+      const size_t trace_len = path.trace.size();
       auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
       auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
       std::shared_ptr<const Trace> trace;
@@ -668,35 +514,18 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       } else {
         trace = std::make_shared<const PortableTrace>(ExportTrace(arena, path.trace));
       }
-      // Pending::priority/dir_score are the single source of truth; the
-      // queue's key arguments always mirror them.
-      auto publish = [&](Pending pending, u64 fp) {
-        if (subsumed != nullptr && !subsumed->Insert(fp)) {
-          ++ws.pendings_pruned;
-          return;
-        }
-        const u64 priority = pending.priority;
-        const u64 direction = pending.dir_score;
-        frontier.Push(wid, std::move(pending), priority, direction);
-      };
       // Case-1 alternatives, deepest explored first under DFS.
       for (size_t flip : path.flippable) {
         if (flip < start_depth) {
           continue;  // Already offered by the run that generated this prefix.
         }
-        const u64 fp = subsumed != nullptr
-                           ? ExtendConstraintFingerprint(chain[flip], expr_hash[flip],
-                                                         !StoredConstraints(*trace)[flip].want_true)
-                           : 0;
-        publish(Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
-                        path.bits_at[flip], path.dir_at[flip]},
-                fp);
+        frontier.Push(wid, Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
+                                   path.bits_at[flip]});
       }
       if (path.forced_direction) {
-        // Highest priority under DFS: steers the run back onto the log.
-        publish(Pending{trace, trace_len, /*negate_last=*/false, seed, domains, path.cursor,
-                        path.logged_forced},
-                subsumed != nullptr ? chain[trace_len] : 0);
+        // Pushed last, so DFS pops it first: it steers the run back onto the log.
+        frontier.Push(wid, Pending{trace, trace_len, /*negate_last=*/false, seed, domains,
+                                   path.cursor});
       }
       return false;
     };
@@ -712,7 +541,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     auto resident_constraints =
         [&](const std::shared_ptr<const Trace>& t) -> const std::vector<Constraint>& {
       if constexpr (kPrivate) {
-        return StoredConstraints(*t);
+        return *t->constraints;
       } else {
         auto it = import_memo.find(t.get());
         if (it != import_memo.end()) {
@@ -778,7 +607,6 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       std::shared_ptr<SliceState> state;
     };
     std::vector<ReadyRun> ready;
-    u64 runs_at_last_promotion = ws.runs;
     while (!done && !stop.StopRequested() && !budget.Exhausted()) {
       if (shape.stop_at_frontier > 0 && frontier.size() >= shape.stop_at_frontier) {
         break;  // Scout: the frontier is wide enough to shard.
@@ -789,12 +617,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         frontier.Close();
         break;
       }
-      if (adaptive && ws.runs - runs_at_last_promotion >= kPromoteInterval) {
-        runs_at_last_promotion = ws.runs;
-        maybe_promote();
-      }
       u64 stolen = 0;
-      if (!frontier.PopBatch(wid, pop_order(), batch_cap, &batch, &stolen)) {
+      if (!frontier.PopBatch(wid, pop_order, batch_cap, &batch, &stolen)) {
         break;  // Frontier drained, cancelled, or run cap reached.
       }
       ws.steals += stolen;
@@ -874,7 +698,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
           }
           shape.leftover->push_back(PortablePending{
               snapshot, pending.len, pending.negate_last, std::move(pending.seed),
-              std::move(pending.domains), pending.priority, pending.dir_score});
+              std::move(pending.domains), pending.priority});
         }
       }
     }
@@ -909,9 +733,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     result.stats.slices_solved += ws.slices_solved;
     result.stats.slice_sat_hits += ws.slice_sat_hits;
     result.stats.slice_unsat_hits += ws.slice_unsat_hits;
-    result.stats.pendings_pruned += ws.pendings_pruned;
     result.stats.corpus_runs += ws.corpus_runs;
-    result.stats.promotions += ws.promotions;
     result.stats.resumed_runs += ws.resumed_runs;
     result.stats.instrs_skipped += ws.instrs_skipped;
     result.stats.slices_inherited += ws.slices_inherited;
@@ -919,10 +741,6 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
   }
   for (const FailureAccum& fa : worker_failures) {
     result.stats.failure_profile.Merge(fa.ToProfile());
-  }
-  for (size_t d = 0; d < kNumDisciplines; ++d) {
-    result.stats.discipline_runs[d] = disc_runs[d].load(std::memory_order_relaxed);
-    result.stats.discipline_on_log[d] = disc_on_log[d].load(std::memory_order_relaxed);
   }
   result.stats.pending_peak = frontier.peak();
   result.stats.per_worker = std::move(worker_stats);

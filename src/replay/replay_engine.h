@@ -37,7 +37,6 @@
 #ifndef RETRACE_REPLAY_REPLAY_ENGINE_H_
 #define RETRACE_REPLAY_REPLAY_ENGINE_H_
 
-#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -72,14 +71,16 @@ struct ReplayProgramSources {
 struct ReplayConfig {
   /// Builds a config from the documented RETRACE_* environment knobs
   /// (docs/BENCHMARKS.md): RETRACE_REPLAY_WORKERS, RETRACE_REPLAY_SHARDS
-  /// (first entry of a comma-separated sweep list), RETRACE_REPLAY_PICK,
-  /// RETRACE_SOLVER_CACHE, RETRACE_REPLAY_PRUNE, RETRACE_REPLAY_TRANSPORT
-  /// and RETRACE_GOSSIP_INTERVAL_MS. Every knob is parsed strictly
-  /// (src/support/env.h): an unset knob keeps the field default, garbage
-  /// prints the offending value and exits with code 2 — a replay whose
-  /// configuration was silently ignored produces numbers nobody should
-  /// trust. Budget fields (max_runs, wall_ms, seed) are NOT environment
-  /// knobs; callers set them explicitly.
+  /// (first entry of a comma-separated sweep list), RETRACE_SOLVER_CACHE,
+  /// RETRACE_REPLAY_TRANSPORT, RETRACE_GOSSIP_INTERVAL_MS,
+  /// RETRACE_HEARTBEAT_INTERVAL_MS, RETRACE_HEARTBEAT_TIMEOUT_MS,
+  /// RETRACE_FAULT_SPEC, RETRACE_SHARD_TOKEN and RETRACE_SHARD_ENDPOINTS.
+  /// Every knob is parsed strictly (src/support/env.h): an unset knob
+  /// keeps the field default, garbage prints the offending value and
+  /// exits with code 2 — a replay whose configuration was silently
+  /// ignored produces numbers nobody should trust. Budget fields
+  /// (max_runs, wall_ms, seed) are NOT environment knobs; callers set
+  /// them explicitly.
   static ReplayConfig FromEnv();
 
   u64 max_runs = 20'000;
@@ -89,24 +90,9 @@ struct ReplayConfig {
   SolverOptions solver;
   u64 seed = 42;                  // Initial random input.
   bool use_syscall_log = true;    // Replay logged syscall results (§3.3).
-  // Pending-set heuristic. kLogBits prioritizes pendings whose prefix
-  // consumed the most branch-log bits — the deepest on-log progress — the
-  // bet for scenarios where DFS/FIFO drown in off-log subtrees.
-  // kDirection prioritizes pendings whose constraint set *forces* the
-  // most logged directions (the case-2a/2b constraints of §3.1 — the
-  // observer signal behind aborts_forced_direction): unlike raw log
-  // bits, concrete instrumented branches consume bits without binding
-  // the solver to the log, so kDirection ranks by how hard the set
-  // actually pins the run to the recorded execution.
-  // kPortfolio is only meaningful with num_workers > 1: worker 0 runs
-  // DFS, worker 1 FIFO, worker 2 log-bits, worker 3 direction-aware, and
-  // the rest adaptive — they start as randomized DFS with per-worker
-  // seeds and periodically promote themselves to whichever fixed
-  // discipline is producing the best on-log-run rate
-  // (aborts_forced_direction / runs) on this scenario, so one search
-  // discipline's pathology does not stall the whole fleet and the best
-  // one gains workers over time (ReplayStats::promotions).
-  enum class Pick { kDfs, kFifo, kPortfolio, kLogBits, kDirection } pick = Pick::kDfs;
+  // Pending-set pick rule. kDfs is the paper's depth-first search (§3);
+  // kFifo is the breadth-first ablation of §3.2 (bench_ablation).
+  enum class Pick { kDfs, kFifo } pick = Pick::kDfs;
   // Concolic executions in flight *per process*. 1 = one worker on a
   // private frontier (the 1x1 sentinels); 0 = one per hardware thread.
   u32 num_workers = 1;
@@ -134,13 +120,6 @@ struct ReplayConfig {
   // anyway; extras beyond the first never come from stealing. One-worker
   // Reproduce ignores it and pops one at a time (depth-first order).
   u32 solve_batch = 8;
-  // Prefix-subsumption pruning: drop a pending at Push time when a
-  // structurally identical constraint set was already executed by some
-  // run or already published to the frontier (fleet-wide FingerprintSet;
-  // ReplayStats::pendings_pruned). Sound — the pruned pending's subtree
-  // stays reachable through its subsumer — but it changes run counts,
-  // so it defaults off: the 1x1 sentinels hold only with it off.
-  bool prune_subsumed = false;
   // Dynamic-analysis corpus seeds: concrete input-cell models (the shape
   // of AnalysisResult::corpus / AnalysisConfig::extra_seed_models) run
   // by the fleet right after each worker's initial random input, so the
@@ -213,24 +192,6 @@ struct ReplayConfig {
   std::function<void(u32 worker, const std::vector<i64>& model)> model_tap;
 };
 
-/// The search disciplines a portfolio fleet runs, in the index order of
-/// ReplayStats::discipline_runs/discipline_on_log. kRandom is the
-/// adaptive workers' starting state; promotion moves them onto one of
-/// the four fixed disciplines.
-enum class SearchDiscipline : u8 { kDfs = 0, kFifo, kLogBits, kDirection, kRandom };
-inline constexpr size_t kNumDisciplines = 5;
-
-inline const char* SearchDisciplineName(size_t d) {
-  switch (static_cast<SearchDiscipline>(d)) {
-    case SearchDiscipline::kDfs: return "dfs";
-    case SearchDiscipline::kFifo: return "fifo";
-    case SearchDiscipline::kLogBits: return "logbits";
-    case SearchDiscipline::kDirection: return "direction";
-    case SearchDiscipline::kRandom: return "random";
-  }
-  return "?";
-}
-
 /// Off-log death telemetry for one unlogged branch location (wire v4).
 ///
 /// When a replay run aborts off the log (case 3b concrete mismatch, an
@@ -287,10 +248,7 @@ struct ReplayWorkerStats {
   u64 slices_solved = 0;     // Constraint slices sent to the local search.
   u64 slice_sat_hits = 0;    // Slices satisfied from the fleet-wide cache.
   u64 slice_unsat_hits = 0;  // Pendings rejected by the UNSAT cache.
-  // Search-quality layer (all zero unless the matching knob is on).
-  u64 pendings_pruned = 0;  // Dropped at Push by the subsumption index.
-  u64 corpus_runs = 0;      // Runs seeded from ReplayConfig::corpus_seeds.
-  u64 promotions = 0;       // Times this adaptive worker switched discipline.
+  u64 corpus_runs = 0;  // Runs seeded from ReplayConfig::corpus_seeds.
   // Checkpoint resume (src/replay/replay_run.h): runs that started at a
   // read() checkpoint instead of main, and the instructions they skipped.
   u64 resumed_runs = 0;
@@ -316,7 +274,6 @@ struct ReplayShardStats {
   u64 pendings_exported = 0;     // Frontier entries carved off for starved peers.
   u64 pendings_imported = 0;     // Re-balanced entries merged into this frontier.
   u64 rebalance_rounds = 0;      // kWorkRequest cycles this shard initiated.
-  u64 pendings_pruned = 0;       // Pendings this shard's subsumption index dropped.
   u64 wire_bytes_tx = 0;         // Coordinator -> shard bytes.
   u64 wire_bytes_rx = 0;         // Shard -> coordinator bytes.
   double wall_seconds = 0.0;
@@ -358,14 +315,8 @@ struct ReplayStats {
   // Entries dropped by the slice-cache LRU bound (0 while
   // slice_cache_capacity == 0; summed over shards when distributed).
   u64 slice_evictions = 0;
-  // ----- Search-quality layer (PR 5) -----
-  // Pendings dropped at Push time by the prefix-subsumption index (0
-  // while prune_subsumed is off; summed over workers and shards).
-  u64 pendings_pruned = 0;
   // Runs whose input came from ReplayConfig::corpus_seeds.
   u64 corpus_runs = 0;
-  // Adaptive-worker discipline switches under Pick::kPortfolio.
-  u64 promotions = 0;
   // Checkpoint resume: runs that started at a read() checkpoint, and the
   // instructions they did not re-execute (summed over workers and, since
   // wire v10, shards).
@@ -375,12 +326,6 @@ struct ReplayStats {
   // solves that started from one (summed like resumed_runs).
   u64 slices_inherited = 0;
   u64 solves_from_base = 0;
-  // Per-discipline run accounting (SearchDiscipline index order):
-  // completed (non-cancelled) runs attributed to the discipline whose
-  // pop produced them, and how many of those ended in a forced logged
-  // direction (case 2b) — the on-log rate the promotion layer ranks by.
-  std::array<u64, kNumDisciplines> discipline_runs{};
-  std::array<u64, kNumDisciplines> discipline_on_log{};
   // ----- Distributed mode only (all zero when num_shards <= 1) -----
   u64 harvest_runs = 0;       // Coordinator scout runs before sharding.
   u64 wire_bytes_tx = 0;      // Total bytes coordinator -> shards.
@@ -398,8 +343,9 @@ struct ReplayStats {
   u64 shards_lost = 0;
   // Ownership-ledger pendings re-injected into live shards (or, with no
   // live shard left, into the in-process fallback) on shard death.
-  // At-least-once: a dead shard may have already run some of them, and
-  // FingerprintSet subsumption dedups the re-execution.
+  // At-least-once: a dead shard may have already run some of them; a
+  // receiver drops a copy it already tried in its per-search dedup, and
+  // otherwise runs it again.
   u64 pendings_recovered = 0;
   // Missed-heartbeat deadline expiries across the fleet (sum of the
   // per-shard counters).
@@ -465,8 +411,9 @@ struct FrontierPending {
   bool negate_last = false;
   std::shared_ptr<const std::vector<i64>> seed;
   std::shared_ptr<const std::vector<Interval>> domains;
-  u64 priority = 0;   // Log bits the prefix consumed (Pick::kLogBits key).
-  u64 dir_score = 0;  // Logged directions the set forces (Pick::kDirection key).
+  // Log bits the prefix consumed: the coordinator deals the scout's
+  // frontier to shards deepest-first by it. Not a queue key.
+  u64 priority = 0;
 };
 using PortablePending = FrontierPending<PortableTrace>;
 

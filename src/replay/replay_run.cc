@@ -51,7 +51,6 @@ class ReplayObserver : public BranchObserver {
         path.blind_branches.push_back(branch_id);
         path.trace.push_back(Constraint{cond_shadow, taken});
         path.bits_at.push_back(path.cursor);
-        path.dir_at.push_back(path.logged_forced);
         path.last_blind_branch = branch_id;
         if (failures_ != nullptr) {
           failures_->BlindExec(branch_id);
@@ -71,14 +70,12 @@ class ReplayObserver : public BranchObserver {
       if (taken == logged) {
         path.trace.push_back(Constraint{cond_shadow, taken});  // Case 2a.
         path.bits_at.push_back(path.cursor);
-        path.dir_at.push_back(path.logged_forced++);
         return Action::kContinue;
       }
       // Case 2b: append the constraint forcing the *logged* direction and
       // abort; the engine pushes this set so the next input follows the log.
       path.trace.push_back(Constraint{cond_shadow, logged});
       path.bits_at.push_back(path.cursor);
-      path.dir_at.push_back(path.logged_forced++);
       path.forced_direction = true;
       return Action::kAbort;
     }
@@ -137,11 +134,9 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model) {
     };
     prefix(path.trace, path_.trace, mark.trace_len);
     prefix(path.bits_at, path_.bits_at, mark.trace_len);
-    prefix(path.dir_at, path_.dir_at, mark.trace_len);
     prefix(path.flippable, path_.flippable, mark.flippable_len);
     prefix(path.blind_branches, path_.blind_branches, mark.flippable_len);
     path.cursor = mark.cursor;
-    path.logged_forced = mark.logged_forced;
     path.last_blind_branch = mark.last_blind_branch;
     if (failures_ != nullptr) {
       for (i32 branch_id : path.blind_branches) {
@@ -189,15 +184,13 @@ RunCheckpoint* ReplayRunner::AtRead(size_t read_index) {
   };
   extend(path_.trace, live.trace, prev.trace_len);
   extend(path_.bits_at, live.bits_at, prev.trace_len);
-  extend(path_.dir_at, live.dir_at, prev.trace_len);
   extend(path_.flippable, live.flippable, prev.flippable_len);
   extend(path_.blind_branches, live.blind_branches, prev.flippable_len);
   if (entries_.size() == depth_) {
     entries_.emplace_back();
   }
   Entry& entry = entries_[depth_++];
-  entry.mark = Mark{live.trace.size(), live.flippable.size(), live.cursor, live.logged_forced,
-                    live.last_blind_branch};
+  entry.mark = Mark{live.trace.size(), live.flippable.size(), live.cursor, live.last_blind_branch};
   return &entry.run;
 }
 

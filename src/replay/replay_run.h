@@ -63,20 +63,14 @@ struct FailureAccum {
 // What the §3.1 observer saw in one run.
 struct ReplayPath {
   std::vector<Constraint> trace;
-  // Log bits consumed when each trace entry was recorded — the priority
-  // of the pending set ending at that constraint under Pick::kLogBits.
+  // Log bits consumed when each trace entry was recorded — the
+  // PortablePending::priority of the pending set ending at that
+  // constraint, by which the coordinator deals the scout's frontier.
   std::vector<size_t> bits_at;
-  // Logged directions (case-2 constraints) in the trace *before* each
-  // entry — the Pick::kDirection score of a flip at that entry: how many
-  // logged directions the flip's constraint set forces. A forced-
-  // direction (2b) full set scores `logged_forced` itself, which counts
-  // its own forcing constraint.
-  std::vector<u64> dir_at;
   // Trace indices of the case-1 constraints, and their branch ids.
   std::vector<size_t> flippable;
   std::vector<i32> blind_branches;
   size_t cursor = 0;
-  u64 logged_forced = 0;
   bool forced_direction = false;
   bool concrete_mismatch = false;
   bool log_exhausted = false;
@@ -130,12 +124,11 @@ class ReplayRunner : private CheckpointSink {
 
  private:
   // Where a checkpoint sits on the path: lengths of ReplayPath's arrays
-  // (trace/bits_at/dir_at and flippable/blind_branches) and its scalars.
+  // (trace/bits_at and flippable/blind_branches) and its scalars.
   struct Mark {
     size_t trace_len = 0;
     size_t flippable_len = 0;
     size_t cursor = 0;
-    u64 logged_forced = 0;
     i32 last_blind_branch = -1;
   };
   struct Entry {

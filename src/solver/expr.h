@@ -181,13 +181,12 @@ std::vector<Constraint> ImportConstraints(const PortableTrace& trace, size_t len
 std::vector<u64> PortableNodeHashes(const PortableTrace& trace);
 
 // Structural fingerprint of constraints [0, len) (with the optional
-// negation), stable across arenas: the key under which the distributed
-// layer and the subsumption index recognise a pending set.
+// negation), stable across arenas: the key under which the search's
+// dedup and the coordinator's recovery ledger recognise a pending set.
 u64 FingerprintConstraints(const PortableTrace& trace, size_t len, bool negate_last);
 
 // The chain primitives behind FingerprintConstraints, exposed so the
-// replay engine's prefix-subsumption index can fingerprint every prefix
-// of one trace in a single forward pass:
+// replay engine can fingerprint a pending set held in its own arena:
 //
 //   fp([0, 0))     = kConstraintFingerprintSeed
 //   fp([0, i + 1)) = ExtendConstraintFingerprint(fp([0, i)), hash_i, want_i)
@@ -195,9 +194,7 @@ u64 FingerprintConstraints(const PortableTrace& trace, size_t len, bool negate_l
 // where hash_i is the constraint expression's structural hash (arena
 // StructuralHash or PortableNodeHashes entry — the two agree). A
 // negate-last pending set fingerprints as the chain with the final
-// step's polarity flipped, which is exactly the fingerprint of a run
-// that *executed* the opposite direction at that constraint — the
-// subsumption identity the pruning layer relies on.
+// step's polarity flipped.
 inline constexpr u64 kConstraintFingerprintSeed = 0x13198a2e03707344ull;
 
 inline u64 ExtendConstraintFingerprint(u64 fp, u64 expr_hash, bool want_true) {

@@ -7,27 +7,6 @@
 
 namespace retrace {
 
-bool FingerprintSet::Insert(u64 fp) {
-  Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.set.insert(fp).second;
-}
-
-bool FingerprintSet::Contains(u64 fp) const {
-  const Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.set.count(fp) != 0;
-}
-
-u64 FingerprintSet::size() const {
-  u64 total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.set.size();
-  }
-  return total;
-}
-
 SliceCache::SliceCache(u64 capacity)
     : per_shard_cap_(capacity == 0 ? 0 : std::max<u64>(1, (capacity + kShards - 1) / kShards)) {}
 

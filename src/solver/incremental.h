@@ -43,51 +43,12 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/solver/solver.h"
 
 namespace retrace {
-
-/// \brief Fleet-wide set of constraint-set fingerprints — the
-/// prefix-subsumption index behind `ReplayConfig::prune_subsumed`.
-///
-/// The index holds the structural fingerprint of (a) every constraint
-/// prefix some worker's run has *executed* and (b) every pending set
-/// already published to the frontier. A pending whose fingerprint is
-/// present is *subsumed*: a structurally identical set was already
-/// walked (its flippable subtree was published by the run that walked
-/// it) or is already queued to be solved — either way the pending's
-/// crashes stay reachable through the subsumer, so the duplicate is
-/// dropped at Push time instead of queued, popped, fingerprinted and
-/// solved (`ReplayStats::pendings_pruned`).
-///
-/// **Thread safety:** every method is safe from any thread; internally
-/// sharded like SliceCache, one mutex per shard. **Ownership:** owned by
-/// the search that created it; must outlive every worker using it.
-class FingerprintSet {
- public:
-  /// Inserts `fp`. Returns true when it was absent (first sighting) —
-  /// the push-side protocol is "insert; push only when new".
-  bool Insert(u64 fp);
-  /// Pure membership test (tests/introspection; Push-side code uses
-  /// Insert's return value to keep check-and-insert atomic).
-  bool Contains(u64 fp) const;
-  /// Resident fingerprints across all shards.
-  u64 size() const;
-
- private:
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_set<u64> set;
-  };
-  Shard& ShardFor(u64 fp) const { return shards_[(fp >> 59) % kShards]; }
-
-  mutable Shard shards_[kShards];
-};
 
 /// \brief Shared SAT/UNSAT slice-verdict store.
 ///

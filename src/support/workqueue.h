@@ -1,15 +1,12 @@
 // MPMC work-stealing frontier for the parallel replay scheduler.
 //
 // Each worker owns a deque (its DFS stack). Owners push to the back and
-// pop according to their heuristic: back (newest first — depth-first),
-// front (oldest first — breadth/FIFO), or the entry with the highest
-// priority key (two independent keys per entry: `priority`, the log-bits
-// discipline — pendings whose prefix consumed the most branch-log bits —
-// and `direction`, the direction-aware discipline — pendings whose
-// constraint set forces the most logged directions). A worker whose deque is empty steals the
-// *front* of another worker's deque: the oldest, shallowest entry, i.e.
-// the root of the largest untouched subtree — the classic work-stealing
-// discipline that keeps thieves out of the owner's hot end.
+// pop either the back (newest first — depth-first, the paper's rule) or
+// the front (oldest first — breadth/FIFO, the §3.2 ablation). A worker
+// whose deque is empty steals the *front* of another worker's deque: the
+// oldest, shallowest entry, i.e. the root of the largest untouched
+// subtree — the classic work-stealing discipline that keeps thieves out
+// of the owner's hot end.
 //
 // Pop() blocks when the whole frontier is empty, because a busy worker may
 // still publish more work. Termination is detected when every worker is
@@ -17,17 +14,14 @@
 // when Close() is called (first-crash-wins cancellation). A single mutex
 // guards all deques: frontier operations are microseconds apart while the
 // work items between them (solver call + interpreter run) are milliseconds,
-// so contention is irrelevant and the simple design is provably safe. The
-// same reasoning covers the highest-priority pop's linear scan.
+// so contention is irrelevant and the simple design is provably safe.
 #ifndef RETRACE_SUPPORT_WORKQUEUE_H_
 #define RETRACE_SUPPORT_WORKQUEUE_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -36,10 +30,8 @@
 namespace retrace {
 
 enum class PopOrder {
-  kNewestFirst,       // Depth-first: continue the deepest path.
-  kOldestFirst,       // FIFO: widen the search.
-  kHighestPriority,   // Largest Push() priority first; ties break newest.
-  kHighestDirection,  // Largest Push() direction key first; ties break newest.
+  kNewestFirst,  // Depth-first: continue the deepest path.
+  kOldestFirst,  // FIFO: widen the search.
 };
 
 /// \brief MPMC work-stealing frontier (see the file comment for the
@@ -61,16 +53,13 @@ class WorkStealingQueue {
   explicit WorkStealingQueue(size_t num_workers)
       : queues_(num_workers), active_(num_workers) {}
 
-  /// Publishes one item onto `worker`'s deque. `priority` only matters to
-  /// kHighestPriority consumers and `direction` to kHighestDirection ones
-  /// (a portfolio fleet runs both disciplines over one frontier, so each
-  /// entry carries both keys); the other orders ignore them. Safe to call
-  /// before the workers start (the distributed scheduler seeds shard
-  /// frontiers this way).
-  void Push(size_t worker, T item, u64 priority = 0, u64 direction = 0) {
+  /// Publishes one item onto `worker`'s deque. Safe to call before the
+  /// workers start (the distributed scheduler seeds shard frontiers this
+  /// way).
+  void Push(size_t worker, T item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      queues_[worker].push_back(Entry{std::move(item), priority, direction});
+      queues_[worker].push_back(std::move(item));
       ++total_;
       peak_ = total_ > peak_ ? total_ : peak_;
     }
@@ -118,16 +107,8 @@ class WorkStealingQueue {
       out->push_back(StealLocked(worker));
       ++*stolen;
     }
-    if (order == PopOrder::kHighestPriority || order == PopOrder::kHighestDirection) {
-      // Batched priority take: one selection pass + swap-removals instead
-      // of re-running TakeOwnLocked's O(n) scan once per extra.
-      if (out->size() < max_items) {
-        TakeOwnTopLocked(worker, order, max_items - out->size(), out);
-      }
-    } else {
-      while (out->size() < max_items && !queues_[worker].empty()) {
-        out->push_back(TakeOwnLocked(worker, order));
-      }
+    while (out->size() < max_items && !queues_[worker].empty()) {
+      out->push_back(TakeOwnLocked(worker, order));
     }
     return true;
   }
@@ -154,13 +135,13 @@ class WorkStealingQueue {
   /// lock, so there is no close/push race). A closed frontier will never
   /// be popped again — external producers must learn their item was NOT
   /// accepted so they can re-home it instead of losing it.
-  bool PushIfOpen(size_t worker, T item, u64 priority = 0, u64 direction = 0) {
+  bool PushIfOpen(size_t worker, T item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_) {
         return false;
       }
-      queues_[worker].push_back(Entry{std::move(item), priority, direction});
+      queues_[worker].push_back(std::move(item));
       ++total_;
       peak_ = total_ > peak_ ? total_ : peak_;
     }
@@ -170,9 +151,8 @@ class WorkStealingQueue {
 
   /// Carves up to `max_items` of the *deepest* entries (deque backs,
   /// fullest deque first) for export to a starved peer, never draining
-  /// the frontier below `min_keep`. Items leave in the exported order;
-  /// any priority metadata must live inside T (PortablePending carries
-  /// its own `priority`). Returns the number exported — always 0 once the
+  /// the frontier below `min_keep`. Items leave in the exported order.
+  /// Returns the number exported — always 0 once the
   /// queue is closed: a closed frontier will never be popped again
   /// (first-crash-wins or termination), so carving pendings off it for a
   /// peer would only ship work the fleet has already decided not to do.
@@ -195,7 +175,7 @@ class WorkStealingQueue {
       if (victim == queues_.size()) {
         break;
       }
-      out->push_back(std::move(queues_[victim].back().item));
+      out->push_back(std::move(queues_[victim].back()));
       queues_[victim].pop_back();
       --total_;
       ++exported;
@@ -209,9 +189,9 @@ class WorkStealingQueue {
   /// done popping.
   void Drain(std::vector<T>* out) {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::deque<Entry>& queue : queues_) {
-      for (Entry& entry : queue) {
-        out->push_back(std::move(entry.item));
+    for (std::deque<T>& queue : queues_) {
+      for (T& item : queue) {
+        out->push_back(std::move(item));
       }
       queue.clear();
     }
@@ -254,18 +234,6 @@ class WorkStealingQueue {
   }
 
  private:
-  struct Entry {
-    T item;
-    u64 priority = 0;
-    u64 direction = 0;
-  };
-
-  // Priority key an entry contributes under `order` (only the two
-  // priority orders call this).
-  static u64 KeyOf(const Entry& entry, PopOrder order) {
-    return order == PopOrder::kHighestDirection ? entry.direction : entry.priority;
-  }
-
   // Blocks until the frontier has an item. Returns false when the search
   // is over (closed, or every active worker waits here at once).
   bool WaitForItem(std::unique_lock<std::mutex>& lock) {
@@ -290,83 +258,18 @@ class WorkStealingQueue {
     }
   }
 
-  // Removes one entry from `worker`'s own (non-empty) deque per `order`.
+  // Removes one item from `worker`'s own (non-empty) deque per `order`.
   T TakeOwnLocked(size_t worker, PopOrder order) {
-    std::deque<Entry>& own = queues_[worker];
-    size_t idx = 0;
-    switch (order) {
-      case PopOrder::kNewestFirst:
-        idx = own.size() - 1;
-        break;
-      case PopOrder::kOldestFirst:
-        idx = 0;
-        break;
-      case PopOrder::kHighestPriority:
-      case PopOrder::kHighestDirection:
-        // >= keeps the scan's last maximum: the newest among ties, so
-        // equal-priority entries still behave depth-first. The pop then
-        // swap-removes instead of erasing from the middle: the scan is
-        // unavoidably O(n), but shifting half the deque while holding
-        // mu_ is not (ties thereafter prefer the newest *remaining*
-        // entry, which internal compaction approximates).
-        for (size_t i = 1; i < own.size(); ++i) {
-          if (KeyOf(own[i], order) >= KeyOf(own[idx], order)) {
-            idx = i;
-          }
-        }
-        if (idx + 1 != own.size()) {
-          std::swap(own[idx], own.back());
-        }
-        idx = own.size() - 1;
-        break;
-    }
-    T item = std::move(own[idx].item);
-    if (idx + 1 == own.size()) {
-      own.pop_back();
-    } else {
-      own.erase(own.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
+    std::deque<T>& own = queues_[worker];
     --total_;
-    return item;
-  }
-
-  // Takes up to `want` of the highest-key entries from `worker`'s own
-  // deque in one selection pass (nth_element over indices), appending the
-  // items in descending-key order — the batched form of the priority
-  // take. Vacated slots are swap-removed highest-index-first (the back is
-  // never a still-pending selected slot), so a batch costs one scan and
-  // O(1) removals instead of one full scan per item. Ties break newest
-  // (largest index) first, matching the single take's tie rule.
-  void TakeOwnTopLocked(size_t worker, PopOrder order, size_t want, std::vector<T>* out) {
-    std::deque<Entry>& own = queues_[worker];
-    const size_t take = std::min(want, own.size());
-    if (take == 0) {
-      return;
-    }
-    std::vector<size_t> idx(own.size());
-    std::iota(idx.begin(), idx.end(), size_t{0});
-    const auto better = [&](size_t a, size_t b) {
-      const u64 ka = KeyOf(own[a], order);
-      const u64 kb = KeyOf(own[b], order);
-      return ka != kb ? ka > kb : a > b;
-    };
-    if (take < idx.size()) {
-      std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(take) - 1,
-                       idx.end(), better);
-      idx.resize(take);
-    }
-    std::sort(idx.begin(), idx.end(), better);
-    for (const size_t i : idx) {
-      out->push_back(std::move(own[i].item));
-    }
-    std::sort(idx.begin(), idx.end(), [](size_t a, size_t b) { return a > b; });
-    for (const size_t i : idx) {
-      if (i + 1 != own.size()) {
-        own[i] = std::move(own.back());
-      }
+    if (order == PopOrder::kNewestFirst) {
+      T item = std::move(own.back());
       own.pop_back();
+      return item;
     }
-    total_ -= take;
+    T item = std::move(own.front());
+    own.pop_front();
+    return item;
   }
 
   // Steals the front of the fullest other deque; requires total_ > 0 and
@@ -381,7 +284,7 @@ class WorkStealingQueue {
       }
     }
     Check(victim < queues_.size(), "WorkStealingQueue: total_ > 0 but no victim");
-    T item = std::move(queues_[victim].front().item);
+    T item = std::move(queues_[victim].front());
     queues_[victim].pop_front();
     --total_;
     return item;
@@ -389,7 +292,7 @@ class WorkStealingQueue {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::deque<Entry>> queues_;
+  std::vector<std::deque<T>> queues_;
   u64 total_ = 0;
   u64 peak_ = 0;
   size_t waiting_ = 0;

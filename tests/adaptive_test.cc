@@ -212,8 +212,7 @@ TEST(CorpusMutateTest, RespectsCapAndHandlesEmpty) {
 struct EnvGuard {
   ~EnvGuard() {
     for (const char* name : {"RETRACE_REPLAY_WORKERS", "RETRACE_REPLAY_SHARDS",
-                             "RETRACE_REPLAY_PICK", "RETRACE_SOLVER_CACHE",
-                             "RETRACE_REPLAY_PRUNE", "RETRACE_REPLAY_TRANSPORT",
+                             "RETRACE_SOLVER_CACHE", "RETRACE_REPLAY_TRANSPORT",
                              "RETRACE_GOSSIP_INTERVAL_MS"}) {
       ::unsetenv(name);
     }
@@ -227,7 +226,6 @@ TEST(ReplayConfigFromEnvTest, DefaultsWhenUnset) {
   EXPECT_EQ(config.num_shards, 1u);
   EXPECT_EQ(config.pick, ReplayConfig::Pick::kDfs);
   EXPECT_TRUE(config.solver_cache);
-  EXPECT_FALSE(config.prune_subsumed);
   EXPECT_EQ(config.transport, ReplayTransport::kFork);
   EXPECT_EQ(config.gossip_interval_ms, 20);
 }
@@ -236,26 +234,19 @@ TEST(ReplayConfigFromEnvTest, ReadsEveryKnob) {
   EnvGuard guard;
   ::setenv("RETRACE_REPLAY_WORKERS", "3", 1);
   ::setenv("RETRACE_REPLAY_SHARDS", "2,4", 1);  // Sweep list: first entry.
-  ::setenv("RETRACE_REPLAY_PICK", "direction", 1);
   ::setenv("RETRACE_SOLVER_CACHE", "0", 1);
-  ::setenv("RETRACE_REPLAY_PRUNE", "1", 1);
   ::setenv("RETRACE_REPLAY_TRANSPORT", "tcp", 1);
   ::setenv("RETRACE_GOSSIP_INTERVAL_MS", "50", 1);
   const ReplayConfig config = ReplayConfig::FromEnv();
   EXPECT_EQ(config.num_workers, 3u);
   EXPECT_EQ(config.num_shards, 2u);
-  EXPECT_EQ(config.pick, ReplayConfig::Pick::kDirection);
   EXPECT_FALSE(config.solver_cache);
-  EXPECT_TRUE(config.prune_subsumed);
   EXPECT_EQ(config.transport, ReplayTransport::kTcp);
   EXPECT_EQ(config.gossip_interval_ms, 50);
 }
 
 TEST(ReplayConfigFromEnvTest, GarbageKnobsFailLoudly) {
   EnvGuard guard;
-  ::setenv("RETRACE_REPLAY_PICK", "fastest", 1);
-  EXPECT_EXIT(ReplayConfig::FromEnv(), testing::ExitedWithCode(2), "RETRACE_REPLAY_PICK");
-  ::unsetenv("RETRACE_REPLAY_PICK");
   ::setenv("RETRACE_REPLAY_TRANSPORT", "carrier-pigeon", 1);
   EXPECT_EXIT(ReplayConfig::FromEnv(), testing::ExitedWithCode(2), "RETRACE_REPLAY_TRANSPORT");
 }

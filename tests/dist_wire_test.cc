@@ -197,8 +197,8 @@ std::vector<HostileCase> HostilePayloads() {
   }
   {
     // A v9 shard result: its stats payload lacks the four v10 counters,
-    // in the aggregate and in each worker entry. Cut them out of a v10
-    // encoding by their distinct sample values.
+    // in the aggregate and in each worker entry. Cut them out of the
+    // current encoding by their distinct sample values.
     std::vector<u8> payload = Encode(EncodeShardResult, MakeShardResult());
     const ReplayStats& stats = MakeShardResult().result.stats;
     for (const u64 first : {stats.resumed_runs, stats.per_worker[0].resumed_runs,
@@ -216,13 +216,61 @@ std::vector<HostileCase> HostilePayloads() {
     }
     cases.push_back({"shard_result_v9_stats", payload, DecoderOf(DecodeShardResult)});
   }
+  {
+    // A v10 shard result: its stats carry pendings_pruned before and
+    // promotions after corpus_runs, in the aggregate and in each worker
+    // entry, and two five-entry per-discipline arrays after the fallback
+    // flag. Splice them into the current encoding, found by the distinct
+    // sample values around them.
+    std::vector<u8> payload = Encode(EncodeShardResult, MakeShardResult());
+    const WireShardResult sample = MakeShardResult();
+    const ReplayStats& stats = sample.result.stats;
+    // Inserts `count` u64 fields after the first `offset` bytes of the
+    // byte run `around`.
+    auto splice = [&payload](const std::vector<u8>& around, size_t offset, size_t count) {
+      const auto at = std::search(payload.begin(), payload.end(), around.begin(), around.end());
+      EXPECT_NE(at, payload.end());
+      if (at != payload.end()) {
+        payload.insert(at + static_cast<std::ptrdiff_t>(offset), count * 8, u8{0x5a});
+      }
+    };
+    auto pair = [](u64 a, u64 b) {
+      WireWriter w;
+      w.U64(a);
+      w.U64(b);
+      return w.Take();
+    };
+    for (const ReplayWorkerStats& w : stats.per_worker) {
+      splice(pair(w.slice_unsat_hits, w.corpus_runs), 8, 1);
+      splice(pair(w.corpus_runs, w.resumed_runs), 8, 1);
+    }
+    splice(pair(stats.rebalance_rounds, stats.corpus_runs), 8, 1);
+    splice(pair(stats.corpus_runs, stats.resumed_runs), 8, 1);
+    WireWriter flag;
+    flag.U64(stats.heartbeats_missed);
+    flag.U8(stats.fallback_inprocess ? 1 : 0);
+    splice(flag.Take(), 9, 10);
+    cases.push_back({"shard_result_v10_stats", payload, DecoderOf(DecodeShardResult)});
+  }
+  {
+    // A v10 pending: the current layout plus its trailing direction score.
+    ExprArena arena;
+    std::vector<u8> payload = Encode(EncodePending, MakePending(&arena, 42));
+    WireWriter direction;
+    direction.U64(7);
+    payload.insert(payload.end(), direction.buf().begin(), direction.buf().end());
+    cases.push_back({"pending_v10_direction_score", payload, pending});
+  }
   cases.push_back({"join_hostile_ident",
                    Encode(EncodeJoin, WireJoin{std::string(100'000, 'x'), 8, ""}),
                    DecoderOf(DecodeJoin)});
   // Forged enum values.
-  cases.push_back(ForgedJob("job_pick", [](WireJob* job) {
-    job->config.pick = static_cast<ReplayConfig::Pick>(9);
-  }));
+  // 2-4 were the log-bits, direction and portfolio picks until v11.
+  for (const u8 pick : {2, 3, 4, 9}) {
+    cases.push_back(ForgedJob("job_pick_" + std::to_string(pick), [pick](WireJob* job) {
+      job->config.pick = static_cast<ReplayConfig::Pick>(pick);
+    }));
+  }
   cases.push_back(ForgedJob("job_syscall_kind", [](WireJob* job) {
     job->report.syscall_log[0].kind = static_cast<Builtin>(200);
   }));

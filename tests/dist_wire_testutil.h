@@ -47,7 +47,6 @@ inline PortablePending MakePending(ExprArena* arena, u64 salt) {
       {0, 255}, {-128, 127}, {0, static_cast<i64>(salt % 100)}, {0, 9}, {0, 9}, {0, 9},
       {0, 9}, {0, 9}});
   pending.priority = salt * 31;
-  pending.dir_score = salt * 7 + 1;
   return pending;
 }
 
@@ -68,8 +67,8 @@ inline ReplayWorkerStats MakeWorkerStats(u64 base) {
        {&w.runs, &w.solver_calls, &w.aborts_forced_direction, &w.aborts_concrete_mismatch,
         &w.aborts_log_exhausted, &w.crashes_wrong_site, &w.steals, &w.dedup_skips,
         &w.cancelled_runs, &w.slices_solved, &w.slice_sat_hits, &w.slice_unsat_hits,
-        &w.pendings_pruned, &w.corpus_runs, &w.promotions, &w.resumed_runs,
-        &w.instrs_skipped, &w.slices_inherited, &w.solves_from_base}) {
+        &w.corpus_runs, &w.resumed_runs, &w.instrs_skipped, &w.slices_inherited,
+        &w.solves_from_base}) {
     *field = ++base;
   }
   return w;
@@ -93,14 +92,12 @@ inline WireShardResult MakeShardResult() {
         &s.aborts_log_exhausted, &s.crashes_wrong_site, &s.pending_peak, &s.steals,
         &s.dedup_skips, &s.cancelled_runs, &s.slices_solved, &s.slice_sat_hits,
         &s.slice_unsat_hits, &s.slice_evictions, &s.pendings_exported, &s.pendings_imported,
-        &s.rebalance_rounds, &s.pendings_pruned, &s.corpus_runs, &s.promotions,
-        &s.resumed_runs, &s.instrs_skipped, &s.slices_inherited, &s.solves_from_base,
-        &s.shards_lost, &s.pendings_recovered, &s.heartbeats_missed}) {
+        &s.rebalance_rounds, &s.corpus_runs, &s.resumed_runs, &s.instrs_skipped,
+        &s.slices_inherited, &s.solves_from_base, &s.shards_lost, &s.pendings_recovered,
+        &s.heartbeats_missed}) {
     *field = ++next;
   }
   s.fallback_inprocess = true;
-  s.discipline_runs = {11, 12, 13, 14, 15};
-  s.discipline_on_log = {1, 2, 3, 4, 5};
   s.per_worker = {MakeWorkerStats(100), MakeWorkerStats(200)};
   s.failure_profile = MakeProfile();
   shard.verdicts_published = 7;
@@ -139,7 +136,7 @@ inline WireJob MakeJob() {
   c.solver.max_steps = 555;
   c.solver.max_enumeration = 66;
   c.seed = 0xabcdef;
-  c.pick = ReplayConfig::Pick::kLogBits;
+  c.pick = ReplayConfig::Pick::kFifo;
   c.num_workers = 3;
   c.solver_cache = false;
   c.slice_cache_capacity = 99;
@@ -147,7 +144,6 @@ inline WireJob MakeJob() {
   c.gossip_interval_ms = 7;
   c.heartbeat_interval_ms = 250;
   c.heartbeat_timeout_ms = 30'000;
-  c.prune_subsumed = true;
   c.corpus_seeds = {{65, 66, 67, 13}, {}, {120}};
   c.program.app = "int main() { return 0; }";
   c.program.libs = {"int helper() { return 1; }"};
@@ -219,7 +215,6 @@ inline void ExpectSame(const PortablePending& want, const PortablePending& got,
   EXPECT_EQ(*got.seed, *want.seed) << where << ".seed";
   EXPECT_EQ(*got.domains, *want.domains) << where << ".domains";
   RETRACE_EXPECT_FIELD(priority);
-  RETRACE_EXPECT_FIELD(dir_score);
 }
 
 inline void ExpectSame(const WirePendingExport& want, const WirePendingExport& got,
@@ -282,9 +277,7 @@ inline void ExpectSame(const ReplayWorkerStats& want, const ReplayWorkerStats& g
   RETRACE_EXPECT_FIELD(slices_solved);
   RETRACE_EXPECT_FIELD(slice_sat_hits);
   RETRACE_EXPECT_FIELD(slice_unsat_hits);
-  RETRACE_EXPECT_FIELD(pendings_pruned);
   RETRACE_EXPECT_FIELD(corpus_runs);
-  RETRACE_EXPECT_FIELD(promotions);
   RETRACE_EXPECT_FIELD(resumed_runs);
   RETRACE_EXPECT_FIELD(instrs_skipped);
   RETRACE_EXPECT_FIELD(slices_inherited);
@@ -311,9 +304,7 @@ inline void ExpectSame(const ReplayStats& want, const ReplayStats& got, const st
   RETRACE_EXPECT_FIELD(pendings_exported);
   RETRACE_EXPECT_FIELD(pendings_imported);
   RETRACE_EXPECT_FIELD(rebalance_rounds);
-  RETRACE_EXPECT_FIELD(pendings_pruned);
   RETRACE_EXPECT_FIELD(corpus_runs);
-  RETRACE_EXPECT_FIELD(promotions);
   RETRACE_EXPECT_FIELD(resumed_runs);
   RETRACE_EXPECT_FIELD(instrs_skipped);
   RETRACE_EXPECT_FIELD(slices_inherited);
@@ -322,8 +313,6 @@ inline void ExpectSame(const ReplayStats& want, const ReplayStats& got, const st
   RETRACE_EXPECT_FIELD(pendings_recovered);
   RETRACE_EXPECT_FIELD(heartbeats_missed);
   RETRACE_EXPECT_FIELD(fallback_inprocess);
-  RETRACE_EXPECT_FIELD(discipline_runs);
-  RETRACE_EXPECT_FIELD(discipline_on_log);
   ASSERT_EQ(got.per_worker.size(), want.per_worker.size()) << where;
   for (size_t i = 0; i < want.per_worker.size(); ++i) {
     ExpectSame(want.per_worker[i], got.per_worker[i],
@@ -415,7 +404,6 @@ inline void ExpectSame(const WireJob& want, const WireJob& got, const std::strin
   RETRACE_EXPECT_FIELD(config.gossip_interval_ms);
   RETRACE_EXPECT_FIELD(config.heartbeat_interval_ms);
   RETRACE_EXPECT_FIELD(config.heartbeat_timeout_ms);
-  RETRACE_EXPECT_FIELD(config.prune_subsumed);
   RETRACE_EXPECT_FIELD(config.corpus_seeds);
   RETRACE_EXPECT_FIELD(config.program.app);
   RETRACE_EXPECT_FIELD(config.program.libs);
@@ -547,12 +535,13 @@ struct HostileCase {
   std::function<bool(const std::vector<u8>&)> decodes;
 };
 
+// Decodes a payload the way a receiver decodes a frame: whole
+// (DecodePayload), so bytes left over refuse it too.
 template <typename T>
 std::function<bool(const std::vector<u8>&)> DecoderOf(bool (*decode)(WireReader*, T*)) {
   return [decode](const std::vector<u8>& payload) {
-    WireReader r(payload.data(), payload.size());
     T decoded;
-    return decode(&r, &decoded);
+    return DecodePayload(payload, decode, &decoded);
   };
 }
 

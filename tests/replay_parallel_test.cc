@@ -150,6 +150,42 @@ TEST(ReplayParallelTest, ResidentAndPortableFrontiersSearchAlike) {
   }
 }
 
+// A shared-frontier (portable) search drops a pending set it already
+// tried: the per-pop `tried` dedup is what makes a second copy of one
+// set — re-dealt, re-balanced, or re-injected from a dead shard's
+// ledger — cost nothing. Two copies of one seed pending, popped FIFO one
+// per frontier visit: the first runs, the second is skipped, and the
+// third run comes from the initial run's own pendings.
+TEST(ReplayParallelTest, PortableSearchSkipsRepeatedSeedPending) {
+  auto pipeline = MustBuild(kDeepGuardedCrash);
+  InstrumentationPlan nothing;
+  nothing.method = InstrumentMethod::kDynamic;
+  nothing.branches = DenseBitset(pipeline->module().branches.size());
+  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), nothing, {}).take();
+  ASSERT_TRUE(user.result.Crashed());
+  ReplayEngine engine(pipeline->module(), nothing, user.report);
+
+  // One scouted run's pendings, one per guard; the last flips the
+  // deepest, so it differs from the shard's initial-run pending that
+  // FIFO pops third.
+  ReplayConfig scout_cfg;
+  scout_cfg.max_runs = 1;
+  std::vector<PortablePending> scouted;
+  engine.Scout(scout_cfg, /*target_frontier=*/0, &scouted);
+  ASSERT_GE(scouted.size(), 2u);
+
+  ReplayConfig config;
+  config.pick = ReplayConfig::Pick::kFifo;
+  config.solve_batch = 1;
+  config.max_runs = 3;  // The initial run, the first copy, one more.
+  ShardContext ctx;
+  ctx.seed_frontier = {scouted.back(), scouted.back()};
+  const ReplayResult result = engine.ReproduceShard(config, &ctx);
+  EXPECT_FALSE(result.reproduced);
+  EXPECT_EQ(result.stats.runs, 3u);
+  EXPECT_EQ(result.stats.dedup_skips, 1u);
+}
+
 // (b) num_workers = 4 reproduces each seeded crash scenario, across
 // instrumentation plans, and the witness still verifies.
 TEST(ReplayParallelTest, FourWorkersReproduceAllBranches) {
@@ -238,103 +274,7 @@ TEST(ReplayParallelTest, FourWorkersReproduceSyscallBug) {
   ASSERT_TRUE(replay.reproduced);
 }
 
-TEST(ReplayParallelTest, PortfolioPickReproduces) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
-  const InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  ReplayConfig config;
-  config.num_workers = 4;
-  config.pick = ReplayConfig::Pick::kPortfolio;
-  const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-  ASSERT_TRUE(replay.reproduced);
-  EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
-}
-
-// ----- Search-quality layer: direction pick, pruning, corpus, promotion -----
-
-// Pick::kDirection must reproduce sequentially and in a fleet — it is a
-// different pop order over the same sound frontier.
-TEST(ReplayParallelTest, DirectionPickReproduces) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
-  const InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  for (const u32 workers : {1u, 4u}) {
-    ReplayConfig config;
-    config.num_workers = workers;
-    config.pick = ReplayConfig::Pick::kDirection;
-    const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-    ASSERT_TRUE(replay.reproduced) << workers << " workers";
-    EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
-    // All completed runs are attributed to the direction discipline.
-    const size_t disc = static_cast<size_t>(SearchDiscipline::kDirection);
-    EXPECT_GT(replay.stats.discipline_runs[disc], 0u);
-    EXPECT_EQ(replay.stats.discipline_on_log[disc] > 0,
-              replay.stats.aborts_forced_direction > 0);
-  }
-}
-
-// Prune soundness: two identical corpus seeds make two workers walk the
-// same path and publish structurally identical pendings — the index must
-// drop the duplicates (pendings_pruned > 0) WITHOUT losing the crash:
-// everything a pruned pending could reach stays reachable through its
-// subsumer.
-TEST(ReplayParallelTest, SubsumptionPruneKeepsCrashReachable) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
-  const InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  ReplayConfig config;
-  config.num_workers = 2;
-  config.prune_subsumed = true;
-  // One benign input, twice: worker 0 runs seed 0, worker 1 runs the
-  // identical seed 1, so whoever publishes second collides on every set.
-  const std::vector<i64> benign(16, 120);
-  config.corpus_seeds = {benign, benign};
-  const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-  ASSERT_TRUE(replay.reproduced);
-  EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
-  EXPECT_GT(replay.stats.pendings_pruned, 0u);
-  // Every worker runs its corpus slice before touching the frontier, and
-  // the first crash can only land in someone's frontier phase — so at
-  // least one worker completed its corpus run (the second may have been
-  // stopped by first-crash-wins mid-phase).
-  EXPECT_GE(replay.stats.corpus_runs, 1u);
-  // Per-worker pruning aggregates losslessly.
-  u64 pruned = 0;
-  for (const ReplayWorkerStats& w : replay.stats.per_worker) {
-    pruned += w.pendings_pruned;
-  }
-  EXPECT_EQ(replay.stats.pendings_pruned, pruned);
-}
-
-// Sequential pruning: same soundness story on the single-worker loop
-// (the arena-side fingerprint chain must agree with the portable one).
-TEST(ReplayParallelTest, SequentialPruneStillReproduces) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
-  const InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  ReplayConfig config;
-  config.prune_subsumed = true;
-  const std::vector<i64> benign(16, 120);
-  config.corpus_seeds = {benign, benign};  // Identical runs back to back.
-  const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-  ASSERT_TRUE(replay.reproduced);
-  EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
-  // The second identical corpus run re-publishes the first one's entire
-  // flippable set: every one of those duplicates must have been pruned.
-  EXPECT_GT(replay.stats.pendings_pruned, 0u);
-}
+// ----- Corpus seeding -----
 
 // Corpus seeding: handing the fleet a witness-adjacent input makes the
 // search fall out of the corpus run (or a short push off it) — and the
@@ -377,83 +317,6 @@ TEST(ReplayParallelTest, CorpusSeedShortCircuitsSearch) {
     EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
     EXPECT_GE(replay.stats.corpus_runs, 1u);
   }
-}
-
-// A crash-free search under Pick::kPortfolio with more than four workers
-// runs the adaptive tail: once any fixed discipline has enough
-// attributed runs, adaptive workers promote themselves onto the best
-// on-log earner and the switch is counted.
-TEST(ReplayParallelTest, PortfolioPromotesAdaptiveWorkers) {
-  // Sixteen independent guard *locations* (unrolled, so each can be
-  // logged or left unlogged independently): the unlogged majority keeps
-  // the frontier wide enough to outlive many promotion intervals
-  // without ever reproducing (the report's crash site is made
-  // unreachable below).
-  constexpr const char* kWideSearch = R"(
-int main(int argc, char **argv) {
-  if (argc < 2) { return 1; }
-  int hits = 0;
-  if (argv[1][0] == 'a') { hits = hits + 1; }
-  if (argv[1][1] == 'b') { hits = hits + 1; }
-  if (argv[1][2] == 'c') { hits = hits + 1; }
-  if (argv[1][3] == 'd') { hits = hits + 1; }
-  if (argv[1][4] == 'e') { hits = hits + 1; }
-  if (argv[1][5] == 'f') { hits = hits + 1; }
-  if (argv[1][6] == 'g') { hits = hits + 1; }
-  if (argv[1][7] == 'h') { hits = hits + 1; }
-  if (argv[1][8] == 'i') { hits = hits + 1; }
-  if (argv[1][9] == 'j') { hits = hits + 1; }
-  if (argv[1][10] == 'k') { hits = hits + 1; }
-  if (argv[1][11] == 'l') { hits = hits + 1; }
-  if (argv[1][12] == 'm') { hits = hits + 1; }
-  if (argv[1][13] == 'n') { hits = hits + 1; }
-  if (argv[1][14] == 'o') { hits = hits + 1; }
-  if (argv[1][15] == 'p') { hits = hits + 1; }
-  if (hits == 16) { crash(3); }
-  return 0;
-}
-)";
-  auto pipeline = MustBuild(kWideSearch);
-  // A *partial* plan — the paper's actual regime: a third of the
-  // branches logged, the rest unlogged symbolic (case 1). The unlogged
-  // guards keep the frontier wide, while the logged ones produce
-  // forced-direction (2b) aborts — the nonzero on-log rates promotion
-  // ranks by. (All-branches plans have no case-1 branches and drain in
-  // a few dozen runs; empty plans never abort 2b, and an all-zero rate
-  // field must NOT promote — it would collapse the portfolio's
-  // randomized hedge onto DFS.)
-  InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  plan.branches = DenseBitset(pipeline->module().branches.size());
-  for (size_t b = 0; b < pipeline->module().branches.size(); b += 3) {
-    plan.branches.Set(b);
-  }
-  InputSpec spec;
-  spec.argv = {"prog", "abcdefghijklmnop"};
-  spec.world.listen_fd = -1;
-  const auto user = pipeline->RecordUserRun(spec, plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  // Redirect the reported crash site so no run ever "reproduces": the
-  // fleet searches until the run cap, which is what promotion needs.
-  BugReport report = user.report;
-  report.crash.loc.line += 1000;
-
-  ReplayConfig config;
-  config.num_workers = 6;  // Workers 4 and 5 are adaptive.
-  config.pick = ReplayConfig::Pick::kPortfolio;
-  config.max_runs = 2000;
-  const ReplayResult replay = pipeline->Reproduce(report, plan, config).take();
-  EXPECT_FALSE(replay.reproduced);
-  EXPECT_GE(replay.stats.promotions, 1u);
-  // Attribution covers the fleet: every completed run landed in exactly
-  // one discipline bucket, and no bucket exceeds the total.
-  u64 attributed = 0;
-  for (const u64 runs : replay.stats.discipline_runs) {
-    attributed += runs;
-  }
-  EXPECT_GT(attributed, 0u);
-  EXPECT_LE(attributed, replay.stats.runs);
 }
 
 // (c) Aggregation is lossless: every counter in the aggregate equals the

@@ -1,6 +1,6 @@
 // Tests for the incremental solving layer (src/solver/incremental.h):
-// independence partitioning, fleet-wide slice caches, the log-bits
-// priority frontier, and their wiring into the replay engine.
+// independence partitioning, fleet-wide slice caches, the work-stealing
+// frontier's batched pop, and their wiring into the replay engine.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -345,28 +345,7 @@ TEST(IncrementalSolverTest, WarmCacheHitsStayValid) {
   EXPECT_EQ(inc.stats().slice_sat_hits, 4u);     // Two slices x two rounds.
 }
 
-// ----- Log-bits priority frontier -----
-
-TEST(IncrementalSolverTest, WorkQueueHighestPriorityOrder) {
-  WorkStealingQueue<int> queue(2);
-  queue.Push(0, 1, /*priority=*/10);
-  queue.Push(0, 2, /*priority=*/30);
-  queue.Push(0, 3, /*priority=*/20);
-  queue.Push(0, 4, /*priority=*/30);  // Ties break newest: 4 before 2.
-
-  int out = 0;
-  bool stolen = false;
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestPriority, &out, &stolen));
-  EXPECT_EQ(out, 4);
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestPriority, &out, &stolen));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestPriority, &out, &stolen));
-  EXPECT_EQ(out, 3);
-  // Thieves still take the victim's front (oldest), priority or not.
-  ASSERT_TRUE(queue.Pop(1, PopOrder::kHighestPriority, &out, &stolen));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(stolen);
-}
+// ----- Work-stealing frontier -----
 
 TEST(IncrementalSolverTest, WorkQueuePopBatchDrainsOwnDequeOnly) {
   WorkStealingQueue<int> queue(2);
@@ -386,66 +365,9 @@ TEST(IncrementalSolverTest, WorkQueuePopBatchDrainsOwnDequeOnly) {
   EXPECT_EQ(stolen, 1u);
 }
 
-// The direction key is independent of the priority key: the same frontier
-// serves log-bits and direction-aware consumers with different orders.
-TEST(IncrementalSolverTest, WorkQueueHighestDirectionOrder) {
-  WorkStealingQueue<int> queue(1);
-  queue.Push(0, 1, /*priority=*/100, /*direction=*/1);
-  queue.Push(0, 2, /*priority=*/1, /*direction=*/50);
-  queue.Push(0, 3, /*priority=*/50, /*direction=*/50);  // Direction tie: newest first.
-
-  int out = 0;
-  bool stolen = false;
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestDirection, &out, &stolen));
-  EXPECT_EQ(out, 3);
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestDirection, &out, &stolen));
-  EXPECT_EQ(out, 2);
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestDirection, &out, &stolen));
-  EXPECT_EQ(out, 1);
-}
-
-// Batched priority takes must return the same multiset as repeated
-// single pops, in descending key order — the batch path is one selection
-// pass with swap-removals, not one O(n) scan per extra.
-TEST(IncrementalSolverTest, WorkQueuePopBatchHighestPriorityOrder) {
-  WorkStealingQueue<int> queue(1);
-  const u64 priorities[] = {10, 30, 20, 30, 5, 40, 20};
-  for (int i = 0; i < 7; ++i) {
-    queue.Push(0, i + 1, priorities[i]);
-  }
-
-  std::vector<int> out;
-  u64 stolen = 0;
-  ASSERT_TRUE(queue.PopBatch(0, PopOrder::kHighestPriority, 5, &out, &stolen));
-  EXPECT_EQ(stolen, 0u);
-  // 40 first, then the 30s (newest of the tie first), then the 20s.
-  EXPECT_EQ(out, (std::vector<int>{6, 4, 2, 7, 3}));
-  // The remainder is still poppable in priority order.
-  int one = 0;
-  bool was_stolen = false;
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestPriority, &one, &was_stolen));
-  EXPECT_EQ(one, 1);  // priority 10.
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kHighestPriority, &one, &was_stolen));
-  EXPECT_EQ(one, 5);  // priority 5.
-}
-
-// ----- Prefix-subsumption index -----
-
-TEST(IncrementalSolverTest, FingerprintSetInsertSemantics) {
-  FingerprintSet set;
-  EXPECT_FALSE(set.Contains(42));
-  EXPECT_TRUE(set.Insert(42));    // First sighting.
-  EXPECT_FALSE(set.Insert(42));   // Duplicate: the push-side prune signal.
-  EXPECT_TRUE(set.Contains(42));
-  for (u64 fp = 0; fp < 1000; ++fp) {
-    EXPECT_TRUE(set.Insert(fp * 0x9e3779b97f4a7c15ull + 1));
-  }
-  EXPECT_EQ(set.size(), 1001u);
-}
-
 // The chain primitives must agree with FingerprintConstraints at every
 // prefix, and a negate-last pending set must fingerprint exactly like a
-// run that executed the opposite polarity — the subsumption identity.
+// run that executed the opposite polarity.
 TEST(IncrementalSolverTest, FingerprintChainMatchesPrefixFingerprints) {
   ExprArena arena;
   std::vector<Constraint> cs;
@@ -543,37 +465,6 @@ TEST(IncrementalSolverTest, EngineCacheOffReportsNoSliceActivity) {
   EXPECT_EQ(replay.stats.slices_solved, 0u);
   EXPECT_EQ(replay.stats.slice_sat_hits, 0u);
   EXPECT_EQ(replay.stats.slice_unsat_hits, 0u);
-}
-
-// Pick::kLogBits reproduces at both worker counts, and the new counters
-// aggregate losslessly across workers.
-TEST(IncrementalSolverTest, LogBitsPickReproduces) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
-  const InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  for (const u32 workers : {1u, 4u}) {
-    ReplayConfig config;
-    config.num_workers = workers;
-    config.pick = ReplayConfig::Pick::kLogBits;
-    const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-    ASSERT_TRUE(replay.reproduced) << workers << " workers";
-    EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
-
-    u64 solved = 0;
-    u64 sat_hits = 0;
-    u64 unsat_hits = 0;
-    for (const ReplayWorkerStats& w : replay.stats.per_worker) {
-      solved += w.slices_solved;
-      sat_hits += w.slice_sat_hits;
-      unsat_hits += w.slice_unsat_hits;
-    }
-    EXPECT_EQ(replay.stats.slices_solved, solved);
-    EXPECT_EQ(replay.stats.slice_sat_hits, sat_hits);
-    EXPECT_EQ(replay.stats.slice_unsat_hits, unsat_hits);
-  }
 }
 
 // ----- SliceCache LRU bound + gossip journal -----

@@ -140,8 +140,7 @@ void ServeConnection(int fd, ReplayService* service) {
     for (const WireFrame& frame : frames) {
       if (frame.type == WireMsg::kReportSubmit) {
         WireReportSubmit submit;
-        WireReader r(frame.payload.data(), frame.payload.size());
-        if (!DecodeReportSubmit(&r, &submit)) {
+        if (!DecodePayload(frame.payload, DecodeReportSubmit, &submit)) {
           return;  // Hostile or broken client; drop the connection.
         }
         const ServiceVerdict verdict = service->Submit(submit.tenant, submit.report);
@@ -275,8 +274,7 @@ int Submit(const std::string& target, int experiment, const std::string& tenant)
     return 1;
   }
   WireReportVerdict verdict;
-  WireReader r(frames[0].payload.data(), frames[0].payload.size());
-  if (!DecodeReportVerdict(&r, &verdict)) {
+  if (!DecodePayload(frames[0].payload, DecodeReportVerdict, &verdict)) {
     std::fprintf(stderr, "retrace_serviced: corrupt verdict\n");
     return 1;
   }
@@ -307,8 +305,8 @@ int Health(const std::string& target) {
     }
   }
   WireHealthStats stats;
-  WireReader r(frames[0].payload.data(), frames[0].payload.size());
-  if (frames[0].type != WireMsg::kHealthStats || !DecodeHealthStats(&r, &stats)) {
+  if (frames[0].type != WireMsg::kHealthStats ||
+      !DecodePayload(frames[0].payload, DecodeHealthStats, &stats)) {
     std::fprintf(stderr, "retrace_serviced: corrupt health reply\n");
     return 1;
   }
