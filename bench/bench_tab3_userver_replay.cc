@@ -7,7 +7,11 @@
 // logged — the paper's key correlation: once more than a dozen symbolic
 // locations go unlogged, replay blows past the one-hour budget (inf).
 // The `resumed` and `skipped` columns count the runs that started at a
-// read() checkpoint instead of main, and the instructions they skipped;
+// checkpoint instead of main, and the instructions they skipped;
+// `at-branch` counts the resumed runs whose checkpoint sat just before a
+// branch that published a pending rather than a read(), and `pre-flip`
+// the instructions runs still executed before reaching their flipped or
+// forced branch (the prefix the search already knew the outcome of);
 // `inherited` counts the constraint slices solves took over from their
 // parent solve's slice state instead of looking them up (delta solving).
 //
@@ -58,9 +62,9 @@ int Main() {
   for (int experiment = 1; experiment <= 5; ++experiment) {
     const Scenario scenario = UserverScenario(experiment);
     std::printf("--- Experiment %d (%s) ---\n", experiment, scenario.name.c_str());
-    std::printf("%-18s %-14s %-8s %-8s %-12s %-10s %-22s %-22s\n", "version", "replay", "runs",
-                "resumed", "skipped", "inherited", "sym logged loc/exec",
-                "sym UNLOGGED loc/exec");
+    std::printf("%-18s %-14s %-8s %-8s %-10s %-12s %-12s %-10s %-22s %-22s\n", "version",
+                "replay", "runs", "resumed", "at-branch", "skipped", "pre-flip", "inherited",
+                "sym logged loc/exec", "sym UNLOGGED loc/exec");
     for (const ConfigRow& config : configs) {
       Pipeline::UserRunOptions options;
       options.policy = scenario.policy.get();
@@ -80,10 +84,13 @@ int Main() {
                     static_cast<unsigned long long>(
                         user.report.stats.symbolic_locations_unlogged),
                     static_cast<unsigned long long>(user.report.stats.symbolic_execs_unlogged));
-      std::printf("%-18s %-14s %-8llu %-8llu %-12llu %-10llu %-22s %-22s\n", config.name.c_str(),
-                  ReplayCell(replay).c_str(), static_cast<unsigned long long>(replay.stats.runs),
+      std::printf("%-18s %-14s %-8llu %-8llu %-10llu %-12llu %-12llu %-10llu %-22s %-22s\n",
+                  config.name.c_str(), ReplayCell(replay).c_str(),
+                  static_cast<unsigned long long>(replay.stats.runs),
                   static_cast<unsigned long long>(replay.stats.resumed_runs),
+                  static_cast<unsigned long long>(replay.stats.resumed_at_branch),
                   static_cast<unsigned long long>(replay.stats.instrs_skipped),
+                  static_cast<unsigned long long>(replay.stats.instrs_before_flip),
                   static_cast<unsigned long long>(replay.stats.slices_inherited), logged,
                   unlogged);
     }

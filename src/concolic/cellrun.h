@@ -9,13 +9,14 @@
 // interpreter setup once.
 //
 // A run starts at main, or at a RunCheckpoint an earlier run of the same
-// runner took just before one of its read() calls. It may start at a
-// checkpoint when its model gives every input cell consumed before that
-// point the value the checkpointed run consumed (RunCheckpoint::Matches);
-// the run is then the one a start at main would have produced.
+// runner took at one of its pause points: just before a read() call or a
+// branch on a symbolic condition. ResumeRule decides which checkpoints a
+// model may start at; the run is then the one a start at main would have
+// produced.
 #ifndef RETRACE_CONCOLIC_CELLRUN_H_
 #define RETRACE_CONCOLIC_CELLRUN_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,8 +26,9 @@
 
 namespace retrace {
 
-// A run paused just before one of its read() calls: the program's and
-// the OS's state there, and the input cell values consumed on the way.
+// A run paused at a pause point: the program's and the OS's state there,
+// and what the run did since the checkpoint before it on its path (for
+// the first, since main).
 struct RunCheckpoint {
   struct ConsumedCell {
     i32 cell = -1;
@@ -34,34 +36,88 @@ struct RunCheckpoint {
   };
 
   Interp::State exec;
-  VirtualOs::State vos;
-  size_t read_index = 0;  // Of the paused read() among the run's reads.
-  // Cells first consumed since the run's previous checkpoint: for the
-  // first one, the argv cells and any syscall result before the first
-  // read; after that, the previous read's bytes and the syscall results
-  // since. Values as the run consumed them.
+  // Shared with the run's checkpoint before when no builtin ran between.
+  std::shared_ptr<const VirtualOs::State> vos;
+  bool at_branch = false;  // Paused at a symbolic branch, not a read().
+  // Taken in shadow mode. Only then do `concretized` and `branches`
+  // record how the run used its stream bytes; without it, ResumeRule
+  // holds every consumed cell to its value exactly.
+  bool shadowed = false;
+  // Input cells consumed since the previous checkpoint, with the values
+  // this checkpoint's state holds for them: the argv cells (first
+  // checkpoint of a run from main), the stream bytes read() delivered,
+  // the syscall results, and — first checkpoint after a patched resume —
+  // the cells the patch changed.
   std::vector<ConsumedCell> consumed;
+  std::vector<ExprRef> concretized;  // Interp::concretized entries since.
+  std::vector<Constraint> branches;  // Symbolic branches since, as taken.
   size_t model_size = 0;  // Cells the checkpointed run's model covered.
+};
 
-  // True when a run of `model` gives every cell in `consumed` the same
-  // value. Values are compared after clamping to the cell's domain; a
-  // syscall result the checkpointed run took from its model matches only
-  // a model that covers it too. A run whose model matches a run's
-  // checkpoints 0..k may start at checkpoint k.
-  bool Matches(const std::vector<i64>& model, const CellLayout& layout) const;
+// The one checkpoint rule. Fed the checkpoints of one path in path
+// order, it says for each whether a run of `model` may start there. Let
+// Δ be the stream-byte cells consumed before checkpoint k whose value
+// under the model differs from the value in k's state (empty unless the
+// checkpoints were taken in shadow mode). The model may start at k when
+//   - every argv cell and syscall result consumed before k has the value
+//     the model gives it (clamped to its domain; a result the
+//     checkpointed run took from its model matches only a model that
+//     covers it too);
+//   - (a) no Δ cell was concretized before k (Interp::concretized); and
+//   - (b) every symbolic branch before k that mentions a Δ cell goes the
+//     same way under the model.
+// The run from main then reaches k on the same path, in the state k
+// holds with every shadow that mentions a Δ cell re-evaluated
+// (ResumePatch). The rule trusts no parentage: any model may be offered
+// any path. Starting at main is the depth-0 case.
+class ResumeRule {
+ public:
+  // Borrows all three; `arena` must hold the checkpoints' expressions.
+  ResumeRule(const CellLayout& layout, const ExprArena& arena, const std::vector<i64>& model);
+
+  // Offers the path's next checkpoint. False when the model may not start
+  // there; the rule then refuses every later checkpoint too (a
+  // conservative answer for them: a false never yields a wrong run).
+  bool Admit(const RunCheckpoint& ckpt);
+  // Δ at the last admitted checkpoint.
+  std::vector<i32> Delta() const;
+
+ private:
+  // Applies the consumed cells; false on a mismatch of an exact cell or a
+  // consumed cell re-valued into Δ. Cells whose Δ membership flipped go
+  // to undo_.
+  bool Consume(const RunCheckpoint& ckpt);
+
+  const CellLayout& layout_;
+  const ExprArena& arena_;
+  const std::vector<i64>& model_;
+  // Cell values under the model: static cells as the run's CellStore
+  // holds them, syscall results as consumed.
+  std::vector<i64> values_;
+  std::vector<u8> consumed_;  // Per static cell: consumed before.
+  std::vector<u8> in_delta_;  // Per static cell: in Δ.
+  std::vector<i32> delta_;    // Cells ever put in Δ, in order.
+  u64 delta_mask_ = 0;        // Covers ExprArena::VarBit of every Δ cell.
+  std::vector<i32> undo_;
+  bool refused_ = false;
+};
+
+// Where a run is paused (CheckpointSink::AtPause).
+struct PausePoint {
+  bool at_branch = false;  // Else at a read() call.
+  i32 branch_id = -1;
+  bool taken = false;      // The direction the branch is about to go.
+  u64 instrs = 0;          // Instructions the run executed before this one.
 };
 
 // Takes a run's checkpoints (CellRunConfig::checkpoints).
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
-  // The run is about to execute its read() number `read_index` (0-based).
-  // A resumed run continues the count of the run it resumes, after the
-  // read it resumes at. Returns the checkpoint to fill, or null to take
-  // none. A sink that declines one read must decline every later read of
-  // the run: each checkpoint records what was consumed since the one
-  // before.
-  virtual RunCheckpoint* AtRead(size_t read_index) = 0;
+  // The run is paused at `at`. Returns the checkpoint to fill, or null to
+  // take none. A resumed run's first pause point is the one it resumed
+  // at; it is not offered again.
+  virtual RunCheckpoint* AtPause(const PausePoint& at) = 0;
 };
 
 struct CellRunConfig {
@@ -75,10 +131,13 @@ struct CellRunConfig {
   Budget* external_budget = nullptr;
   CheckpointSink* checkpoints = nullptr;  // Null: take no checkpoints.
   // Null: start at main. Otherwise a checkpoint of this runner taken with
-  // the same arena mode, policy and replay log, whose run's checkpoints
-  // up to this one `model` matches. The run starts there and charges the
-  // external budget what the checkpointed run had charged by then.
+  // the same arena, policy and replay log, which ResumeRule admits for
+  // `model` along the path of the runner's checkpoints up to it. The run
+  // starts there, patches `resume_delta` (ResumeRule::Delta) into the
+  // state, and charges the external budget what the checkpointed run had
+  // charged by then.
   const RunCheckpoint* resume_from = nullptr;
+  std::vector<i32> resume_delta;
 };
 
 struct CellRunOutput {

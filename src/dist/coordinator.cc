@@ -690,7 +690,9 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       result.stats.rebalance_rounds += ss.rebalance_rounds;
       result.stats.corpus_runs += ss.corpus_runs;
       result.stats.resumed_runs += ss.resumed_runs;
+      result.stats.resumed_at_branch += ss.resumed_at_branch;
       result.stats.instrs_skipped += ss.instrs_skipped;
+      result.stats.instrs_before_flip += ss.instrs_before_flip;
       result.stats.slices_inherited += ss.slices_inherited;
       result.stats.solves_from_base += ss.solves_from_base;
       result.stats.failure_profile.Merge(ss.failure_profile);
@@ -750,7 +752,9 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
     result.stats.slice_unsat_hits += fb.stats.slice_unsat_hits;
     result.stats.corpus_runs += fb.stats.corpus_runs;
     result.stats.resumed_runs += fb.stats.resumed_runs;
+    result.stats.resumed_at_branch += fb.stats.resumed_at_branch;
     result.stats.instrs_skipped += fb.stats.instrs_skipped;
+    result.stats.instrs_before_flip += fb.stats.instrs_before_flip;
     result.stats.slices_inherited += fb.stats.slices_inherited;
     result.stats.solves_from_base += fb.stats.solves_from_base;
     result.stats.failure_profile.Merge(fb.stats.failure_profile);

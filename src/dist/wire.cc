@@ -455,10 +455,13 @@ void EncodeWorkerStats(const ReplayWorkerStats& w, WireWriter* out) {
   out->U64(w.instrs_skipped);
   out->U64(w.slices_inherited);
   out->U64(w.solves_from_base);
+  // v12.
+  out->U64(w.resumed_at_branch);
+  out->U64(w.instrs_before_flip);
 }
 
-// Encoded size of one ReplayWorkerStats: 17 u64 counters.
-constexpr size_t kWorkerStatsBytes = 17 * 8;
+// Encoded size of one ReplayWorkerStats: 19 u64 counters.
+constexpr size_t kWorkerStatsBytes = 19 * 8;
 
 bool DecodeWorkerStats(WireReader* r, ReplayWorkerStats* w) {
   return r->U64(&w->runs) && r->U64(&w->solver_calls) && r->U64(&w->aborts_forced_direction) &&
@@ -467,7 +470,8 @@ bool DecodeWorkerStats(WireReader* r, ReplayWorkerStats* w) {
          r->U64(&w->cancelled_runs) && r->U64(&w->slices_solved) &&
          r->U64(&w->slice_sat_hits) && r->U64(&w->slice_unsat_hits) &&
          r->U64(&w->corpus_runs) && r->U64(&w->resumed_runs) && r->U64(&w->instrs_skipped) &&
-         r->U64(&w->slices_inherited) && r->U64(&w->solves_from_base);
+         r->U64(&w->slices_inherited) && r->U64(&w->solves_from_base) &&
+         r->U64(&w->resumed_at_branch) && r->U64(&w->instrs_before_flip);
 }
 
 void EncodeStats(const ReplayStats& s, WireWriter* out) {
@@ -494,6 +498,9 @@ void EncodeStats(const ReplayStats& s, WireWriter* out) {
   out->U64(s.instrs_skipped);
   out->U64(s.slices_inherited);
   out->U64(s.solves_from_base);
+  // v12: branch checkpoints.
+  out->U64(s.resumed_at_branch);
+  out->U64(s.instrs_before_flip);
   // v5: graceful-degradation counters. Zero in shard-originated payloads
   // (only the coordinator observes deaths), carried for codec fidelity.
   out->U64(s.shards_lost);
@@ -516,7 +523,8 @@ bool DecodeStats(WireReader* r, ReplayStats* s) {
         r->U64(&s->slice_evictions) && r->U64(&s->pendings_exported) &&
         r->U64(&s->pendings_imported) && r->U64(&s->rebalance_rounds) &&
         r->U64(&s->corpus_runs) && r->U64(&s->resumed_runs) && r->U64(&s->instrs_skipped) &&
-        r->U64(&s->slices_inherited) && r->U64(&s->solves_from_base))) {
+        r->U64(&s->slices_inherited) && r->U64(&s->solves_from_base) &&
+        r->U64(&s->resumed_at_branch) && r->U64(&s->instrs_before_flip))) {
     return false;
   }
   u8 fallback = 0;

@@ -62,7 +62,9 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // aggregate stats drop pendings_pruned, promotions and the per-discipline
 // run arrays; the job config drops the prune byte, and its pick byte
 // accepts only dfs (0) and fifo (1).
-inline constexpr u16 kWireVersion = 11;
+// v12: branch checkpoints — resumed_at_branch and instrs_before_flip
+// ride the stats codec, per worker and in the aggregate.
+inline constexpr u16 kWireVersion = 12;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {

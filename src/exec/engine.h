@@ -44,13 +44,18 @@ class BranchObserver {
   virtual Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) = 0;
 };
 
-// Told about every read() call just before it executes. Those are the
-// points where a run can be saved and later resumed (Interp::Save,
-// Interp::Resume).
-class ReadListener {
+// Told about the points where a run can be saved and later resumed
+// (Interp::Save, Interp::Resume): every read() call just before it
+// executes, and every branch on a symbolic condition just before the
+// branch observers see it.
+class PauseListener {
  public:
-  virtual ~ReadListener() = default;
-  virtual void BeforeRead() = 0;
+  virtual ~PauseListener() = default;
+  virtual void BeforeRead() {}
+  // `cond_shadow` is the condition's shadow (never kNoExpr), `taken` the
+  // direction the branch is about to go.
+  virtual void BeforeBranch([[maybe_unused]] i32 branch_id, [[maybe_unused]] bool taken,
+                            [[maybe_unused]] ExprRef cond_shadow) {}
 };
 
 // Instructions per external-budget charge.

@@ -104,6 +104,12 @@ void Interp::WriteSlot(const Operand& dst, Frame& frame, Value v, ExprRef shadow
   }
 }
 
+void Interp::Concretize(const Operand& op, const Frame& frame) {
+  if (pause_listener_ != nullptr && shadow_on()) {
+    RecordConcretized(&concretized_, EvalShadow(op, frame));
+  }
+}
+
 void Interp::Trap(CrashSite::Kind kind, const Instr& instr, const Frame& frame, i64 code) {
   pending_crash_ = CrashSite{kind, frame.fn->index, instr.loc, code};
   has_crash_ = true;
@@ -133,8 +139,9 @@ bool SamePaging(const SavedObject& a, const SavedObject& b) {
 }
 
 // Saves `obj`, sharing with `prev` (its last save, or null) every page
-// not dirty since.
-std::shared_ptr<const SavedObject> SaveObject(const MemObject& obj, const SavedObject* prev) {
+// not dirty since. `arena` signs the copied pages' shadows.
+std::shared_ptr<const SavedObject> SaveObject(const MemObject& obj, const SavedObject* prev,
+                                              const ExprArena* arena) {
   auto out = std::make_shared<SavedObject>();
   out->size = obj.cells.size();
   out->gen = obj.gen;
@@ -155,6 +162,11 @@ std::shared_ptr<const SavedObject> SaveObject(const MemObject& obj, const SavedO
     page->cells.assign(obj.cells.begin() + lo, obj.cells.begin() + hi);
     if (out->shadowed) {
       page->shadows.assign(obj.shadows.begin() + lo, obj.shadows.begin() + hi);
+      for (const ExprRef shadow : page->shadows) {
+        if (shadow != kNoExpr) {
+          page->sig |= arena->VarSig(shadow);
+        }
+      }
     }
     out->pages[p] = std::move(page);
   }
@@ -193,7 +205,7 @@ void Interp::Save(State* out) {
     MemObject& obj = objects_[id];
     std::shared_ptr<const SavedObject>& saved = saved_objects_[id];
     if (obj.dirty != 0 || saved == nullptr) {
-      saved = SaveObject(obj, saved.get());
+      saved = SaveObject(obj, saved.get(), arena_);
       obj.dirty = 0;
     }
     out->objects[id] = saved;
@@ -201,14 +213,61 @@ void Interp::Save(State* out) {
   out->free_objects = free_objects_;
   out->global_slots = global_slots_;
   out->global_shadows = global_shadows_;
-  out->frames = frames_;
+  saved_frames_.resize(std::min(saved_frames_.size(), frames_low_ > 0 ? frames_low_ - 1 : 0));
+  for (size_t i = saved_frames_.size(); i < frames_.size(); ++i) {
+    saved_frames_.push_back(std::make_shared<const Frame>(frames_[i]));
+  }
+  frames_low_ = frames_.size();
+  out->frames = saved_frames_;
   out->stats = stats_;
-  // The dispatch loop already counted the read's call instruction; the
+  // The dispatch loop already counted the pause point's instruction; the
   // resumed loop counts it again.
   --out->stats.instrs;
 }
 
-RunResult Interp::Resume(const State& from) {
+void Interp::PatchShadows(const ResumePatch& patch) {
+  arena_->StartEvalBatch();
+  auto patch_one = [&](Value* value, ExprRef shadow) {
+    if (shadow == kNoExpr || (arena_->VarSig(shadow) & patch.mask) == 0 || !value->IsInt()) {
+      return false;
+    }
+    const i64 now = arena_->EvalInBatch(shadow, *patch.values);
+    if (now == value->num) {
+      return false;
+    }
+    value->num = now;
+    return true;
+  };
+  for (Frame& frame : frames_) {
+    for (size_t i = 0; i < frame.shadows.size(); ++i) {
+      patch_one(&frame.slots[i], frame.shadows[i]);
+    }
+  }
+  for (size_t i = 0; i < global_shadows_.size(); ++i) {
+    patch_one(&global_slots_[i], global_shadows_[i]);
+  }
+  for (size_t id = 0; id < objects_.size(); ++id) {
+    const SavedObject& saved = *saved_objects_[id];
+    MemObject& obj = objects_[id];
+    if (!saved.alive || !saved.shadowed) {
+      continue;
+    }
+    for (size_t p = 0; p < saved.pages.size(); ++p) {
+      if ((saved.pages[p]->sig & patch.mask) == 0) {
+        continue;
+      }
+      const size_t lo = p << saved.page_shift;
+      const size_t hi = std::min(saved.size, lo + (size_t{1} << saved.page_shift));
+      for (size_t i = lo; i < hi; ++i) {
+        if (patch_one(&obj.cells[i], obj.shadows[i])) {
+          obj.Touch(static_cast<i64>(i));
+        }
+      }
+    }
+  }
+}
+
+RunResult Interp::Resume(const State& from, const ResumePatch& patch) {
   objects_.resize(from.objects.size());
   saved_objects_.resize(from.objects.size());
   for (size_t id = 0; id < from.objects.size(); ++id) {
@@ -222,8 +281,18 @@ RunResult Interp::Resume(const State& from) {
   free_objects_ = from.free_objects;
   global_slots_ = from.global_slots;
   global_shadows_ = from.global_shadows;
-  frames_ = from.frames;
+  frames_.resize(from.frames.size());
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    frames_[i] = *from.frames[i];
+  }
+  saved_frames_ = from.frames;
+  frames_low_ = frames_.size();
   stats_ = from.stats;
+  if (patch.mask != 0) {
+    PatchShadows(patch);
+    frames_low_ = 0;  // Patched frames differ from their saved copies.
+  }
+  concretized_.clear();
   if (options_.external_budget != nullptr) {
     options_.external_budget->Consume(from.budget_steps());
   }
@@ -235,7 +304,10 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
   // Reset per-run state (object storage is pooled, not reallocated).
   ResetObjectPool();
   frames_.clear();
+  saved_frames_.clear();
+  frames_low_ = 0;
   stats_ = RunStats{};
+  concretized_.clear();
 
   // Static objects.
   for (const StaticObjectInfo& info : module_.static_objects) {
@@ -348,9 +420,12 @@ RunResult Interp::Execute() {
         Value out;
         ExprRef shadow = kNoExpr;
         if (a.IsInt() && b.IsInt()) {
-          if ((instr.bin_op == BinaryOp::kDiv || instr.bin_op == BinaryOp::kRem) && b.num == 0) {
-            Trap(CrashSite::Kind::kDivByZero, instr, frame);
-            break;
+          if (instr.bin_op == BinaryOp::kDiv || instr.bin_op == BinaryOp::kRem) {
+            Concretize(instr.b, frame);
+            if (b.num == 0) {
+              Trap(CrashSite::Kind::kDivByZero, instr, frame);
+              break;
+            }
           }
           out = Value::Int(ExprArena::EvalBin(ToExprOp(instr.bin_op), a.num, b.num));
           if (shadow_on()) {
@@ -396,9 +471,8 @@ RunResult Interp::Execute() {
           }
         } else {
           // Mixed pointer/integer: only null comparisons are meaningful.
-          const Value& ptr = a.IsPtr() ? a : b;
           const Value& other = a.IsPtr() ? b : a;
-          (void)ptr;
+          Concretize(a.IsPtr() ? instr.b : instr.a, frame);
           if (instr.bin_op == BinaryOp::kEq) {
             out = Value::Int(0);  // A live pointer never equals an integer.
           } else if (instr.bin_op == BinaryOp::kNe) {
@@ -451,6 +525,7 @@ RunResult Interp::Execute() {
       case Opcode::kLoad: {
         const Value addr = EvalOperand(instr.a, frame);
         const Value index = EvalOperand(instr.b, frame);
+        Concretize(instr.b, frame);
         if (!index.IsInt()) {
           Trap(CrashSite::Kind::kPtrDomain, instr, frame);
           break;
@@ -469,6 +544,7 @@ RunResult Interp::Execute() {
       case Opcode::kStore: {
         const Value addr = EvalOperand(instr.a, frame);
         const Value index = EvalOperand(instr.b, frame);
+        Concretize(instr.b, frame);
         if (!index.IsInt()) {
           Trap(CrashSite::Kind::kPtrDomain, instr, frame);
           break;
@@ -498,6 +574,7 @@ RunResult Interp::Execute() {
       case Opcode::kPtrAdd: {
         const Value addr = EvalOperand(instr.a, frame);
         const Value delta = EvalOperand(instr.b, frame);
+        Concretize(instr.b, frame);
         if (!addr.IsPtr() || !delta.IsInt()) {
           Trap(addr.IsPtr() ? CrashSite::Kind::kPtrDomain : CrashSite::Kind::kNullDeref, instr,
                frame);
@@ -509,9 +586,9 @@ RunResult Interp::Execute() {
         break;
       }
       case Opcode::kCall: {
-        if (read_listener_ != nullptr && instr.callee_is_builtin &&
+        if (pause_listener_ != nullptr && instr.callee_is_builtin &&
             static_cast<Builtin>(instr.callee) == Builtin::kRead) {
-          read_listener_->BeforeRead();
+          pause_listener_->BeforeRead();
         }
         if (!ExecCall(instr, frame)) {
           break;  // Crash or exit raised below.
@@ -521,9 +598,12 @@ RunResult Interp::Execute() {
       case Opcode::kBr: {
         const Value cond = EvalOperand(instr.a, frame);
         const bool taken = cond.Truthy();
-        ++stats_.branch_execs;
         const ExprRef shadow =
             shadow_on() && cond.IsInt() ? EvalShadow(instr.a, frame) : kNoExpr;
+        if (pause_listener_ != nullptr && shadow != kNoExpr) {
+          pause_listener_->BeforeBranch(instr.branch_id, taken, shadow);
+        }
+        ++stats_.branch_execs;
         for (BranchObserver* obs : observers_) {
           if (obs->OnBranch(instr.branch_id, taken, shadow) == BranchObserver::Action::kAbort) {
             abort_requested_ = true;
@@ -554,6 +634,7 @@ RunResult Interp::Execute() {
         const Operand ret_dst = frame.ret_dst;
         const bool ret_dst_char = frame.ret_dst_char;
         frames_.pop_back();
+        frames_low_ = std::min(frames_low_, frames_.size());
         if (frames_.empty()) {
           result.status = RunResult::Status::kExit;
           result.exit_code = ret.IsInt() ? ret.num : 0;
@@ -646,10 +727,12 @@ bool Interp::ExecBuiltin(const Instr& instr, Frame& frame) {
   args.reserve(instr.args.size());
   for (const Operand& op : instr.args) {
     args.push_back(EvalOperand(op, frame));
+    Concretize(op, frame);
   }
 
   const BuiltinRtResult out =
-      ExecBuiltinRt(b, args, /*want_ret=*/!instr.dst.IsNone(), objects_, arena_, syscalls_);
+      ExecBuiltinRt(b, args, /*want_ret=*/!instr.dst.IsNone(), objects_, arena_, syscalls_,
+                    pause_listener_ != nullptr && shadow_on() ? &concretized_ : nullptr);
   switch (out.status) {
     case BuiltinRtResult::Status::kTrap:
       Trap(out.trap_kind, instr, frame, out.trap_code);

@@ -13,9 +13,11 @@
 // across runs: per-run state (memory objects, global slots, frames) is
 // pooled and reset, not reallocated, so a search performing millions of
 // runs amortizes setup. A run starts at main (Run) or at a State saved
-// just before one of an earlier run's read() calls (Resume), skipping
-// the instructions before it. **Thread safety:** none — one Interp per
-// thread.
+// at a pause point of an earlier run (Resume, PauseListener), skipping
+// the instructions before it. A resume may patch the restored state for
+// input cells whose values changed since the save: every slot, global
+// and memory cell whose shadow mentions one is re-evaluated under the
+// new values. **Thread safety:** none — one Interp per thread.
 #ifndef RETRACE_EXEC_INTERP_H_
 #define RETRACE_EXEC_INTERP_H_
 
@@ -29,6 +31,15 @@
 #include "src/support/budget.h"
 
 namespace retrace {
+
+// How Interp::Resume patches a restored state: every slot, global and
+// memory cell holding an integer whose shadow's VarSig meets `mask` gets
+// the shadow's value under `values` (cell id -> value). A zero mask
+// patches nothing.
+struct ResumePatch {
+  const std::vector<i64>* values = nullptr;
+  u64 mask = 0;
+};
 
 class Interp {
  public:
@@ -50,6 +61,7 @@ class Interp {
     struct Page {
       std::vector<Value> cells;
       std::vector<ExprRef> shadows;  // Empty unless `shadowed`.
+      u64 sig = 0;                   // OR of the shadows' ExprArena::VarSig.
     };
     std::vector<std::shared_ptr<const Page>> pages;
     size_t size = 0;
@@ -61,16 +73,18 @@ class Interp {
   };
 
   // A run paused at the top of the dispatch loop, about to execute a
-  // read() call: the object pool, globals, call stack and counters.
-  // The states one interpreter saves share every object, and every page
-  // of an object, that did not change between saves, so a save copies
-  // only the pages written since the previous one.
+  // read() call or a branch on a symbolic condition: the object pool,
+  // globals, call stack and counters.
+  // The states one interpreter saves share every object, every page of
+  // an object and every frame that did not change between saves, so a
+  // save copies only the pages written, and the frames run, since the
+  // previous one.
   struct State {
     std::vector<std::shared_ptr<const SavedObject>> objects;
     std::vector<i32> free_objects;
     std::vector<Value> global_slots;
     std::vector<ExprRef> global_shadows;
-    std::vector<Frame> frames;
+    std::vector<std::shared_ptr<const Frame>> frames;
     RunStats stats;
 
     // Steps the run had charged to the external budget by this point.
@@ -88,7 +102,7 @@ class Interp {
   // Per-run limits; cheap, call before every Run.
   void set_options(const InterpOptions& options) { options_ = options; }
   // Null: no notifications (the default).
-  void set_read_listener(ReadListener* listener) { read_listener_ = listener; }
+  void set_pause_listener(PauseListener* listener) { pause_listener_ = listener; }
 
   // Runs main. `argv` are the concrete argument strings (argv[0] included);
   // `argv_cells[i]` optionally names the input cell ids backing argv[i]'s
@@ -99,13 +113,29 @@ class Interp {
   // Convenience for programs whose main takes no arguments.
   RunResult Run() { return Run({"prog"}, {}); }
 
-  // Saves the paused run. Only valid inside ReadListener::BeforeRead.
+  // Saves the paused run. Only valid inside a PauseListener callback.
   void Save(State* out);
-  // Restores `from`, charges the external budget the steps the run had
-  // charged by then, and runs to the end. `from` must have been saved by
-  // this interpreter with the same shadow mode, handler state and
-  // observer state as now; the result is then the one the saved run got.
-  RunResult Resume(const State& from);
+  // Restores `from`, applies `patch`, charges the external budget the
+  // steps the run had charged by then, and runs to the end. `from` must
+  // have been saved by this interpreter with the same shadow mode,
+  // handler state and observer state as now. Unpatched, the result is the
+  // one the saved run got; patched, it is the run from main whose cells
+  // take `patch.values`, provided that run reaches the pause point on the
+  // saved run's path (the caller's rule: ResumeRule, src/concolic/).
+  RunResult Resume(const State& from, const ResumePatch& patch = {});
+
+  // Shadows of the values the run, since it started or resumed, used in
+  // ways shadows do not model: load and store indices, kPtrAdd deltas,
+  // div/rem divisors, integers compared with pointers, builtin arguments,
+  // and the memory cells write, print_str, open and select_fd read. The
+  // cells they mention are concretized: a change to one may change the
+  // path with every symbolic branch unchanged. Recorded in shadow mode
+  // while a PauseListener is set, the only time a checkpoint can use it;
+  // consecutive repeats once.
+  const std::vector<ExprRef>& concretized() const { return concretized_; }
+  // The current run's counters so far (a pause point's own instruction
+  // included).
+  const RunStats& stats() const { return stats_; }
 
   // The object pool and free list, for tests.
   const std::vector<MemObject>& objects() const { return objects_; }
@@ -125,6 +155,9 @@ class Interp {
   void ResetObjectPool();
   // Clears the per-run flags and executes until the run ends.
   RunResult Execute();
+  void PatchShadows(const ResumePatch& patch);
+  // Records the operand's shadow in concretized_ (see concretized()).
+  void Concretize(const Operand& op, const Frame& frame);
 
   Value EvalOperand(const Operand& op, const Frame& frame) const;
   ExprRef EvalShadow(const Operand& op, const Frame& frame) const;
@@ -143,7 +176,7 @@ class Interp {
   SyscallHandler* syscalls_ = nullptr;
   std::vector<BranchObserver*> observers_;
   ExprArena* arena_ = nullptr;
-  ReadListener* read_listener_ = nullptr;
+  PauseListener* pause_listener_ = nullptr;
 
   // Per-run state (pooled across runs; see ResetObjectPool).
   std::vector<MemObject> objects_;
@@ -154,7 +187,13 @@ class Interp {
   // The last save or restore of each object: equal to the live object
   // in every page whose MemObject::dirty bit is clear.
   std::vector<std::shared_ptr<const SavedObject>> saved_objects_;
+  // The frames of the last save or restore, and the fewest frames the
+  // stack held since: frames below the top one at that low point never
+  // ran since, so they equal their saved copies.
+  std::vector<std::shared_ptr<const Frame>> saved_frames_;
+  size_t frames_low_ = 0;
   RunStats stats_;
+  std::vector<ExprRef> concretized_;
   CrashSite pending_crash_;
   bool has_crash_ = false;
   bool abort_requested_ = false;

@@ -18,9 +18,19 @@ BuiltinRtResult TrapResult(CrashSite::Kind kind, i64 code = 0) {
 
 BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool want_ret,
                               std::vector<MemObject>& objects, ExprArena* arena,
-                              SyscallHandler* syscalls) {
+                              SyscallHandler* syscalls, std::vector<ExprRef>* concretized) {
   BuiltinRtResult out;
   CrashSite::Kind kind = CrashSite::Kind::kNone;
+  // The builtin reads cells [first, first + count) of `ptr`'s object.
+  auto concretize_cells = [&](const Value& ptr, i64 count) {
+    const MemObject& m = objects[ptr.obj];
+    if (concretized == nullptr || m.shadows.empty()) {
+      return;
+    }
+    for (i64 i = 0; i < count; ++i) {
+      RecordConcretized(concretized, m.shadows[ptr.num + i]);
+    }
+  };
 
   switch (b) {
     case Builtin::kCrash: {
@@ -73,6 +83,7 @@ BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool wa
         const Value& cell = m.cells[buf.num + i];
         write_data.push_back(cell.IsInt() ? static_cast<u8>(cell.num) : 0);
       }
+      concretize_cells(buf, n);
       int_args = {args[0].num, n};
       break;
     }
@@ -83,6 +94,7 @@ BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool wa
       if (!ExtractCStringRt(objects, args[0], &kind, &str_arg)) {
         return TrapResult(kind);
       }
+      concretize_cells(args[0], static_cast<i64>(str_arg.size()) + 1);
       int_args = {args[1].num};
       break;
     }
@@ -112,6 +124,7 @@ BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool wa
         const Value& cell = m.cells[args[0].num + i];
         int_args.push_back(cell.IsInt() ? cell.num : -1);
       }
+      concretize_cells(args[0], nfds);
       break;
     }
     case Builtin::kAcceptConn: {
@@ -137,6 +150,7 @@ BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool wa
       if (!ExtractCStringRt(objects, args[0], &kind, &str_arg)) {
         return TrapResult(kind);
       }
+      concretize_cells(args[0], static_cast<i64>(str_arg.size()) + 1);
       break;
     }
     default:

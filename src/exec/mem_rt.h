@@ -111,6 +111,14 @@ inline bool ExtractCStringRt(const std::vector<MemObject>& objects, const Value&
   }
 }
 
+// Appends `shadow` to a concretization record (Interp::concretized)
+// unless it is kNoExpr or repeats the record's last entry.
+inline void RecordConcretized(std::vector<ExprRef>* record, ExprRef shadow) {
+  if (shadow != kNoExpr && (record->empty() || record->back() != shadow)) {
+    record->push_back(shadow);
+  }
+}
+
 // Outcome of one builtin execution. The caller turns
 // kTrap into a Trap at its current instruction, kExit into run exit, and
 // writes `ret`/`ret_shadow` to its destination on kOk (when has_ret).
@@ -135,10 +143,12 @@ struct BuiltinRtResult {
 // arena-construction order as the historical interpreter. `want_ret`
 // mirrors "the call has a destination": the ret-cell shadow is only
 // interned when someone will store it (arena construction order decides
-// every shadow ref a run produces).
+// every shadow ref a run produces). `concretized` (null outside shadow
+// mode) records the shadows of the memory cells write, print_str, open
+// and select_fd read.
 BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool want_ret,
                               std::vector<MemObject>& objects, ExprArena* arena,
-                              SyscallHandler* syscalls);
+                              SyscallHandler* syscalls, std::vector<ExprRef>* concretized);
 
 }  // namespace retrace
 

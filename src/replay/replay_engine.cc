@@ -447,9 +447,9 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     auto do_run = [&](const std::vector<i64>& model, size_t start_depth,
                       std::shared_ptr<SliceState> state) -> bool {
       if (config.model_tap) {
-        config.model_tap(wid, model);
+        config.model_tap(wid, model, start_depth);
       }
-      ReplayRun run = runner.Run(model);
+      ReplayRun run = runner.Run(model, start_depth);
       CellRunOutput& out = run.out;
       ReplayPath& path = run.path;
       ++ws.runs;
@@ -673,7 +673,9 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       }
     }
     ws.resumed_runs = runner.resumed_runs();
+    ws.resumed_at_branch = runner.resumed_at_branch();
     ws.instrs_skipped = runner.instrs_skipped();
+    ws.instrs_before_flip = runner.instrs_before_flip();
     if (incremental != nullptr) {
       const IncrementalStats& inc = incremental->stats();
       ws.slices_solved = inc.slices_solved;
@@ -735,7 +737,9 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     result.stats.slice_unsat_hits += ws.slice_unsat_hits;
     result.stats.corpus_runs += ws.corpus_runs;
     result.stats.resumed_runs += ws.resumed_runs;
+    result.stats.resumed_at_branch += ws.resumed_at_branch;
     result.stats.instrs_skipped += ws.instrs_skipped;
+    result.stats.instrs_before_flip += ws.instrs_before_flip;
     result.stats.slices_inherited += ws.slices_inherited;
     result.stats.solves_from_base += ws.solves_from_base;
   }

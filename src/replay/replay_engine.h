@@ -14,10 +14,11 @@
 //   4. concrete, not instrumented  -> keep going.
 // Aborted runs pull the next pending constraint set (depth-first by
 // default), solve it over a prefix view of its trace (no per-pop copy),
-// and run the resulting input. A run starts at the deepest read()
-// checkpoint of its worker's previous run whose consumed input the new
-// input still matches, or at main when none does
-// (src/replay/replay_run.h).
+// and run the resulting input. A run starts at the deepest checkpoint on
+// its worker's previous run's path — just before a read() or a branch
+// that published a pending — that the checkpoint rule admits for the new
+// input, with the changed input cells patched in, or at main when none
+// is admitted (src/replay/replay_run.h, src/concolic/cellrun.h).
 // Reproduction succeeds when a run crashes at the reported crash site.
 //
 // One search loop, run by every entry point below. Its shape:
@@ -188,8 +189,9 @@ struct ReplayConfig {
   // the secret authenticates the channel, it must not ride it.
   std::string shard_token;
   // Test tap, in-process only (never shipped to shards): called on the
-  // worker's thread with every model the worker runs, in run order.
-  std::function<void(u32 worker, const std::vector<i64>& model)> model_tap;
+  // worker's thread with every model the worker runs, in run order, and
+  // the length of the pending set it solves (0: none).
+  std::function<void(u32 worker, const std::vector<i64>& model, size_t start_depth)> model_tap;
 };
 
 /// Off-log death telemetry for one unlogged branch location (wire v4).
@@ -250,9 +252,14 @@ struct ReplayWorkerStats {
   u64 slice_unsat_hits = 0;  // Pendings rejected by the UNSAT cache.
   u64 corpus_runs = 0;  // Runs seeded from ReplayConfig::corpus_seeds.
   // Checkpoint resume (src/replay/replay_run.h): runs that started at a
-  // read() checkpoint instead of main, and the instructions they skipped.
+  // checkpoint instead of main, those whose checkpoint paused at a branch
+  // rather than a read(), the instructions they skipped, and the
+  // instructions runs executed before reaching their flipped or forced
+  // branch (ReplayRun::instrs_before_flip).
   u64 resumed_runs = 0;
+  u64 resumed_at_branch = 0;
   u64 instrs_skipped = 0;
+  u64 instrs_before_flip = 0;
   // Delta solving (src/solver/incremental.h): slices taken over from the
   // parent solve's state (also counted in slice_sat_hits), and solves
   // that started from such a state. Zero on portable frontiers.
@@ -317,11 +324,14 @@ struct ReplayStats {
   u64 slice_evictions = 0;
   // Runs whose input came from ReplayConfig::corpus_seeds.
   u64 corpus_runs = 0;
-  // Checkpoint resume: runs that started at a read() checkpoint, and the
-  // instructions they did not re-execute (summed over workers and, since
-  // wire v10, shards).
+  // Checkpoint resume: runs that started at a checkpoint, those that
+  // started at a branch checkpoint, the instructions they did not
+  // re-execute, and the instructions executed before flipped branches
+  // (summed over workers and, since wire v10 and v12, shards).
   u64 resumed_runs = 0;
+  u64 resumed_at_branch = 0;
   u64 instrs_skipped = 0;
+  u64 instrs_before_flip = 0;
   // Delta solving: slices inherited from a parent solve's state, and
   // solves that started from one (summed like resumed_runs).
   u64 slices_inherited = 0;

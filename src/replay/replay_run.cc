@@ -1,8 +1,10 @@
 #include "src/replay/replay_run.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace retrace {
 
@@ -110,22 +112,25 @@ ReplayRunner::ReplayRunner(const IrModule& module, const InstrumentationPlan& pl
 
 ReplayRunner::~ReplayRunner() = default;
 
-ReplayRun ReplayRunner::Run(const std::vector<i64>& model) {
-  // Checkpoint k is usable when the model matches the cells consumed
-  // before each of checkpoints 0..k, and the budget could have paid for
-  // the steps before it without running out.
+ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
+  // The deepest checkpoint the rule admits, among those the budget could
+  // have paid the steps before without running out.
+  ResumeRule rule(cells_.layout(), *arena_, model);
   size_t depth = 0;
-  while (depth < depth_ && entries_[depth].run.Matches(model, cells_.layout())) {
+  while (depth < depth_ &&
+         (limits_.budget == nullptr ||
+          limits_.budget->Affords(entries_[depth].run.exec.budget_steps())) &&
+         rule.Admit(entries_[depth].run)) {
     ++depth;
   }
-  while (depth > 0 && limits_.budget != nullptr &&
-         !limits_.budget->Affords(entries_[depth - 1].run.exec.budget_steps())) {
-    --depth;
-  }
   depth_ = depth;  // Deeper checkpoints are off this run's path.
+  // The run may fold `from` off a full stack, so read it up front.
   const Entry* from = depth > 0 ? &entries_[depth - 1] : nullptr;
+  const u64 skipped = from != nullptr ? from->run.exec.stats.instrs : 0;
+  const bool at_branch = from != nullptr && from->run.at_branch;
 
   ReplayObserver observer(plan_, report_.branch_log, failures_);
+  flip_at_ = kNotYet;
   if (from != nullptr) {
     const Mark& mark = from->mark;
     ReplayPath& path = observer.path;
@@ -144,7 +149,13 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model) {
       }
     }
     ++resumed_runs_;
-    instrs_skipped_ += from->run.exec.stats.instrs;
+    instrs_skipped_ += skipped;
+    if (at_branch) {
+      ++resumed_at_branch_;
+      if (mark.trace_len + 1 == start_depth) {
+        flip_at_ = skipped;  // Resumed at the flipped branch itself.
+      }
+    }
   }
 
   CellRunConfig config;
@@ -158,25 +169,68 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model) {
   config.max_steps = limits_.max_steps;
   config.external_budget = limits_.budget;
   config.checkpoints = this;
-  config.resume_from = from != nullptr ? &from->run : nullptr;
+  if (from != nullptr) {
+    config.resume_from = &from->run;
+    config.resume_delta = rule.Delta();
+  }
 
   ReplayRun run;
   observer_ = &observer;
+  start_depth_ = start_depth;
   run.out = cells_.Run(config);
   observer_ = nullptr;
   run.path = std::move(observer.path);
-  run.resumed_at = from != nullptr ? static_cast<i64>(from->run.read_index) : -1;
+  run.resumed_at = from != nullptr ? static_cast<i64>(skipped) : -1;
+  run.resumed_at_branch = at_branch;
+  if (start_depth > 0) {
+    run.instrs_before_flip =
+        (flip_at_ != kNotYet ? flip_at_ : run.out.result.stats.instrs) - skipped;
+    instrs_before_flip_ += run.instrs_before_flip;
+  }
   return run;
 }
 
-RunCheckpoint* ReplayRunner::AtRead(size_t read_index) {
-  if (read_index != depth_ || depth_ >= kMaxCheckpoints) {
-    return nullptr;
+RunCheckpoint* ReplayRunner::AtPause(const PausePoint& at) {
+  const ReplayPath& live = observer_->path;
+  if (at.at_branch) {
+    // The branch is about to record trace entry live.trace.size(), unless
+    // it finds the log exhausted.
+    const size_t index = live.trace.size();
+    if (index + 1 == start_depth_ && flip_at_ == kNotYet) {
+      flip_at_ = at.instrs;
+    }
+    const bool publishes =
+        plan_.Instrumented(at.branch_id)
+            ? live.cursor < report_.branch_log.size() &&
+                  at.taken != report_.branch_log.GetBit(live.cursor)  // Case 2b.
+            : index >= start_depth_;                                  // Case 1.
+    if (!publishes) {
+      return nullptr;
+    }
+  }
+  if (depth_ == kMaxCheckpoints) {
+    // Full: fold the shallowest checkpoint into the next one. A pending
+    // that flips before it starts at main, which costs only the short
+    // prefix up to its flip.
+    // Each fold appends only `next`'s own records to the folded prefix.
+    RunCheckpoint& first = entries_[0].run;
+    RunCheckpoint& next = entries_[1].run;
+    auto fold = [](auto& prefix, auto& records) {
+      prefix.insert(prefix.end(), std::make_move_iterator(records.begin()),
+                    std::make_move_iterator(records.end()));
+      records.swap(prefix);
+    };
+    fold(first.consumed, next.consumed);
+    fold(first.concretized, next.concretized);
+    fold(first.branches, next.branches);
+    // A larger model size only refuses more syscall results (ResumeRule).
+    next.model_size = std::max(next.model_size, first.model_size);
+    entries_.pop_front();
+    --depth_;
   }
   // path_ holds the path up to the previous checkpoint; extend it with
   // what the run observed since.
   const Mark prev = depth_ > 0 ? entries_[depth_ - 1].mark : Mark{};
-  const ReplayPath& live = observer_->path;
   auto extend = [](auto& stacked, const auto& observed, size_t len) {
     stacked.resize(len);
     stacked.insert(stacked.end(), observed.begin() + static_cast<std::ptrdiff_t>(len),

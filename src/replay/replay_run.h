@@ -1,16 +1,18 @@
 // One search worker's replay runs: the four branch cases of paper §3.1
-// observed over a CellRunner, and runs resumed from read() checkpoints.
+// observed over a CellRunner, and runs resumed from checkpoints.
 //
-// A replay search runs thousands of models that mostly agree with the
-// input of the run before: the solver starts from the parent run's input
-// and re-solves only the negated slice. ReplayRunner keeps a stack of
-// checkpoints along the path of its most recent run, one just before
-// each read() call, and starts every run at the deepest checkpoint whose
-// consumed input cells the new model still matches (RunCheckpoint::
-// Matches). Starting at main is the depth-0 case. A resumed run is the
-// run a start at main would have produced: same RunResult, cells and
-// observer path, the same failure-profile counts, and the same charge to
-// the step budget.
+// Every pending is its parent run's path plus one flipped branch, and
+// the solver starts from the parent run's input and re-solves only the
+// negated slice. ReplayRunner keeps a stack of checkpoints along the
+// path of its most recent run: one just before each read() call, and one
+// just before each symbolic branch that publishes a pending (a case-1
+// branch at or past the run's start depth, or the case-2b forced
+// branch). Every run starts at the deepest checkpoint ResumeRule admits
+// for its model, with the changed input cells patched into the state,
+// so a pending's run usually starts at its own flipped branch. Starting
+// at main is the depth-0 case. A resumed run is the run a start at main
+// would have produced: same RunResult, cells and observer path, the same
+// failure-profile counts, and the same charge to the step budget.
 #ifndef RETRACE_REPLAY_REPLAY_RUN_H_
 #define RETRACE_REPLAY_REPLAY_RUN_H_
 
@@ -84,8 +86,16 @@ struct ReplayPath {
 struct ReplayRun {
   CellRunOutput out;
   ReplayPath path;
-  // Index of the read() the run resumed at; -1 when it started at main.
+  // Where the run started: the instructions it skipped by resuming at a
+  // checkpoint (-1: it started at main), and whether that checkpoint
+  // paused at a branch rather than a read().
   i64 resumed_at = -1;
+  bool resumed_at_branch = false;
+  // Instructions the run executed after its start and before the branch
+  // that takes trace entry start_depth - 1 (its flipped or forced
+  // branch); all it executed if it never got there. Zero for a run with
+  // no flip (start_depth 0).
+  u64 instrs_before_flip = 0;
 };
 
 // Per-run settings shared by every run of one worker.
@@ -104,23 +114,32 @@ class ReplayObserver;
 // arena, because checkpoints hold its expression refs.
 class ReplayRunner : private CheckpointSink {
  public:
-  // Checkpoints kept per runner (the deepest reads of a longer run get
-  // none). Each holds the program's frames and globals, the OS state and
-  // copies of the objects that changed since the checkpoint before.
-  static constexpr size_t kMaxCheckpoints = 256;
+  // Checkpoints kept per runner. A full stack folds its shallowest
+  // checkpoint into the next one, so the deepest pause points, where
+  // depth-first runs resume, always get one. Each holds the program's
+  // globals and the frames and memory pages that changed since the
+  // checkpoint before. At replay seed 31 the uServer paths reach 426
+  // pause points (exp 4) and 586 (exp 5's second adaptive round); 128
+  // kept still start every exp 1/3/4 and exp 5 first-round run at its
+  // flipped branch.
+  static constexpr size_t kMaxCheckpoints = 128;
 
   ReplayRunner(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report,
                ExprArena* arena, FailureAccum* failures, ReplayRunLimits limits);
   ~ReplayRunner() override;
 
-  // Runs `model` from the deepest checkpoint it matches whose skipped
-  // steps fit in the budget, or from main.
-  ReplayRun Run(const std::vector<i64>& model);
+  // Runs `model` from the deepest checkpoint ResumeRule admits whose
+  // skipped steps fit in the budget, or from main. `start_depth` is the
+  // length of the pending set the model solves (0: none): the run's
+  // case-1 branches at trace index >= start_depth publish pendings.
+  ReplayRun Run(const std::vector<i64>& model, size_t start_depth);
 
   const CellLayout& layout() const { return cells_.layout(); }
   const InputSpec& spec() const { return cells_.spec(); }
   u64 resumed_runs() const { return resumed_runs_; }
+  u64 resumed_at_branch() const { return resumed_at_branch_; }
   u64 instrs_skipped() const { return instrs_skipped_; }
+  u64 instrs_before_flip() const { return instrs_before_flip_; }
 
  private:
   // Where a checkpoint sits on the path: lengths of ReplayPath's arrays
@@ -136,7 +155,7 @@ class ReplayRunner : private CheckpointSink {
     Mark mark;
   };
 
-  RunCheckpoint* AtRead(size_t read_index) override;
+  RunCheckpoint* AtPause(const PausePoint& at) override;
 
   const InstrumentationPlan& plan_;
   const BugReport& report_;
@@ -150,9 +169,16 @@ class ReplayRunner : private CheckpointSink {
   std::deque<Entry> entries_;
   size_t depth_ = 0;
   ReplayPath path_;
-  ReplayObserver* observer_ = nullptr;  // Of the run in progress.
+  // Of the run in progress: its observer, start depth, and the
+  // instruction count before its flipped branch (kNotYet until reached).
+  ReplayObserver* observer_ = nullptr;
+  size_t start_depth_ = 0;
+  static constexpr u64 kNotYet = ~u64{0};
+  u64 flip_at_ = kNotYet;
   u64 resumed_runs_ = 0;
+  u64 resumed_at_branch_ = 0;
   u64 instrs_skipped_ = 0;
+  u64 instrs_before_flip_ = 0;
 };
 
 }  // namespace retrace

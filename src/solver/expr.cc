@@ -112,6 +112,7 @@ u64 InternHash(const ExprNode& n) {
 ExprArena::ExprArena()
     : table_(size_t{1} << kInitialTableLog2, kNoExpr), table_shift_(64 - kInitialTableLog2) {
   nodes_.reserve(1024);
+  var_sig_.reserve(1024);
 }
 
 ExprRef ExprArena::Intern(ExprNode node) {
@@ -121,6 +122,10 @@ ExprRef ExprArena::Intern(ExprNode node) {
     if (ref == kNoExpr) {
       const ExprRef fresh = static_cast<ExprRef>(nodes_.size());
       nodes_.push_back(node);
+      var_sig_.push_back(node.op == ExprOp::kVar
+                             ? VarBit(static_cast<i32>(node.imm))
+                             : (node.a != kNoExpr ? var_sig_[node.a] : 0) |
+                                   (node.b != kNoExpr ? var_sig_[node.b] : 0));
       table_[slot] = fresh;
       if (nodes_.size() * 2 > table_.size()) {
         GrowTable();
@@ -233,20 +238,96 @@ ExprRef ExprArena::MkBin(ExprOp op, ExprRef a, ExprRef b) {
 }
 
 i64 ExprArena::Eval(ExprRef ref, const std::vector<i64>& assignment) const {
-  const ExprNode& n = nodes_[ref];
-  switch (n.op) {
-    case ExprOp::kConst:
-      return n.imm;
-    case ExprOp::kVar: {
-      const size_t id = static_cast<size_t>(n.imm);
-      return id < assignment.size() ? assignment[id] : 0;
-    }
-    default:
-      if (ExprOpIsBinary(n.op)) {
-        return EvalBin(n.op, Eval(n.a, assignment), Eval(n.b, assignment));
-      }
-      return EvalUn(n.op, Eval(n.a, assignment));
+  StartEvalBatch();
+  return EvalInBatch(ref, assignment);
+}
+
+void ExprArena::StartEvalBatch() const {
+  if (batch_mark_.size() < nodes_.size()) {
+    batch_mark_.resize(nodes_.size(), 0);
+    batch_value_.resize(nodes_.size(), 0);
   }
+  if (++batch_epoch_ == 0) {  // Wrapped: clear stale marks once per 2^32 batches.
+    std::fill(batch_mark_.begin(), batch_mark_.end(), 0);
+    batch_epoch_ = 1;
+  }
+}
+
+i64 ExprArena::EvalInBatch(ExprRef ref, const std::vector<i64>& assignment) const {
+  if (batch_mark_.size() < nodes_.size()) {
+    batch_mark_.resize(nodes_.size(), 0);
+    batch_value_.resize(nodes_.size(), 0);
+  }
+  const u32 epoch = batch_epoch_;
+  // Leaves and nodes already evaluated in this batch; leaves are never
+  // pushed or memoized.
+  auto known = [&](ExprRef r, i64* value) {
+    const ExprNode& n = nodes_[r];
+    if (n.op == ExprOp::kConst) {
+      *value = n.imm;
+      return true;
+    }
+    if (n.op == ExprOp::kVar) {
+      const size_t id = static_cast<size_t>(n.imm);
+      *value = id < assignment.size() ? assignment[id] : 0;
+      return true;
+    }
+    *value = batch_value_[r];
+    return batch_mark_[r] == epoch;
+  };
+  i64 result = 0;
+  if (known(ref, &result)) {
+    return result;
+  }
+  std::vector<ExprRef>& stack = walk_stack_;
+  stack.assign(1, ref);
+  while (!stack.empty()) {
+    const ExprRef cur = stack.back();
+    const ExprNode& n = nodes_[cur];
+    i64 a = 0;
+    i64 b = 0;
+    const bool binary = ExprOpIsBinary(n.op);
+    const bool a_ready = known(n.a, &a);
+    const bool b_ready = !binary || known(n.b, &b);
+    if (!a_ready || !b_ready) {
+      if (!a_ready) {
+        stack.push_back(n.a);
+      }
+      if (!b_ready) {
+        stack.push_back(n.b);
+      }
+      continue;
+    }
+    batch_value_[cur] = binary ? EvalBin(n.op, a, b) : EvalUn(n.op, a);
+    batch_mark_[cur] = epoch;
+    stack.pop_back();
+  }
+  return batch_value_[ref];
+}
+
+bool ExprArena::MentionsAny(ExprRef ref, u64 mask, const std::vector<u8>& members) const {
+  const u32 epoch = BeginWalk();
+  std::vector<ExprRef>& stack = walk_stack_;
+  stack.push_back(ref);
+  while (!stack.empty()) {
+    const ExprRef cur = stack.back();
+    stack.pop_back();
+    if (cur == kNoExpr || visit_mark_[cur] == epoch || (var_sig_[cur] & mask) == 0) {
+      continue;
+    }
+    visit_mark_[cur] = epoch;
+    const ExprNode& n = nodes_[cur];
+    if (n.op == ExprOp::kVar) {
+      const size_t id = static_cast<size_t>(n.imm);
+      if (id < members.size() && members[id] != 0) {
+        return true;
+      }
+      continue;
+    }
+    stack.push_back(n.a);
+    stack.push_back(n.b);
+  }
+  return false;
 }
 
 void ExprArena::CollectVars(ExprRef ref, std::vector<i32>* vars) const {

@@ -76,8 +76,27 @@ class ExprArena {
   i64 ConstValue(ExprRef ref) const { return nodes_[ref].imm; }
 
   // Evaluates under an assignment of values to variable ids. Variables not
-  // present in `assignment` (id >= size) evaluate to 0.
+  // present in `assignment` (id >= size) evaluate to 0. The walk is
+  // iterative, so deep accumulator chains do not recurse, and evaluates
+  // each shared node once.
   i64 Eval(ExprRef ref, const std::vector<i64>& assignment) const;
+
+  // Eval for many expressions under one assignment: StartEvalBatch()
+  // begins a batch, and every EvalInBatch() of the batch must pass the
+  // same assignment. A node shared by the batch's expressions is
+  // evaluated once. Eval is a batch of one.
+  void StartEvalBatch() const;
+  i64 EvalInBatch(ExprRef ref, const std::vector<i64>& assignment) const;
+
+  // Variable signature: the OR of VarBit over the variables `ref`
+  // mentions. A filter only — two variables may share a bit — so
+  // `(VarSig(ref) & mask) == 0` proves `ref` mentions no variable of the
+  // mask's set, and anything else must be checked exactly.
+  u64 VarSig(ExprRef ref) const { return var_sig_[ref]; }
+  static u64 VarBit(i32 var_id) { return u64{1} << (static_cast<u32>(var_id) & 63); }
+  // True when `ref` mentions a variable v with `members[v]` set. `mask`
+  // must cover VarBit of every member; subtrees outside it are skipped.
+  bool MentionsAny(ExprRef ref, u64 mask, const std::vector<u8>& members) const;
 
   // Appends all variable ids reachable from `ref` (deduplicated).
   void CollectVars(ExprRef ref, std::vector<i32>* vars) const;
@@ -106,6 +125,7 @@ class ExprArena {
   u32 BeginWalk() const;
 
   std::vector<ExprNode> nodes_;
+  std::vector<u64> var_sig_;  // Per node: VarSig.
   // Hash-consing table: open addressing with linear probing over refs into
   // nodes_ (kNoExpr = empty slot). Power-of-two sized, at most half full;
   // the home slot is the top bits of the node hash.
@@ -115,6 +135,9 @@ class ExprArena {
   mutable std::vector<u32> visit_mark_;   // Per node: epoch of its last visit.
   mutable u32 visit_epoch_ = 0;
   mutable std::vector<ExprRef> walk_stack_;
+  mutable std::vector<i64> batch_value_;  // Per node: value in eval batch batch_mark_.
+  mutable std::vector<u32> batch_mark_;
+  mutable u32 batch_epoch_ = 0;
 };
 
 // A path constraint: `expr` must evaluate truthy (want_true) or falsy.

@@ -203,8 +203,9 @@ bool Backtrack(SearchCtx& ctx, const BacktrackPlan& plan, size_t depth, std::vec
 }  // namespace
 
 bool Solver::Satisfies(ConstraintSpan constraints, const std::vector<i64>& model) const {
+  arena_.StartEvalBatch();
   for (size_t i = 0; i < constraints.size(); ++i) {
-    if (!ConstraintHolds(arena_, constraints[i], model)) {
+    if ((arena_.EvalInBatch(constraints[i].expr, model) != 0) != constraints[i].want_true) {
       return false;
     }
   }

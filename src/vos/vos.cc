@@ -113,6 +113,14 @@ CellStore::CellStore(const CellLayout& layout, std::vector<i64> model)
   }
 }
 
+void CellStore::MoveInto(std::vector<i64>* values, std::vector<Interval>* domains,
+                         std::vector<CellInfo>* info, std::vector<DynRecord>* dynamic_trace) {
+  *values = std::move(values_);
+  *domains = std::move(domains_);
+  *info = std::move(info_);
+  *dynamic_trace = std::move(dynamic_trace_);
+}
+
 i32 CellStore::AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* value_out) {
   const i32 id = static_cast<i32>(values_.size());
   const int occurrence = occurrence_[static_cast<int>(sys)]++;

@@ -162,6 +162,9 @@ class CellStore {
   i32 AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* value_out);
 
   void SaveDynamic(Dynamic* out) const;
+  // Moves the run's cells out; the store is spent afterwards.
+  void MoveInto(std::vector<i64>* values, std::vector<Interval>* domains,
+                std::vector<CellInfo>* info, std::vector<DynRecord>* dynamic_trace);
   // Replaces the dynamic cells; static cells keep their values.
   void RestoreDynamic(const Dynamic& from);
 
@@ -239,6 +242,8 @@ class VirtualOs : public SyscallHandler {
                            const std::string& str_arg, const std::vector<u8>& write_data) override;
 
   const std::string& stdout_text() const { return stdout_; }
+  // Moves the stdout text out; stdout_text() is empty afterwards.
+  std::string TakeStdout() { return std::move(stdout_); }
   std::string WrittenTo(i32 fd) const;
   bool log_diverged() const { return log_diverged_; }
   // The bytes the latest read() delivered (count 0: none).

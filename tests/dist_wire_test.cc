@@ -253,6 +253,29 @@ std::vector<HostileCase> HostilePayloads() {
     cases.push_back({"shard_result_v10_stats", payload, DecoderOf(DecodeShardResult)});
   }
   {
+    // A v11 shard result: its stats payload lacks the two v12 counters,
+    // in the aggregate and in each worker entry. Cut them out of the
+    // current encoding by their distinct sample values.
+    std::vector<u8> payload = Encode(EncodeShardResult, MakeShardResult());
+    const ReplayStats& stats = MakeShardResult().result.stats;
+    for (const auto& [branch, flip] :
+         {std::pair{stats.resumed_at_branch, stats.instrs_before_flip},
+          std::pair{stats.per_worker[0].resumed_at_branch, stats.per_worker[0].instrs_before_flip},
+          std::pair{stats.per_worker[1].resumed_at_branch,
+                    stats.per_worker[1].instrs_before_flip}}) {
+      WireWriter counters;
+      counters.U64(branch);
+      counters.U64(flip);
+      const auto at = std::search(payload.begin(), payload.end(), counters.buf().begin(),
+                                  counters.buf().end());
+      EXPECT_NE(at, payload.end());
+      if (at != payload.end()) {
+        payload.erase(at, at + static_cast<std::ptrdiff_t>(counters.buf().size()));
+      }
+    }
+    cases.push_back({"shard_result_v11_stats", payload, DecoderOf(DecodeShardResult)});
+  }
+  {
     // A v10 pending: the current layout plus its trailing direction score.
     ExprArena arena;
     std::vector<u8> payload = Encode(EncodePending, MakePending(&arena, 42));

@@ -68,7 +68,7 @@ inline ReplayWorkerStats MakeWorkerStats(u64 base) {
         &w.aborts_log_exhausted, &w.crashes_wrong_site, &w.steals, &w.dedup_skips,
         &w.cancelled_runs, &w.slices_solved, &w.slice_sat_hits, &w.slice_unsat_hits,
         &w.corpus_runs, &w.resumed_runs, &w.instrs_skipped, &w.slices_inherited,
-        &w.solves_from_base}) {
+        &w.solves_from_base, &w.resumed_at_branch, &w.instrs_before_flip}) {
     *field = ++base;
   }
   return w;
@@ -93,8 +93,8 @@ inline WireShardResult MakeShardResult() {
         &s.dedup_skips, &s.cancelled_runs, &s.slices_solved, &s.slice_sat_hits,
         &s.slice_unsat_hits, &s.slice_evictions, &s.pendings_exported, &s.pendings_imported,
         &s.rebalance_rounds, &s.corpus_runs, &s.resumed_runs, &s.instrs_skipped,
-        &s.slices_inherited, &s.solves_from_base, &s.shards_lost, &s.pendings_recovered,
-        &s.heartbeats_missed}) {
+        &s.slices_inherited, &s.solves_from_base, &s.resumed_at_branch,
+        &s.instrs_before_flip, &s.shards_lost, &s.pendings_recovered, &s.heartbeats_missed}) {
     *field = ++next;
   }
   s.fallback_inprocess = true;
@@ -282,6 +282,8 @@ inline void ExpectSame(const ReplayWorkerStats& want, const ReplayWorkerStats& g
   RETRACE_EXPECT_FIELD(instrs_skipped);
   RETRACE_EXPECT_FIELD(slices_inherited);
   RETRACE_EXPECT_FIELD(solves_from_base);
+  RETRACE_EXPECT_FIELD(resumed_at_branch);
+  RETRACE_EXPECT_FIELD(instrs_before_flip);
 }
 
 // The shipped subset: coordinator-side fields (harvest_runs, wire byte
@@ -309,6 +311,8 @@ inline void ExpectSame(const ReplayStats& want, const ReplayStats& got, const st
   RETRACE_EXPECT_FIELD(instrs_skipped);
   RETRACE_EXPECT_FIELD(slices_inherited);
   RETRACE_EXPECT_FIELD(solves_from_base);
+  RETRACE_EXPECT_FIELD(resumed_at_branch);
+  RETRACE_EXPECT_FIELD(instrs_before_flip);
   RETRACE_EXPECT_FIELD(shards_lost);
   RETRACE_EXPECT_FIELD(pendings_recovered);
   RETRACE_EXPECT_FIELD(heartbeats_missed);

@@ -331,7 +331,7 @@ TEST(InterpTest, PooledRunsAreReproducible) {
 
 // Saves the interpreter, and a copy of its scripted handler, just before
 // read() number `at`.
-class SaveAtRead : public ReadListener {
+class SaveAtRead : public PauseListener {
  public:
   SaveAtRead(Interp* interp, const ScriptedSyscalls* syscalls, int at)
       : interp_(interp), syscalls_(syscalls), at_(at) {}
@@ -407,9 +407,9 @@ TEST(InterpTest, ResumeAtReadMatchesUninterruptedRun) {
       ScriptedSyscalls io(input);
       interp.set_syscall_handler(&io);
       SaveAtRead saver(&interp, &io, at);
-      interp.set_read_listener(&saver);
+      interp.set_pause_listener(&saver);
       interp.Run();
-      interp.set_read_listener(nullptr);
+      interp.set_pause_listener(nullptr);
       ASSERT_TRUE(saver.saved);
       if (scramble) {
         // An unrelated run in between reuses every pooled object.
@@ -458,9 +458,9 @@ TEST(InterpTest, ResumeTwiceFromOneSave) {
   ScriptedSyscalls io(input);
   interp.set_syscall_handler(&io);
   SaveAtRead saver(&interp, &io, 2);
-  interp.set_read_listener(&saver);
+  interp.set_pause_listener(&saver);
   const RunResult expected = interp.Run();
-  interp.set_read_listener(nullptr);
+  interp.set_pause_listener(nullptr);
   ASSERT_TRUE(saver.saved);
   for (int rep = 0; rep < 3; ++rep) {
     ScriptedSyscalls resumed_io = saver.handler;

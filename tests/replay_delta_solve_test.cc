@@ -97,7 +97,8 @@ void ExpectGolden(const ModelSequence& seq, const ReplayStats& stats, const Gold
 }
 
 ReplayResult TappedSearch(const BugReport& report, ReplayConfig config, ModelSequence* seq) {
-  config.model_tap = [seq](u32 /*worker*/, const std::vector<i64>& model) { seq->Add(model); };
+  config.model_tap = [seq](u32 /*worker*/, const std::vector<i64>& model,
+                           size_t /*start_depth*/) { seq->Add(model); };
   return Lc().pipeline->Reproduce(report, Lc().plan, config).take();
 }
 
@@ -148,7 +149,8 @@ TEST(ReplayDeltaSolveTest, AdaptiveExperimentFiveRunsTheSameModels) {
   adaptive.max_rounds = 3;
   adaptive.refine.max_added_branches = 8;
   ModelSequence seq;
-  adaptive.replay.model_tap = [&seq](u32 /*worker*/, const std::vector<i64>& model) {
+  adaptive.replay.model_tap = [&seq](u32 /*worker*/, const std::vector<i64>& model,
+                                     size_t /*start_depth*/) {
     seq.Add(model);
   };
   const Pipeline::AdaptiveResult r =

@@ -1,9 +1,11 @@
-// Replay runs resumed from read() checkpoints are the runs a start at main
-// would have produced (src/replay/replay_run.h).
+// Replay runs resumed from checkpoints — at read() calls and at the
+// branches that publish pendings, patched for the changed input — are
+// the runs a start at main would have produced (src/replay/replay_run.h).
 //
-// The searches here are the uServer sentinel searches: exps 1, 3 and 4
-// under the dynamic low-coverage plan at one worker, and one two-worker
-// search. Every model a search worker runs is run twice more, in the
+// The searches here are the uServer sentinel searches (exps 1, 3 and 4
+// under the dynamic low-coverage plan at one worker), the exp 1 search
+// without the syscall log, a two-worker search, and exp 5's adaptive
+// rounds. Every model a search worker runs is run twice more, in the
 // test's own arena: by a resuming ReplayRunner that sees the worker's
 // model sequence, and from main by a fresh runner. The two runs must
 // agree in everything the search reads.
@@ -11,12 +13,12 @@
 
 #include <deque>
 #include <memory>
-#include <sstream>
 
 #include "src/core/pipeline.h"
 #include "src/replay/replay_run.h"
 #include "src/workloads/scenarios.h"
 #include "src/workloads/workloads.h"
+#include "tests/replay_testutil.h"
 
 namespace retrace {
 namespace {
@@ -60,79 +62,31 @@ ReplayRunLimits LimitsFor(const BugReport& report, Budget* budget, bool use_sysc
   return limits;
 }
 
-// Empty when the runs agree; otherwise what differs.
-std::string Diff(const ReplayRun& resumed, const ReplayRun& main) {
-  std::ostringstream diff;
-  const RunResult& a = resumed.out.result;
-  const RunResult& b = main.out.result;
-  if (a.status != b.status || a.exit_code != b.exit_code || a.message != b.message) {
-    diff << "status/exit/message; ";
-  }
-  if (a.crash.kind != b.crash.kind || !a.crash.SameSite(b.crash) || a.crash.code != b.crash.code) {
-    diff << "crash; ";
-  }
-  if (a.stats.instrs != b.stats.instrs || a.stats.branch_execs != b.stats.branch_execs ||
-      a.stats.calls != b.stats.calls || a.stats.syscalls != b.stats.syscalls) {
-    diff << "stats (instrs " << a.stats.instrs << " vs " << b.stats.instrs << "); ";
-  }
-  if (!(resumed.path == main.path)) {
-    diff << "observer path (trace " << resumed.path.trace.size() << " vs "
-         << main.path.trace.size() << ", cursor " << resumed.path.cursor << " vs "
-         << main.path.cursor << "); ";
-  }
-  if (resumed.out.cells != main.out.cells) {
-    diff << "cells; ";
-  }
-  if (resumed.out.domains != main.out.domains) {
-    diff << "domains; ";
-  }
-  const auto& ia = resumed.out.cell_info;
-  const auto& ib = main.out.cell_info;
-  bool same_info = ia.size() == ib.size();
-  for (size_t i = 0; same_info && i < ia.size(); ++i) {
-    same_info = ia[i].kind == ib[i].kind && ia[i].tag1 == ib[i].tag1 && ia[i].tag2 == ib[i].tag2 &&
-                ia[i].sys == ib[i].sys;
-  }
-  if (!same_info) {
-    diff << "cell_info; ";
-  }
-  const auto& ta = resumed.out.dyn_trace;
-  const auto& tb = main.out.dyn_trace;
-  bool same_trace = ta.size() == tb.size();
-  for (size_t i = 0; same_trace && i < ta.size(); ++i) {
-    same_trace = ta[i].kind == tb[i].kind && ta[i].value == tb[i].value && ta[i].cell == tb[i].cell;
-  }
-  if (!same_trace) {
-    diff << "dyn_trace; ";
-  }
-  if (resumed.out.stdout_text != main.out.stdout_text ||
-      resumed.out.log_diverged != main.out.log_diverged) {
-    diff << "stdout/log_diverged; ";
-  }
-  return diff.str();
-}
-
 // The per-worker differential: fed the worker's models in run order.
 class ResumeAudit {
  public:
-  explicit ResumeAudit(const BugReport& report, bool use_syscall_log = true)
+  ResumeAudit(const BugReport& report, bool use_syscall_log = true,
+              const InstrumentationPlan& plan = Lc().plan)
       : report_(report),
+        plan_(plan),
         use_syscall_log_(use_syscall_log),
         resumed_failures_(Lc().pipeline->module().branches.size()),
         main_failures_(Lc().pipeline->module().branches.size()),
-        resuming_(Lc().pipeline->module(), Lc().plan, report, &arena_, &resumed_failures_,
+        resuming_(Lc().pipeline->module(), plan, report, &arena_, &resumed_failures_,
                   LimitsFor(report, &resumed_budget_, use_syscall_log)) {}
 
-  void Check(const std::vector<i64>& model) {
-    ReplayRunner fresh(Lc().pipeline->module(), Lc().plan, report_, &arena_, &main_failures_,
+  void Check(const std::vector<i64>& model, size_t start_depth) {
+    ReplayRunner fresh(Lc().pipeline->module(), plan_, report_, &arena_, &main_failures_,
                        LimitsFor(report_, &main_budget_, use_syscall_log_));
-    const ReplayRun resumed = resuming_.Run(model);
-    const ReplayRun main = fresh.Run(model);
+    const ReplayRun resumed = resuming_.Run(model, start_depth);
+    const ReplayRun main = fresh.Run(model, start_depth);
     ++runs;
     EXPECT_EQ(main.resumed_at, -1);
     if (resumed.resumed_at >= 0) {
       ++resumed_runs;
     }
+    resumed_at_branch += resumed.resumed_at_branch ? 1 : 0;
+    instrs_before_flip += resumed.instrs_before_flip;
     std::string diff = Diff(resumed, main);
     // The blind executions of a resumed run's skipped prefix still count;
     // its off-log death, if any, follows from the equal paths above.
@@ -143,7 +97,8 @@ class ResumeAudit {
       diff += "budget charge; ";
     }
     if (!diff.empty() && mismatches++ == 0) {
-      ADD_FAILURE() << "run " << runs << " resumed at read " << resumed.resumed_at
+      ADD_FAILURE() << "run " << runs << " resumed at instr " << resumed.resumed_at
+                    << (resumed.resumed_at_branch ? " (branch)" : "")
                     << " differs from its run from main: " << diff;
     }
     if (resumed.out.result.Crashed() && resumed.out.result.crash.SameSite(report_.crash) &&
@@ -155,12 +110,15 @@ class ResumeAudit {
 
   u64 runs = 0;
   u64 resumed_runs = 0;
+  u64 resumed_at_branch = 0;
+  u64 instrs_before_flip = 0;
   u64 mismatches = 0;
   std::vector<i64> witness_cells;  // Of the last reproducing run.
   bool witness_resumed = false;
 
  private:
   const BugReport& report_;
+  const InstrumentationPlan& plan_;
   bool use_syscall_log_;
   ExprArena arena_;
   FailureAccum resumed_failures_;
@@ -176,17 +134,20 @@ ReplayResult AuditedSearch(const BugReport& report, ReplayConfig config,
   for (u32 w = 0; w < config.num_workers; ++w) {
     audits->emplace_back(report, config.use_syscall_log);
   }
-  config.model_tap = [audits](u32 worker, const std::vector<i64>& model) {
-    (*audits)[worker].Check(model);
+  config.model_tap = [audits](u32 worker, const std::vector<i64>& model, size_t start_depth) {
+    (*audits)[worker].Check(model, start_depth);
   };
   return Lc().pipeline->Reproduce(report, Lc().plan, config).take();
 }
 
 TEST(ReplayResumeTest, SentinelSearchRunsMatchRunsFromMain) {
+  // Every run of these searches starts at its flipped or forced branch:
+  // none executes an instruction before it.
   const struct {
     int experiment;
     u64 runs;
-  } kSentinels[] = {{1, 863}, {3, 7027}, {4, 2810}};
+    u64 instrs_before_flip;
+  } kSentinels[] = {{1, 863, 0}, {3, 7027, 0}, {4, 2810, 0}};
   for (const auto& sentinel : kSentinels) {
     SCOPED_TRACE(testing::Message() << "exp " << sentinel.experiment);
     const BugReport report = RecordExperiment(sentinel.experiment);
@@ -203,8 +164,12 @@ TEST(ReplayResumeTest, SentinelSearchRunsMatchRunsFromMain) {
     EXPECT_EQ(audit.mismatches, 0u);
     // The engine's worker resumed the same runs the audit's runner did.
     EXPECT_EQ(result.stats.resumed_runs, audit.resumed_runs);
+    EXPECT_EQ(result.stats.resumed_at_branch, audit.resumed_at_branch);
+    EXPECT_EQ(result.stats.instrs_before_flip, audit.instrs_before_flip);
     EXPECT_GT(result.stats.resumed_runs, sentinel.runs / 2);
+    EXPECT_GT(result.stats.resumed_at_branch, sentinel.runs / 2);
     EXPECT_GT(result.stats.instrs_skipped, 0u);
+    EXPECT_EQ(result.stats.instrs_before_flip, sentinel.instrs_before_flip);
 
     // Verification re-executes from main, and a witness found by a
     // resumed run passes it.
@@ -229,7 +194,8 @@ TEST(ReplayResumeTest, SearchWithoutSyscallLogRunsMatchRunsFromMain) {
   EXPECT_EQ(audits[0].runs, result.stats.runs);
   EXPECT_EQ(audits[0].mismatches, 0u);
   EXPECT_EQ(audits[0].resumed_runs, result.stats.resumed_runs);
-  EXPECT_GT(result.stats.resumed_runs, 0u);
+  EXPECT_EQ(audits[0].resumed_at_branch, result.stats.resumed_at_branch);
+  EXPECT_GT(result.stats.resumed_at_branch, 0u);
 }
 
 TEST(ReplayResumeTest, TwoWorkerSearchRunsMatchRunsFromMain) {
@@ -243,35 +209,46 @@ TEST(ReplayResumeTest, TwoWorkerSearchRunsMatchRunsFromMain) {
   ASSERT_TRUE(result.reproduced);
   u64 audited = 0;
   u64 resumed = 0;
+  u64 at_branch = 0;
   for (const ResumeAudit& audit : audits) {
     EXPECT_EQ(audit.mismatches, 0u);
     audited += audit.runs;
     resumed += audit.resumed_runs;
+    at_branch += audit.resumed_at_branch;
   }
   EXPECT_EQ(audited, result.stats.runs);
   EXPECT_EQ(resumed, result.stats.resumed_runs);
+  EXPECT_EQ(at_branch, result.stats.resumed_at_branch);
   ASSERT_EQ(result.stats.per_worker.size(), 2u);
   EXPECT_EQ(result.stats.per_worker[0].resumed_runs + result.stats.per_worker[1].resumed_runs,
             result.stats.resumed_runs);
   EXPECT_EQ(result.stats.per_worker[0].instrs_skipped + result.stats.per_worker[1].instrs_skipped,
             result.stats.instrs_skipped);
+  EXPECT_EQ(result.stats.per_worker[0].instrs_before_flip +
+                result.stats.per_worker[1].instrs_before_flip,
+            result.stats.instrs_before_flip);
   EXPECT_TRUE(VerifyWitness(Lc().pipeline->module(), report, result.witness_cells));
 }
 
-// Collects every checkpoint of one run.
+// Collects every checkpoint of one run, and where each paused.
 class KeepAll : public CheckpointSink {
  public:
-  RunCheckpoint* AtRead(size_t /*read_index*/) override { return &taken.emplace_back(); }
+  RunCheckpoint* AtPause(const PausePoint& at) override {
+    points.push_back(at);
+    return &taken.emplace_back();
+  }
   std::deque<RunCheckpoint> taken;
+  std::vector<PausePoint> points;
 };
 
-TEST(ReplayResumeTest, ChangedInputBeforeReadKNeverResumesAtOrPastK) {
+TEST(ReplayResumeTest, ChangedInputResumesOnlyWhereTheRuleAdmits) {
   // Exp 5 delivers its first request in 100-byte chunks, so its runs read
   // many times. The user's real input follows the log to the crash.
   const BugReport report = RecordExperiment(5);
   const std::vector<i64> user_input = CellLayout::Build(UserverScenario(5).spec).defaults();
 
-  // Which cells the user input's run consumed before each read.
+  // Every pause point of the user input's run, and the cells consumed
+  // before each.
   ExprArena scratch;
   CellRunner cells(Lc().pipeline->module(), report.shape);
   KeepAll sink;
@@ -290,40 +267,80 @@ TEST(ReplayResumeTest, ChangedInputBeforeReadKNeverResumesAtOrPastK) {
                       LimitsFor(report, &budget));
   FailureAccum main_failures(Lc().pipeline->module().branches.size());
   Budget main_budget = Budget::Steps(u64{1} << 50);
+  auto from_main = [&](const std::vector<i64>& model) {
+    ReplayRunner fresh(Lc().pipeline->module(), Lc().plan, report, &arena, &main_failures,
+                       LimitsFor(report, &main_budget));
+    return fresh.Run(model, 0);
+  };
 
-  // The run's own input resumes at its deepest checkpoint.
-  runner.Run(user_input);
-  const ReplayRun again = runner.Run(user_input);
-  const size_t reads = std::min(sink.taken.size(), ReplayRunner::kMaxCheckpoints);
-  EXPECT_EQ(again.resumed_at, static_cast<i64>(reads) - 1);
+  // The run's own input resumes at its deepest checkpoint: its last
+  // read() or case-1 branch (it follows the log, so no branch is forced).
+  runner.Run(user_input, 0);
+  const ReplayRun again = runner.Run(user_input, 0);
+  size_t deepest = sink.taken.size();
+  for (size_t k = 0; k < sink.points.size(); ++k) {
+    const PausePoint& at = sink.points[k];
+    if (!at.at_branch || !Lc().plan.Instrumented(at.branch_id)) {
+      deepest = k;
+    }
+  }
+  ASSERT_LT(deepest, sink.taken.size());
+  EXPECT_EQ(again.resumed_at, static_cast<i64>(sink.taken[deepest].exec.stats.instrs));
+  EXPECT_EQ(again.resumed_at_branch, sink.points[deepest].at_branch);
+  EXPECT_EQ(Diff(again, from_main(user_input)), "");
 
-  size_t changed = 0;
-  for (size_t k = 0; k < reads; ++k) {
-    for (const RunCheckpoint::ConsumedCell& consumed : sink.taken[k].consumed) {
-      const Interval domain = consumed.cell < cells.layout().num_static()
+  // One changed cell per pause point that consumed any. A changed argv
+  // cell or syscall result never resumes at or past the pause point it
+  // was consumed before; a changed stream byte may, patched, and the run
+  // is the run from main either way.
+  size_t exact = 0;
+  size_t stream_changes = 0;
+  size_t patched_past = 0;
+  for (const RunCheckpoint& at : sink.taken) {
+    for (const RunCheckpoint::ConsumedCell& consumed : at.consumed) {
+      const i32 num_static = cells.layout().num_static();
+      const Interval domain = consumed.cell < num_static
                                   ? cells.layout().domains()[consumed.cell]
-                                  : sink.taken[k].vos.cells
-                                        .domains[consumed.cell - cells.layout().num_static()];
+                                  : at.vos->cells.domains[consumed.cell - num_static];
       if (domain.lo == domain.hi) {
         continue;  // Pinned: every model gives it the same value.
       }
       std::vector<i64> model = user_input;
+      if (model.size() <= static_cast<size_t>(consumed.cell)) {
+        model.resize(static_cast<size_t>(consumed.cell) + 1, 0);
+      }
       model[consumed.cell] = consumed.value == domain.lo ? domain.hi : domain.lo;
-      SCOPED_TRACE(testing::Message() << "cell " << consumed.cell << " consumed before read " << k);
-      runner.Run(user_input);  // Rebuild the stack along the user input's path.
-      const ReplayRun run = runner.Run(model);
-      EXPECT_LT(run.resumed_at, static_cast<i64>(k));
-      ReplayRunner fresh(Lc().pipeline->module(), Lc().plan, report, &arena, &main_failures,
-                         LimitsFor(report, &main_budget));
-      EXPECT_EQ(Diff(run, fresh.Run(model)), "");
-      ++changed;
-      break;  // One cell per read keeps the test short.
+      SCOPED_TRACE(testing::Message() << "cell " << consumed.cell << " consumed before instr "
+                                      << at.exec.stats.instrs);
+      runner.Run(user_input, 0);  // Rebuild the stack along the user input's path.
+      const ReplayRun run = runner.Run(model, 0);
+      const bool stream = consumed.cell < num_static &&
+                          cells.layout().info()[consumed.cell].kind == CellKind::kStreamByte;
+      if (stream) {
+        ++stream_changes;
+        patched_past += run.resumed_at >= static_cast<i64>(at.exec.stats.instrs) ? 1 : 0;
+      } else {
+        EXPECT_LT(run.resumed_at, static_cast<i64>(at.exec.stats.instrs));
+        ++exact;
+      }
+      EXPECT_EQ(Diff(run, from_main(model)), "");
+      break;  // One cell per pause point keeps the test short.
     }
   }
-  EXPECT_GE(changed, reads / 2);
+  // Every pause point that consumed a cell some model can change was
+  // exercised: the stream bytes each of the run's seven reads delivered,
+  // and one exact cell.
+  size_t reads = 0;
+  for (const PausePoint& at : sink.points) {
+    reads += at.at_branch ? 0 : 1;
+  }
+  EXPECT_EQ(reads, 7u);
+  EXPECT_EQ(stream_changes, reads);
+  EXPECT_EQ(exact, 1u);
+  EXPECT_GT(patched_past, 0u);
 }
 
-TEST(ReplayResumeTest, AdaptiveExperimentFiveKeepsItsRounds) {
+TEST(ReplayResumeTest, AdaptiveExperimentFiveRoundsMatchRunsFromMain) {
   // Exp 5 under the adaptive loop: the rounds, refined plan and run
   // counts the engine produced before runs resumed from checkpoints.
   const Scenario scenario = UserverScenario(5);
@@ -346,7 +363,32 @@ TEST(ReplayResumeTest, AdaptiveExperimentFiveKeepsItsRounds) {
   EXPECT_EQ(r.rounds[1].runs, 456u);
   EXPECT_EQ(r.rounds[1].plan_branches, 14u);
   EXPECT_EQ(r.final_plan.NumInstrumented(), 14u);
-  EXPECT_GT(r.final_result.stats.resumed_runs, 0u);
+  EXPECT_GT(r.final_result.stats.resumed_at_branch, 0u);
+
+  // Again with every run audited: round 0 against the lc plan's report,
+  // round 1 against the refined plan and the report re-recorded under it.
+  Pipeline::UserRunOptions options;
+  options.policy = scenario.policy.get();
+  const BugReport refined_report =
+      Lc().pipeline->RecordUserRun(scenario.spec, r.final_plan, options).take().report;
+  ResumeAudit round0(report);
+  ResumeAudit round1(refined_report, true, r.final_plan);
+  adaptive.replay.model_tap = [&](u32 /*worker*/, const std::vector<i64>& model,
+                                  size_t start_depth) {
+    (round0.runs < r.rounds[0].runs ? round0 : round1).Check(model, start_depth);
+  };
+  const Pipeline::AdaptiveResult audited =
+      Lc().pipeline->ReproduceAdaptive(report, Lc().plan, adaptive).take();
+  ASSERT_TRUE(audited.reproduced);
+  EXPECT_EQ(round0.runs, 3000u);
+  EXPECT_EQ(round1.runs, 456u);
+  EXPECT_EQ(round0.mismatches, 0u);
+  EXPECT_EQ(round1.mismatches, 0u);
+  EXPECT_EQ(round1.resumed_at_branch, audited.final_result.stats.resumed_at_branch);
+  EXPECT_EQ(round1.instrs_before_flip, audited.final_result.stats.instrs_before_flip);
+  // Round 0 starts every run at its flipped or forced branch.
+  EXPECT_EQ(round0.instrs_before_flip, 0u);
+  EXPECT_GT(round0.resumed_at_branch, 2900u);
 }
 
 }  // namespace
