@@ -6,7 +6,8 @@
 // leaves the request parser unlogged, so the engine searches a wide
 // pending-set frontier; Table 3 shows cells from 27s to inf). This is
 // exactly the axis the multi-worker scheduler attacks: N workers explore
-// the frontier concurrently with work-stealing, a shared tried-set, and
+// the frontier concurrently, each depth-first on its own pendings, with
+// donations to workers that run dry, a shared tried-set, and
 // first-crash-wins cancellation. RETRACE_REPLAY_SHARDS adds the process
 // dimension: each shard count in the list gets its own table, where
 // "SxW" means S forked shard processes running W worker threads each,
@@ -22,9 +23,11 @@
 // in seconds. On a single-core host all of the measured speedup is
 // diversification. Wire overhead is reported honestly per table: total
 // bytes shipped both ways and the verdicts gossiped between shards.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <thread>
 #include <vector>
@@ -184,6 +187,138 @@ int ServiceMain() {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_service.json\n");
+  return 0;
+}
+
+// Median and range of one measured field over repetitions.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  Spread spread;
+  if (n == 0) {
+    return spread;
+  }
+  spread.median = n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  spread.min = values.front();
+  spread.max = values.back();
+  return spread;
+}
+
+// Results-file mode (`bench_parallel_replay --json [reps]`): exps 1/3/4
+// (RETRACE_BENCH_EXPERIMENTS overrides) under the lc plan at four
+// layouts — 1x1, 1x2, 1x4 in-process and 2 fork shards x 2 workers —
+// each cell repeated `reps` (>= 3) times, layouts interleaved within a
+// repetition so host drift spreads over all of them. Writes
+// BENCH_parallel.json: per layout and experiment the median and range
+// of wall seconds, runs, per-worker runs/s (runs / wall / workers in
+// the layout), slices inherited and instructions run before the
+// flipped branch, stamped with the host.
+int JsonMain(int reps) {
+  PrintHeader("Parallel replay results file (uServer, dynamic (lc) plan)",
+              "per-worker throughput at 1x1, 1x2, 1x4 and 2x2");
+  auto pipeline = BuildWorkloadOrDie("userver");
+  const AnalysisResult lc =
+      pipeline->RunDynamicAnalysis(UserverExploreSpecLC(), LowCoverageConfig());
+  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::Dynamic(lc));
+  const i64 cap_ms = BenchCapMs(30'000 * static_cast<i64>(BenchScale()));
+
+  struct Layout {
+    u32 shards;
+    u32 workers;
+  };
+  const std::vector<Layout> layouts = {{1, 1}, {1, 2}, {1, 4}, {2, 2}};
+  std::vector<int> experiments = Experiments();
+  if (std::getenv("RETRACE_BENCH_EXPERIMENTS") == nullptr) {
+    experiments = {1, 3, 4};  // Exp 2 is inf under lc; exp 5 is the adaptive loop's.
+  }
+  std::vector<BugReport> reports;
+  for (const int experiment : experiments) {
+    const Scenario scenario = UserverScenario(experiment);
+    Pipeline::UserRunOptions options;
+    options.policy = scenario.policy.get();
+    const auto user = pipeline->RecordUserRun(scenario.spec, plan, options).take();
+    if (!user.result.Crashed()) {
+      std::printf("exp %d: user run did not crash!\n", experiment);
+      return 1;
+    }
+    reports.push_back(user.report);
+  }
+
+  struct Samples {
+    std::vector<double> wall;
+    std::vector<double> runs;
+    std::vector<double> runs_per_worker_s;
+    std::vector<double> slices_inherited;
+    std::vector<double> instrs_before_flip;
+    int reproduced = 0;
+  };
+  std::vector<Samples> cells(layouts.size() * experiments.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t e = 0; e < experiments.size(); ++e) {
+      for (size_t l = 0; l < layouts.size(); ++l) {
+        ReplayConfig config = DefaultReplayConfig();
+        config.wall_ms = cap_ms;
+        config.num_shards = layouts[l].shards;
+        config.num_workers = layouts[l].workers;
+        const ReplayResult replay = pipeline->Reproduce(reports[e], plan, config).take();
+        const double wall =
+            replay.reproduced ? replay.wall_seconds : static_cast<double>(cap_ms) / 1000.0;
+        const double workers = static_cast<double>(layouts[l].shards * layouts[l].workers);
+        Samples& cell = cells[l * experiments.size() + e];
+        cell.wall.push_back(wall);
+        cell.runs.push_back(static_cast<double>(replay.stats.runs));
+        cell.runs_per_worker_s.push_back(
+            wall > 0 ? static_cast<double>(replay.stats.runs) / wall / workers : 0.0);
+        cell.slices_inherited.push_back(static_cast<double>(replay.stats.slices_inherited));
+        cell.instrs_before_flip.push_back(static_cast<double>(replay.stats.instrs_before_flip));
+        cell.reproduced += replay.reproduced ? 1 : 0;
+        std::printf("rep %d exp %d %ux%u: %s %.3fs %" PRIu64 " runs, %.0f runs/s/worker\n",
+                    rep + 1, experiments[e], layouts[l].shards, layouts[l].workers,
+                    replay.reproduced ? "reproduced" : "inf", wall, replay.stats.runs,
+                    cell.runs_per_worker_s.back());
+        std::fflush(stdout);
+      }
+    }
+  }
+
+  FILE* json = std::fopen("BENCH_parallel.json", "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "cannot write BENCH_parallel.json\n");
+    return 1;
+  }
+  std::fprintf(json, "{\n  \"bench\": \"parallel\",\n  \"host\": %s,\n",
+               HostStampJson().c_str());
+  std::fprintf(json, "  \"plan\": \"dynamic (lc)\",\n  \"cap_s\": %.3f,\n  \"reps\": %d,\n",
+               static_cast<double>(cap_ms) / 1000.0, reps);
+  std::fprintf(json, "  \"rows\": [\n");
+  auto field = [&](const char* name, const std::vector<double>& values, const char* sep) {
+    const Spread spread = SpreadOf(values);
+    std::fprintf(json, "\"%s\": {\"median\": %.4g, \"min\": %.4g, \"max\": %.4g}%s", name,
+                 spread.median, spread.min, spread.max, sep);
+  };
+  for (size_t l = 0; l < layouts.size(); ++l) {
+    for (size_t e = 0; e < experiments.size(); ++e) {
+      const Samples& cell = cells[l * experiments.size() + e];
+      std::fprintf(json, "    {\"layout\": \"%ux%u\", \"experiment\": %d, \"reproduced\": %d, ",
+                   layouts[l].shards, layouts[l].workers, experiments[e], cell.reproduced);
+      field("wall_s", cell.wall, ", ");
+      field("runs", cell.runs, ", ");
+      field("runs_per_worker_s", cell.runs_per_worker_s, ", ");
+      field("slices_inherited", cell.slices_inherited, ", ");
+      field("instrs_before_flip", cell.instrs_before_flip, "");
+      const bool last = l + 1 == layouts.size() && e + 1 == experiments.size();
+      std::fprintf(json, "}%s\n", last ? "" : ",");
+    }
+  }
+  std::fprintf(json, "  ]\n}\n");
+  std::fclose(json);
+  std::printf("\nwrote BENCH_parallel.json\n");
   return 0;
 }
 
@@ -385,7 +520,11 @@ int Main() {
 }  // namespace
 }  // namespace retrace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc >= 2 && std::strcmp(argv[1], "--json") == 0) {
+    const int reps = argc >= 3 ? std::max(3, std::atoi(argv[2])) : 3;
+    return retrace::JsonMain(reps);
+  }
   if (retrace::EnvKnobBool("RETRACE_BENCH_SERVICE", false)) {
     return retrace::ServiceMain();
   }

@@ -2,8 +2,8 @@
 //
 // ReplayConfig::num_shards > 1 routes ReplayEngine::Reproduce here. One
 // distributed search is one job on a ShardFleet (src/dist/fleet.h):
-//   1. Scouts: runs ReplayEngine::Scout, a short one-worker DFS on a
-//      private frontier, until the frontier holds 4 pendings per shard;
+//   1. Scouts: runs ReplayEngine::Scout, a short one-worker DFS, until
+//      its frontier holds 4 pendings per shard;
 //      what is left is exported once and dealt out. A scout that
 //      reproduces the bug outright forks no process.
 //   2. Shards: attaches the job to every live shard of the fleet, ships

@@ -19,13 +19,15 @@ namespace retrace {
 namespace {
 
 // Re-balance tuning. The watermark is per-worker: once fewer than ~2
-// pendings per worker remain, a drained deque is imminent and the shard
-// asks the fleet for work. A request carves at most kRebalanceBatch
-// entries from the donor; after kMaxEmptyResponses consecutive empty (or
-// timed-out) answers the shard stops holding its frontier open and lets
-// normal termination proceed — re-arming if work ever reappears. After
-// an empty answer the next request waits kRebalanceRetryMs: a donor with
-// nothing to spare rarely has more one round trip later, and a tight
+// pendings per worker remain, a drained stack is imminent and the shard
+// asks the fleet for work. A request takes at most kRebalanceBatch
+// pooled entries from the donor, whose workers refill the pool when it
+// runs short (FrontierPort::Export); after kMaxEmptyResponses
+// consecutive empty (or timed-out) answers the shard stops holding its
+// frontier open and lets normal termination proceed — re-arming if work
+// ever reappears. After
+// an empty answer the next request waits kRebalanceRetryMs: long enough
+// for a donor's workers to reach their next pop and donate, and a tight
 // request loop takes CPU from the searching workers.
 constexpr u32 kRebalanceBatch = 16;
 constexpr int kMaxEmptyResponses = 2;
@@ -98,9 +100,9 @@ u64 MergeVerdicts(const WireFrame& frame, SliceCache* cache) {
   return n;
 }
 
-// Answers a relayed kWorkRequest: carves the deepest frontier entries
-// (or an honest "nothing to spare") back to the coordinator, which
-// routes them to the starved requester.
+// Answers a relayed kWorkRequest: sends pooled frontier entries (or an
+// honest "nothing to spare yet") back to the coordinator, which routes
+// them to the starved requester.
 void AnswerWorkRequest(const WireFrame& frame, FrontierPort* port, WireChannel* chan) {
   WireWorkRequest request;
   WirePendingExport batch;

@@ -5,10 +5,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -194,11 +194,11 @@ u32 ResolveReplayWorkers(u32 num_workers) {
 
 // ----- FrontierPort: the re-balance window into a live frontier -----
 //
-// Lock order: port mutex, then (inside WorkStealingQueue calls) the
-// queue mutex — never the reverse, so Attach/Detach cannot deadlock
-// against a pump mid-Import/Export.
+// Lock order: port mutex, then (inside DonationPool calls) the pool
+// mutex — never the reverse, so Attach/Detach cannot deadlock against a
+// pump mid-Import/Export.
 
-void FrontierPort::Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_workers,
+void FrontierPort::Attach(DonationPool<PooledPending>* frontier, u32 num_workers,
                           StopSource* stop) {
   std::lock_guard<std::mutex> lock(mu_);
   frontier_ = frontier;
@@ -206,13 +206,13 @@ void FrontierPort::Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_
   num_workers_ = std::max(1u, num_workers);
   ever_attached_ = true;
   // A hold acquired before the search started (the pump arms re-balancing
-  // ahead of the first worker run) transfers onto the live queue.
+  // ahead of the first worker run) transfers onto the live pool.
   if (held_) {
     frontier_->AddProducer();
   }
   // Imports that raced ahead of the frontier's existence land now.
   for (PortablePending& pending : pre_attach_imports_) {
-    frontier_->Push(import_cursor_++ % num_workers_, std::move(pending));
+    frontier_->Push(PooledPending{std::move(pending)});
   }
   pre_attach_imports_.clear();
   // A kStop that beat the search to its start: the workers wake into a
@@ -254,11 +254,10 @@ bool FrontierPort::Import(PortablePending pending) {
   }
   // A closed frontier will never be popped again (termination or run
   // cap): refusing lets the pump return the pending to the fleet
-  // instead of burying it in a queue that is about to be destroyed.
-  if (!frontier_->PushIfOpen(import_cursor_ % num_workers_, std::move(pending))) {
+  // instead of burying it in a pool that is about to be destroyed.
+  if (!frontier_->PushIfOpen(PooledPending{std::move(pending)})) {
     return false;
   }
-  ++import_cursor_;
   imported_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -269,7 +268,11 @@ size_t FrontierPort::Export(size_t max_items, std::vector<PortablePending>* out)
     return 0;
   }
   // Never starve ourselves to feed a peer: keep ~2 entries per worker.
-  const size_t n = frontier_->ExportDeepest(max_items, 2 * num_workers_, out);
+  std::vector<PooledPending> taken;
+  const size_t n = frontier_->TakeForPeer(max_items, 2 * num_workers_, &taken);
+  for (PooledPending& pooled : taken) {
+    out->push_back(std::move(pooled.pending));
+  }
   exported_.fetch_add(n, std::memory_order_relaxed);
   return n;
 }
@@ -303,11 +306,10 @@ void FrontierPort::ReleaseHold() {
 
 namespace {
 
-// The trace form of a private search's frontier: constraints over the one
-// worker's arena, never exported until the scout hands them on. `base`
-// is the slice state of the solve whose model ran this trace (null for
-// the first run and corpus seeds): every pending of the trace extends it
-// (delta solving, src/solver/incremental.h), and it is freed with the
+// A trace in the arena of the worker that holds it. `base` is the slice
+// state of the solve whose model ran this trace (null for the first run,
+// corpus seeds and imported traces): every pending of the trace extends
+// it (delta solving, src/solver/incremental.h), and it is freed with the
 // last of them. The constraints are shared on their own because the
 // state borrows them (SliceState::Rebase) and pins them, never the trace
 // itself.
@@ -316,23 +318,65 @@ struct ResidentTrace {
   std::shared_ptr<const SliceState> base;
 };
 
-// Fingerprint of constraints [0, len) with the last one negated when
-// `negate_last`, over arena hashes: equal to FingerprintConstraints of
-// the same set in portable form, so the key is stable across arenas.
-u64 FingerprintResident(const ExprArena& arena, const std::vector<Constraint>& cs, size_t len,
-                        bool negate_last) {
-  u64 fp = kConstraintFingerprintSeed;
-  for (size_t i = 0; i < len; ++i) {
-    const bool flip = negate_last && i + 1 == len;
-    fp = ExtendConstraintFingerprint(fp, arena.StructuralHash(cs[i].expr),
-                                     cs[i].want_true != flip);
+// A pending on its worker's own stack: PortablePending over a resident
+// trace, plus its dedup key.
+struct ResidentPending {
+  std::shared_ptr<const ResidentTrace> trace;
+  size_t len = 0;
+  bool negate_last = false;
+  std::shared_ptr<const std::vector<i64>> seed;
+  std::shared_ptr<const std::vector<Interval>> domains;
+  u64 priority = 0;
+  // FingerprintConstraints of the set in portable form, so equal across
+  // arenas. Only searches that dedup fill it (0 otherwise).
+  u64 key = 0;
+};
+
+// Running fingerprints along `cs` from index `from`, whose prefix
+// [0, from) fingerprints as `fp`: (*chain)[i - from] is the fingerprint
+// of [0, i) for every i in [from, cs.size()] — the chain
+// FingerprintConstraints walks, over arena hashes.
+void FingerprintChain(const ExprArena& arena, const std::vector<Constraint>& cs, size_t from,
+                      u64 fp, std::vector<u64>* chain) {
+  chain->clear();
+  chain->push_back(fp);
+  for (size_t i = from; i < cs.size(); ++i) {
+    fp = ExtendConstraintFingerprint(fp, arena.StructuralHash(cs[i].expr), cs[i].want_true);
+    chain->push_back(fp);
   }
-  return fp;
+}
+
+// Dedup key of constraints [0, len) of `cs`, the last one negated when
+// `negate_last`, from its chain (which starts at `from` <= len - 1 for a
+// negated set): one chain step at most.
+u64 ChainKey(const ExprArena& arena, const std::vector<Constraint>& cs,
+             const std::vector<u64>& chain, size_t from, size_t len, bool negate_last) {
+  if (!negate_last) {
+    return chain[len - from];
+  }
+  const Constraint& last = cs[len - 1];
+  return ExtendConstraintFingerprint(chain[len - 1 - from], arena.StructuralHash(last.expr),
+                                     !last.want_true);
+}
+
+// True when `trace` starts with `set`: the run of a model solving `set`
+// followed the set's path.
+bool StartsWith(const std::vector<Constraint>& trace, ConstraintSpan set) {
+  if (trace.size() < set.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (!(trace[i] == set[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // How an entry point runs the one search loop.
 struct SearchShape {
   u32 workers = 1;
+  // Pendings popped and solved per frontier visit.
   size_t solve_batch = 1;
   // Distributed-shard or service context; null = a plain search.
   ShardContext* shard = nullptr;
@@ -346,28 +390,33 @@ struct SearchShape {
 // of pending constraint sets, each solving a set and running its model
 // until some run reproduces the crash or the budgets run out.
 //
-// `Trace` is the frontier's form. A private search (ResidentTrace: one
-// worker, no FrontierPort, no seed frontier) keeps every pending in its
-// worker's arena: nothing else can take them, so it pays for portability
-// only where the scout hands its frontier on. It skips what only a
-// shared frontier needs: the per-pop dedup fingerprint and the
-// per-branch cancellation check. Every other search (PortableTrace)
-// exports each run's trace once and re-imports it per worker on pop.
-template <typename Trace>
+// Every worker keeps the pendings its runs publish on its own stack, in
+// its own arena, and pops them itself. Pendings cross between workers —
+// and in from outside (seeds, re-balance imports) — only in portable
+// form, through the shared DonationPool: a worker that runs dry waits
+// there, a busy one donates its oldest pending when asked, and the
+// worker that pops a portable pending imports its trace once.
+//
+// A search that can meet one set twice — several workers, a seed
+// frontier, a FrontierPort — is `shared`: it drops sets it already tried
+// (per-pop dedup on a running fingerprint) and can be cancelled mid-run
+// by another worker's or shard's crash. A one-worker search with none of
+// those skips both.
 ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
                        const BugReport& report, const ReplayConfig& config,
                        const SearchShape& shape) {
-  constexpr bool kPrivate = std::is_same_v<Trace, ResidentTrace>;
-  using Pending = FrontierPending<Trace>;
   const auto t0 = std::chrono::steady_clock::now();
   ReplayResult result;
   const u32 num_workers = shape.workers;
   ShardContext* shard = shape.shard;
+  const bool shared =
+      num_workers > 1 ||
+      (shard != nullptr && (shard->port != nullptr || !shard->seed_frontier.empty()));
 
   // Shared scheduler state. Everything the workers share is either
-  // immutable (module, plan, report), synchronized here (frontier, dedup
+  // immutable (module, plan, report), synchronized here (pool, dedup
   // registry, winner slot), or lock-free (stop flag, run admission).
-  WorkStealingQueue<Pending> frontier(num_workers);
+  DonationPool<PooledPending> frontier(num_workers);
   StopSource stop;
   std::mutex winner_mu;
   bool have_winner = false;
@@ -390,21 +439,19 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     slice_cache = owned_cache.get();
   }
   const u64 rng_stream = shard != nullptr ? shard->rng_stream : 0;
-  if constexpr (!kPrivate) {
+  if (shard != nullptr) {
     // Coordinator-shipped frontier: distributed shards start from their
-    // partition of the scout's pending sets, spread round-robin over the
-    // worker deques (workers still perform their own initial random runs
-    // — cross-shard search diversification is part of the speedup).
-    if (shard != nullptr) {
-      for (size_t i = 0; i < shard->seed_frontier.size(); ++i) {
-        frontier.Push(i % num_workers, std::move(shard->seed_frontier[i]));
-      }
-      shard->seed_frontier.clear();
-      // Publish the frontier to the re-balance port before any worker can
-      // drain it: the gossip pump may import/export from here on.
-      if (shard->port != nullptr) {
-        shard->port->Attach(&frontier, num_workers, &stop);
-      }
+    // partition of the scout's pending sets, pooled for whichever worker
+    // runs dry first (workers still perform their own initial random
+    // runs — cross-shard search diversification is part of the speedup).
+    for (PortablePending& pending : shard->seed_frontier) {
+      frontier.Push(PooledPending{std::move(pending)});
+    }
+    shard->seed_frontier.clear();
+    // Publish the frontier to the re-balance port before any worker can
+    // drain it: the gossip pump may import/export from here on.
+    if (shard->port != nullptr) {
+      shard->port->Attach(&frontier, num_workers, &stop);
     }
   }
 
@@ -431,7 +478,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     limits.syscall_log = replay_log;
     limits.max_steps = config.max_steps_per_run;
     limits.budget = &budget;
-    if constexpr (!kPrivate) {
+    if (shared) {
       // Only a shared search can be stopped by someone else mid-run.
       limits.cancel = &cancel;
     }
@@ -440,12 +487,101 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     const PopOrder pop_order = config.pick == ReplayConfig::Pick::kFifo ? PopOrder::kOldestFirst
                                                                         : PopOrder::kNewestFirst;
 
+    // This worker's own pendings. No other thread reads them: their
+    // constraints live in `arena`.
+    std::deque<ResidentPending> stack;
+    auto push_own = [&](ResidentPending pending) {
+      stack.push_back(std::move(pending));
+      frontier.AddResident(1);
+    };
+    auto pop_own = [&](PopOrder order) {
+      ResidentPending pending;
+      if (order == PopOrder::kNewestFirst) {
+        pending = std::move(stack.back());
+        stack.pop_back();
+      } else {
+        pending = std::move(stack.front());
+        stack.pop_front();
+      }
+      frontier.AddResident(-1);
+      return pending;
+    };
+
+    // A pending leaving this worker in portable form. Each trace is
+    // exported once while its pendings keep leaving — sibling pendings
+    // share the snapshot. Keyed by raw pointer; each entry pins its key,
+    // so a recycled allocation address can never alias a retired one.
+    struct Exported {
+      std::shared_ptr<const ResidentTrace> pin;
+      std::shared_ptr<const PortableTrace> snapshot;
+    };
+    std::unordered_map<const ResidentTrace*, Exported> exported;
+    auto export_pending = [&](ResidentPending pending) {
+      auto it = exported.find(pending.trace.get());
+      if (it == exported.end()) {
+        if (exported.size() >= 64) {  // Bound pinned snapshots.
+          exported.clear();
+        }
+        auto snapshot = std::make_shared<const PortableTrace>(
+            ExportTrace(arena, *pending.trace->constraints));
+        it = exported.emplace(pending.trace.get(), Exported{pending.trace, std::move(snapshot)})
+                 .first;
+      }
+      return PortablePending{it->second.snapshot, pending.len,
+                             pending.negate_last, std::move(pending.seed),
+                             std::move(pending.domains), pending.priority};
+    };
+
+    // A portable pending entering this worker: its trace is re-interned
+    // into `arena` once — sibling pendings share it — and fingerprinted
+    // once, and the pending is resident from then on. Its solve starts
+    // at depth 0 (no state travels); the pendings of its run inherit
+    // again. Keyed and pinned like `exported`.
+    struct Imported {
+      std::shared_ptr<const PortableTrace> pin;
+      std::shared_ptr<const ResidentTrace> trace;
+      std::vector<u64> chain;
+    };
+    std::unordered_map<const PortableTrace*, Imported> imported;
+    auto import_pending = [&](PooledPending pooled) {
+      PortablePending& pending = pooled.pending;
+      if (pooled.donor >= 0 && pooled.donor != wid) {
+        ++ws.steals;
+      }
+      auto it = imported.find(pending.trace.get());
+      if (it == imported.end()) {
+        if (imported.size() >= 64) {  // Bound resident snapshots.
+          imported.clear();
+        }
+        Imported entry;
+        entry.pin = pending.trace;
+        auto constraints = std::make_shared<const std::vector<Constraint>>(ImportConstraints(
+            *pending.trace, pending.trace->constraints.size(), /*negate_last=*/false, &arena));
+        FingerprintChain(arena, *constraints, 0, kConstraintFingerprintSeed, &entry.chain);
+        entry.trace =
+            std::make_shared<const ResidentTrace>(ResidentTrace{std::move(constraints), nullptr});
+        it = imported.emplace(pending.trace.get(), std::move(entry)).first;
+      }
+      const Imported& entry = it->second;
+      return ResidentPending{entry.trace,
+                             pending.len,
+                             pending.negate_last,
+                             std::move(pending.seed),
+                             std::move(pending.domains),
+                             pending.priority,
+                             ChainKey(arena, *entry.trace->constraints, entry.chain, 0,
+                                      pending.len, pending.negate_last)};
+    };
+
     // Runs one input; returns true when the search is over for this worker
     // (it reproduced the bug, or lost the race to another worker's crash).
-    // `state` is the slice state of the solve that produced `model`, if
-    // any; a private search hands it to the pendings this run publishes.
-    auto do_run = [&](const std::vector<i64>& model, size_t start_depth,
+    // `solved` is the pending whose solve produced `model` (null for the
+    // initial and corpus runs), and `state` that solve's slice state, if
+    // any: the pendings this run publishes inherit it.
+    std::vector<u64> chain;
+    auto do_run = [&](const std::vector<i64>& model, const ResidentPending* solved,
                       std::shared_ptr<SliceState> state) -> bool {
+      const size_t start_depth = solved != nullptr ? solved->len : 0;
       if (config.model_tap) {
         config.model_tap(wid, model, start_depth);
       }
@@ -500,63 +636,46 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       const size_t trace_len = path.trace.size();
       auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
       auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
-      std::shared_ptr<const Trace> trace;
-      if constexpr (kPrivate) {
-        auto constraints = std::make_shared<const std::vector<Constraint>>(std::move(path.trace));
-        // The run's trace starts with the set its model solved, so the
-        // state can borrow it from this trace (and this run's domains,
-        // when unchanged) instead of pinning the parent's.
-        if (state != nullptr && !state->Rebase(constraints, domains)) {
-          state.reset();
-        }
-        trace = std::make_shared<const ResidentTrace>(
-            ResidentTrace{std::move(constraints), std::move(state)});
-      } else {
-        trace = std::make_shared<const PortableTrace>(ExportTrace(arena, path.trace));
+      auto constraints = std::make_shared<const std::vector<Constraint>>(std::move(path.trace));
+      // The run's trace starts with the set its model solved, so the
+      // state can borrow it from this trace (and this run's domains,
+      // when unchanged) instead of pinning the parent's.
+      if (state != nullptr && !state->Rebase(constraints, domains)) {
+        state.reset();
       }
+      auto trace = std::make_shared<const ResidentTrace>(
+          ResidentTrace{constraints, std::move(state)});
+      // Dedup keys: the solved set's key extended along the part of the
+      // trace past it — or, if the run left that set's path, the whole
+      // trace fingerprinted afresh.
+      size_t from = 0;
+      if (shared) {
+        u64 fp = kConstraintFingerprintSeed;
+        if (solved != nullptr &&
+            StartsWith(*constraints, ConstraintSpan(solved->trace->constraints->data(),
+                                                    solved->len, solved->negate_last))) {
+          from = start_depth;
+          fp = solved->key;
+        }
+        FingerprintChain(arena, *constraints, from, fp, &chain);
+      }
+      auto key = [&](size_t len, bool negate_last) {
+        return shared ? ChainKey(arena, *constraints, chain, from, len, negate_last) : 0;
+      };
       // Case-1 alternatives, deepest explored first under DFS.
       for (size_t flip : path.flippable) {
         if (flip < start_depth) {
           continue;  // Already offered by the run that generated this prefix.
         }
-        frontier.Push(wid, Pending{trace, flip + 1, /*negate_last=*/true, seed, domains,
-                                   path.bits_at[flip]});
+        push_own(ResidentPending{trace, flip + 1, /*negate_last=*/true, seed, domains,
+                                 path.bits_at[flip], key(flip + 1, true)});
       }
       if (path.forced_direction) {
         // Pushed last, so DFS pops it first: it steers the run back onto the log.
-        frontier.Push(wid, Pending{trace, trace_len, /*negate_last=*/false, seed, domains,
-                                   path.cursor});
+        push_own(ResidentPending{trace, trace_len, /*negate_last=*/false, seed, domains,
+                                 path.cursor, key(trace_len, false)});
       }
       return false;
-    };
-
-    // The popped set's constraints in this worker's arena. Resident
-    // traces already are. A portable trace is re-interned once per
-    // worker — sibling pendings share it — and every pop solves over a
-    // prefix view of the memoized copy: no per-pop import or copy. Keyed
-    // by raw pointer; the keepalive vector pins every keyed trace so a
-    // recycled allocation address can never alias a retired one.
-    std::unordered_map<const Trace*, std::vector<Constraint>> import_memo;
-    std::vector<std::shared_ptr<const Trace>> import_keepalive;
-    auto resident_constraints =
-        [&](const std::shared_ptr<const Trace>& t) -> const std::vector<Constraint>& {
-      if constexpr (kPrivate) {
-        return *t->constraints;
-      } else {
-        auto it = import_memo.find(t.get());
-        if (it != import_memo.end()) {
-          return it->second;
-        }
-        if (import_memo.size() >= 64) {  // Bound resident snapshots.
-          import_memo.clear();
-          import_keepalive.clear();
-        }
-        import_keepalive.push_back(t);
-        return import_memo
-            .emplace(t.get(), ImportConstraints(*t, t->constraints.size(),
-                                                /*negate_last=*/false, &arena))
-            .first->second;
-      }
     };
 
     // Worker-private initial random input. Worker 0 of an unsharded
@@ -569,7 +688,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       for (i64& v : initial) {
         v = rng.NextPrintable();
       }
-      done = do_run(initial, 0, nullptr);
+      done = do_run(initial, nullptr, nullptr);
     }
 
     // Corpus seeds: the fleet's slice of the dynamic-analysis corpus,
@@ -592,7 +711,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         break;
       }
       ++ws.corpus_runs;
-      done = do_run(config.corpus_seeds[i], 0, nullptr);
+      done = do_run(config.corpus_seeds[i], nullptr, nullptr);
     }
 
     // Batched frontier solves: pop up to K pendings per frontier visit and
@@ -600,14 +719,15 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     // share almost every slice, so the batch's first solve warms the cache
     // for the rest; runs follow in pop order.
     const size_t batch_cap = std::max<size_t>(1, shape.solve_batch);
-    std::vector<Pending> batch;
+    std::vector<ResidentPending> batch;
     struct ReadyRun {
       std::vector<i64> model;
-      size_t len = 0;
+      ResidentPending pending;
       std::shared_ptr<SliceState> state;
     };
     std::vector<ReadyRun> ready;
-    while (!done && !stop.StopRequested() && !budget.Exhausted()) {
+    PooledPending pooled;
+    while (!done && !stop.StopRequested() && !budget.Exhausted() && !frontier.closed()) {
       if (shape.stop_at_frontier > 0 && frontier.size() >= shape.stop_at_frontier) {
         break;  // Scout: the frontier is wide enough to shard.
       }
@@ -617,32 +737,49 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         frontier.Close();
         break;
       }
-      u64 stolen = 0;
-      if (!frontier.PopBatch(wid, pop_order, batch_cap, &batch, &stolen)) {
-        break;  // Frontier drained, cancelled, or run cap reached.
+      // A worker that ran dry, or the shard's pump, asked for work: give
+      // away the oldest pending — the root of the largest untouched
+      // subtree — and keep at least one to go on with.
+      while (frontier.Wanted() && stack.size() >= 2) {
+        ResidentPending oldest = pop_own(PopOrder::kOldestFirst);
+        frontier.Push(PooledPending{export_pending(std::move(oldest)), /*donor=*/wid});
       }
-      ws.steals += stolen;
+      // Pooled pendings count as older than anything this worker
+      // published: FIFO takes them first, DFS only once its stack is dry.
+      batch.clear();
+      if (pop_order == PopOrder::kOldestFirst && frontier.TryTake(pop_order, &pooled)) {
+        batch.push_back(import_pending(std::move(pooled)));
+      }
+      if (batch.empty()) {
+        while (batch.size() < batch_cap && !stack.empty()) {
+          batch.push_back(pop_own(pop_order));
+        }
+      }
+      if (batch.empty()) {
+        if (!frontier.Take(pop_order, &pooled)) {
+          break;  // Frontier drained, cancelled, or run cap reached.
+        }
+        batch.push_back(import_pending(std::move(pooled)));
+      }
       ready.clear();
-      for (const Pending& pending : batch) {
-        const std::vector<Constraint>& constraints = resident_constraints(pending.trace);
-        if constexpr (!kPrivate) {
-          // Only a shared frontier can hand one set out twice (two workers
-          // or shards reaching it independently).
-          const u64 fp =
-              FingerprintResident(arena, constraints, pending.len, pending.negate_last);
+      for (ResidentPending& pending : batch) {
+        if (shared) {
+          // Only a shared search can meet one set twice (two workers or
+          // shards reaching it independently).
           std::lock_guard<std::mutex> lock(dedup_mu);
-          if (!tried.insert(fp).second) {
+          if (!tried.insert(pending.key).second) {
             ++ws.dedup_skips;
             continue;
           }
         }
-        const ConstraintSpan set(constraints.data(), pending.len, pending.negate_last);
+        const ConstraintSpan set(pending.trace->constraints->data(), pending.len,
+                                 pending.negate_last);
         ++ws.solver_calls;
         SolveResult solved;
         std::shared_ptr<SliceState> state;
         if (incremental == nullptr) {
           solved = solver.Solve(set, *pending.domains, *pending.seed);
-        } else if constexpr (kPrivate) {
+        } else {
           // Extend the slice state of the solve that produced this trace,
           // and keep this solve's own for the run it produces.
           state = std::make_shared<SliceState>();
@@ -650,13 +787,9 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
                                       pending.trace->base.get(), state.get());
           state->set_owner = pending.trace->constraints;
           state->domains_owner = pending.domains;
-        } else {
-          // A portable trace can run on any worker or shard: no state
-          // travels with it, so every solve starts at depth 0.
-          solved = incremental->Solve(set, *pending.domains, *pending.seed);
         }
         if (solved.status == SolveStatus::kSat) {
-          ready.push_back(ReadyRun{std::move(solved.model), pending.len, std::move(state)});
+          ready.push_back(ReadyRun{std::move(solved.model), std::move(pending), std::move(state)});
         }
       }
       for (ReadyRun& run : ready) {
@@ -669,7 +802,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
           done = true;
           break;
         }
-        done = do_run(run.model, run.len, std::move(run.state));
+        done = do_run(run.model, &run.pending, std::move(run.state));
       }
     }
     ws.resumed_runs = runner.resumed_runs();
@@ -684,26 +817,21 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       ws.slices_inherited = inc.slices_inherited;
       ws.solves_from_base = inc.solves_from_base;
     }
-    if constexpr (kPrivate) {
+    // What is left on the stack leaves with the worker, exported while
+    // its arena is alive: the scout hands it on to the shards, and a
+    // worker whose step share ran out while the others search on donates
+    // it to them.
+    const bool hand_on = shape.leftover != nullptr ||
+                         (num_workers > 1 && !frontier.closed() && !budget.Affords(0));
+    while (hand_on && !stack.empty()) {
+      PortablePending pending = export_pending(pop_own(PopOrder::kOldestFirst));
       if (shape.leftover != nullptr) {
-        // Scout exit: the one place a private pending leaves its worker.
-        // Each distinct trace is exported once, here, while its arena is
-        // alive; sibling pendings keep sharing the snapshot.
-        std::vector<Pending> left;
-        frontier.Drain(&left);
-        std::unordered_map<const ResidentTrace*, std::shared_ptr<const PortableTrace>> exported;
-        for (Pending& pending : left) {
-          std::shared_ptr<const PortableTrace>& snapshot = exported[pending.trace.get()];
-          if (snapshot == nullptr) {
-            snapshot = std::make_shared<const PortableTrace>(
-                ExportTrace(arena, *pending.trace->constraints));
-          }
-          shape.leftover->push_back(PortablePending{
-              snapshot, pending.len, pending.negate_last, std::move(pending.seed),
-              std::move(pending.domains), pending.priority});
-        }
+        shape.leftover->push_back(std::move(pending));
+      } else {
+        frontier.Push(PooledPending{std::move(pending), /*donor=*/wid});
       }
     }
+    frontier.AddResident(-static_cast<i64>(stack.size()));
     frontier.Retire();
   };
 
@@ -774,24 +902,19 @@ ReplayResult ReplayEngine::Reproduce(const ReplayConfig& config) {
   }
   SearchShape shape;
   shape.workers = ResolveReplayWorkers(config.num_workers);
-  if (shape.workers == 1) {
-    // One pending per frontier visit: the depth-first order the 1x1
-    // sentinels pin.
-    return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
-  }
-  shape.solve_batch = config.solve_batch;
-  return RunSearch<PortableTrace>(module_, plan_, report_, config, shape);
+  // One pending per frontier visit: the depth-first order the 1x1
+  // sentinels pin, at any worker count.
+  return RunSearch(module_, plan_, report_, config, shape);
 }
 
 ReplayResult ReplayEngine::ReproduceShard(const ReplayConfig& config, ShardContext* shard) {
   SearchShape shape;
   shape.workers = ResolveReplayWorkers(config.num_workers);
-  shape.solve_batch = config.solve_batch;
+  // Several workers pop one pending per visit, each continuing its own
+  // path depth-first (ReplayConfig::solve_batch).
+  shape.solve_batch = shape.workers == 1 ? config.solve_batch : 1;
   shape.shard = shard;
-  if (shape.workers == 1 && shard->port == nullptr && shard->seed_frontier.empty()) {
-    return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
-  }
-  return RunSearch<PortableTrace>(module_, plan_, report_, config, shape);
+  return RunSearch(module_, plan_, report_, config, shape);
 }
 
 ReplayResult ReplayEngine::Scout(const ReplayConfig& config, size_t target_frontier,
@@ -799,7 +922,7 @@ ReplayResult ReplayEngine::Scout(const ReplayConfig& config, size_t target_front
   SearchShape shape;
   shape.stop_at_frontier = target_frontier;
   shape.leftover = frontier;
-  return RunSearch<ResidentTrace>(module_, plan_, report_, config, shape);
+  return RunSearch(module_, plan_, report_, config, shape);
 }
 
 bool VerifyWitness(const IrModule& module, const BugReport& report,

@@ -21,19 +21,27 @@
 // is admitted (src/replay/replay_run.h, src/concolic/cellrun.h).
 // Reproduction succeeds when a run crashes at the reported crash site.
 //
-// One search loop, run by every entry point below. Its shape:
-//   - num_workers == 1, num_shards <= 1: one worker on a private
-//     frontier. Nothing else can take its pendings, so they stay in the
-//     worker's arena, and it pops one pending per frontier visit: the
-//     depth-first order the 1x1 sentinels (863/7027/2810 runs) pin.
+// One search loop, run by every entry point below. Each worker keeps the
+// pendings its own runs publish on a private stack, in its own arena,
+// each with the slice state of the solve that produced its trace: it
+// pops them depth-first, solves each from that base (delta solving) and
+// resumes its run on the worker's own checkpoint stack. A pending
+// becomes portable (PortableTrace) only when it crosses a worker or
+// process boundary:
+//   - num_workers == 1, num_shards <= 1: one worker and nothing else.
+//     It pops one pending per frontier visit: the depth-first order the
+//     1x1 sentinels (863/7027/2810 runs) pin.
 //   - num_workers > 1: N threads with thread-confined interpreter/arena/
-//     solver contexts share a work-stealing frontier, exchange pending
-//     sets in arena-portable form, dedup tried sets fleet-wide, share
-//     slice verdicts through a SliceCache, and cancel on first crash.
+//     solver contexts. A worker whose stack runs dry asks for work; a
+//     busy worker answers at its next pop by donating its oldest pending
+//     in portable form through a shared pool (src/support/workqueue.h),
+//     and whoever pops it imports it once. The workers dedup tried sets
+//     search-wide, share slice verdicts through a SliceCache, and cancel
+//     on first crash.
 //   - num_shards > 1: the coordinator in src/dist/ scouts with a
-//     one-worker private search, then forks num_shards processes, each
-//     running the loop above on a portable frontier; pending sets and
-//     slice verdicts travel between them over a versioned binary wire
+//     one-worker search, then forks num_shards processes, each running
+//     the loop above with the scouted pendings in its pool; pending sets
+//     and slice verdicts travel between them over a versioned binary wire
 //     format (src/dist/wire.h).
 #ifndef RETRACE_REPLAY_REPLAY_ENGINE_H_
 #define RETRACE_REPLAY_REPLAY_ENGINE_H_
@@ -94,8 +102,8 @@ struct ReplayConfig {
   // Pending-set pick rule. kDfs is the paper's depth-first search (§3);
   // kFifo is the breadth-first ablation of §3.2 (bench_ablation).
   enum class Pick { kDfs, kFifo } pick = Pick::kDfs;
-  // Concolic executions in flight *per process*. 1 = one worker on a
-  // private frontier (the 1x1 sentinels); 0 = one per hardware thread.
+  // Concolic executions in flight *per process*. 1 = one worker (the
+  // 1x1 sentinels); 0 = one per hardware thread.
   u32 num_workers = 1;
   // Replay shard processes. <= 1 keeps everything in-process (the search
   // above). N > 1 runs N shard processes — each running num_workers
@@ -115,11 +123,15 @@ struct ReplayConfig {
   // across reports want a bound; evictions surface in
   // ReplayStats::slice_evictions.
   u64 slice_cache_capacity = 0;
-  // Pendings a worker pops (and solves) per frontier visit. Batching
-  // lets sibling pendings — which share almost all slices — hit the
-  // caches back to back while the worker holds its own deque's items
-  // anyway; extras beyond the first never come from stealing. One-worker
-  // Reproduce ignores it and pops one at a time (depth-first order).
+  // Pendings a one-worker ReproduceShard search (the service's in-process
+  // search, a one-worker shard) pops and solves per frontier visit.
+  // Batching lets sibling pendings — which share almost all slices — hit
+  // the caches back to back. Every other search pops one at a time:
+  // one-worker Reproduce keeps the depth-first order the sentinels pin,
+  // and each worker of a multi-worker search continues its own path, so
+  // its runs resume at their flipped branch on its own checkpoint stack —
+  // a batch would run the later siblings after the first one's run has
+  // moved that path, and its children after the siblings'.
   u32 solve_batch = 8;
   // Dynamic-analysis corpus seeds: concrete input-cell models (the shape
   // of AnalysisResult::corpus / AnalysisConfig::extra_seed_models) run
@@ -243,7 +255,7 @@ struct ReplayWorkerStats {
   u64 aborts_concrete_mismatch = 0;  // Case 3b.
   u64 aborts_log_exhausted = 0;
   u64 crashes_wrong_site = 0;
-  u64 steals = 0;        // Pending sets taken from another worker's deque.
+  u64 steals = 0;        // Pendings received from another worker (donations).
   u64 dedup_skips = 0;   // Pending sets dropped: already tried fleet-wide.
   u64 cancelled_runs = 0;  // Runs aborted by first-crash-wins cancellation.
   // Incremental solving layer (zero when ReplayConfig::solver_cache off).
@@ -262,7 +274,9 @@ struct ReplayWorkerStats {
   u64 instrs_before_flip = 0;
   // Delta solving (src/solver/incremental.h): slices taken over from the
   // parent solve's state (also counted in slice_sat_hits), and solves
-  // that started from such a state. Zero on portable frontiers.
+  // that started from such a state. A pending that arrived in portable
+  // form (a seed, an import, a donation) solves from depth 0; its run's
+  // pendings inherit again.
   u64 slices_inherited = 0;
   u64 solves_from_base = 0;
 };
@@ -313,7 +327,7 @@ struct ReplayStats {
   u64 aborts_log_exhausted = 0;
   u64 crashes_wrong_site = 0;
   u64 pending_peak = 0;
-  u64 steals = 0;
+  u64 steals = 0;  // Pendings received from another worker (donations).
   u64 dedup_skips = 0;
   u64 cancelled_runs = 0;
   u64 slices_solved = 0;
@@ -399,24 +413,19 @@ struct ReplayResult {
   double wall_seconds = 0.0;
 };
 
-/// A frontier entry: one pending constraint set and the run that
-/// produced it. `Trace` is any type with a `constraints` vector — the
-/// form the run's trace is kept in:
-///   - PortableTrace (PortablePending below): arena-independent. Pending
-///     sets take this form whenever they can leave the producing worker —
-///     on a frontier shared by several workers, or across the process
-///     boundary in distributed mode (encoded by src/dist/wire.h).
-///   - arena-resident: a private one-worker search keeps the trace in its
-///     worker's arena (src/replay/replay_engine.cc) and exports only what
-///     it hands on at exit.
+/// A frontier entry in portable form: one pending constraint set and the
+/// run that produced it, independent of any arena. Pendings take this
+/// form only when they leave the worker that published them: a donation
+/// to another worker, the scout's frontier shipped to shards, re-balance
+/// traffic between shards (encoded by src/dist/wire.h). A worker keeps
+/// its own pendings arena-resident (src/replay/replay_engine.cc).
 ///
 /// **Ownership:** `trace`, `seed` and `domains` are immutable shared
 /// snapshots; sibling pendings of one run alias the same trace. The
 /// constraint set is `trace->constraints[0, len)` with the last entry
 /// negated when `negate_last`.
-template <typename Trace>
-struct FrontierPending {
-  std::shared_ptr<const Trace> trace;
+struct PortablePending {
+  std::shared_ptr<const PortableTrace> trace;
   size_t len = 0;
   bool negate_last = false;
   std::shared_ptr<const std::vector<i64>> seed;
@@ -425,10 +434,17 @@ struct FrontierPending {
   // frontier to shards deepest-first by it. Not a queue key.
   u64 priority = 0;
 };
-using PortablePending = FrontierPending<PortableTrace>;
+
+/// An entry of a search's shared pool: a portable pending, and the
+/// worker of the same search that donated it. Another worker that pops
+/// it counts it in ReplayWorkerStats::steals.
+struct PooledPending {
+  PortablePending pending;
+  i64 donor = -1;  // -1: from outside the search (a seed, a re-balance import).
+};
 
 template <typename T>
-class WorkStealingQueue;
+class DonationPool;
 class StopSource;
 
 /// \brief Thread-safe window into a running shard search's frontier —
@@ -436,18 +452,21 @@ class StopSource;
 ///
 /// The shard main loop (src/dist/shard.cc) owns a FrontierPort and hands
 /// it to ReproduceShard via ShardContext::port; the engine attaches its
-/// live frontier (and the search's stop source) on entry and detaches
-/// before tearing it down. The shard's gossip pump concurrently uses
-/// the port to:
+/// live frontier's shared pool (and the search's stop source) on entry
+/// and detaches before tearing it down. The port only ever touches the
+/// pool: a worker's own pendings live in that worker's arena, which only
+/// its thread may read. The shard's gossip pump concurrently uses the
+/// port to:
 ///   - Import() pendings re-balanced from loaded peers,
-///   - Export() the deepest local entries for starved peers,
+///   - Export() pooled pendings for starved peers, asking the workers to
+///     donate more when the pool runs short,
 ///   - HoldOpen()/ReleaseHold() keep a drained frontier from declaring
 ///     termination while a re-balance request is in flight,
 ///   - Cancel() the search when another shard won (kStop).
 ///
 /// **Thread safety:** every method is safe from any thread; an internal
 /// mutex serializes against Attach/Detach, so calls after Detach are
-/// harmless no-ops. **Ownership:** borrows the queue between Attach and
+/// harmless no-ops. **Ownership:** borrows the pool between Attach and
 /// Detach; counters survive Detach so the engine can fold them into
 /// ReplayStats.
 class FrontierPort {
@@ -455,23 +474,25 @@ class FrontierPort {
   /// Binds the port to a live frontier and the stop source its workers
   /// watch. Applies a Cancel() that arrived before the search started.
   /// Engine-side only.
-  void Attach(WorkStealingQueue<PortablePending>* frontier, u32 num_workers, StopSource* stop);
+  void Attach(DonationPool<PooledPending>* frontier, u32 num_workers, StopSource* stop);
   /// Unbinds (releasing any outstanding hold). Engine-side only; must be
   /// called before the frontier is destroyed.
   void Detach();
 
-  /// Pushes one re-balanced pending into the frontier (worker deques
-  /// round-robin). Imports that race ahead of Attach are buffered and
+  /// Pushes one re-balanced pending into the shared pool, where the
+  /// first worker to run dry takes it. Imports that race ahead of Attach are buffered and
   /// flushed when the frontier appears, so an answer to the pump's first
   /// request can never be lost to startup timing. False only after
   /// Detach (search over) — then the pending is dropped, which costs the
   /// fleet nothing but a re-prove.
   bool Import(PortablePending pending);
-  /// Carves up to `max_items` of the deepest entries for a starved peer,
-  /// keeping at least ~2 per worker locally. Returns the count (0 when
-  /// detached or the frontier has nothing to spare).
+  /// Takes up to `max_items` pooled pendings for a starved peer, keeping
+  /// at least ~2 per worker in the whole frontier. The shortfall is
+  /// raised as a donation request: busy workers export their oldest
+  /// pendings into the pool at their next pop, for the next call.
+  /// Returns the count (0 when detached or nothing is pooled yet).
   size_t Export(size_t max_items, std::vector<PortablePending>* out);
-  /// Resident frontier size (0 when detached).
+  /// Frontier size, the workers' own stacks included (0 when detached).
   size_t size() const;
 
   /// Registers/releases an external-producer hold on the frontier: while
@@ -493,10 +514,9 @@ class FrontierPort {
 
  private:
   mutable std::mutex mu_;
-  WorkStealingQueue<PortablePending>* frontier_ = nullptr;
+  DonationPool<PooledPending>* frontier_ = nullptr;
   StopSource* stop_ = nullptr;
   u32 num_workers_ = 1;
-  size_t import_cursor_ = 0;
   bool held_ = false;
   bool cancelled_ = false;
   bool ever_attached_ = false;
@@ -509,8 +529,8 @@ class FrontierPort {
 /// search. All pointers are borrowed; the caller (the shard main loop in
 /// src/dist/shard.cc) must keep them alive until ReproduceShard returns.
 struct ShardContext {
-  /// Frontier entries shipped by the coordinator, distributed round-robin
-  /// over the workers' deques before the search starts.
+  /// Frontier entries shipped by the coordinator, put into the search's
+  /// shared pool before the search starts.
   std::vector<PortablePending> seed_frontier;
   /// Shared verdict store (thread-safe); null = engine-private cache.
   /// The shard's gossip pump drains/merges it concurrently with the
@@ -552,7 +572,7 @@ class ReplayEngine {
 
   ReplayResult Reproduce(const ReplayConfig& config);
 
-  /// The distributed coordinator's scout: a one-worker private search
+  /// The distributed coordinator's scout: a one-worker search
   /// (config.num_workers and solve_batch are ignored) that stops on
   /// config's budgets or once its frontier holds `target_frontier`
   /// pendings. Whatever is left of the frontier is appended to
@@ -563,9 +583,10 @@ class ReplayEngine {
 
   /// One distributed shard's in-process search with `shard`'s seed
   /// frontier, shared cache and external cancellation wired in. With one
-  /// worker, no port and no seeds the frontier is private, as in
-  /// Reproduce. Exposed for src/dist/, the service and tests; `Reproduce`
-  /// is the normal entry point.
+  /// worker, no port and no seeds it is the search Reproduce runs, except
+  /// that it pops `solve_batch` pendings per frontier visit. Exposed for
+  /// src/dist/, the service and tests; `Reproduce` is the normal entry
+  /// point.
   ReplayResult ReproduceShard(const ReplayConfig& config, ShardContext* shard);
 
  private:

@@ -1,23 +1,37 @@
-// MPMC work-stealing frontier for the parallel replay scheduler.
+// The shared half of the parallel replay frontier: a pool of work items
+// that left the worker that produced them.
 //
-// Each worker owns a deque (its DFS stack). Owners push to the back and
-// pop either the back (newest first — depth-first, the paper's rule) or
-// the front (oldest first — breadth/FIFO, the §3.2 ablation). A worker
-// whose deque is empty steals the *front* of another worker's deque: the
-// oldest, shallowest entry, i.e. the root of the largest untouched
-// subtree — the classic work-stealing discipline that keeps thieves out
-// of the owner's hot end.
+// Each search worker keeps the items it produces on a private stack that
+// no other thread touches, and pops them itself (src/replay/
+// replay_engine.cc). Items cross between workers only through this pool:
+//   - a worker whose stack ran dry blocks in Take() and, while it waits,
+//     asks for a donation (Wanted());
+//   - a busy worker sees the request at its next pop and pushes its
+//     oldest item here (donation replaces stealing: only the owner ever
+//     reads its own stack);
+//   - producers outside the workers push here too (a shard's seed
+//     frontier and re-balance imports), and a shard's pump takes items
+//     for starved peers with TakeForPeer(), which raises a request for
+//     whatever it could not find.
+// Pops take the pool's back (newest first — depth-first, the paper's
+// rule) or its front (oldest first — breadth/FIFO, the §3.2 ablation).
 //
-// Pop() blocks when the whole frontier is empty, because a busy worker may
-// still publish more work. Termination is detected when every worker is
-// blocked in Pop() at once (nobody is running, so nobody can produce), or
-// when Close() is called (first-crash-wins cancellation). A single mutex
-// guards all deques: frontier operations are microseconds apart while the
-// work items between them (solver call + interpreter run) are milliseconds,
-// so contention is irrelevant and the simple design is provably safe.
+// Termination: Take() blocks while the pool is empty and some worker is
+// still busy, because only a busy worker can produce. When every active
+// worker waits in Take() at once, nothing can be produced again and the
+// search is over; Close() ends it early (first-crash-wins cancellation,
+// the run cap, a shard's kStop). One mutex guards the pool: items cross
+// it only on a donation or an import, far apart next to the runs
+// (solver call + interpreter run) between them.
+//
+// Size accounting covers the private stacks too: workers report their
+// pushes and pops with AddResident(), so size() and peak() describe the
+// whole frontier.
 #ifndef RETRACE_SUPPORT_WORKQUEUE_H_
 #define RETRACE_SUPPORT_WORKQUEUE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -34,90 +48,116 @@ enum class PopOrder {
   kOldestFirst,  // FIFO: widen the search.
 };
 
-/// \brief MPMC work-stealing frontier (see the file comment for the
-/// scheduling discipline).
+/// \brief Shared donation pool with termination detection (see the file
+/// comment for the discipline).
 ///
-/// **Thread safety:** every method is safe from any thread; one mutex
-/// guards all deques (see the file comment for why that is the right
-/// trade). **Ownership:** the queue owns pushed items until popped;
-/// the creator must keep the queue alive until every worker returned
-/// from its final Pop()/Retire().
+/// **Thread safety:** every method is safe from any thread. **Ownership:**
+/// the pool owns pushed items until taken; the creator must keep it alive
+/// until every worker returned from its final Take()/Retire().
 ///
 /// **Lifecycle contract:** construct with the worker count, then each
 /// worker must call Retire() exactly once on exit — termination
 /// detection counts active workers, and a missing Retire() leaves the
-/// remaining workers blocked in Pop() forever.
+/// remaining workers blocked in Take() forever.
 template <typename T>
-class WorkStealingQueue {
+class DonationPool {
  public:
-  explicit WorkStealingQueue(size_t num_workers)
-      : queues_(num_workers), active_(num_workers) {}
+  explicit DonationPool(size_t num_workers) : active_(num_workers) {}
 
-  /// Publishes one item onto `worker`'s deque. Safe to call before the
-  /// workers start (the distributed scheduler seeds shard frontiers this
-  /// way).
-  void Push(size_t worker, T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queues_[worker].push_back(std::move(item));
-      ++total_;
-      peak_ = total_ > peak_ ? total_ : peak_;
+  /// Adds one item. Safe before the workers start (a shard's seed
+  /// frontier is pushed this way).
+  void Push(T item) { Add(std::move(item), /*only_if_open=*/false); }
+
+  /// Push that refuses once the pool is closed (checked under the same
+  /// lock, so there is no close/push race). A closed pool will never be
+  /// taken from again — external producers must learn their item was NOT
+  /// accepted so they can re-home it instead of losing it.
+  bool PushIfOpen(T item) { return Add(std::move(item), /*only_if_open=*/true); }
+
+  /// Takes one item for a worker whose own stack is empty, raising a
+  /// donation request while it waits. Blocks while the pool is empty but
+  /// some worker is still busy. Returns false when the search is over:
+  /// every active worker is waiting here at once, or Close() was called.
+  bool Take(PopOrder order, T* out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (closed_.load(std::memory_order_relaxed)) {
+        return false;
+      }
+      if (!items_.empty()) {
+        *out = TakeLocked(order);
+        return true;
+      }
+      ++waiting_;
+      if (waiting_ >= active_) {
+        // Every still-active worker is here and the pool is empty:
+        // nothing can ever be produced again. Wake the other waiters so
+        // they observe the close.
+        closed_.store(true, std::memory_order_relaxed);
+        cv_.notify_all();
+        return false;
+      }
+      UpdateWantLocked();
+      cv_.wait(lock, [this] {
+        return !items_.empty() || closed_.load(std::memory_order_relaxed);
+      });
+      --waiting_;
+      UpdateWantLocked();
     }
-    cv_.notify_one();
   }
 
-  /// Takes one item for `worker`: its own deque first (per `order`), then a
-  /// steal from the front of the fullest other deque. Blocks while the
-  /// frontier is empty but some worker is still busy. Returns false when the
-  /// search is over: every worker is blocked here at once (frontier drained)
-  /// or Close() was called. `stolen` reports whether the item came from
-  /// another worker's deque.
-  bool Pop(size_t worker, PopOrder order, T* out, bool* stolen) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!WaitForItem(lock)) {
+  /// Non-blocking Take(): false at once when the pool is empty or closed.
+  /// Raises no request. Costs one atomic load when the pool is empty.
+  bool TryTake(PopOrder order, T* out) {
+    if (pooled_.load(std::memory_order_relaxed) == 0) {
       return false;
     }
-    if (!queues_[worker].empty()) {
-      *out = TakeOwnLocked(worker, order);
-      *stolen = false;
-    } else {
-      *out = StealLocked(worker);
-      *stolen = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_.load(std::memory_order_relaxed) || items_.empty()) {
+      return false;
     }
+    *out = TakeLocked(order);
     return true;
   }
 
-  /// Takes up to `max_items` for `worker` in one frontier visit: the first
-  /// item with full Pop() semantics (blocking, stealing), the rest
-  /// opportunistically from the worker's *own* deque only — extras are
-  /// never stolen, so a batching worker cannot starve other thieves.
-  /// Returns false when the search is over; otherwise `out` holds 1 to
-  /// `max_items` items in pop order and `stolen` counts stolen ones (0/1).
-  bool PopBatch(size_t worker, PopOrder order, size_t max_items, std::vector<T>* out,
-                u64* stolen) {
-    out->clear();
-    *stolen = 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!WaitForItem(lock)) {
-      return false;
+  /// Takes up to `max_items` of the newest pooled items for a starved
+  /// peer, never shrinking the whole frontier (private stacks included)
+  /// below `min_keep`. Whatever of that share the pool could not supply
+  /// is raised as a donation request, so the next call finds it. Returns
+  /// the count — always 0 once the pool is closed: a closed frontier
+  /// will never be popped again (first-crash-wins or termination), so
+  /// carving work off it for a peer would only ship work the fleet has
+  /// already decided not to do.
+  size_t TakeForPeer(size_t max_items, size_t min_keep, std::vector<T>* out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_.load(std::memory_order_relaxed)) {
+      return 0;
     }
-    if (!queues_[worker].empty()) {
-      out->push_back(TakeOwnLocked(worker, order));
-    } else {
-      out->push_back(StealLocked(worker));
-      ++*stolen;
+    const u64 total = total_.load(std::memory_order_relaxed);
+    const size_t spare = total > min_keep ? static_cast<size_t>(total - min_keep) : 0;
+    const size_t share = std::min(max_items, spare);
+    size_t taken = 0;
+    while (taken < share && !items_.empty()) {
+      out->push_back(TakeLocked(PopOrder::kNewestFirst));
+      ++taken;
     }
-    while (out->size() < max_items && !queues_[worker].empty()) {
-      out->push_back(TakeOwnLocked(worker, order));
-    }
-    return true;
+    peer_want_ = share - taken;
+    UpdateWantLocked();
+    return taken;
   }
+
+  /// True while someone waits for a donation the pool cannot supply. A
+  /// relaxed atomic load: workers check it on every pop.
+  bool Wanted() const { return want_.load(std::memory_order_relaxed); }
+
+  /// Counts `delta` items onto (or off) the workers' private stacks.
+  void AddResident(i64 delta) { Count(delta); }
 
   /// Registers an external producer (e.g. the distributed re-balance
   /// pump, which may inject work into an otherwise drained frontier).
   /// While registered, termination detection treats it like one more
-  /// active worker, so an empty frontier with every worker blocked does
-  /// NOT end the search — the producer might still Push(). Balance every
+  /// active worker, so an empty pool with every worker waiting does NOT
+  /// end the search — the producer might still Push(). Balance every
   /// AddProducer() with exactly one Retire(), or the workers block
   /// forever.
   void AddProducer() {
@@ -125,179 +165,103 @@ class WorkStealingQueue {
     ++active_;
   }
 
-  /// Items currently resident across all deques.
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<size_t>(total_);
-  }
+  /// Items in the frontier: pooled plus on the workers' stacks.
+  size_t size() const { return static_cast<size_t>(total_.load(std::memory_order_relaxed)); }
 
-  /// Push that refuses once the queue is closed (checked under the same
-  /// lock, so there is no close/push race). A closed frontier will never
-  /// be popped again — external producers must learn their item was NOT
-  /// accepted so they can re-home it instead of losing it.
-  bool PushIfOpen(size_t worker, T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_) {
-        return false;
-      }
-      queues_[worker].push_back(std::move(item));
-      ++total_;
-      peak_ = total_ > peak_ ? total_ : peak_;
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Carves up to `max_items` of the *deepest* entries (deque backs,
-  /// fullest deque first) for export to a starved peer, never draining
-  /// the frontier below `min_keep`. Items leave in the exported order.
-  /// Returns the number exported — always 0 once the
-  /// queue is closed: a closed frontier will never be popped again
-  /// (first-crash-wins or termination), so carving pendings off it for a
-  /// peer would only ship work the fleet has already decided not to do.
-  /// Safe from any thread; exporting nothing is not an error.
-  size_t ExportDeepest(size_t max_items, size_t min_keep, std::vector<T>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) {
-      return 0;
-    }
-    size_t exported = 0;
-    while (exported < max_items && total_ > min_keep) {
-      size_t victim = queues_.size();
-      size_t victim_size = 0;
-      for (size_t i = 0; i < queues_.size(); ++i) {
-        if (queues_[i].size() > victim_size) {
-          victim = i;
-          victim_size = queues_[i].size();
-        }
-      }
-      if (victim == queues_.size()) {
-        break;
-      }
-      out->push_back(std::move(queues_[victim].back()));
-      queues_[victim].pop_back();
-      --total_;
-      ++exported;
-    }
-    return exported;
-  }
-
-  /// Moves every resident item into `out`, deque by deque in push order,
-  /// whether or not the queue is closed: a search that hands its leftover
-  /// frontier on (the distributed scout) drains it once its workers are
-  /// done popping.
-  void Drain(std::vector<T>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::deque<T>& queue : queues_) {
-      for (T& item : queue) {
-        out->push_back(std::move(item));
-      }
-      queue.clear();
-    }
-    total_ = 0;
-  }
-
-  /// Ends the search: every blocked and future Pop() returns false.
+  /// Ends the search: every blocked and future Take() returns false.
   /// Callable from any thread — first-crash-wins cancellation and a
   /// shard's FrontierPort::Cancel both use it.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
+      closed_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
   }
 
-  /// Permanently removes one worker from termination accounting (its private
-  /// budget died). Call exactly once per exiting worker; without this the
-  /// remaining workers could block in Pop() forever waiting for a producer
-  /// that already left.
+  /// True once the search is over (Close(), or termination detected).
+  /// Workers check it between pops of their own stacks.
+  bool closed() const { return closed_.load(std::memory_order_relaxed); }
+
+  /// Permanently removes one worker (or producer) from termination
+  /// accounting. Call exactly once per exiting worker; without this the
+  /// remaining workers could block in Take() forever waiting for a
+  /// producer that already left.
   void Retire() {
     bool close = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      Check(active_ > 0, "WorkStealingQueue: Retire underflow");
+      Check(active_ > 0, "DonationPool: Retire underflow");
       --active_;
-      close = total_ == 0 && waiting_ >= active_;
-      closed_ = closed_ || close;
+      close = items_.empty() && waiting_ >= active_;
+      if (close) {
+        closed_.store(true, std::memory_order_relaxed);
+      }
     }
     if (close) {
       cv_.notify_all();
     }
   }
 
-  /// High-water mark of items resident across all deques.
-  u64 peak() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return peak_;
-  }
+  /// High-water mark of size().
+  u64 peak() const { return peak_.load(std::memory_order_relaxed); }
 
  private:
-  // Blocks until the frontier has an item. Returns false when the search
-  // is over (closed, or every active worker waits here at once).
-  bool WaitForItem(std::unique_lock<std::mutex>& lock) {
-    for (;;) {
-      if (closed_) {
+  bool Add(T item, bool only_if_open) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (only_if_open && closed_.load(std::memory_order_relaxed)) {
         return false;
       }
-      if (total_ > 0) {
-        return true;
-      }
-      ++waiting_;
-      if (waiting_ >= active_) {
-        // Every still-active worker is here and the frontier is empty:
-        // nothing can ever be produced again. Wake the other waiters so
-        // they observe closed_.
-        closed_ = true;
-        cv_.notify_all();
-        return false;
-      }
-      cv_.wait(lock, [this] { return total_ > 0 || closed_; });
-      --waiting_;
+      items_.push_back(std::move(item));
+      pooled_.store(items_.size(), std::memory_order_relaxed);
+      Count(1);
+      UpdateWantLocked();
     }
+    cv_.notify_one();
+    return true;
   }
 
-  // Removes one item from `worker`'s own (non-empty) deque per `order`.
-  T TakeOwnLocked(size_t worker, PopOrder order) {
-    std::deque<T>& own = queues_[worker];
-    --total_;
+  T TakeLocked(PopOrder order) {
+    T item;
     if (order == PopOrder::kNewestFirst) {
-      T item = std::move(own.back());
-      own.pop_back();
-      return item;
+      item = std::move(items_.back());
+      items_.pop_back();
+    } else {
+      item = std::move(items_.front());
+      items_.pop_front();
     }
-    T item = std::move(own.front());
-    own.pop_front();
+    pooled_.store(items_.size(), std::memory_order_relaxed);
+    Count(-1);
+    UpdateWantLocked();
     return item;
   }
 
-  // Steals the front of the fullest other deque; requires total_ > 0 and
-  // an empty own deque.
-  T StealLocked(size_t worker) {
-    size_t victim = queues_.size();
-    size_t victim_size = 0;
-    for (size_t i = 0; i < queues_.size(); ++i) {
-      if (i != worker && queues_[i].size() > victim_size) {
-        victim = i;
-        victim_size = queues_[i].size();
-      }
+  // Requests outstanding: waiting workers plus the peer's shortfall,
+  // less what the pool already holds for them.
+  void UpdateWantLocked() {
+    want_.store(waiting_ + peer_want_ > items_.size(), std::memory_order_relaxed);
+  }
+
+  void Count(i64 delta) {
+    const u64 now = total_.fetch_add(static_cast<u64>(delta), std::memory_order_relaxed) +
+                    static_cast<u64>(delta);
+    u64 peak = peak_.load(std::memory_order_relaxed);
+    while (now > peak && !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
     }
-    Check(victim < queues_.size(), "WorkStealingQueue: total_ > 0 but no victim");
-    T item = std::move(queues_[victim].front());
-    queues_[victim].pop_front();
-    --total_;
-    return item;
   }
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::deque<T>> queues_;
-  u64 total_ = 0;
-  u64 peak_ = 0;
+  std::deque<T> items_;
   size_t waiting_ = 0;
   size_t active_ = 0;
-  bool closed_ = false;
+  size_t peer_want_ = 0;
+  std::atomic<bool> closed_{false};
+  std::atomic<bool> want_{false};
+  std::atomic<size_t> pooled_{0};
+  std::atomic<u64> total_{0};
+  std::atomic<u64> peak_{0};
 };
 
 }  // namespace retrace

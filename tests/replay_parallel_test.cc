@@ -4,6 +4,11 @@
 // constraint plumbing underneath.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -46,6 +51,30 @@ int main(int argc, char **argv) {
 }
 )";
 
+// Eight independent guards on stdin bytes and a crash behind all of
+// them: with nothing instrumented, a search that cannot reach the crash
+// site walks all 256 paths and then runs dry. Stream bytes (unlike argv
+// cells) may differ between a checkpoint and the run resumed there, so
+// its runs resume at their flipped branch.
+constexpr const char* kWideGuards = R"(
+int main() {
+  char buf[16];
+  int n = read(0, buf, 8);
+  if (n < 8) { return 1; }
+  int hits = 0;
+  if (buf[0] == 'a') { hits = hits + 1; }
+  if (buf[1] == 'b') { hits = hits + 1; }
+  if (buf[2] == 'c') { hits = hits + 1; }
+  if (buf[3] == 'd') { hits = hits + 1; }
+  if (buf[4] == 'e') { hits = hits + 1; }
+  if (buf[5] == 'f') { hits = hits + 1; }
+  if (buf[6] == 'g') { hits = hits + 1; }
+  if (buf[7] == 'h') { hits = hits + 1; }
+  if (hits == 8) { crash(7); }
+  return 0;
+}
+)";
+
 std::unique_ptr<Pipeline> MustBuild(std::string_view app,
                                     const std::vector<std::string>& libs = {}) {
   auto r = Pipeline::FromSources(app, libs);
@@ -65,6 +94,40 @@ InputSpec DeepGuardedCrashInput() {
   spec.argv = {"prog", "abc", "z"};
   spec.world.listen_fd = -1;
   return spec;
+}
+
+InputSpec WideGuardsInput() {
+  InputSpec spec;
+  spec.argv = {"prog"};
+  spec.world.listen_fd = -1;
+  spec.world.stdin_stream = 0;
+  StreamShape stream;
+  stream.name = "stdin";
+  const std::string data = "abcdefgh";
+  stream.bytes.assign(data.begin(), data.end());
+  stream.length = 8;
+  spec.world.streams.push_back(stream);
+  return spec;
+}
+
+// A wide-guards report under a plan with nothing instrumented, its crash
+// site moved out of reach: every search of it ends by running dry.
+struct ExhaustiveSearch {
+  std::unique_ptr<Pipeline> pipeline;
+  InstrumentationPlan plan;
+  BugReport report;
+};
+
+ExhaustiveSearch MakeExhaustiveSearch() {
+  ExhaustiveSearch search;
+  search.pipeline = MustBuild(kWideGuards);
+  search.plan.method = InstrumentMethod::kDynamic;
+  search.plan.branches = DenseBitset(search.pipeline->module().branches.size());
+  auto user = search.pipeline->RecordUserRun(WideGuardsInput(), search.plan, {}).take();
+  EXPECT_TRUE(user.result.Crashed());
+  search.report = user.report;
+  search.report.crash.func = -1;  // No run crashes in no function.
+  return search;
 }
 
 void ExpectStatsEqual(const ReplayStats& a, const ReplayStats& b) {
@@ -108,12 +171,14 @@ TEST(ReplayParallelTest, SingleWorkerIsDeterministic) {
   EXPECT_EQ(w.crashes_wrong_site, again.stats.crashes_wrong_site);
 }
 
-// (a') The frontier's form does not change the search. One-worker
-// Reproduce keeps its pendings arena-resident; attaching a FrontierPort
-// forces the portable form (export per run, import per pop, dedup).
-// With one pending per frontier visit both must find the same witness
-// with the same stats — under a plan with nothing instrumented (a wide
-// case-1 frontier) and under all branches (forced-direction sets).
+// (a') Sharing does not change a worker's search. Attaching a
+// FrontierPort makes a one-worker search shared — it dedups every pop
+// and can be cancelled from outside — but its pendings stay resident,
+// delta-solved from their parent's slice state. With one pending per
+// frontier visit both must find the same witness with the same stats,
+// slice inheritance included — under a plan with nothing instrumented
+// (a wide case-1 frontier) and under all branches (forced-direction
+// sets).
 TEST(ReplayParallelTest, ResidentAndPortableFrontiersSearchAlike) {
   auto pipeline = MustBuild(kDeepGuardedCrash);
   InstrumentationPlan nothing;
@@ -145,6 +210,8 @@ TEST(ReplayParallelTest, ResidentAndPortableFrontiersSearchAlike) {
     EXPECT_EQ(resident.stats.slices_solved, portable.stats.slices_solved);
     EXPECT_EQ(resident.stats.slice_sat_hits, portable.stats.slice_sat_hits);
     EXPECT_EQ(resident.stats.slice_unsat_hits, portable.stats.slice_unsat_hits);
+    EXPECT_EQ(resident.stats.slices_inherited, portable.stats.slices_inherited);
+    EXPECT_EQ(resident.stats.solves_from_base, portable.stats.solves_from_base);
     EXPECT_EQ(resident.stats.failure_profile.TotalDeaths(),
               portable.stats.failure_profile.TotalDeaths());
   }
@@ -184,6 +251,144 @@ TEST(ReplayParallelTest, PortableSearchSkipsRepeatedSeedPending) {
   EXPECT_FALSE(result.reproduced);
   EXPECT_EQ(result.stats.runs, 3u);
   EXPECT_EQ(result.stats.dedup_skips, 1u);
+}
+
+// ----- Worker affinity and donation -----
+
+// The exhaustive search's shape: 255 distinct pending sets (every flip
+// of the 256-path tree) plus each worker's initial run. Both workers'
+// random inputs miss every guard, so the second copy of each of the 8
+// root sets is dropped by the per-pop dedup.
+constexpr u64 kExhaustiveRuns = 255 + 2;
+constexpr u64 kRootSets = 8;
+
+// Stages a donation in a 2-worker exhaustive search. Worker 1 starts its
+// initial run only once worker 0 has popped every root set — depth-first
+// that is its first 129 runs (its initial run, then the subtrees of
+// flips 7 down to 1) — so all of worker 1's own pendings are dropped as
+// already tried and it runs dry at once. Worker 0 then runs slowly until
+// worker 1 runs again, which only a pending donated by worker 0 can make
+// it do.
+class DonationStage {
+ public:
+  static constexpr u64 kRootsTried = 140;
+
+  void Install(ReplayConfig* config) {
+    config->model_tap = [this](u32 worker, const std::vector<i64>&, size_t) { OnRun(worker); };
+  }
+  u64 runs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return runs_[0] + runs_[1];
+  }
+
+ private:
+  void OnRun(u32 worker) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++runs_[worker];
+    if (worker == 1 && runs_[1] == 1) {
+      // Bounded, so a search that goes wrong fails its checks, not hangs.
+      cv_.wait_for(lock, std::chrono::seconds(60), [this] { return runs_[0] >= kRootsTried; });
+    } else if (worker == 0 && runs_[0] >= kRootsTried && runs_[1] < 2) {
+      cv_.notify_all();
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  u64 runs_[2] = {0, 0};
+};
+
+// Each worker of a 2-worker search pops the pendings its own runs
+// published: they are delta-solved from their parent solve's slice
+// state and resume at their flipped branch on the worker's own
+// checkpoint stack, as in a one-worker search.
+TEST(ReplayParallelTest, TwoWorkerPendingsInheritSlicesAndResumeAtFlip) {
+  const ExhaustiveSearch search = MakeExhaustiveSearch();
+  ReplayConfig config;
+  config.num_workers = 2;
+  config.seed = 3;
+  DonationStage stage;
+  stage.Install(&config);
+  const ReplayResult result =
+      search.pipeline->Reproduce(search.report, search.plan, config).take();
+  const ReplayStats& s = result.stats;
+  EXPECT_FALSE(result.reproduced);
+  EXPECT_EQ(s.runs, kExhaustiveRuns);
+  EXPECT_EQ(s.dedup_skips, kRootSets);
+  EXPECT_GT(s.slices_inherited, 0u);
+  // Nearly every solve extends its parent's state: only the initial
+  // runs' pendings and the few pendings that went through the pool
+  // (imported: depth 0) solve from scratch.
+  EXPECT_GE(s.solves_from_base, s.solver_calls * 9 / 10);
+  // Every run but the two initial ones resumed at a branch checkpoint.
+  EXPECT_EQ(s.resumed_runs + 2, s.runs);
+  EXPECT_EQ(s.resumed_at_branch, s.resumed_runs);
+  ASSERT_EQ(s.per_worker.size(), 2u);
+  for (const ReplayWorkerStats& w : s.per_worker) {
+    EXPECT_GT(w.slices_inherited, 0u);
+    EXPECT_GT(w.solves_from_base, 0u);
+  }
+  // A worker's own pendings resume at their flipped branch itself; only
+  // a pending received from the other worker may start short of it.
+  // Worker 0 receives one only if worker 1 outlasts it at the end.
+  EXPECT_GT(s.per_worker[1].steals, 0u);
+  if (s.per_worker[0].steals == 0) {
+    EXPECT_EQ(s.per_worker[0].instrs_before_flip, 0u);
+  }
+}
+
+// A worker that runs dry receives a portable pending donated by a busy
+// one, and the search ends once every worker is idle — at once without
+// a port hold, and right after the hold is released with one.
+TEST(ReplayParallelTest, HungryWorkerReceivesDonationAndIdleSearchEnds) {
+  const ExhaustiveSearch search = MakeExhaustiveSearch();
+  ReplayEngine engine(search.pipeline->module(), search.plan, search.report);
+  ReplayConfig config;
+  config.num_workers = 2;
+  config.seed = 3;
+  {
+    DonationStage stage;
+    stage.Install(&config);
+    const ReplayResult plain = engine.Reproduce(config);
+    EXPECT_FALSE(plain.reproduced);
+    EXPECT_EQ(plain.stats.runs, kExhaustiveRuns);
+    EXPECT_EQ(plain.stats.dedup_skips, kRootSets);
+    ASSERT_EQ(plain.stats.per_worker.size(), 2u);
+    EXPECT_GT(plain.stats.per_worker[1].steals, 0u);
+  }
+
+  DonationStage stage;
+  stage.Install(&config);
+  FrontierPort port;
+  port.HoldOpen();  // As a shard's pump does before its search starts.
+  ShardContext ctx;
+  ctx.port = &port;
+  std::atomic<bool> returned{false};
+  ReplayResult held;
+  std::thread searcher([&] {
+    held = engine.ReproduceShard(config, &ctx);
+    returned = true;
+  });
+  // Every run has started and the frontier is empty: the workers run
+  // dry, and only the hold keeps the search open. (A search that never
+  // gets there fails the run count below instead of hanging the test.)
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((stage.runs() < kExhaustiveRuns || port.size() > 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  port.ReleaseHold();
+  searcher.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_FALSE(held.reproduced);
+  EXPECT_EQ(held.stats.runs, kExhaustiveRuns);
+  EXPECT_EQ(held.stats.dedup_skips, kRootSets);
+  ASSERT_EQ(held.stats.per_worker.size(), 2u);
+  EXPECT_GT(held.stats.per_worker[1].steals, 0u);
 }
 
 // (b) num_workers = 4 reproduces each seeded crash scenario, across
@@ -431,95 +636,114 @@ TEST(ReplayParallelTest, FingerprintStableAcrossArenas) {
   EXPECT_NE(FingerprintConstraints(pa, 1, false), FingerprintConstraints(pa, 1, true));
 }
 
-// ----- Work-stealing frontier -----
+// ----- Donation pool (the shared half of the frontier) -----
 
-TEST(ReplayParallelTest, WorkQueueOwnerOrderAndStealing) {
-  WorkStealingQueue<int> queue(2);
-  queue.Push(0, 1);
-  queue.Push(0, 2);
-  queue.Push(0, 3);
+// The pool pops newest first (DFS) or oldest first (FIFO), counts the
+// workers' own stacks into size() and peak(), and a worker waiting in
+// Take() raises a donation request that a busy worker's push answers.
+TEST(ReplayParallelTest, DonationPoolOrderAndDonationRequest) {
+  DonationPool<int> pool(2);
+  pool.Push(1);
+  pool.Push(2);
+  pool.Push(3);
+  pool.AddResident(2);  // Two pendings on the workers' own stacks.
+  EXPECT_EQ(pool.size(), 5u);
 
   int out = 0;
-  bool stolen = false;
-  // Owner DFS pop: newest first.
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kNewestFirst, &out, &stolen));
+  ASSERT_TRUE(pool.Take(PopOrder::kNewestFirst, &out));
   EXPECT_EQ(out, 3);
-  EXPECT_FALSE(stolen);
-  // Thief steals the oldest entry of the victim's deque.
-  ASSERT_TRUE(queue.Pop(1, PopOrder::kNewestFirst, &out, &stolen));
+  ASSERT_TRUE(pool.Take(PopOrder::kOldestFirst, &out));
   EXPECT_EQ(out, 1);
-  EXPECT_TRUE(stolen);
-  ASSERT_TRUE(queue.Pop(0, PopOrder::kOldestFirst, &out, &stolen));
+  ASSERT_TRUE(pool.TryTake(PopOrder::kNewestFirst, &out));
   EXPECT_EQ(out, 2);
-  EXPECT_FALSE(stolen);
-  EXPECT_EQ(queue.peak(), 3u);
+  // Empty: TryTake neither waits nor asks for a donation.
+  EXPECT_FALSE(pool.TryTake(PopOrder::kNewestFirst, &out));
+  EXPECT_FALSE(pool.Wanted());
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.peak(), 5u);
+
+  // Worker 1 runs dry and waits. Worker 0 is still busy, so the search
+  // is not over: the wait is a request, and worker 0's donation ends it.
+  bool took = false;
+  int received = 0;
+  std::thread hungry([&] { took = pool.Take(PopOrder::kNewestFirst, &received); });
+  while (!pool.Wanted()) {
+    std::this_thread::yield();
+  }
+  pool.AddResident(-1);
+  pool.Push(7);
+  hungry.join();
+  EXPECT_TRUE(took);
+  EXPECT_EQ(received, 7);
+  EXPECT_FALSE(pool.Wanted());
+  EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(ReplayParallelTest, WorkQueueDrainTerminates) {
-  // A single worker popping an empty frontier must get "done", not block.
-  WorkStealingQueue<int> queue(1);
+  // A single worker taking from an empty frontier must get "done", not
+  // block.
+  DonationPool<int> pool(1);
   int out = 0;
-  bool stolen = false;
-  EXPECT_FALSE(queue.Pop(0, PopOrder::kNewestFirst, &out, &stolen));
+  EXPECT_FALSE(pool.Take(PopOrder::kNewestFirst, &out));
+  EXPECT_TRUE(pool.closed());
 }
 
 // After first-crash-wins Close(), a donor pump must not carve pendings
 // for peers: the search is over, exporting would be wasted wire traffic
 // and a misleading pendings_exported count.
 TEST(ReplayParallelTest, WorkQueueRefusesExportWhenClosed) {
-  WorkStealingQueue<int> queue(2);
-  queue.Push(0, 1);
-  queue.Push(0, 2);
-  queue.Push(0, 3);
-  queue.Push(1, 4);
+  DonationPool<int> pool(2);
+  pool.Push(1);
+  pool.Push(2);
+  pool.Push(3);
+  pool.Push(4);
 
   std::vector<int> out;
-  EXPECT_EQ(queue.ExportDeepest(/*max_items=*/2, /*min_keep=*/0, &out), 2u);
-  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(pool.TakeForPeer(/*max_items=*/2, /*min_keep=*/0, &out), 2u);
+  EXPECT_EQ(out, (std::vector<int>{4, 3}));
 
-  queue.Close();
+  pool.Close();
   out.clear();
-  EXPECT_EQ(queue.ExportDeepest(/*max_items=*/8, /*min_keep=*/0, &out), 0u);
+  EXPECT_EQ(pool.TakeForPeer(/*max_items=*/8, /*min_keep=*/0, &out), 0u);
   EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(pool.Wanted());
 }
 
 // ----- FrontierPort cancellation (a shard's kStop) -----
 
 // A kStop can reach the shard's pump before the search has built its
 // frontier. The port remembers it, and Attach applies it: the stop is
-// requested and the frontier is closed, resident work included.
+// requested and the frontier is closed, pooled work included.
 TEST(ReplayParallelTest, FrontierPortCancelBeforeAttachClosesOnAttach) {
   FrontierPort port;
   port.Cancel();
 
-  WorkStealingQueue<PortablePending> frontier(1);
-  frontier.Push(0, PortablePending{});
+  DonationPool<PooledPending> frontier(1);
+  frontier.Push(PooledPending{});
   StopSource stop;
   port.Attach(&frontier, /*num_workers=*/1, &stop);
   EXPECT_TRUE(stop.StopRequested());
-  PortablePending out;
-  bool stolen = false;
-  EXPECT_FALSE(frontier.Pop(0, PopOrder::kNewestFirst, &out, &stolen));
+  PooledPending out;
+  EXPECT_FALSE(frontier.Take(PopOrder::kNewestFirst, &out));
   // A closed frontier refuses re-balanced work so the pump can return it.
   EXPECT_FALSE(port.Import(PortablePending{}));
   port.Detach();
 }
 
-// A worker blocked in Pop() on an empty frontier (a peer worker is still
+// A worker blocked in Take() on an empty pool (a peer worker is still
 // busy, so the frontier has not terminated) must return at once when the
 // port is cancelled; the stop is requested for runs in flight. Whether
-// the worker blocks before or after Cancel(), Pop() returns false.
+// the worker blocks before or after Cancel(), Take() returns false.
 TEST(ReplayParallelTest, FrontierPortCancelWakesWorkerBlockedInPop) {
-  WorkStealingQueue<PortablePending> frontier(2);  // Worker 1 never retires.
+  DonationPool<PooledPending> frontier(2);  // Worker 1 never retires.
   StopSource stop;
   FrontierPort port;
   port.Attach(&frontier, /*num_workers=*/2, &stop);
 
   bool popped = true;
   std::thread worker([&] {
-    PortablePending out;
-    bool stolen = false;
-    popped = frontier.Pop(0, PopOrder::kNewestFirst, &out, &stolen);
+    PooledPending out;
+    popped = frontier.Take(PopOrder::kNewestFirst, &out);
   });
   port.Cancel();
   worker.join();

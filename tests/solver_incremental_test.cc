@@ -345,24 +345,37 @@ TEST(IncrementalSolverTest, WarmCacheHitsStayValid) {
   EXPECT_EQ(inc.stats().slice_sat_hits, 4u);     // Two slices x two rounds.
 }
 
-// ----- Work-stealing frontier -----
+// ----- Donation pool -----
 
-TEST(IncrementalSolverTest, WorkQueuePopBatchDrainsOwnDequeOnly) {
-  WorkStealingQueue<int> queue(2);
-  queue.Push(0, 1);
-  queue.Push(0, 2);
-  queue.Push(1, 9);
+// A shard's pump takes only pooled pendings: the workers' own stacks are
+// out of its reach (another thread's arena), so it never takes more than
+// the pool holds or the frontier can spare, and asks the workers to
+// donate the shortfall, which their next pushes answer.
+TEST(IncrementalSolverTest, DonationPoolTakeForPeerTakesPooledOnly) {
+  DonationPool<int> pool(2);
+  pool.AddResident(3);  // On the workers' own stacks.
+  pool.Push(1);
+  pool.Push(2);
 
   std::vector<int> out;
-  u64 stolen = 0;
-  // Own deque first: both items, newest first, no steal of worker 1's item.
-  ASSERT_TRUE(queue.PopBatch(0, PopOrder::kNewestFirst, 8, &out, &stolen));
+  // Spare: 5 - 1 = 4. The pool holds 2 (newest first); 2 more are asked for.
+  EXPECT_EQ(pool.TakeForPeer(/*max_items=*/8, /*min_keep=*/1, &out), 2u);
   EXPECT_EQ(out, (std::vector<int>{2, 1}));
-  EXPECT_EQ(stolen, 0u);
-  // Empty own deque: the first (and only the first) item may be stolen.
-  ASSERT_TRUE(queue.PopBatch(0, PopOrder::kNewestFirst, 8, &out, &stolen));
-  EXPECT_EQ(out, (std::vector<int>{9}));
-  EXPECT_EQ(stolen, 1u);
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_TRUE(pool.Wanted());
+  // A worker donates one pending: one is still missing.
+  pool.AddResident(-1);
+  pool.Push(5);
+  EXPECT_TRUE(pool.Wanted());
+  pool.AddResident(-1);
+  pool.Push(6);
+  EXPECT_FALSE(pool.Wanted());
+  // Spare: 3 - 2 = 1, although the pool holds 2.
+  out.clear();
+  EXPECT_EQ(pool.TakeForPeer(/*max_items=*/8, /*min_keep=*/2, &out), 1u);
+  EXPECT_EQ(out, (std::vector<int>{6}));
+  EXPECT_FALSE(pool.Wanted());
+  EXPECT_EQ(pool.size(), 2u);
 }
 
 // The chain primitives must agree with FingerprintConstraints at every
@@ -673,7 +686,10 @@ TEST(SliceCacheSnapshotTest, TruncationAndCorruptionAreRejectedUntouched) {
   // One flipped payload byte fails the digest.
   {
     std::vector<char> flipped = good;
-    flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+    // at(): a checked access, so an optimizing build does not have to
+    // prove `good` non-empty (gcc 12 -Warray-bounds cannot).
+    char& last = flipped.at(flipped.size() - 1);
+    last = static_cast<char>(last ^ 0x01);
     WriteAll(bad, flipped);
     SliceCache victim;
     EXPECT_FALSE(victim.LoadSnapshot(bad));
