@@ -18,13 +18,18 @@
 // each parent's SliceState (`frontier-delta`) and from depth 0
 // (`frontier-depth0`), each over its own cache. The two must return the
 // same status and model on every solve; if they ever differ the bench
-// exits 1.
+// exits 1. The `-2x` and `-4x` rows do the same with a root set two and
+// four times as deep: delta solving should cost the same per pop at any
+// depth, while depth 0 grows with it.
 //
-// Emits BENCH_solver.json (machine-readable, stamped with the host)
-// next to the human table.
+// Every row is measured `reps` times (argument 1, default 5), rows
+// interleaved per repetition; the tables and BENCH_solver.json (stamped
+// with the host) give the median with the range.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -83,7 +88,7 @@ struct Row {
 // ----- Frontier chain: a replay search's pops -----
 
 constexpr i32 kFrontierVars = 140;
-constexpr size_t kFrontierPrefix = 490;  // Constraints of the chain's root set.
+constexpr size_t kFrontierPrefix = 490;  // Constraints of the 1x chain's root set.
 constexpr size_t kFrontierReset = 16;    // Pops before the chain restarts at the root.
 
 // The branch a run over `model` records when it reads cell `v` for the
@@ -104,27 +109,41 @@ Constraint RecordBranch(ExprArena* arena, const std::vector<i64>& model, i32 v, 
   return {e, arena->Eval(e, model) != 0};
 }
 
+// A run's path: its branches, each on one cell, and how many of them
+// read each cell.
+struct ChainTrace {
+  std::vector<Constraint> branches;
+  std::vector<size_t> reads = std::vector<size_t>(kFrontierVars, 0);
+  std::vector<i32> cells;  // Per branch.
+};
+
 // Appends a run's next branch, on a random cell, to `trace`.
-void RecordNext(ExprArena* arena, const std::vector<i64>& model, Rng* rng,
-                std::vector<Constraint>* trace) {
+void RecordNext(ExprArena* arena, const std::vector<i64>& model, Rng* rng, ChainTrace* trace) {
   const i32 v = static_cast<i32>(rng->NextBelow(kFrontierVars));
-  size_t nth = 0;
-  for (const Constraint& c : *trace) {
-    std::vector<i32> vars;
-    arena->CollectVars(c.expr, &vars);
-    nth += vars.size() == 1 && vars[0] == v ? 1 : 0;
+  trace->branches.push_back(RecordBranch(arena, model, v, trace->reads[v]++));
+  trace->cells.push_back(v);
+}
+
+// The first `len` branches of `trace`.
+ChainTrace Prefix(const ChainTrace& trace, size_t len) {
+  ChainTrace out;
+  out.branches.assign(trace.branches.begin(), trace.branches.begin() + len);
+  out.cells.assign(trace.cells.begin(), trace.cells.begin() + len);
+  for (const i32 v : out.cells) {
+    ++out.reads[v];
   }
-  trace->push_back(RecordBranch(arena, model, v, nth));
+  return out;
 }
 
 // Solves a replay-shaped chain of pendings: every pop is the parent's
 // solved set plus the 3-4 constraints its run recorded, up to one of
 // them, flipped. A SAT pop becomes the next parent; an UNSAT one is
 // dropped, and the next pop extends the same parent again (a sibling).
-// Every kFrontierReset pops the chain goes back to the root set. With
-// `delta`, each solve extends its parent's SliceState. Only the Solve
-// calls are timed. Appends each solve's status and model to `results`.
-Row FrontierChain(ExprArena* arena, bool delta, u64 pops,
+// Every kFrontierReset pops the chain goes back to the root set, of
+// `prefix` constraints. With `delta`, each solve extends its parent's
+// SliceState. Only the Solve calls are timed. Appends each solve's
+// status and model to `results`.
+Row FrontierChain(ExprArena* arena, bool delta, u64 pops, size_t prefix,
                   std::vector<SolveResult>* results) {
   const std::vector<Interval> domains(kFrontierVars, Interval{0, 255});
   Rng rng(0xf207);
@@ -132,10 +151,11 @@ Row FrontierChain(ExprArena* arena, bool delta, u64 pops,
   for (i64& v : root_model) {
     v = rng.NextInRange(0, 255);
   }
-  auto root = std::make_shared<std::vector<Constraint>>();
-  for (size_t i = 0; i < kFrontierPrefix; ++i) {
-    RecordNext(arena, root_model, &rng, root.get());
+  ChainTrace root_trace;
+  for (size_t i = 0; i < prefix; ++i) {
+    RecordNext(arena, root_model, &rng, &root_trace);
   }
+  auto root = std::make_shared<std::vector<Constraint>>(root_trace.branches);
 
   SliceCache cache;
   IncrementalSolver solver(*arena, SolverOptions{}, &cache);
@@ -146,22 +166,25 @@ Row FrontierChain(ExprArena* arena, bool delta, u64 pops,
   root_state->set_owner = root;
   results->push_back(root_solve);
 
+  ChainTrace parent_trace = root_trace;
   std::shared_ptr<const std::vector<Constraint>> parent = root;
   std::shared_ptr<const SliceState> parent_state = root_state;
   std::vector<i64> parent_model = root_model;
   double ns = 0;
   for (u64 pop = 0; pop < pops; ++pop) {
     if (pop % kFrontierReset == 0) {
+      parent_trace = root_trace;
       parent = root;
       parent_state = root_state;
       parent_model = root_model;
     }
     // The parent's run: its solved set, then the branches it recorded.
-    auto trace = std::make_shared<std::vector<Constraint>>(*parent);
+    ChainTrace run = parent_trace;
     const size_t added = 3 + rng.NextBelow(2);
     for (size_t i = 0; i < added; ++i) {
-      RecordNext(arena, parent_model, &rng, trace.get());
+      RecordNext(arena, parent_model, &rng, &run);
     }
+    auto trace = std::make_shared<std::vector<Constraint>>(run.branches);
     const size_t len = parent->size() + 1 + rng.NextBelow(added);
     auto state = std::make_shared<SliceState>();
     const auto t0 = std::chrono::steady_clock::now();
@@ -173,9 +196,9 @@ Row FrontierChain(ExprArena* arena, bool delta, u64 pops,
     state->set_owner = trace;
     if (solved.status == SolveStatus::kSat) {
       // The child's run follows the flip: its trace starts with the set.
-      auto child = std::make_shared<std::vector<Constraint>>(trace->begin(), trace->begin() + len);
-      child->back().want_true = !child->back().want_true;
-      parent = child;
+      parent_trace = Prefix(run, len);
+      parent_trace.branches.back().want_true = !parent_trace.branches.back().want_true;
+      parent = std::make_shared<std::vector<Constraint>>(parent_trace.branches);
       parent_state = state;
       parent_model = solved.model;
     }
@@ -206,35 +229,68 @@ Row Measure(const std::string& name, u64 iters, Fn&& solve_once) {
   return row;
 }
 
-int Main() {
+// The samples of one row over the repetitions, and their median.
+struct Samples {
+  Row row;  // Counters of the last repetition; ns_per_solve is the median.
+  std::vector<double> ns;
+
+  void Add(const Row& r) {
+    row = r;
+    ns.push_back(r.ns_per_solve);
+  }
+  double Median() const {
+    std::vector<double> sorted = ns;
+    std::sort(sorted.begin(), sorted.end());
+    const size_t n = sorted.size();
+    return n % 2 == 1 ? sorted[n / 2] : (sorted[n / 2 - 1] + sorted[n / 2]) / 2;
+  }
+  double Min() const { return *std::min_element(ns.begin(), ns.end()); }
+  double Max() const { return *std::max_element(ns.begin(), ns.end()); }
+};
+
+int Main(int argc, char** argv) {
   PrintHeader("Incremental solver: partition + slice-cache microbenchmark",
               "the PR 2 solving layer; no direct paper analogue");
+  const int reps = argc > 1 ? std::max(1, std::atoi(argv[1])) : 5;
   const u64 iters = 200 * static_cast<u64>(BenchScale());
   auto p = MakeProblem();
   const SolverOptions options;
-  std::printf("%d slices x %d vars, %zu constraints, %" PRIu64 " solves per config\n\n",
-              kSlices, kVarsPerSlice, p->constraints.size(), iters);
+  std::printf("%d slices x %d vars, %zu constraints, %" PRIu64
+              " solves per config, %d repetitions\n\n",
+              kSlices, kVarsPerSlice, p->constraints.size(), iters, reps);
 
-  std::vector<Row> rows;
+  // Frontier chains: 1x, 2x and 4x the replay-shaped prefix depth, each
+  // from depth 0 and by delta, over one arena per depth (a chain interns
+  // the same expressions in the same order either way).
+  const u64 pops = 4000 * static_cast<u64>(BenchScale());
+  constexpr size_t kDepths[] = {1, 2, 4};
+  std::vector<std::unique_ptr<ExprArena>> frontier_arenas;
+  for (size_t d = 0; d < std::size(kDepths); ++d) {
+    frontier_arenas.push_back(std::make_unique<ExprArena>());
+  }
 
-  {
-    Solver solver(p->arena, options);
-    rows.push_back(Measure("monolithic", iters, [&] {
-      const SolveResult r = solver.Solve(p->constraints, p->domains, p->seed);
-      Check(r.status == SolveStatus::kSat, "bench_solver: monolithic must solve");
-    }));
-  }
-  {
-    IncrementalSolver inc(p->arena, options, nullptr);
-    rows.push_back(Measure("partitioned", iters, [&] {
-      const SolveResult r = inc.Solve(
-          ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
-      Check(r.status == SolveStatus::kSat, "bench_solver: partitioned must solve");
-    }));
-    rows.back().slices_solved = inc.stats().slices_solved;
-  }
-  {
-    rows.push_back(Measure("cache-cold", iters, [&] {
+  std::vector<Samples> rows(4);
+  std::vector<Samples> frontier_rows(2 * std::size(kDepths));
+  std::vector<u64> frontier_sat(std::size(kDepths), 0);
+  for (int rep = 0; rep < reps; ++rep) {
+    {
+      Solver solver(p->arena, options);
+      rows[0].Add(Measure("monolithic", iters, [&] {
+        const SolveResult r = solver.Solve(p->constraints, p->domains, p->seed);
+        Check(r.status == SolveStatus::kSat, "bench_solver: monolithic must solve");
+      }));
+    }
+    {
+      IncrementalSolver inc(p->arena, options, nullptr);
+      Row row = Measure("partitioned", iters, [&] {
+        const SolveResult r = inc.Solve(
+            ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
+        Check(r.status == SolveStatus::kSat, "bench_solver: partitioned must solve");
+      });
+      row.slices_solved = inc.stats().slices_solved;
+      rows[1].Add(row);
+    }
+    rows[2].Add(Measure("cache-cold", iters, [&] {
       // A fresh cache per solve: pays partition + key hashing + stores,
       // never hits. The honest lower bound for first-contact pendings.
       SliceCache cache;
@@ -243,56 +299,74 @@ int Main() {
           ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
       Check(r.status == SolveStatus::kSat, "bench_solver: cache-cold must solve");
     }));
-  }
-  {
-    SliceCache cache;
-    IncrementalSolver inc(p->arena, options, &cache);
-    rows.push_back(Measure("cache-warm", iters, [&] {
-      const SolveResult r = inc.Solve(
-          ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
-      Check(r.status == SolveStatus::kSat, "bench_solver: cache-warm must solve");
-    }));
-    rows.back().slices_solved = inc.stats().slices_solved;
-    rows.back().sat_hits = inc.stats().slice_sat_hits;
-  }
-
-  std::printf("%-14s %14s %14s %12s %12s\n", "config", "ns/solve", "vs monolithic",
-              "slicesolves", "sat hits");
-  const double base = rows[0].ns_per_solve;
-  for (const Row& row : rows) {
-    std::printf("%-14s %14.0f %13.2fx %12" PRIu64 " %12" PRIu64 "\n", row.name.c_str(),
-                row.ns_per_solve, base / row.ns_per_solve, row.slices_solved, row.sat_hits);
-  }
-
-  // Frontier chain, both ways over one arena (the chain interns the same
-  // expressions in the same order either way).
-  const u64 pops = 4000 * static_cast<u64>(BenchScale());
-  ExprArena frontier_arena;
-  std::vector<SolveResult> from_base;
-  std::vector<SolveResult> from_depth0;
-  std::vector<Row> frontier_rows;
-  frontier_rows.push_back(FrontierChain(&frontier_arena, /*delta=*/false, pops, &from_depth0));
-  frontier_rows.push_back(FrontierChain(&frontier_arena, /*delta=*/true, pops, &from_base));
-  u64 sat = 0;
-  for (size_t i = 0; i < from_depth0.size(); ++i) {
-    if (i >= from_base.size() || from_base[i].status != from_depth0[i].status ||
-        from_base[i].model != from_depth0[i].model) {
-      std::fprintf(stderr, "bench_solver: frontier solve %zu differs from base and depth 0\n", i);
-      return 1;
+    {
+      SliceCache cache;
+      IncrementalSolver inc(p->arena, options, &cache);
+      Row row = Measure("cache-warm", iters, [&] {
+        const SolveResult r = inc.Solve(
+            ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
+        Check(r.status == SolveStatus::kSat, "bench_solver: cache-warm must solve");
+      });
+      row.slices_solved = inc.stats().slices_solved;
+      row.sat_hits = inc.stats().slice_sat_hits;
+      rows[3].Add(row);
     }
-    sat += from_depth0[i].status == SolveStatus::kSat ? 1 : 0;
+    for (size_t d = 0; d < std::size(kDepths); ++d) {
+      const size_t prefix = kFrontierPrefix * kDepths[d];
+      const std::string suffix = kDepths[d] == 1 ? "" : "-" + std::to_string(kDepths[d]) + "x";
+      std::vector<SolveResult> from_base;
+      std::vector<SolveResult> from_depth0;
+      Row depth0 = FrontierChain(frontier_arenas[d].get(), /*delta=*/false, pops, prefix,
+                                 &from_depth0);
+      Row delta =
+          FrontierChain(frontier_arenas[d].get(), /*delta=*/true, pops, prefix, &from_base);
+      depth0.name += suffix;
+      delta.name += suffix;
+      frontier_rows[2 * d].Add(depth0);
+      frontier_rows[2 * d + 1].Add(delta);
+      u64 sat = 0;
+      for (size_t i = 0; i < from_depth0.size(); ++i) {
+        if (i >= from_base.size() || from_base[i].status != from_depth0[i].status ||
+            from_base[i].model != from_depth0[i].model) {
+          std::fprintf(stderr, "bench_solver: frontier%s solve %zu differs from base and depth 0\n",
+                       suffix.c_str(), i);
+          return 1;
+        }
+        sat += from_depth0[i].status == SolveStatus::kSat ? 1 : 0;
+      }
+      frontier_sat[d] = sat;
+    }
   }
-  std::printf("\nfrontier chain: %" PRIu64 " pops of ~%zu constraints over %d cells, %" PRIu64
-              " SAT; delta and depth-0 agree on every solve\n",
-              pops, kFrontierPrefix, kFrontierVars, sat);
-  std::printf("%-16s %12s %12s %12s %12s %12s\n", "config", "ns/solve", "vs depth 0",
+
+  std::printf("%-14s %14s %20s %14s %12s %12s\n", "config", "ns/solve", "range", "vs monolithic",
+              "slicesolves", "sat hits");
+  const double base = rows[0].Median();
+  for (const Samples& row : rows) {
+    std::printf("%-14s %14.0f %9.0f-%-10.0f %13.2fx %12" PRIu64 " %12" PRIu64 "\n",
+                row.row.name.c_str(), row.Median(), row.Min(), row.Max(), base / row.Median(),
+                row.row.slices_solved, row.row.sat_hits);
+  }
+  std::printf("\nfrontier chains: %" PRIu64 " pops over %d cells from roots of", pops,
+              kFrontierVars);
+  for (size_t d = 0; d < std::size(kDepths); ++d) {
+    std::printf(" %zu (%" PRIu64 " SAT)", kFrontierPrefix * kDepths[d], frontier_sat[d]);
+  }
+  std::printf(" constraints; delta and depth-0 agree on every solve\n");
+  std::printf("%-19s %12s %20s %12s %12s %12s %12s\n", "config", "ns/solve", "range", "vs depth 0",
               "slicesolves", "sat hits", "inherited");
-  for (const Row& row : frontier_rows) {
-    std::printf("%-16s %12.0f %11.2fx %12" PRIu64 " %12" PRIu64 " %12" PRIu64 "\n",
-                row.name.c_str(), row.ns_per_solve,
-                frontier_rows[0].ns_per_solve / row.ns_per_solve, row.slices_solved,
-                row.sat_hits, row.inherited);
+  for (size_t i = 0; i < frontier_rows.size(); ++i) {
+    const Samples& row = frontier_rows[i];
+    const double depth0 = frontier_rows[i & ~size_t{1}].Median();
+    std::printf("%-19s %12.0f %9.0f-%-10.0f %11.2fx %12" PRIu64 " %12" PRIu64 " %12" PRIu64 "\n",
+                row.row.name.c_str(), row.Median(), row.Min(), row.Max(), depth0 / row.Median(),
+                row.row.slices_solved, row.row.sat_hits, row.row.inherited);
   }
+  const double delta_1x = frontier_rows[1].Median();
+  std::printf("delta ns/pop vs 1x depth:");
+  for (size_t d = 1; d < std::size(kDepths); ++d) {
+    std::printf(" %zux %.2f", kDepths[d], frontier_rows[2 * d + 1].Median() / delta_1x);
+  }
+  std::printf("\n");
 
   FILE* json = std::fopen("BENCH_solver.json", "w");
   if (json == nullptr) {
@@ -300,27 +374,31 @@ int Main() {
     return 1;
   }
   std::fprintf(json,
-               "{\n  \"bench\": \"solver\",\n  \"host\": %s,\n  \"slices\": %d,\n"
-               "  \"constraints\": %zu,\n  \"iters\": %" PRIu64 ",\n  \"results\": [\n",
-               HostStampJson().c_str(), kSlices, p->constraints.size(), iters);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
+               "{\n  \"bench\": \"solver\",\n  \"host\": %s,\n  \"repetitions\": %d,\n"
+               "  \"slices\": %d,\n  \"constraints\": %zu,\n  \"iters\": %" PRIu64
+               ",\n  \"results\": [\n",
+               HostStampJson().c_str(), reps, kSlices, p->constraints.size(), iters);
+  for (const Samples& row : rows) {
     std::fprintf(json,
-                 "    {\"name\": \"%s\", \"ns_per_solve\": %.1f, \"speedup_vs_monolithic\": "
-                 "%.3f, \"slices_solved\": %" PRIu64 ", \"sat_hits\": %" PRIu64 "},\n",
-                 row.name.c_str(), row.ns_per_solve, base / row.ns_per_solve, row.slices_solved,
-                 row.sat_hits);
+                 "    {\"name\": \"%s\", \"ns_per_solve\": %.1f, \"ns_min\": %.1f, "
+                 "\"ns_max\": %.1f, \"speedup_vs_monolithic\": %.3f, \"slices_solved\": %" PRIu64
+                 ", \"sat_hits\": %" PRIu64 "},\n",
+                 row.row.name.c_str(), row.Median(), row.Min(), row.Max(), base / row.Median(),
+                 row.row.slices_solved, row.row.sat_hits);
   }
-  // The frontier rows' baseline is the depth-0 row.
+  // A frontier row's baseline is the depth-0 row of its depth.
   for (size_t i = 0; i < frontier_rows.size(); ++i) {
-    const Row& row = frontier_rows[i];
+    const Samples& row = frontier_rows[i];
     std::fprintf(json,
-                 "    {\"name\": \"%s\", \"pops\": %" PRIu64 ", \"ns_per_solve\": %.1f, "
-                 "\"speedup_vs_depth0\": %.3f, \"slices_solved\": %" PRIu64
+                 "    {\"name\": \"%s\", \"prefix\": %zu, \"pops\": %" PRIu64
+                 ", \"ns_per_solve\": %.1f, \"ns_min\": %.1f, \"ns_max\": %.1f, "
+                 "\"speedup_vs_depth0\": %.3f, \"vs_delta_1x\": %.3f, \"slices_solved\": %" PRIu64
                  ", \"sat_hits\": %" PRIu64 ", \"inherited\": %" PRIu64 "}%s\n",
-                 row.name.c_str(), row.iters, row.ns_per_solve,
-                 frontier_rows[0].ns_per_solve / row.ns_per_solve, row.slices_solved,
-                 row.sat_hits, row.inherited, i + 1 < frontier_rows.size() ? "," : "");
+                 row.row.name.c_str(), kFrontierPrefix * kDepths[i / 2], row.row.iters,
+                 row.Median(), row.Min(), row.Max(),
+                 frontier_rows[i & ~size_t{1}].Median() / row.Median(),
+                 row.Median() / delta_1x, row.row.slices_solved, row.row.sat_hits,
+                 row.row.inherited, i + 1 < frontier_rows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
@@ -331,4 +409,4 @@ int Main() {
 }  // namespace
 }  // namespace retrace
 
-int main() { return retrace::Main(); }
+int main(int argc, char** argv) { return retrace::Main(argc, argv); }

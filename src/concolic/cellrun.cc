@@ -113,17 +113,35 @@ class CheckpointTaker : public PauseListener {
 
 ResumeRule::ResumeRule(const CellLayout& layout, const ExprArena& arena,
                        const std::vector<i64>& model)
+    : ResumeRule(layout, arena) {
+  Start(model);
+}
+
+ResumeRule::ResumeRule(const CellLayout& layout, const ExprArena& arena)
     : layout_(layout),
       arena_(arena),
-      model_(model),
-      values_(layout.defaults()),
       consumed_(layout.defaults().size(), 0),
-      in_delta_(layout.defaults().size(), 0) {
-  const std::vector<Interval>& domains = layout.domains();
+      in_delta_(layout.defaults().size(), 0) {}
+
+void ResumeRule::Start(const std::vector<i64>& model) {
+  model_ = &model;
+  values_.assign(layout_.defaults().begin(), layout_.defaults().end());
+  const std::vector<Interval>& domains = layout_.domains();
   for (size_t i = 0; i < values_.size() && i < model.size(); ++i) {
     values_[i] = std::clamp(model[i], domains[i].lo, domains[i].hi);
   }
-  arena.StartEvalBatch();
+  for (const i32 cell : consumed_cells_) {
+    consumed_[cell] = 0;
+  }
+  consumed_cells_.clear();
+  for (const i32 cell : delta_) {
+    in_delta_[cell] = 0;
+  }
+  delta_.clear();
+  delta_mask_ = 0;
+  undo_.clear();
+  refused_ = false;
+  arena_.StartEvalBatch();
 }
 
 bool ResumeRule::Consume(const RunCheckpoint& ckpt) {
@@ -131,9 +149,9 @@ bool ResumeRule::Consume(const RunCheckpoint& ckpt) {
   for (const RunCheckpoint::ConsumedCell& c : ckpt.consumed) {
     if (c.cell >= num_static) {
       // A syscall result: exact.
-      if (static_cast<size_t>(c.cell) < model_.size()) {
+      if (static_cast<size_t>(c.cell) < model_->size()) {
         const Interval& domain = ckpt.vos->cells.domains[c.cell - num_static];
-        if (std::clamp(model_[c.cell], domain.lo, domain.hi) != c.value) {
+        if (std::clamp((*model_)[c.cell], domain.lo, domain.hi) != c.value) {
           return false;
         }
       } else if (static_cast<size_t>(c.cell) < ckpt.model_size) {
@@ -167,7 +185,10 @@ bool ResumeRule::Consume(const RunCheckpoint& ckpt) {
         delta_mask_ |= ExprArena::VarBit(c.cell);
       }
     }
-    consumed_[c.cell] = 1;
+    if (consumed_[c.cell] == 0) {
+      consumed_[c.cell] = 1;
+      consumed_cells_.push_back(c.cell);
+    }
   }
   return true;
 }
@@ -205,6 +226,13 @@ bool ResumeRule::Admit(const RunCheckpoint& ckpt) {
   return ok;
 }
 
+void ResumeRule::Pin(i32 cell, i64 value) {
+  if (values_.size() <= static_cast<size_t>(cell)) {
+    values_.resize(static_cast<size_t>(cell) + 1, 0);
+  }
+  values_[cell] = value;
+}
+
 std::vector<i32> ResumeRule::Delta() const {
   std::vector<i32> out;
   for (const i32 cell : delta_) {
@@ -216,9 +244,11 @@ std::vector<i32> ResumeRule::Delta() const {
 }
 
 CellRunOutput CellRunner::Run(const CellRunConfig& config) {
-  CellStore cells(layout_, config.model);
+  CellStore& cells = cells_;
+  cells.Reset(config.model);
   cells.set_policy(config.policy);
-  VirtualOs vos(spec_.world, &cells, &layout_);
+  VirtualOs& vos = vos_;
+  vos.Reset();
   vos.set_replay_log(config.replay_log);
   vos.set_symbolic_results(config.arena != nullptr && config.symbolic_syscalls);
   if (config.resume_from != nullptr) {

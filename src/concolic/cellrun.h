@@ -4,9 +4,9 @@
 // developer-site replay — is "interpret the program with some assignment of
 // input cells". CellRunner packages the setup: layout construction, cell
 // store, virtual OS, argv materialization, interpreter wiring. The runner
-// owns one interpreter and re-uses it across runs (pooled frames and
-// object storage), so a search performing millions of runs pays
-// interpreter setup once.
+// owns one interpreter, cell store and virtual OS and re-uses them across
+// runs (pooled frames, object and cell storage), so a search performing
+// millions of runs pays their setup once.
 //
 // A run starts at main, or at a RunCheckpoint an earlier run of the same
 // runner took at one of its pause points: just before a read() call or a
@@ -74,6 +74,12 @@ class ResumeRule {
  public:
   // Borrows all three; `arena` must hold the checkpoints' expressions.
   ResumeRule(const CellLayout& layout, const ExprArena& arena, const std::vector<i64>& model);
+  // Not started yet: Start gives it a model.
+  ResumeRule(const CellLayout& layout, const ExprArena& arena);
+
+  // Starts over for `model` (borrowed), at the path's first checkpoint,
+  // keeping the storage.
+  void Start(const std::vector<i64>& model);
 
   // Offers the path's next checkpoint. False when the model may not start
   // there; the rule then refuses every later checkpoint too (a
@@ -81,6 +87,13 @@ class ResumeRule {
   bool Admit(const RunCheckpoint& ckpt);
   // Δ at the last admitted checkpoint.
   std::vector<i32> Delta() const;
+
+  // For a caller that skips checkpoints Admit would take unchanged:
+  // gives syscall result `cell` the value the path consumed for it, as
+  // Admit of its checkpoint would, so later branches evaluate the same.
+  void Pin(i32 cell, i64 value);
+  // Static cell values under the model, clamped into their domains.
+  const std::vector<i64>& values() const { return values_; }
 
  private:
   // Applies the consumed cells; false on a mismatch of an exact cell or a
@@ -90,11 +103,12 @@ class ResumeRule {
 
   const CellLayout& layout_;
   const ExprArena& arena_;
-  const std::vector<i64>& model_;
+  const std::vector<i64>* model_ = nullptr;
   // Cell values under the model: static cells as the run's CellStore
   // holds them, syscall results as consumed.
   std::vector<i64> values_;
   std::vector<u8> consumed_;  // Per static cell: consumed before.
+  std::vector<i32> consumed_cells_;  // The cells consumed_ marks.
   std::vector<u8> in_delta_;  // Per static cell: in Δ.
   std::vector<i32> delta_;    // Cells ever put in Δ, in order.
   u64 delta_mask_ = 0;        // Covers ExprArena::VarBit of every Δ cell.
@@ -155,6 +169,8 @@ class CellRunner {
   CellRunner(const IrModule& module, InputSpec spec)
       : spec_(std::move(spec)),
         layout_(CellLayout::Build(spec_)),
+        cells_(layout_, {}),
+        vos_(spec_.world, &cells_, &layout_),
         interp_(module, InterpOptions{}) {}
 
   const CellLayout& layout() const { return layout_; }
@@ -165,6 +181,8 @@ class CellRunner {
  private:
   InputSpec spec_;
   CellLayout layout_;
+  CellStore cells_;
+  VirtualOs vos_;
   Interp interp_;
 };
 

@@ -731,7 +731,6 @@ void EncodeConfig(const ReplayConfig& c, WireWriter* w) {
   w->U32(c.num_workers);
   w->U8(c.solver_cache ? 1 : 0);
   w->U64(c.slice_cache_capacity);
-  w->U32(c.solve_batch);
   w->I32(c.gossip_interval_ms);
   // v5: heartbeat knobs travel with the job so a remote shard's
   // self-termination deadline matches the coordinator's expectations.
@@ -754,13 +753,12 @@ bool DecodeConfig(WireReader* r, ReplayConfig* c) {
         r->U64(&c->max_steps_per_run) && r->U64(&c->solver.max_steps) &&
         r->U64(&c->solver.max_enumeration) && r->U64(&c->seed) && r->U8(&use_log) &&
         r->U8(&pick) && r->U32(&c->num_workers) && r->U8(&cache) &&
-        r->U64(&c->slice_cache_capacity) && r->U32(&c->solve_batch) &&
+        r->U64(&c->slice_cache_capacity) &&
         r->I32(&c->gossip_interval_ms) && r->I32(&c->heartbeat_interval_ms) &&
         r->I32(&c->heartbeat_timeout_ms))) {
     return false;
   }
-  if (pick > static_cast<u8>(ReplayConfig::Pick::kFifo) || c->num_workers > 4096 ||
-      c->solve_batch > 65536) {
+  if (pick > static_cast<u8>(ReplayConfig::Pick::kFifo) || c->num_workers > 4096) {
     return false;
   }
   // A listening retrace_shardd decodes this off the network: hostile

@@ -64,7 +64,9 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // accepts only dfs (0) and fifo (1).
 // v12: branch checkpoints — resumed_at_branch and instrs_before_flip
 // ride the stats codec, per worker and in the aggregate.
-inline constexpr u16 kWireVersion = 12;
+// v13: one pending per frontier visit — the job config drops the
+// solve_batch field.
+inline constexpr u16 kWireVersion = 13;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {

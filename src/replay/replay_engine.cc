@@ -6,9 +6,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -376,8 +378,6 @@ bool StartsWith(const std::vector<Constraint>& trace, ConstraintSpan set) {
 // How an entry point runs the one search loop.
 struct SearchShape {
   u32 workers = 1;
-  // Pendings popped and solved per frontier visit.
-  size_t solve_batch = 1;
   // Distributed-shard or service context; null = a plain search.
   ShardContext* shard = nullptr;
   // Scout only: stop once the frontier holds this many pendings (0 =
@@ -532,6 +532,27 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
                              std::move(pending.domains), pending.priority};
     };
 
+    // Donations this worker made, in resident form, keyed by their
+    // portable identity. A donation that comes back to its donor —
+    // nobody else wanted it — resumes that form: no import, and its solve
+    // extends its base. Bounded and pinned like `exported`.
+    using DonationKey = std::tuple<const PortableTrace*, size_t, bool>;
+    struct Donated {
+      std::shared_ptr<const PortableTrace> pin;
+      ResidentPending resident;
+    };
+    std::map<DonationKey, Donated> donated;
+    auto donate = [&](ResidentPending pending) {
+      ResidentPending resident = pending;
+      PortablePending portable = export_pending(std::move(pending));
+      if (donated.size() >= 64) {
+        donated.clear();
+      }
+      donated.insert_or_assign(DonationKey{portable.trace.get(), portable.len, portable.negate_last},
+                               Donated{portable.trace, std::move(resident)});
+      return portable;
+    };
+
     // A portable pending entering this worker: its trace is re-interned
     // into `arena` once — sibling pendings share it — and fingerprinted
     // once, and the pending is resident from then on. Its solve starts
@@ -545,7 +566,14 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     std::unordered_map<const PortableTrace*, Imported> imported;
     auto import_pending = [&](PooledPending pooled) {
       PortablePending& pending = pooled.pending;
-      if (pooled.donor >= 0 && pooled.donor != wid) {
+      if (pooled.donor == wid) {
+        auto own = donated.find(DonationKey{pending.trace.get(), pending.len, pending.negate_last});
+        if (own != donated.end()) {
+          ResidentPending resident = std::move(own->second.resident);
+          donated.erase(own);
+          return resident;
+        }
+      } else if (pooled.donor >= 0) {
         ++ws.steals;
       }
       auto it = imported.find(pending.trace.get());
@@ -714,19 +742,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       done = do_run(config.corpus_seeds[i], nullptr, nullptr);
     }
 
-    // Batched frontier solves: pop up to K pendings per frontier visit and
-    // solve them back to back before running any model. Sibling pendings
-    // share almost every slice, so the batch's first solve warms the cache
-    // for the rest; runs follow in pop order.
-    const size_t batch_cap = std::max<size_t>(1, shape.solve_batch);
-    std::vector<ResidentPending> batch;
-    struct ReadyRun {
-      std::vector<i64> model;
-      ResidentPending pending;
-      std::shared_ptr<SliceState> state;
-    };
-    std::vector<ReadyRun> ready;
     PooledPending pooled;
+    SliceState solved_state;
     while (!done && !stop.StopRequested() && !budget.Exhausted() && !frontier.closed()) {
       if (shape.stop_at_frontier > 0 && frontier.size() >= shape.stop_at_frontier) {
         break;  // Scout: the frontier is wide enough to shard.
@@ -741,69 +758,59 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       // away the oldest pending — the root of the largest untouched
       // subtree — and keep at least one to go on with.
       while (frontier.Wanted() && stack.size() >= 2) {
-        ResidentPending oldest = pop_own(PopOrder::kOldestFirst);
-        frontier.Push(PooledPending{export_pending(std::move(oldest)), /*donor=*/wid});
+        frontier.Push(PooledPending{donate(pop_own(PopOrder::kOldestFirst)), /*donor=*/wid});
       }
       // Pooled pendings count as older than anything this worker
       // published: FIFO takes them first, DFS only once its stack is dry.
-      batch.clear();
+      ResidentPending pending;
       if (pop_order == PopOrder::kOldestFirst && frontier.TryTake(pop_order, &pooled)) {
-        batch.push_back(import_pending(std::move(pooled)));
+        pending = import_pending(std::move(pooled));
+      } else if (!stack.empty()) {
+        pending = pop_own(pop_order);
+      } else if (frontier.Take(pop_order, &pooled)) {
+        pending = import_pending(std::move(pooled));
+      } else {
+        break;  // Frontier drained, cancelled, or run cap reached.
       }
-      if (batch.empty()) {
-        while (batch.size() < batch_cap && !stack.empty()) {
-          batch.push_back(pop_own(pop_order));
+      if (shared) {
+        // Only a shared search can meet one set twice (two workers or
+        // shards reaching it independently).
+        std::lock_guard<std::mutex> lock(dedup_mu);
+        if (!tried.insert(pending.key).second) {
+          ++ws.dedup_skips;
+          continue;
         }
       }
-      if (batch.empty()) {
-        if (!frontier.Take(pop_order, &pooled)) {
-          break;  // Frontier drained, cancelled, or run cap reached.
-        }
-        batch.push_back(import_pending(std::move(pooled)));
-      }
-      ready.clear();
-      for (ResidentPending& pending : batch) {
-        if (shared) {
-          // Only a shared search can meet one set twice (two workers or
-          // shards reaching it independently).
-          std::lock_guard<std::mutex> lock(dedup_mu);
-          if (!tried.insert(pending.key).second) {
-            ++ws.dedup_skips;
-            continue;
-          }
-        }
-        const ConstraintSpan set(pending.trace->constraints->data(), pending.len,
-                                 pending.negate_last);
-        ++ws.solver_calls;
-        SolveResult solved;
-        std::shared_ptr<SliceState> state;
-        if (incremental == nullptr) {
-          solved = solver.Solve(set, *pending.domains, *pending.seed);
-        } else {
-          // Extend the slice state of the solve that produced this trace,
-          // and keep this solve's own for the run it produces.
-          state = std::make_shared<SliceState>();
-          solved = incremental->Solve(set, *pending.domains, *pending.seed,
-                                      pending.trace->base.get(), state.get());
+      const ConstraintSpan set(pending.trace->constraints->data(), pending.len,
+                               pending.negate_last);
+      ++ws.solver_calls;
+      SolveResult solved;
+      std::shared_ptr<SliceState> state;
+      if (incremental == nullptr) {
+        solved = solver.Solve(set, *pending.domains, *pending.seed);
+      } else {
+        // Extend the slice state of the solve that produced this trace,
+        // and keep this solve's own for the run it produces.
+        solved = incremental->Solve(set, *pending.domains, *pending.seed,
+                                    pending.trace->base.get(), &solved_state);
+        if (solved.status == SolveStatus::kSat) {
+          state = std::make_shared<SliceState>(std::move(solved_state));
           state->set_owner = pending.trace->constraints;
           state->domains_owner = pending.domains;
         }
-        if (solved.status == SolveStatus::kSat) {
-          ready.push_back(ReadyRun{std::move(solved.model), std::move(pending), std::move(state)});
-        }
       }
-      for (ReadyRun& run : ready) {
-        if (done || stop.StopRequested() || budget.Exhausted()) {
-          break;
-        }
-        if (runs_admitted.fetch_add(1) >= config.max_runs) {
-          // Global run cap: the whole search is over, not just this worker.
-          frontier.Close();
-          done = true;
-          break;
-        }
-        done = do_run(run.model, &run.pending, std::move(run.state));
+      if (solved.status != SolveStatus::kSat) {
+        continue;
       }
+      if (stop.StopRequested() || budget.Exhausted()) {
+        break;
+      }
+      if (runs_admitted.fetch_add(1) >= config.max_runs) {
+        // Global run cap: the whole search is over, not just this worker.
+        frontier.Close();
+        break;
+      }
+      done = do_run(solved.model, &pending, std::move(state));
     }
     ws.resumed_runs = runner.resumed_runs();
     ws.resumed_at_branch = runner.resumed_at_branch();
@@ -902,17 +909,12 @@ ReplayResult ReplayEngine::Reproduce(const ReplayConfig& config) {
   }
   SearchShape shape;
   shape.workers = ResolveReplayWorkers(config.num_workers);
-  // One pending per frontier visit: the depth-first order the 1x1
-  // sentinels pin, at any worker count.
   return RunSearch(module_, plan_, report_, config, shape);
 }
 
 ReplayResult ReplayEngine::ReproduceShard(const ReplayConfig& config, ShardContext* shard) {
   SearchShape shape;
   shape.workers = ResolveReplayWorkers(config.num_workers);
-  // Several workers pop one pending per visit, each continuing its own
-  // path depth-first (ReplayConfig::solve_batch).
-  shape.solve_batch = shape.workers == 1 ? config.solve_batch : 1;
   shape.shard = shard;
   return RunSearch(module_, plan_, report_, config, shape);
 }

@@ -24,13 +24,13 @@
 // One search loop, run by every entry point below. Each worker keeps the
 // pendings its own runs publish on a private stack, in its own arena,
 // each with the slice state of the solve that produced its trace: it
-// pops them depth-first, solves each from that base (delta solving) and
-// resumes its run on the worker's own checkpoint stack. A pending
-// becomes portable (PortableTrace) only when it crosses a worker or
-// process boundary:
-//   - num_workers == 1, num_shards <= 1: one worker and nothing else.
-//     It pops one pending per frontier visit: the depth-first order the
-//     1x1 sentinels (863/7027/2810 runs) pin.
+// pops them depth-first, one per frontier visit, solves each from that
+// base (delta solving) and resumes its run on the worker's own
+// checkpoint stack. A pending becomes portable (PortableTrace) only when
+// it crosses a worker or process boundary:
+//   - num_workers == 1, num_shards <= 1: one worker and nothing else,
+//     in the depth-first order the 1x1 sentinels (863/7027/2810 runs)
+//     pin.
 //   - num_workers > 1: N threads with thread-confined interpreter/arena/
 //     solver contexts. A worker whose stack runs dry asks for work; a
 //     busy worker answers at its next pop by donating its oldest pending
@@ -123,16 +123,6 @@ struct ReplayConfig {
   // across reports want a bound; evictions surface in
   // ReplayStats::slice_evictions.
   u64 slice_cache_capacity = 0;
-  // Pendings a one-worker ReproduceShard search (the service's in-process
-  // search, a one-worker shard) pops and solves per frontier visit.
-  // Batching lets sibling pendings — which share almost all slices — hit
-  // the caches back to back. Every other search pops one at a time:
-  // one-worker Reproduce keeps the depth-first order the sentinels pin,
-  // and each worker of a multi-worker search continues its own path, so
-  // its runs resume at their flipped branch on its own checkpoint stack —
-  // a batch would run the later siblings after the first one's run has
-  // moved that path, and its children after the siblings'.
-  u32 solve_batch = 8;
   // Dynamic-analysis corpus seeds: concrete input-cell models (the shape
   // of AnalysisResult::corpus / AnalysisConfig::extra_seed_models) run
   // by the fleet right after each worker's initial random input, so the
@@ -573,7 +563,7 @@ class ReplayEngine {
   ReplayResult Reproduce(const ReplayConfig& config);
 
   /// The distributed coordinator's scout: a one-worker search
-  /// (config.num_workers and solve_batch are ignored) that stops on
+  /// (config.num_workers is ignored) that stops on
   /// config's budgets or once its frontier holds `target_frontier`
   /// pendings. Whatever is left of the frontier is appended to
   /// `frontier` in portable form, ready to ship to shards. A reproduced
@@ -583,8 +573,7 @@ class ReplayEngine {
 
   /// One distributed shard's in-process search with `shard`'s seed
   /// frontier, shared cache and external cancellation wired in. With one
-  /// worker, no port and no seeds it is the search Reproduce runs, except
-  /// that it pops `solve_batch` pendings per frontier visit. Exposed for
+  /// worker, no port and no seeds it is the search Reproduce runs. Exposed for
   /// src/dist/, the service and tests; `Reproduce` is the normal entry
   /// point.
   ReplayResult ReproduceShard(const ReplayConfig& config, ShardContext* shard);

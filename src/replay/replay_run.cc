@@ -1,6 +1,7 @@
 #include "src/replay/replay_run.h"
 
 #include <algorithm>
+#include <bitset>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -108,22 +109,155 @@ ReplayRunner::ReplayRunner(const IrModule& module, const InstrumentationPlan& pl
       arena_(arena),
       failures_(failures),
       limits_(limits),
-      cells_(module, report.shape) {}
+      cells_(module, report.shape),
+      rule_(cells_.layout(), *arena) {}
 
 ReplayRunner::~ReplayRunner() = default;
 
+void ReplayRunner::Sync() {
+  for (; synced_ < depth_; ++synced_) {
+    const RunCheckpoint& ckpt = entries_[synced_].run;
+    u64 sig = 0;
+    for (const RunCheckpoint::ConsumedCell& c : ckpt.consumed) {
+      sig |= ExprArena::VarBit(c.cell);
+      if (path_cell_.size() <= static_cast<size_t>(c.cell)) {
+        path_cell_.resize(static_cast<size_t>(c.cell) + 1);
+      }
+      PathCell& cell = path_cell_[c.cell];
+      if (cell.count++ == 0) {
+        path_cells_.push_back(c.cell);
+      }
+      records_.push_back(PathRecord{c.cell, cell.newest, first_serial_ + synced_, c.value});
+      cell.newest = static_cast<i32>(records_.size() - 1);
+      cell.value = c.value;
+    }
+    for (const ExprRef shadow : ckpt.concretized) {
+      sig |= arena_->VarSig(shadow);
+    }
+    for (const Constraint& branch : ckpt.branches) {
+      sig |= arena_->VarSig(branch.expr);
+    }
+    sig_.push_back(sig);
+  }
+}
+
+size_t ReplayRunner::EntryOf(const PathRecord& record) const {
+  // Records of checkpoints folded into the first one belong to it.
+  return record.serial > first_serial_ ? static_cast<size_t>(record.serial - first_serial_) : 0;
+}
+
+void ReplayRunner::Truncate(size_t depth) {
+  // Records leave in the reverse of the order Sync added them, so a
+  // cell's first record leaves last, and with it the cell.
+  while (!records_.empty() && EntryOf(records_.back()) >= depth) {
+    const PathRecord& record = records_.back();
+    PathCell& cell = path_cell_[record.cell];
+    cell.newest = record.older;
+    if (record.older >= 0) {
+      cell.value = records_[record.older].value;
+    }
+    if (--cell.count == 0) {
+      path_cells_.pop_back();
+    }
+    records_.pop_back();
+  }
+  synced_ = std::min(synced_, depth);
+  sig_.resize(synced_);
+  depth_ = depth;
+}
+
 ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   // The deepest checkpoint the rule admits, among those the budget could
-  // have paid the steps before without running out.
-  ResumeRule rule(cells_.layout(), *arena_, model);
-  size_t depth = 0;
-  while (depth < depth_ &&
-         (limits_.budget == nullptr ||
-          limits_.budget->Affords(entries_[depth].run.exec.budget_steps())) &&
-         rule.Admit(entries_[depth].run)) {
-    ++depth;
+  // have paid the steps before without running out (budget steps grow
+  // along the path).
+  Sync();
+  size_t depth = depth_;
+  if (limits_.budget != nullptr) {
+    depth = static_cast<size_t>(
+        std::partition_point(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(depth_),
+                             [&](const Entry& e) {
+                               return limits_.budget->Affords(e.run.exec.budget_steps());
+                             }) -
+        entries_.begin());
   }
-  depth_ = depth;  // Deeper checkpoints are off this run's path.
+  // Δ: the cells whose newest record on the path holds another value
+  // than the model gives them. The newest records are the values of the
+  // run that took the deepest checkpoint, and the rule admitted that run
+  // at its start, so with Δ empty it admits every checkpoint (the budget
+  // aside). Only Δ can make it refuse: each Δ cell's records are offered
+  // to the rule, and while a record puts a stream byte in Δ, until its
+  // next record, so is every checkpoint whose own signature meets the
+  // byte's bit. The rule admits the others unchanged.
+  ResumeRule& rule = rule_;
+  rule.Start(model);
+  const i32 num_static = cells_.layout().num_static();
+  std::bitset<kMaxCheckpoints> offered;
+  // Stream bytes outside Δ with older records, which may hold another
+  // value: the resume patches those if it starts short of their newest.
+  std::vector<i32>& older = older_scratch_;
+  older.clear();
+  for (const i32 cell : path_cells_) {
+    const PathCell& pc = path_cell_[cell];
+    const bool stream = cell < num_static;
+    const i64 value = stream ? rule.values()[cell] : 0;
+    if (!stream) {
+      // A syscall result is held to the model exactly; branches after it
+      // evaluate it at the value the path consumed.
+      rule.Pin(cell, pc.value);
+      if (static_cast<size_t>(cell) < model.size() && model[cell] == pc.value) {
+        continue;
+      }
+    } else if (value == pc.value) {
+      if (pc.count > 1) {
+        older.push_back(cell);
+      }
+      continue;
+    }
+    size_t next = depth;  // Entry of the cell's next newer record.
+    for (i32 r = pc.newest; r >= 0; r = records_[r].older) {
+      const size_t at = EntryOf(records_[r]);
+      if (at < depth) {
+        offered.set(at);
+      }
+      if (stream && records_[r].value != value) {
+        const u64 bit = ExprArena::VarBit(cell);
+        for (size_t k = at + 1; k < next; ++k) {
+          if ((sig_[k] & bit) != 0) {
+            offered.set(k);
+          }
+        }
+      }
+      next = std::min(next, at);
+    }
+  }
+  signature_hits_ += offered.count();
+  for (size_t k = 0; k < depth; ++k) {
+    if (!offered.test(k)) {
+      continue;
+    }
+    ++exact_checks_;
+    if (!rule.Admit(entries_[k].run)) {
+      depth = k;
+      break;
+    }
+  }
+  const bool truncated = depth < depth_;
+  Truncate(depth);  // Deeper checkpoints are off this run's path.
+  // What the resume patches: the stream bytes whose newest record, now
+  // that the resume checkpoint is the deepest, holds another value than
+  // the model's. The rule's Δ has those of Δ; short of the deepest
+  // checkpoint the bytes with older records may add to them.
+  std::vector<i32>& patch = config_.resume_delta;
+  patch.clear();
+  if (depth > 0) {
+    patch = rule.Delta();
+    for (size_t i = 0; truncated && i < older.size(); ++i) {
+      const PathCell& pc = path_cell_[older[i]];
+      if (pc.count > 0 && pc.value != rule.values()[older[i]]) {
+        patch.push_back(older[i]);
+      }
+    }
+  }
   // The run may fold `from` off a full stack, so read it up front.
   const Entry* from = depth > 0 ? &entries_[depth - 1] : nullptr;
   const u64 skipped = from != nullptr ? from->run.exec.stats.instrs : 0;
@@ -158,10 +292,11 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
     }
   }
 
-  CellRunConfig config;
-  config.model = model;
+  // One config for every run, so that its vectors keep their storage.
+  CellRunConfig& config = config_;
+  config.model.assign(model.begin(), model.end());
   config.arena = arena_;
-  config.observers = {&observer};
+  config.observers.assign(1, &observer);
   if (limits_.cancel != nullptr) {
     config.observers.push_back(limits_.cancel);
   }
@@ -169,10 +304,7 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   config.max_steps = limits_.max_steps;
   config.external_budget = limits_.budget;
   config.checkpoints = this;
-  if (from != nullptr) {
-    config.resume_from = &from->run;
-    config.resume_delta = rule.Delta();
-  }
+  config.resume_from = from != nullptr ? &from->run : nullptr;
 
   ReplayRun run;
   observer_ = &observer;
@@ -191,6 +323,7 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
 }
 
 RunCheckpoint* ReplayRunner::AtPause(const PausePoint& at) {
+  Sync();  // The previous checkpoint's records are complete by now.
   const ReplayPath& live = observer_->path;
   if (at.at_branch) {
     // The branch is about to record trace entry live.trace.size(), unless
@@ -227,6 +360,11 @@ RunCheckpoint* ReplayRunner::AtPause(const PausePoint& at) {
     next.model_size = std::max(next.model_size, first.model_size);
     entries_.pop_front();
     --depth_;
+    // Both were synced; their records stay on the path.
+    sig_[1] |= sig_[0];
+    sig_.erase(sig_.begin());
+    ++first_serial_;
+    --synced_;
   }
   // path_ holds the path up to the previous checkpoint; extend it with
   // what the run observed since.

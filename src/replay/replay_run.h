@@ -10,7 +10,19 @@
 // branch). Every run starts at the deepest checkpoint ResumeRule admits
 // for its model, with the changed input cells patched into the state,
 // so a pending's run usually starts at its own flipped branch. Starting
-// at main is the depth-0 case. A resumed run is the run a start at main
+// at main is the depth-0 case.
+//
+// Admission costs what changed, not the path's depth. The runner keeps
+// the path's consumed-cell records, each cell's newest, and for each
+// checkpoint a signature of its own records: the OR of ExprArena::VarBit
+// over the cells it consumed and of VarSig over its concretized shadows
+// and symbolic branches. The newest records are the values of the run
+// that took the deepest checkpoint, which the rule admitted, so only the
+// cells whose newest record differs from the model (Δ) can make the
+// rule refuse. The rule is offered just their record checkpoints and,
+// while a record puts a stream byte in Δ, the checkpoints whose own
+// signature meets the byte's bit: it finds the checkpoint its walk from
+// the shallowest one would. A resumed run is the run a start at main
 // would have produced: same RunResult, cells and observer path, the same
 // failure-profile counts, and the same charge to the step budget.
 #ifndef RETRACE_REPLAY_REPLAY_RUN_H_
@@ -140,6 +152,15 @@ class ReplayRunner : private CheckpointSink {
   u64 resumed_at_branch() const { return resumed_at_branch_; }
   u64 instrs_skipped() const { return instrs_skipped_; }
   u64 instrs_before_flip() const { return instrs_before_flip_; }
+  // Admission, over all runs: checkpoints a Δ cell's record or bit met
+  // (those the rule may be offered), and ResumeRule::Admit calls.
+  u64 signature_hits() const { return signature_hits_; }
+  u64 exact_checks() const { return exact_checks_; }
+
+  // The checkpoints on the most recent run's path, shallowest first: the
+  // stack the next run resumes on.
+  size_t depth() const { return depth_; }
+  const RunCheckpoint& checkpoint(size_t i) const { return entries_[i].run; }
 
  private:
   // Where a checkpoint sits on the path: lengths of ReplayPath's arrays
@@ -155,7 +176,29 @@ class ReplayRunner : private CheckpointSink {
     Mark mark;
   };
 
+  // The consumed-cell records of the stack's path, per cell: how many it
+  // has, its newest, and the newest's value.
+  struct PathCell {
+    u32 count = 0;
+    i32 newest = -1;
+    i64 value = 0;
+  };
+  // One record: its cell, the cell's next older record (-1: none), the
+  // serial number of its checkpoint, and the value consumed.
+  struct PathRecord {
+    i32 cell = -1;
+    i32 older = -1;
+    u64 serial = 0;
+    i64 value = 0;
+  };
+
   RunCheckpoint* AtPause(const PausePoint& at) override;
+  // Adds the records of entries [synced_, depth_) to the path's cell
+  // table and signatures.
+  void Sync();
+  // Drops the entries from `depth` on, and their records.
+  void Truncate(size_t depth);
+  size_t EntryOf(const PathRecord& record) const;
 
   const InstrumentationPlan& plan_;
   const BugReport& report_;
@@ -163,12 +206,28 @@ class ReplayRunner : private CheckpointSink {
   FailureAccum* failures_;
   ReplayRunLimits limits_;
   CellRunner cells_;
+  CellRunConfig config_;
+  ResumeRule rule_;
   // entries_[0, depth_) are the checkpoints on the most recent run's
   // path; `path_` holds that path up to the deepest one. Entries past
   // depth_ are spares whose storage the next checkpoints reuse.
   std::deque<Entry> entries_;
   size_t depth_ = 0;
   ReplayPath path_;
+  // Of entries [0, synced_): each one's own signature. Every entry but
+  // the deepest is synced while a run goes on, and all of them between
+  // runs.
+  std::vector<u64> sig_;
+  size_t synced_ = 0;
+  // The synced entries' records, in path order, and by cell id the cells
+  // that have any (`path_cells_`, in first-record order). Checkpoint
+  // serial numbers count from the first run; entries_[0] has
+  // first_serial_.
+  std::vector<PathRecord> records_;
+  std::vector<PathCell> path_cell_;
+  std::vector<i32> path_cells_;
+  u64 first_serial_ = 0;
+  std::vector<i32> older_scratch_;
   // Of the run in progress: its observer, start depth, and the
   // instruction count before its flipped branch (kNotYet until reached).
   ReplayObserver* observer_ = nullptr;
@@ -179,6 +238,8 @@ class ReplayRunner : private CheckpointSink {
   u64 resumed_at_branch_ = 0;
   u64 instrs_skipped_ = 0;
   u64 instrs_before_flip_ = 0;
+  u64 signature_hits_ = 0;
+  u64 exact_checks_ = 0;
 };
 
 }  // namespace retrace

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <memory>
+#include <span>
 
 namespace retrace {
 
@@ -408,27 +410,247 @@ Interval DomainOf(const std::vector<Interval>& domains, i32 v) {
   return static_cast<size_t>(v) < domains.size() ? domains[v] : Interval{0, 255};
 }
 
+// Bump allocator behind one state's own slices and map nodes. Everything
+// it holds is trivially destructible and freed with the state.
+class Arena {
+ public:
+  void* Alloc(size_t bytes) {
+    const size_t words = (bytes + 7) / 8;
+    if (blocks_.empty() || used_ + words > block_words_) {
+      block_words_ = std::max(words, std::min<size_t>(2 * block_words_, kMaxBlockWords));
+      blocks_.push_back(std::make_unique<u64[]>(block_words_));
+      used_ = 0;
+    }
+    void* at = blocks_.back().get() + used_;
+    used_ += words;
+    total_ += words * 8;
+    return at;
+  }
+  template <typename T>
+  T* Copy(std::span<const T> items) {
+    T* out = static_cast<T*>(Alloc(std::max<size_t>(1, items.size()) * sizeof(T)));
+    std::copy(items.begin(), items.end(), out);
+    return out;
+  }
+  size_t used() const { return total_; }
+
+ private:
+  static constexpr size_t kMaxBlockWords = 1024;
+  std::vector<std::unique_ptr<u64[]>> blocks_;
+  size_t block_words_ = 32;
+  size_t used_ = 0;
+  size_t total_ = 0;
+};
+
+}  // namespace
+
+// One slice of a state: its first constraint index, its constraint
+// indices in trace order, its variables ascending, whether a later solve
+// may inherit its resolution, and the key and check hashes of its
+// constraints alone (before its variables are mixed in), which a group
+// that extends it goes on from. Lives in the arena of the state whose
+// solve resolved it.
+struct IncrementalSlice {
+  u32 head = 0;
+  u32 num_members = 0;
+  u32 num_vars = 0;
+  bool inheritable = false;
+  u64 key = 0;
+  u64 check = 0;
+  const u32* members = nullptr;
+  const i32* vars = nullptr;
+
+  std::span<const u32> Members() const { return {members, num_members}; }
+  std::span<const i32> Vars() const { return {vars, num_vars}; }
+};
+
+namespace {
+
+using Slice = IncrementalSlice;
+
+// A map entry: the slice owning the key (null: none).
+struct Entry {
+  const Slice* slice;
+};
+
+// A persistent array of Entry over u32 keys: a 16-ary radix tree whose
+// writes copy the path to the entry into the writer's arena and share
+// every other node with the tree the writer started from. A node the
+// writer already owns is written in place. Every node counts the
+// occupied entries below it, so Rank is one walk down too.
+class PersistentMap {
+ public:
+  u32 size() const { return root_ != nullptr ? root_->count : 0; }
+
+  Entry Get(u32 key) const {
+    if (root_ == nullptr || key >= Capacity(height_)) {
+      return Entry{nullptr};
+    }
+    const Node* node = root_;
+    for (u32 level = height_ - 1; level > 0; --level) {
+      node = static_cast<const Inner*>(node)->child[Index(key, level)];
+      if (node == nullptr) {
+        return Entry{nullptr};
+      }
+    }
+    return static_cast<const Leaf*>(node)->entry[key & kMask];
+  }
+
+  // Occupied keys below `key`.
+  u32 Rank(u32 key) const {
+    if (root_ == nullptr) {
+      return 0;
+    }
+    if (key >= Capacity(height_)) {
+      return size();
+    }
+    u32 rank = 0;
+    const Node* node = root_;
+    for (u32 level = height_ - 1; level > 0; --level) {
+      const Inner* inner = static_cast<const Inner*>(node);
+      const u32 at = Index(key, level);
+      for (u32 i = 0; i < at; ++i) {
+        rank += inner->child[i] != nullptr ? inner->child[i]->count : 0;
+      }
+      node = inner->child[at];
+      if (node == nullptr) {
+        return rank;
+      }
+    }
+    const Leaf* leaf = static_cast<const Leaf*>(node);
+    for (u32 i = 0; i < (key & kMask); ++i) {
+      rank += leaf->entry[i].slice != nullptr ? 1 : 0;
+    }
+    return rank;
+  }
+
+  // Writes `entry` at `key` (a null slice erases it).
+  void Set(u32 key, Entry entry, Arena* arena) {
+    const int change = (entry.slice != nullptr ? 1 : 0) - (Get(key).slice != nullptr ? 1 : 0);
+    if (entry.slice == nullptr && change == 0) {
+      return;  // Nothing to erase.
+    }
+    if (root_ == nullptr) {
+      height_ = 1;
+    }
+    while (key >= Capacity(height_)) {
+      if (root_ != nullptr) {
+        Inner* grown = static_cast<Inner*>(Own(nullptr, 1, arena));
+        grown->count = root_->count;
+        grown->child[0] = root_;
+        root_ = grown;
+      }
+      ++height_;
+    }
+    Node* node = Own(root_, height_ - 1, arena);
+    root_ = node;
+    for (u32 level = height_ - 1; level > 0; --level) {
+      node->count = static_cast<u32>(static_cast<int>(node->count) + change);
+      Inner* inner = static_cast<Inner*>(node);
+      const u32 at = Index(key, level);
+      Node* child = Own(inner->child[at], level - 1, arena);
+      inner->child[at] = child;
+      node = child;
+    }
+    node->count = static_cast<u32>(static_cast<int>(node->count) + change);
+    static_cast<Leaf*>(node)->entry[key & kMask] = entry;
+  }
+
+ private:
+  static constexpr u32 kBits = 4;
+  static constexpr u32 kFanout = 1u << kBits;
+  static constexpr u32 kMask = kFanout - 1;
+
+  struct Node {
+    const Arena* owner;
+    u32 count;
+  };
+  struct Inner : Node {
+    const Node* child[kFanout];
+  };
+  struct Leaf : Node {
+    Entry entry[kFanout];
+  };
+
+  static u64 Capacity(u32 height) { return u64{1} << (kBits * height); }
+  static u32 Index(u32 key, u32 level) { return (key >> (kBits * level)) & kMask; }
+
+  // `node` (null: an empty one) as a node of `arena`, copied unless it
+  // already is one.
+  static Node* Own(const Node* node, u32 level, Arena* arena) {
+    if (node != nullptr && node->owner == arena) {
+      return const_cast<Node*>(node);
+    }
+    Node* own = nullptr;
+    if (level > 0) {
+      Inner* inner = static_cast<Inner*>(arena->Alloc(sizeof(Inner)));
+      if (node != nullptr) {
+        std::memcpy(static_cast<void*>(inner), node, sizeof(Inner));
+      } else {
+        std::memset(static_cast<void*>(inner), 0, sizeof(Inner));
+      }
+      own = inner;
+    } else {
+      Leaf* leaf = static_cast<Leaf*>(arena->Alloc(sizeof(Leaf)));
+      if (node != nullptr) {
+        std::memcpy(static_cast<void*>(leaf), node, sizeof(Leaf));
+      } else {
+        std::memset(static_cast<void*>(leaf), 0, sizeof(Leaf));
+      }
+      own = leaf;
+    }
+    own->owner = arena;
+    return own;
+  }
+
+  const Node* root_ = nullptr;
+  u32 height_ = 0;
+};
+
+}  // namespace
+
+// A state's slices: an immutable parent plus the slices this state's
+// own solve resolved, found through two persistent maps whose untouched
+// nodes are the parent's.
+struct SliceState::Core {
+  ~Core() {
+    // Unlink a long chain of ancestors one at a time, not recursively.
+    std::shared_ptr<const Core> next = std::move(parent);
+    while (next != nullptr && next.use_count() == 1) {
+      std::shared_ptr<const Core> after = std::move(next->parent);
+      next.reset();
+      next = std::move(after);
+    }
+  }
+
+  // Mutable only so that destruction can unlink it.
+  mutable std::shared_ptr<const Core> parent;
+  Arena arena;
+  PersistentMap vars;   // Variable -> its slice.
+  PersistentMap heads;  // First constraint index -> its slice.
+  i32 max_var = -1;
+  // The solve's model, and which of its variables a live slice mentions:
+  // each of those holds its slice's validated value.
+  std::vector<i64> values;
+  std::vector<u64> mapped;
+  std::vector<const Slice*> uninheritable;  // Live slices a solve re-resolves.
+};
+
+namespace {
+
 // The base of every depth-0 solve.
 const SliceState kEmptyState;
 
-// True when base slice `slice` may be taken over as is: its resolution
-// is inheritable and no variable's domain changed.
-bool Inherits(const SliceState& base, u32 slice, const std::vector<Interval>& domains) {
-  if (base.inheritable[slice] == 0) {
-    return false;
-  }
-  if (base.domains == &domains) {
-    return true;
-  }
-  for (u32 k = base.var_start[slice]; k < base.var_start[slice + 1]; ++k) {
-    if (!(DomainOf(domains, base.vars[k]) == DomainOf(*base.domains, base.vars[k]))) {
-      return false;  // The slice key changed with the domain.
-    }
-  }
-  return true;
-}
-
 }  // namespace
+
+size_t SliceState::num_slices() const { return core != nullptr ? core->heads.size() : 0; }
+
+size_t SliceState::own_bytes() const {
+  return core != nullptr ? core->arena.used() + core->uninheritable.capacity() * sizeof(void*) +
+                               core->values.capacity() * sizeof(i64) +
+                               core->mapped.capacity() * sizeof(u64)
+                         : 0;
+}
 
 bool SliceState::Prefixes(ConstraintSpan other) const {
   const size_t len = set.size();
@@ -467,14 +689,7 @@ void SliceState::Clear() {
   domains = nullptr;
   set_owner.reset();
   domains_owner.reset();
-  max_var = -1;
-  var_slice.clear();
-  member_start.assign(1, 0);
-  members.clear();
-  var_start.assign(1, 0);
-  vars.clear();
-  values.clear();
-  inheritable.clear();
+  core.reset();
 }
 
 SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
@@ -494,19 +709,48 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   } else {
     ++stats_.solves_from_base;
   }
+  static const SliceState::Core kEmptyCore;
+  const SliceState::Core& from = base->core != nullptr ? *base->core : kEmptyCore;
   const size_t base_len = base->set.size();
-  const u32 base_slices = static_cast<u32>(base->num_slices());
+  const u32 num_delta = static_cast<u32>(n - base_len);
 
-  // Union-find over nodes: the base's slices [0, base_slices), then one
-  // node per delta constraint. A delta constraint joins the base slice
-  // owning any of its variables, or the delta constraint that named the
-  // variable first. At depth 0 the nodes are just the constraints.
-  const size_t num_nodes = base_slices + (n - base_len);
-  auto delta_index = [&](u32 node) { return base_len + (node - base_slices); };
-  parent_.resize(num_nodes);
-  for (size_t i = 0; i < num_nodes; ++i) {
-    parent_[i] = static_cast<u32>(i);
+  // Union-find over nodes: one per delta constraint, [0, num_delta),
+  // then one per base slice the call touches. A delta constraint joins
+  // the base slice owning any of its variables, or the delta constraint
+  // that named the variable first. At depth 0 the nodes are just the
+  // constraints.
+  parent_.resize(num_delta);
+  for (u32 i = 0; i < num_delta; ++i) {
+    parent_[i] = i;
   }
+  touched_.clear();
+  touched_node_.clear();
+  // A call touches few base slices: it scans for them until it has many.
+  constexpr size_t kScanTouched = 32;
+  auto touch = [&](const Slice* slice) {
+    u32 index = kNone;
+    if (touched_.size() <= kScanTouched) {
+      const auto it = std::find(touched_.begin(), touched_.end(), slice);
+      index = it != touched_.end() ? static_cast<u32>(it - touched_.begin()) : kNone;
+    } else {
+      if (touched_node_.empty()) {
+        for (u32 i = 0; i < touched_.size(); ++i) {
+          touched_node_.emplace(touched_[i], i);
+        }
+      }
+      const auto it = touched_node_.find(slice);
+      index = it != touched_node_.end() ? it->second : kNone;
+    }
+    if (index == kNone) {
+      index = static_cast<u32>(touched_.size());
+      touched_.push_back(slice);
+      parent_.push_back(num_delta + index);
+      if (!touched_node_.empty()) {
+        touched_node_.emplace(slice, index);
+      }
+    }
+    return num_delta + index;
+  };
   auto find = [&](u32 x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
@@ -521,27 +765,27 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   // folded conditions) form no slice: they hold or fail regardless of
   // any model, and one that fails ends the call. The base's constants
   // all held: it was solved SAT.
-  i32 max_var = base->max_var;
+  i32 max_var = from.max_var;
   bool constant_fails = false;
   owner_touched_.clear();
-  node_slice_.resize(num_nodes);
-  std::fill(node_slice_.begin(), node_slice_.begin() + base_slices, 0);
-  for (u32 node = base_slices; node < num_nodes && !constant_fails; ++node) {
-    const Constraint c = constraints[delta_index(node)];
+  node_group_.assign(num_delta, 0);
+  for (u32 node = 0; node < num_delta && !constant_fails; ++node) {
+    const Constraint c = constraints[base_len + node];
     const std::span<const i32> vars = VarsOf(c.expr);
     if (vars.empty()) {
       constant_fails = (arena_.Eval(c.expr, {}) != 0) != c.want_true;
-      node_slice_[node] = kNone;
+      node_group_[node] = kNone;
       continue;
     }
-    node_slice_[node] = 0;  // Assigned below.
     for (const i32 v : vars) {
       max_var = std::max(max_var, v);
-      const size_t var = static_cast<size_t>(v);
-      if (var < base->var_slice.size() && base->var_slice[var] != kNone) {
-        parent_[find(node)] = find(base->var_slice[var]);
-        continue;
+      if (v <= from.max_var) {
+        if (const Slice* slice = from.vars.Get(static_cast<u32>(v)).slice) {
+          parent_[find(node)] = find(touch(slice));
+          continue;
+        }
       }
+      const size_t var = static_cast<size_t>(v);
       if (var >= var_owner_.size()) {
         var_owner_.resize(var + 1, kNone);
       }
@@ -560,107 +804,160 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     result.status = SolveStatus::kUnsat;
     return result;
   }
-
-  // Group nodes into slices, ordered by first appearance so slice keys
-  // are deterministic for a given trace prefix: base slices are already
-  // in that order and every delta constraint comes after them, so node
-  // order is first-appearance order. Counting pass, then a CSR fill
-  // that keeps node order within a slice.
-  root_slice_.assign(num_nodes, kNone);
-  slice_start_.assign(1, 0);
-  for (u32 node = 0; node < num_nodes; ++node) {
-    if (node_slice_[node] == kNone) {
-      continue;
-    }
-    u32& slice = root_slice_[find(node)];
-    if (slice == kNone) {
-      slice = static_cast<u32>(slice_start_.size() - 1);
-      slice_start_.push_back(0);
-    }
-    node_slice_[node] = slice;
-    ++slice_start_[slice + 1];
+  // Base slices the delta leaves alone are re-resolved too when they are
+  // not inheritable, or when a variable's domain changed (the key did).
+  for (const Slice* slice : from.uninheritable) {
+    touch(slice);
   }
-  const size_t num_slices = slice_start_.size() - 1;
-  for (size_t s = 0; s < num_slices; ++s) {
-    slice_start_[s + 1] += slice_start_[s];
-  }
-  slice_fill_.assign(slice_start_.begin(), slice_start_.end() - 1);
-  slice_nodes_.resize(slice_start_.back());
-  for (u32 node = 0; node < num_nodes; ++node) {
-    if (node_slice_[node] != kNone) {
-      slice_nodes_[slice_fill_[node_slice_[node]]++] = node;
-    }
-  }
-
-  // Base model: the seed clamped into domains (the same initialization the
-  // monolithic solver applies), stitched over slice by slice below.
-  std::vector<i64> model(std::max<size_t>(seed.size(), static_cast<size_t>(max_var) + 1), 0);
-  for (size_t i = 0; i < model.size(); ++i) {
-    const Interval dom = i < domains.size() ? domains[i] : Interval{0, 255};
-    model[i] = std::clamp(i < seed.size() ? seed[i] : 0, dom.lo, dom.hi);
-  }
-
-  // Where each slice's state comes from when `keep`: a base slice, or
-  // entry d of the resolved (dirty) slices recorded below.
-  slice_origin_.clear();
-  dirty_.Clear();
-
-  for (size_t s = 0; s < num_slices; ++s) {
-    const std::span<const u32> nodes(slice_nodes_.data() + slice_start_[s],
-                                     slice_start_[s + 1] - slice_start_[s]);
-    const u32 head = nodes[0];
-    ++stats_.slices_total;
-
-    // A base slice the delta left alone, with unchanged domains and an
-    // inheritable resolution: the cache would return the sub-model it
-    // was validated with, and revalidation would pass again.
-    if (head < base_slices && nodes.size() == 1 && Inherits(*base, head, domains)) {
-      for (u32 k = base->var_start[head]; k < base->var_start[head + 1]; ++k) {
-        model[base->vars[k]] = base->values[k];
-      }
-      ++stats_.slice_sat_hits;
-      ++stats_.slices_inherited;
-      if (keep) {
-        slice_origin_.push_back(SliceOrigin{true, head});
-      }
-      continue;
-    }
-
-    // Everything else is resolved through the caches. Its constraints,
-    // in trace order: merged base slices interleave, delta constraints
-    // follow them. At depth 0 the nodes are the constraint indices.
-    std::span<const u32> members = nodes;
-    if (base_len != 0) {
-      slice_members_.clear();
-      u32 merged_base = 0;
-      for (const u32 node : nodes) {
-        if (node < base_slices) {
-          ++merged_base;
-          slice_members_.insert(slice_members_.end(),
-                                base->members.begin() + base->member_start[node],
-                                base->members.begin() + base->member_start[node + 1]);
-        } else {
-          slice_members_.push_back(static_cast<u32>(delta_index(node)));
+  if (from.max_var >= 0 && base->domains != &domains) {
+    for (i32 v = 0; v <= from.max_var; ++v) {
+      if (!(DomainOf(domains, v) == DomainOf(*base->domains, v))) {
+        if (const Slice* slice = from.vars.Get(static_cast<u32>(v)).slice) {
+          touch(slice);
         }
       }
-      if (merged_base > 1) {
-        std::sort(slice_members_.begin(), slice_members_.end());
-      }
-      members = slice_members_;
     }
+  }
+
+  // Group the nodes into the slices this call resolves; every other base
+  // slice is inherited. A group's head is its first constraint index:
+  // slices are resolved in first-appearance order, the depth-0 order.
+  const u32 num_nodes = static_cast<u32>(parent_.size());
+  node_group_.resize(num_nodes, 0);
+  root_group_.assign(num_nodes, kNone);
+  group_head_.clear();
+  group_start_.assign(1, 0);
+  for (u32 node = 0; node < num_nodes; ++node) {
+    if (node_group_[node] == kNone) {
+      continue;
+    }
+    u32& group = root_group_[find(node)];
+    if (group == kNone) {
+      group = static_cast<u32>(group_head_.size());
+      group_head_.push_back(kNone);
+      group_start_.push_back(0);
+    }
+    node_group_[node] = group;
+    ++group_start_[group + 1];
+    const u32 head = node < num_delta ? static_cast<u32>(base_len) + node
+                                      : static_cast<const Slice*>(touched_[node - num_delta])->head;
+    group_head_[group] = std::min(group_head_[group], head);
+  }
+  const u32 num_groups = static_cast<u32>(group_head_.size());
+  for (u32 g = 0; g < num_groups; ++g) {
+    group_start_[g + 1] += group_start_[g];
+  }
+  // Within a group, base slices first: one base slice's members and the
+  // delta's indices after it are then already in trace order.
+  group_fill_.assign(group_start_.begin(), group_start_.end() - 1);
+  group_nodes_.resize(group_start_.back());
+  for (u32 pass = 0; pass < 2; ++pass) {
+    for (u32 node = pass == 0 ? num_delta : 0; node < (pass == 0 ? num_nodes : num_delta);
+         ++node) {
+      if (node_group_[node] != kNone) {
+        group_nodes_[group_fill_[node_group_[node]]++] = node;
+      }
+    }
+  }
+  order_.resize(num_groups);
+  for (u32 g = 0; g < num_groups; ++g) {
+    order_[g] = g;
+  }
+  std::sort(order_.begin(), order_.end(),
+            [&](u32 a, u32 b) { return group_head_[a] < group_head_[b]; });
+  // Base slices merged into a group headed by another slice stop being
+  // slices. The live slices ahead of a group in the new state: the base
+  // slices ahead of its head, less those merged away, plus the groups
+  // made of delta constraints alone that precede it.
+  absorbed_.clear();
+  for (u32 node = num_delta; node < num_nodes; ++node) {
+    const u32 head = static_cast<const Slice*>(touched_[node - num_delta])->head;
+    if (head != group_head_[node_group_[node]]) {
+      absorbed_.push_back(head);
+    }
+  }
+  std::sort(absorbed_.begin(), absorbed_.end());
+  const u32 base_slices = from.heads.size();
+  const u64 inherited_total = base_slices - static_cast<u32>(touched_.size());
+  u32 base_headed = 0;
+
+  // Base model: the seed clamped into domains (the same initialization the
+  // monolithic solver applies), with every base slice's validated
+  // sub-model over it; a group's variables go back to the seed before it
+  // is resolved, as at depth 0. Built when a slice first needs it: a
+  // call that ends at its first slice's UNSAT hit never does.
+  std::vector<i64> model;
+  auto seeded = [&](i32 v) {
+    const Interval dom = DomainOf(domains, v);
+    return std::clamp(static_cast<size_t>(v) < seed.size() ? seed[v] : 0, dom.lo, dom.hi);
+  };
+  auto build_model = [&] {
+    if (!model.empty() || (seed.empty() && max_var < 0)) {
+      return;
+    }
+    model.resize(std::max<size_t>(seed.size(), static_cast<size_t>(max_var) + 1));
+    const size_t clamped = std::min(seed.size(), domains.size());
+    for (size_t i = 0; i < clamped; ++i) {
+      model[i] = std::clamp(seed[i], domains[i].lo, domains[i].hi);
+    }
+    for (size_t i = clamped; i < model.size(); ++i) {
+      model[i] = seeded(static_cast<i32>(i));
+    }
+    for (size_t word = 0; word < from.mapped.size(); ++word) {
+      for (u64 bits = from.mapped[word]; bits != 0; bits &= bits - 1) {
+        const size_t v = word * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        model[v] = from.values[v];
+      }
+    }
+  };
+
+  // Inherited slices count as they would at depth 0, in bulk: each one
+  // as a slice and a SAT hit, ahead of the next group they precede.
+  u64 inherited_counted = 0;
+  auto count_inherited = [&](u64 upto) {
+    const u64 more = upto - inherited_counted;
+    stats_.slices_total += more;
+    stats_.slice_sat_hits += more;
+    stats_.slices_inherited += more;
+    inherited_counted = upto;
+  };
+  dirty_members_.clear();
+  dirty_vars_.clear();
+  dirty_.clear();
+
+  for (u32 i = 0; i < num_groups; ++i) {
+    const u32 group = order_[i];
+    const u32 head = group_head_[group];
+    u64 ahead = 0;  // Live slices of the new state ahead of this one.
+    const u64 absorbed_ahead = static_cast<u64>(
+        std::lower_bound(absorbed_.begin(), absorbed_.end(), head) - absorbed_.begin());
+    if (head < base_len) {
+      ahead = from.heads.Rank(head) - absorbed_ahead;
+      ++base_headed;
+    } else {
+      ahead = base_slices - absorbed_ahead + (i - base_headed);
+    }
+    count_inherited(ahead - i);
+    ++stats_.slices_total;
 
     // Key: constraint structure + polarity in trace order, then each
     // mentioned variable with its domain (ascending, deduplicated).
     // `check` accumulates the same content from an independent seed; the
     // UNSAT cache requires both to match, so masking a SAT slice takes a
-    // simultaneous 128-bit collision.
-    slice_vars_.clear();
-    slice_constraints_.clear();
+    // simultaneous 128-bit collision. A group of one base slice and delta
+    // constraints lists the slice's constraints first, so its hashes go
+    // on from the slice's: only the delta is hashed. Merged base slices
+    // interleave; they are hashed whole.
+    const std::span<const u32> nodes(group_nodes_.data() + group_start_[group],
+                                     group_start_[group + 1] - group_start_[group]);
+    u32 merged_base = 0;
+    for (const u32 node : nodes) {
+      merged_base += node >= num_delta ? 1 : 0;
+    }
     u64 key = 0x452821e638d01377ull;
     u64 check = 0xbe5466cf34e90c6cull;
-    for (const u32 ci : members) {
+    auto hash_member = [&](u32 ci) {
       const Constraint c = constraints[ci];
-      slice_constraints_.push_back(c);
       const u64 expr_hash = arena_.StructuralHash(c.expr);
       key = HashMix(key, expr_hash);
       key = HashMix(key, c.want_true ? 1 : 2);
@@ -668,7 +965,43 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       check = HashMix(check, expr_hash);
       const std::span<const i32> vars = VarsOf(c.expr);
       slice_vars_.insert(slice_vars_.end(), vars.begin(), vars.end());
+    };
+    // Its constraint indices in trace order, gathered on first need.
+    slice_members_.clear();
+    auto gather_members = [&] {
+      for (const u32 node : nodes) {
+        if (node >= num_delta) {
+          const std::span<const u32> members =
+              static_cast<const Slice*>(touched_[node - num_delta])->Members();
+          slice_members_.insert(slice_members_.end(), members.begin(), members.end());
+        } else {
+          slice_members_.push_back(static_cast<u32>(base_len) + node);
+        }
+      }
+      if (merged_base > 1) {
+        std::sort(slice_members_.begin(), slice_members_.end());
+      }
+    };
+    slice_vars_.clear();
+    if (merged_base > 1) {
+      gather_members();
+      for (const u32 ci : slice_members_) {
+        hash_member(ci);
+      }
+    } else {
+      for (const u32 node : nodes) {
+        if (node >= num_delta) {
+          const Slice* only = static_cast<const Slice*>(touched_[node - num_delta]);
+          key = only->key;
+          check = only->check;
+          slice_vars_.assign(only->Vars().begin(), only->Vars().end());
+        } else {
+          hash_member(static_cast<u32>(base_len) + node);
+        }
+      }
     }
+    const u64 member_key = key;
+    const u64 member_check = check;
     std::sort(slice_vars_.begin(), slice_vars_.end());
     slice_vars_.erase(std::unique(slice_vars_.begin(), slice_vars_.end()), slice_vars_.end());
     for (const i32 v : slice_vars_) {
@@ -678,18 +1011,31 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       check = dom.MixInto(check);
       check = HashMix(check, static_cast<u64>(v));
     }
-
     // Whether a later solve may inherit this slice's resolution.
     bool inheritable = false;
     bool resolved = false;
     bool hit_failed = false;
-    if (cache_ != nullptr) {
-      if (cache_->LookupUnsat(key, check)) {
-        ++stats_.slice_unsat_hits;
-        result.status = SolveStatus::kUnsat;
-        result.steps = 0;
-        return result;
+    if (cache_ != nullptr && cache_->LookupUnsat(key, check)) {
+      ++stats_.slice_unsat_hits;
+      result.status = SolveStatus::kUnsat;
+      result.steps = 0;
+      return result;
+    }
+    if (slice_members_.empty()) {
+      gather_members();
+    }
+    slice_constraints_.clear();
+    for (const u32 ci : slice_members_) {
+      slice_constraints_.push_back(constraints[ci]);
+    }
+    const std::span<const u32> members = slice_members_;
+    build_model();
+    if (merged_base > 0) {
+      for (const i32 v : slice_vars_) {
+        model[v] = seeded(v);
       }
+    }
+    if (cache_ != nullptr) {
       if (cache_->LookupSat(key, &cached_model_)) {
         for (const auto& [v, value] : cached_model_) {
           if (static_cast<size_t>(v) < model.size()) {
@@ -710,9 +1056,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
           hit_failed = true;
           for (const i32 v : slice_vars_) {  // Undo the misapplied sub-model.
             if (static_cast<size_t>(v) < model.size()) {
-              const Interval dom = DomainOf(domains, v);
-              model[v] = std::clamp(static_cast<size_t>(v) < seed.size() ? seed[v] : 0, dom.lo,
-                                    dom.hi);
+              model[v] = seeded(v);
             }
           }
         }
@@ -752,71 +1096,62 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     }
 
     if (keep) {
-      slice_origin_.push_back(SliceOrigin{false, static_cast<u32>(dirty_.num_slices())});
-      dirty_.members.insert(dirty_.members.end(), members.begin(), members.end());
-      dirty_.member_start.push_back(static_cast<u32>(dirty_.members.size()));
-      for (const i32 v : slice_vars_) {
-        dirty_.vars.push_back(v);
-        dirty_.values.push_back(model[v]);
-      }
-      dirty_.var_start.push_back(static_cast<u32>(dirty_.vars.size()));
-      dirty_.inheritable.push_back(inheritable ? 1 : 0);
+      dirty_.push_back(Dirty{head, static_cast<u32>(dirty_members_.size()),
+                             static_cast<u32>(dirty_vars_.size()), inheritable, member_key,
+                             member_check});
+      dirty_members_.insert(dirty_members_.end(), members.begin(), members.end());
+      dirty_vars_.insert(dirty_vars_.end(), slice_vars_.begin(), slice_vars_.end());
     }
   }
+  count_inherited(inherited_total);
+  build_model();
 
   if (keep) {
-    // The solved set's state: every slice in order, sized exactly (states
-    // stay alive in the frontier). Consecutive slices of one source are
-    // copied as one run: most of a state is its base's, in base order.
+    // The solved set's state: the base's maps, with the merged-away
+    // heads erased and every resolved slice written over them.
+    auto core = std::make_shared<SliceState::Core>();
+    if (base != &kEmptyState) {
+      core->parent = base->core;
+      core->vars = from.vars;
+      core->heads = from.heads;
+      core->mapped = from.mapped;
+    }
+    core->max_var = max_var;
+    core->values = model;
+    core->mapped.resize((static_cast<size_t>(max_var) + 64) / 64, 0);
+    Arena* arena = &core->arena;
+    for (const u32 head : absorbed_) {
+      core->heads.Set(head, Entry{nullptr}, arena);
+    }
+    dirty_.push_back(Dirty{0, static_cast<u32>(dirty_members_.size()),
+                           static_cast<u32>(dirty_vars_.size()), false, 0, 0});
+    for (size_t d = 0; d + 1 < dirty_.size(); ++d) {
+      const Dirty& at = dirty_[d];
+      const Dirty& next = dirty_[d + 1];
+      Slice* slice = static_cast<Slice*>(arena->Alloc(sizeof(Slice)));
+      slice->head = at.head;
+      slice->num_members = next.members - at.members;
+      slice->num_vars = next.vars - at.vars;
+      slice->inheritable = at.inheritable;
+      slice->key = at.key;
+      slice->check = at.check;
+      slice->members = arena->Copy(
+          std::span<const u32>(dirty_members_.data() + at.members, slice->num_members));
+      slice->vars =
+          arena->Copy(std::span<const i32>(dirty_vars_.data() + at.vars, slice->num_vars));
+      core->heads.Set(at.head, Entry{slice}, arena);
+      for (u32 k = at.vars; k < next.vars; ++k) {
+        const u32 v = static_cast<u32>(dirty_vars_[k]);
+        core->vars.Set(v, Entry{slice}, arena);
+        core->mapped[v / 64] |= u64{1} << (v % 64);
+      }
+      if (!at.inheritable) {
+        core->uninheritable.push_back(slice);
+      }
+    }
     out->set = constraints;
     out->domains = &domains;
-    out->max_var = max_var;
-    out->var_slice.assign(static_cast<size_t>(max_var + 1), kNone);
-    size_t num_members = 0;
-    size_t num_vars = 0;
-    for (const SliceOrigin& origin : slice_origin_) {
-      const SliceState& from = origin.from_base ? *base : dirty_;
-      num_members += from.member_start[origin.slice + 1] - from.member_start[origin.slice];
-      num_vars += from.var_start[origin.slice + 1] - from.var_start[origin.slice];
-    }
-    out->member_start.reserve(num_slices + 1);
-    out->members.reserve(num_members);
-    out->var_start.reserve(num_slices + 1);
-    out->vars.reserve(num_vars);
-    out->values.reserve(num_vars);
-    out->inheritable.reserve(num_slices);
-    for (size_t i = 0; i < slice_origin_.size();) {
-      const SliceOrigin origin = slice_origin_[i];
-      size_t run = 1;
-      while (i + run < slice_origin_.size() &&
-             slice_origin_[i + run].from_base == origin.from_base &&
-             slice_origin_[i + run].slice == origin.slice + run) {
-        ++run;
-      }
-      const SliceState& from = origin.from_base ? *base : dirty_;
-      const u32 first = origin.slice;
-      const u32 last = first + static_cast<u32>(run);
-      const u32 member_base = static_cast<u32>(out->members.size());
-      const u32 var_base = static_cast<u32>(out->vars.size());
-      out->members.insert(out->members.end(), from.members.begin() + from.member_start[first],
-                          from.members.begin() + from.member_start[last]);
-      out->vars.insert(out->vars.end(), from.vars.begin() + from.var_start[first],
-                       from.vars.begin() + from.var_start[last]);
-      out->values.insert(out->values.end(), from.values.begin() + from.var_start[first],
-                         from.values.begin() + from.var_start[last]);
-      out->inheritable.insert(out->inheritable.end(), from.inheritable.begin() + first,
-                              from.inheritable.begin() + last);
-      for (u32 b = first; b < last; ++b) {
-        const u32 slice = static_cast<u32>(out->num_slices());
-        out->member_start.push_back(member_base + from.member_start[b + 1] -
-                                    from.member_start[first]);
-        out->var_start.push_back(var_base + from.var_start[b + 1] - from.var_start[first]);
-        for (u32 k = from.var_start[b]; k < from.var_start[b + 1]; ++k) {
-          out->var_slice[static_cast<size_t>(from.vars[k])] = slice;
-        }
-      }
-      i += run;
-    }
+    out->core = std::move(core);
   }
 
   result.status = SolveStatus::kSat;

@@ -221,7 +221,7 @@ struct IncrementalStats {
 /// Inheritance rules. A base slice is re-resolved through the cache
 /// instead of inherited when
 ///   - the domain of one of its variables changed (its key changed), or
-///   - it is not `inheritable`: its cache hit failed revalidation (that
+///   - it is not inheritable: its cache hit failed revalidation (that
 ///     path solves from the call's seed, so it must be re-run), or the
 ///     hit's model did not cover exactly the slice's variables (the
 ///     revalidation then depended on the seed), or there was no cache.
@@ -236,6 +236,18 @@ struct IncrementalStats {
 /// Both are sound. An unbounded cache with one writer never forgets or
 /// replaces an entry, so there inheriting is exact.
 ///
+/// Representation. A state is an immutable parent plus a delta: the
+/// slices its own solve created, merged or re-resolved. Two persistent
+/// maps, radix trees that share every node a solve did not write with
+/// the parent's, find the rest: variable -> slice, and head (a slice's
+/// first constraint index) -> slice, which counts the slices before any
+/// head. A dense value array, the solve's model, holds each variable's
+/// validated value. A solve from a base visits only the base slices its
+/// delta touches, merges or re-domains, and counts the inherited ones in
+/// bulk by those ranks; a child's own storage grows with its delta (and
+/// the value array with the variables), not with the depth of the set,
+/// and the parent lives as long as any child.
+///
 /// **Ownership:** it borrows the constraints and the domains vector the
 /// solve that filled it was given (`set`, `domains`): keep both alive
 /// and unchanged while the state serves as a base. `set_owner` and
@@ -244,11 +256,9 @@ struct IncrementalStats {
 /// such as the trace of the run the model produced, which starts with
 /// the solved set. The replay engine does that when it hands the state
 /// to that run's pendings, which share it; it is freed with the last of
-/// them.
+/// them. A child solve does not pin the parent's set or domains.
 struct SliceState {
-  static constexpr u32 kNone = ~0u;
-
-  size_t num_slices() const { return member_start.size() - 1; }
+  size_t num_slices() const;
   /// True when `other` starts with this state's constraints, by ExprRef
   /// and polarity.
   bool Prefixes(ConstraintSpan other) const;
@@ -260,25 +270,20 @@ struct SliceState {
   /// storage are a pointer compare.
   bool Rebase(std::shared_ptr<const std::vector<Constraint>> trace,
               std::shared_ptr<const std::vector<Interval>> trace_domains);
-  /// Back to the empty state (the depth-0 base), keeping capacity.
+  /// Back to the empty state (the depth-0 base).
   void Clear();
+  /// Bytes this state's own solve wrote: its slices and map nodes.
+  size_t own_bytes() const;
 
   ConstraintSpan set;                             // The solved set.
   const std::vector<Interval>* domains = nullptr;  // The domains it was solved under.
   std::shared_ptr<const void> set_owner;
   std::shared_ptr<const void> domains_owner;
-  i32 max_var = -1;
-  std::vector<u32> var_slice;  // Var id -> slice (kNone: not mentioned).
-  // Slices in first-appearance order. Slice s owns constraint indices
-  // members[member_start[s], member_start[s+1]) in trace order, and
-  // vars/values[var_start[s], var_start[s+1]): its variables ascending
-  // and the value each has in the validated sub-model.
-  std::vector<u32> member_start{0};
-  std::vector<u32> members;
-  std::vector<u32> var_start{0};
-  std::vector<i32> vars;
-  std::vector<i64> values;
-  std::vector<u8> inheritable;  // Per slice.
+
+ private:
+  friend class IncrementalSolver;
+  struct Core;
+  std::shared_ptr<const Core> core;
 };
 
 /// \brief Per-worker solving facade over the shared slice caches.
@@ -337,28 +342,39 @@ class IncrementalSolver {
   // Per-Solve scratch, reset by every call and never shrunk, so a warm
   // solver partitions without allocating. var_owner_ stays all-kNone
   // between calls: each call clears the entries it set, via
-  // owner_touched_, right after the union pass. Nodes are the base's
-  // slices followed by the delta constraints.
+  // owner_touched_, right after the union pass. Nodes are the delta
+  // constraints followed by the base slices the call touches.
   std::vector<u32> parent_;         // Union-find over nodes.
   std::vector<u32> var_owner_;      // Var id -> first delta node naming it.
   std::vector<i32> owner_touched_;  // Var ids whose owner this call set.
-  std::vector<u32> root_slice_;     // Union-find root -> slice id.
-  std::vector<u32> node_slice_;     // Node -> slice id (kNone: constant).
-  std::vector<u32> slice_start_;    // CSR: slice s is nodes [start[s], start[s+1]).
-  std::vector<u32> slice_fill_;
-  std::vector<u32> slice_nodes_;    // Nodes, slice by slice.
+  std::vector<const void*> touched_;                   // Touched base slices, by node.
+  std::unordered_map<const void*, u32> touched_node_;  // And back.
+  std::vector<u32> node_group_;     // Node -> group (kNone: constant).
+  std::vector<u32> root_group_;     // Union-find root -> group.
+  std::vector<u32> group_start_;    // CSR: group g is nodes [start[g], start[g+1]).
+  std::vector<u32> group_fill_;
+  std::vector<u32> group_nodes_;
+  std::vector<u32> group_head_;     // Group -> its first constraint index.
+  std::vector<u32> order_;          // Groups by head: the slices to resolve.
+  std::vector<u32> absorbed_;       // Heads of base slices merged into another, ascending.
   std::vector<u32> slice_members_;  // One resolved slice's constraint indices.
   std::vector<Constraint> slice_constraints_;
   std::vector<i32> slice_vars_;
   SliceCache::SliceModel cached_model_;  // A SAT hit's sub-model; reuses its capacity.
-  // Building the `out` state: where each slice comes from, and the
-  // slices resolved through the caches in this call.
-  struct SliceOrigin {
-    bool from_base = false;
-    u32 slice = 0;  // Index into the base, or into dirty_.
+  // The slices resolved in this call, for the `out` state: each one's
+  // head, where its members and variables start in the flat vectors,
+  // whether it is inheritable, and the hashes of its constraints.
+  struct Dirty {
+    u32 head = 0;
+    u32 members = 0;
+    u32 vars = 0;
+    bool inheritable = false;
+    u64 key = 0;
+    u64 check = 0;
   };
-  std::vector<SliceOrigin> slice_origin_;
-  SliceState dirty_;
+  std::vector<Dirty> dirty_;
+  std::vector<u32> dirty_members_;
+  std::vector<i32> dirty_vars_;
 };
 
 }  // namespace retrace

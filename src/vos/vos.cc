@@ -103,18 +103,40 @@ std::vector<std::vector<i32>> CellLayout::ArgvCells(const InputSpec& spec) const
 // ----- CellStore -------------------------------------------------------------
 
 CellStore::CellStore(const CellLayout& layout, std::vector<i64> model)
-    : model_(std::move(model)) {
-  values_ = layout.defaults();
-  domains_ = layout.domains();
-  info_ = layout.info();
-  num_static_ = layout.num_static();
+    : layout_(&layout),
+      values_(layout.defaults()),
+      domains_(layout.domains()),
+      info_(layout.info()),
+      model_(std::move(model)),
+      num_static_(layout.num_static()) {
   for (size_t i = 0; i < values_.size() && i < model_.size(); ++i) {
     values_[i] = std::clamp(model_[i], domains_[i].lo, domains_[i].hi);
   }
 }
 
+void CellStore::Reset(const std::vector<i64>& model) {
+  // The static cells, with room for the dynamic ones.
+  const size_t size = static_cast<size_t>(num_static_) + dynamic_hint_;
+  auto refill = [size](auto& cells, const auto& layout) {
+    cells.clear();
+    cells.reserve(size);
+    cells.insert(cells.end(), layout.begin(), layout.end());
+  };
+  refill(values_, layout_->defaults());
+  refill(domains_, layout_->domains());
+  refill(info_, layout_->info());
+  dynamic_trace_.clear();
+  dynamic_trace_.reserve(dynamic_hint_);
+  model_.assign(model.begin(), model.end());
+  for (size_t i = 0; i < values_.size() && i < model_.size(); ++i) {
+    values_[i] = std::clamp(model_[i], domains_[i].lo, domains_[i].hi);
+  }
+  occurrence_ = {};
+}
+
 void CellStore::MoveInto(std::vector<i64>* values, std::vector<Interval>* domains,
                          std::vector<CellInfo>* info, std::vector<DynRecord>* dynamic_trace) {
+  dynamic_hint_ = values_.size() - static_cast<size_t>(num_static_);
   *values = std::move(values_);
   *domains = std::move(domains_);
   *info = std::move(info_);
@@ -163,7 +185,18 @@ void CellStore::RestoreDynamic(const Dynamic& from) {
 
 VirtualOs::VirtualOs(const WorldShape& shape, CellStore* cells, const CellLayout* layout)
     : shape_(shape), cells_(cells), layout_(layout) {
-  fds_.resize(4);
+  Reset();
+}
+
+void VirtualOs::Reset() {
+  log_diverged_ = false;
+  log_cursor_ = 0;
+  next_conn_ = 0;
+  open_conns_ = 0;
+  stdout_.clear();
+  fd_output_.clear();
+  last_read_ = CellRange{};
+  fds_.assign(4, FdEntry{});
   fds_[0] = FdEntry{FdEntry::Type::kStdin, shape_.stdin_stream, 0};
   fds_[1] = FdEntry{FdEntry::Type::kStdout, -1, 0};
   fds_[2] = FdEntry{FdEntry::Type::kStdout, -1, 0};

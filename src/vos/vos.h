@@ -140,6 +140,11 @@ class CellStore {
  public:
   CellStore(const CellLayout& layout, std::vector<i64> model);
 
+  // Back to the state the constructor leaves, for another run over the
+  // same layout. Storage the last run's MoveInto took is allocated again
+  // at once for as many dynamic cells as that run made.
+  void Reset(const std::vector<i64>& model);
+
   void set_policy(NondetPolicy* policy) { policy_ = policy; }
 
   struct DynRecord {
@@ -162,7 +167,7 @@ class CellStore {
   i32 AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* value_out);
 
   void SaveDynamic(Dynamic* out) const;
-  // Moves the run's cells out; the store is spent afterwards.
+  // Moves the run's cells out; the store is spent until Reset.
   void MoveInto(std::vector<i64>* values, std::vector<Interval>* domains,
                 std::vector<CellInfo>* info, std::vector<DynRecord>* dynamic_trace);
   // Replaces the dynamic cells; static cells keep their values.
@@ -176,6 +181,7 @@ class CellStore {
   const std::vector<DynRecord>& dynamic_trace() const { return dynamic_trace_; }
 
  private:
+  const CellLayout* layout_;
   std::vector<i64> values_;
   std::vector<Interval> domains_;
   std::vector<CellInfo> info_;
@@ -184,6 +190,7 @@ class CellStore {
   NondetPolicy* policy_ = nullptr;
   std::array<int, kNumBuiltins> occurrence_{};  // Per Builtin.
   std::vector<DynRecord> dynamic_trace_;
+  size_t dynamic_hint_ = 0;  // Dynamic cells the last run made.
 };
 
 // ----- Syscall log -----------------------------------------------------------
@@ -230,6 +237,10 @@ class VirtualOs : public SyscallHandler {
   };
 
   VirtualOs(const WorldShape& shape, CellStore* cells, const CellLayout* layout);
+
+  // Back to the state the constructor leaves, for another run, keeping
+  // the storage. The replay log and the symbolic-results switch stay.
+  void Reset();
 
   // Pins syscall results from a shipped log. On the first divergence
   // (different call order than the log), falls back to symbolic cells.

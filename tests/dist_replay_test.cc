@@ -512,7 +512,6 @@ int main(int argc, char **argv) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   ReplayConfig shard_cfg;
   shard_cfg.num_workers = 1;
-  shard_cfg.solve_batch = 2;  // Leave most of the frontier in the queue.
   // Bound the shard's life, but generously: the donor must still be
   // mid-search when the work request arrives ~50ms in.
   shard_cfg.max_runs = 40;

@@ -309,6 +309,25 @@ std::vector<HostileCase> HostilePayloads() {
     job->config.corpus_seeds.assign(2000, std::vector<i64>{});
   }));
   {
+    // A v12 job config: the solve_batch field between the slice-cache
+    // capacity and the gossip interval. Splice it back into the current
+    // encoding, found by the sample values around it.
+    const WireJob job = MakeJob();
+    std::vector<u8> payload = Encode(EncodeJobBegin, Begin(3, job));
+    WireWriter around;
+    around.U64(job.config.slice_cache_capacity);
+    around.I32(job.config.gossip_interval_ms);
+    const auto at = std::search(payload.begin(), payload.end(), around.buf().begin(),
+                                around.buf().end());
+    EXPECT_NE(at, payload.end());
+    if (at != payload.end()) {
+      WireWriter batch;
+      batch.U32(5);
+      payload.insert(at + 8, batch.buf().begin(), batch.buf().end());
+    }
+    cases.push_back({"job_config_v12_solve_batch", payload, DecoderOf(DecodeJobBegin)});
+  }
+  {
     // One absurd corpus model (memory bomb) with a plausible seed count:
     // find the encoded cell count (u32 1, then the lone i64 cell 7) and
     // inflate it past the per-seed cap.

@@ -140,7 +140,6 @@ inline WireJob MakeJob() {
   c.num_workers = 3;
   c.solver_cache = false;
   c.slice_cache_capacity = 99;
-  c.solve_batch = 5;
   c.gossip_interval_ms = 7;
   c.heartbeat_interval_ms = 250;
   c.heartbeat_timeout_ms = 30'000;
@@ -404,7 +403,6 @@ inline void ExpectSame(const WireJob& want, const WireJob& got, const std::strin
   RETRACE_EXPECT_FIELD(config.num_workers);
   RETRACE_EXPECT_FIELD(config.solver_cache);
   RETRACE_EXPECT_FIELD(config.slice_cache_capacity);
-  RETRACE_EXPECT_FIELD(config.solve_batch);
   RETRACE_EXPECT_FIELD(config.gossip_interval_ms);
   RETRACE_EXPECT_FIELD(config.heartbeat_interval_ms);
   RETRACE_EXPECT_FIELD(config.heartbeat_timeout_ms);

@@ -231,6 +231,31 @@ struct ChainStats {
   IncrementalStats total;
 };
 
+// Solves `set` twice: on the delta side from `base` (null: depth 0) into
+// `out`, and on the depth-0 side. Both must agree on the result and the
+// counters and leave the same cache contents. Returns the delta side's
+// result, and its counters for the call in `stats`.
+SolveResult ExpectSameSolve(Twin* twin, ConstraintSpan set, const std::vector<Interval>& domains,
+                            const std::vector<i64>& seed, const SliceState* base,
+                            SliceState* out, const std::string& where, IncrementalStats* stats) {
+  const IncrementalStats delta_before = twin->delta_solver.stats();
+  const IncrementalStats depth0_before = twin->depth0_solver.stats();
+  SolveResult got = twin->delta_solver.Solve(set, domains, seed, base, out);
+  const SolveResult want = twin->depth0_solver.Solve(set, domains, seed);
+  EXPECT_EQ(got.status, want.status) << where;
+  EXPECT_EQ(got.model, want.model) << where;
+  EXPECT_EQ(got.steps, want.steps) << where;
+  *stats = Minus(twin->delta_solver.stats(), delta_before);
+  const IncrementalStats want_delta = Minus(twin->depth0_solver.stats(), depth0_before);
+  EXPECT_EQ(stats->slices_total, want_delta.slices_total) << where;
+  EXPECT_EQ(stats->slices_solved, want_delta.slices_solved) << where;
+  EXPECT_EQ(stats->slice_sat_hits, want_delta.slice_sat_hits) << where;
+  EXPECT_EQ(stats->slice_unsat_hits, want_delta.slice_unsat_hits) << where;
+  EXPECT_EQ(want_delta.slices_inherited, 0u) << where;
+  ExpectSameCaches(&twin->delta_cache, &twin->depth0_cache, where);
+  return got;
+}
+
 // Solves `chain[0]` at depth 0, then every later problem twice: from the
 // state of the last SAT problem before it, and at depth 0. Both sides
 // must agree on every call and leave the same cache contents. A state
@@ -251,23 +276,9 @@ ChainStats ExpectChainMatchesDepth0(const ExprArena& arena, const std::vector<Pr
   for (size_t i = 0; i < chain.size(); ++i) {
     const std::string where = "call " + std::to_string(i);
     const ConstraintSpan span(sets[i]->data(), sets[i]->size(), chain[i].negate_last);
-    const IncrementalStats delta_before = twin.delta_solver.stats();
-    const IncrementalStats depth0_before = twin.depth0_solver.stats();
     SliceState next;
-    const SolveResult got = twin.delta_solver.Solve(span, *domains[i], chain[i].seed,
-                                                    i == 0 ? nullptr : &state, &next);
-    const SolveResult want = twin.depth0_solver.Solve(span, *domains[i], chain[i].seed);
-    EXPECT_EQ(got.status, want.status) << where;
-    EXPECT_EQ(got.model, want.model) << where;
-    EXPECT_EQ(got.steps, want.steps) << where;
-    last = Minus(twin.delta_solver.stats(), delta_before);
-    const IncrementalStats want_delta = Minus(twin.depth0_solver.stats(), depth0_before);
-    EXPECT_EQ(last.slices_total, want_delta.slices_total) << where;
-    EXPECT_EQ(last.slices_solved, want_delta.slices_solved) << where;
-    EXPECT_EQ(last.slice_sat_hits, want_delta.slice_sat_hits) << where;
-    EXPECT_EQ(last.slice_unsat_hits, want_delta.slice_unsat_hits) << where;
-    EXPECT_EQ(want_delta.slices_inherited, 0u) << where;
-    ExpectSameCaches(&twin.delta_cache, &twin.depth0_cache, where);
+    const SolveResult got = ExpectSameSolve(&twin, span, *domains[i], chain[i].seed,
+                                            i == 0 ? nullptr : &state, &next, where, &last);
     if (got.status == SolveStatus::kSat) {
       state = std::move(next);
       // As the engine does, borrow the set from the next problem's own
@@ -474,6 +485,107 @@ TEST(DeltaSolveTest, RandomChainsMatchDepthZero) {
     inherited += ExpectChainMatchesDepth0(b.arena, chain).total.slices_inherited;
   }
   EXPECT_GT(inherited, 0u);
+}
+
+// A 1,000-deep chain with sibling fan-out, as a long depth-first search
+// makes it: each parent's run records a few constraints past its solved
+// set, and its pendings flip one of them each (three siblings) or keep
+// them all (the forced set, which the parent's model satisfies). Every
+// pending is solved from the parent's state and at depth 0, and both
+// must agree on every call. A child's own storage must not grow with
+// the depth of its set, and a state must stay sound after the handles of
+// all its ancestors are gone.
+TEST(DeltaSolveTest, ThousandDeepChainWithSiblingsMatchesDepthZero) {
+  Builder b;
+  Rng rng(0xdee9);
+  constexpr int kDepth = 1000;
+  constexpr int kSiblings = 3;
+  constexpr i32 kVars = 40;
+  const auto domains = std::make_shared<const std::vector<Interval>>(kVars, Interval{0, 255});
+  Twin twin(b.arena, {});
+  auto parent_trace = std::make_shared<const std::vector<Constraint>>();
+  SliceState parent;  // Empty: the root's pendings have nothing to inherit.
+  std::vector<i64> parent_model(kVars, 0);
+  std::vector<SliceState> ancestors;
+  std::vector<size_t> own_bytes;  // Of each level's parent.
+  u64 inherited = 0;
+  u64 merged = 0;
+  for (int level = 0; level < kDepth; ++level) {
+    // The parent's run: its solved set, then the branches it took, on
+    // single cells and on fixed cell pairs (which merge their slices).
+    auto trace = std::make_shared<std::vector<Constraint>>(*parent_trace);
+    const size_t added = 2 + rng.NextBelow(3);
+    for (size_t k = 0; k < added; ++k) {
+      const i32 v = static_cast<i32>(rng.NextBelow(kVars));
+      Constraint c;
+      switch (rng.NextBelow(4)) {
+        case 0: c = b.SumLt(v & ~1, v | 1, rng.NextInRange(60, 450)); break;
+        case 1: c = b.Eq(v, rng.NextInRange(0, 255)); break;
+        default: c = b.Gt(v, rng.NextInRange(0, 250)); break;
+      }
+      c.want_true = b.arena.Eval(c.expr, parent_model) != 0;
+      trace->push_back(c);
+    }
+    ASSERT_TRUE(parent.Rebase(trace, domains)) << "level " << level;
+    // Its pendings, the forced set last.
+    SliceState next;
+    std::shared_ptr<std::vector<Constraint>> next_trace;
+    std::vector<i64> next_model;
+    for (int sibling = 0; sibling <= kSiblings; ++sibling) {
+      const bool forced = sibling == kSiblings;
+      const size_t len = forced ? trace->size() : parent_trace->size() + 1 + rng.NextBelow(added);
+      const ConstraintSpan set(trace->data(), len, /*negate_last=*/!forced);
+      const std::string where =
+          "level " + std::to_string(level) + " pending " + std::to_string(sibling);
+      SliceState child;
+      IncrementalStats stats;
+      const SolveResult got =
+          ExpectSameSolve(&twin, set, *domains, parent_model, &parent, &child, where, &stats);
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+      EXPECT_EQ(stats.solves_from_base, 1u) << where;
+      inherited += stats.slices_inherited;
+      if (got.status == SolveStatus::kSat && next_trace == nullptr) {
+        next = std::move(child);
+        next.set_owner = trace;  // Until Rebase moves the borrow to the child's run.
+        next_trace = std::make_shared<std::vector<Constraint>>(trace->begin(),
+                                                               trace->begin() + len);
+        if (!forced) {
+          next_trace->back().want_true = !next_trace->back().want_true;
+        }
+        next_model = got.model;
+      }
+    }
+    ASSERT_NE(next_trace, nullptr) << "level " << level << ": the forced set is SAT";
+    merged += next.num_slices() < parent.num_slices() ? 1 : 0;
+    own_bytes.push_back(next.own_bytes());
+    // The chain goes on from the child; drop every ancestor's handle now
+    // and then, so the states below live on through their children only.
+    ancestors.push_back(std::move(parent));
+    if (level % 97 == 0) {
+      ancestors.clear();
+    }
+    parent = std::move(next);
+    parent_trace = std::move(next_trace);
+    parent_model = std::move(next_model);
+  }
+  EXPECT_GT(inherited, 0u);
+  EXPECT_GT(merged, 0u);
+  // The set grows ~6x from levels 100-199 to 900-999. A child's own
+  // storage holds the slices it resolved, each with its constraint
+  // indices, the map nodes it wrote and its value array: it grows only
+  // as the re-resolved slices do, and stays well under one index per
+  // constraint of the set, which a full copy would hold.
+  auto mean = [&](size_t from, size_t to) {
+    size_t sum = 0;
+    for (size_t i = from; i < to; ++i) {
+      sum += own_bytes[i];
+    }
+    return sum / (to - from);
+  };
+  EXPECT_LT(mean(900, 1000), 3 * mean(100, 200));
+  EXPECT_LT(parent.own_bytes(), parent_trace->size() * sizeof(u32) / 2);
 }
 
 }  // namespace

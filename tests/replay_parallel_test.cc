@@ -191,7 +191,6 @@ TEST(ReplayParallelTest, ResidentAndPortableFrontiersSearchAlike) {
 
     ReplayConfig config;
     config.seed = 5;
-    config.solve_batch = 1;
     const ReplayResult resident = pipeline->Reproduce(user.report, *plan, config).take();
     ASSERT_TRUE(resident.reproduced);
 
@@ -243,7 +242,6 @@ TEST(ReplayParallelTest, PortableSearchSkipsRepeatedSeedPending) {
 
   ReplayConfig config;
   config.pick = ReplayConfig::Pick::kFifo;
-  config.solve_batch = 1;
   config.max_runs = 3;  // The initial run, the first copy, one more.
   ShardContext ctx;
   ctx.seed_frontier = {scouted.back(), scouted.back()};
@@ -322,6 +320,10 @@ TEST(ReplayParallelTest, TwoWorkerPendingsInheritSlicesAndResumeAtFlip) {
   // runs' pendings and the few pendings that went through the pool
   // (imported: depth 0) solve from scratch.
   EXPECT_GE(s.solves_from_base, s.solver_calls * 9 / 10);
+  // Exactly those: the root sets, and the pendings one worker received
+  // from the other. A donation that returns to its donor stays resident
+  // and extends its base.
+  EXPECT_EQ(s.solver_calls - s.solves_from_base, kRootSets + s.steals);
   // Every run but the two initial ones resumed at a branch checkpoint.
   EXPECT_EQ(s.resumed_runs + 2, s.runs);
   EXPECT_EQ(s.resumed_at_branch, s.resumed_runs);

@@ -78,7 +78,33 @@ class ResumeAudit {
   void Check(const std::vector<i64>& model, size_t start_depth) {
     ReplayRunner fresh(Lc().pipeline->module(), plan_, report_, &arena_, &main_failures_,
                        LimitsFor(report_, &main_budget_, use_syscall_log_));
+    // The reference: ResumeRule offered every checkpoint of the resuming
+    // runner's stack from the shallowest up, as long as the budget could
+    // have paid for it.
+    ResumeRule rule(resuming_.layout(), arena_, model);
+    size_t depth = 0;
+    while (depth < resuming_.depth() &&
+           resumed_budget_.Affords(resuming_.checkpoint(depth).exec.budget_steps())) {
+      ++linear_admits;
+      if (!rule.Admit(resuming_.checkpoint(depth))) {
+        break;
+      }
+      ++depth;
+    }
+    const i64 linear_resumed_at =
+        depth > 0 ? static_cast<i64>(resuming_.checkpoint(depth - 1).exec.stats.instrs) : -1;
+    const u64 hits_before = resuming_.signature_hits();
+    const u64 checks_before = resuming_.exact_checks();
     const ReplayRun resumed = resuming_.Run(model, start_depth);
+    const u64 run_hits = resuming_.signature_hits() - hits_before;
+    const u64 run_checks = resuming_.exact_checks() - checks_before;
+    exact_checks += run_checks;
+    if ((resumed.resumed_at != linear_resumed_at || run_checks > 2 + run_hits) &&
+        admission_mismatches++ == 0) {
+      ADD_FAILURE() << "run " << runs + 1 << " resumed at instr " << resumed.resumed_at
+                    << " after " << run_checks << " exact checks (" << run_hits
+                    << " signature hits); the linear walk resumes at " << linear_resumed_at;
+    }
     const ReplayRun main = fresh.Run(model, start_depth);
     ++runs;
     EXPECT_EQ(main.resumed_at, -1);
@@ -113,6 +139,12 @@ class ResumeAudit {
   u64 resumed_at_branch = 0;
   u64 instrs_before_flip = 0;
   u64 mismatches = 0;
+  // Admission by summary against the linear walk: runs that resumed
+  // elsewhere or made more exact checks than 2 plus their signature
+  // hits, and the ResumeRule::Admit calls of either.
+  u64 admission_mismatches = 0;
+  u64 exact_checks = 0;
+  u64 linear_admits = 0;
   std::vector<i64> witness_cells;  // Of the last reproducing run.
   bool witness_resumed = false;
 
@@ -170,6 +202,10 @@ TEST(ReplayResumeTest, SentinelSearchRunsMatchRunsFromMain) {
     EXPECT_GT(result.stats.resumed_at_branch, sentinel.runs / 2);
     EXPECT_GT(result.stats.instrs_skipped, 0u);
     EXPECT_EQ(result.stats.instrs_before_flip, sentinel.instrs_before_flip);
+    // Every run resumed where the linear walk does, and offered the rule
+    // far fewer checkpoints.
+    EXPECT_EQ(audit.admission_mismatches, 0u);
+    EXPECT_LT(audit.exact_checks * 4, audit.linear_admits);
 
     // Verification re-executes from main, and a witness found by a
     // resumed run passes it.
@@ -384,6 +420,8 @@ TEST(ReplayResumeTest, AdaptiveExperimentFiveRoundsMatchRunsFromMain) {
   EXPECT_EQ(round1.runs, 456u);
   EXPECT_EQ(round0.mismatches, 0u);
   EXPECT_EQ(round1.mismatches, 0u);
+  EXPECT_EQ(round0.admission_mismatches, 0u);
+  EXPECT_EQ(round1.admission_mismatches, 0u);
   EXPECT_EQ(round1.resumed_at_branch, audited.final_result.stats.resumed_at_branch);
   EXPECT_EQ(round1.instrs_before_flip, audited.final_result.stats.instrs_before_flip);
   // Round 0 starts every run at its flipped or forced branch.
