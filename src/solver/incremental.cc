@@ -629,10 +629,6 @@ struct SliceState::Core {
   PersistentMap vars;   // Variable -> its slice.
   PersistentMap heads;  // First constraint index -> its slice.
   i32 max_var = -1;
-  // The solve's model, and which of its variables a live slice mentions:
-  // each of those holds its slice's validated value.
-  std::vector<i64> values;
-  std::vector<u64> mapped;
   std::vector<const Slice*> uninheritable;  // Live slices a solve re-resolves.
 };
 
@@ -647,8 +643,8 @@ size_t SliceState::num_slices() const { return core != nullptr ? core->heads.siz
 
 size_t SliceState::own_bytes() const {
   return core != nullptr ? core->arena.used() + core->uninheritable.capacity() * sizeof(void*) +
-                               core->values.capacity() * sizeof(i64) +
-                               core->mapped.capacity() * sizeof(u64)
+                               values.capacity() * sizeof(i64) +
+                               mapped.capacity() * sizeof(u64)
                          : 0;
 }
 
@@ -690,6 +686,8 @@ void SliceState::Clear() {
   set_owner.reset();
   domains_owner.reset();
   core.reset();
+  values.clear();
+  mapped.clear();
 }
 
 SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
@@ -903,10 +901,10 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     for (size_t i = clamped; i < model.size(); ++i) {
       model[i] = seeded(static_cast<i32>(i));
     }
-    for (size_t word = 0; word < from.mapped.size(); ++word) {
-      for (u64 bits = from.mapped[word]; bits != 0; bits &= bits - 1) {
+    for (size_t word = 0; word < base->mapped.size(); ++word) {
+      for (u64 bits = base->mapped[word]; bits != 0; bits &= bits - 1) {
         const size_t v = word * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        model[v] = from.values[v];
+        model[v] = base->values[v];
       }
     }
   };
@@ -1114,11 +1112,11 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       core->parent = base->core;
       core->vars = from.vars;
       core->heads = from.heads;
-      core->mapped = from.mapped;
+      out->mapped = base->mapped;
     }
     core->max_var = max_var;
-    core->values = model;
-    core->mapped.resize((static_cast<size_t>(max_var) + 64) / 64, 0);
+    out->values = model;
+    out->mapped.resize((static_cast<size_t>(max_var) + 64) / 64, 0);
     Arena* arena = &core->arena;
     for (const u32 head : absorbed_) {
       core->heads.Set(head, Entry{nullptr}, arena);
@@ -1143,7 +1141,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       for (u32 k = at.vars; k < next.vars; ++k) {
         const u32 v = static_cast<u32>(dirty_vars_[k]);
         core->vars.Set(v, Entry{slice}, arena);
-        core->mapped[v / 64] |= u64{1} << (v % 64);
+        out->mapped[v / 64] |= u64{1} << (v % 64);
       }
       if (!at.inheritable) {
         core->uninheritable.push_back(slice);

@@ -242,7 +242,7 @@ struct IncrementalStats {
 /// the parent's, find the rest: variable -> slice, and head (a slice's
 /// first constraint index) -> slice, which counts the slices before any
 /// head. A dense value array, the solve's model, holds each variable's
-/// validated value. A solve from a base visits only the base slices its
+/// validated value; unlike the core, it dies with the state's handle. A solve from a base visits only the base slices its
 /// delta touches, merges or re-domains, and counts the inherited ones in
 /// bulk by those ranks; a child's own storage grows with its delta (and
 /// the value array with the variables), not with the depth of the set,
@@ -284,6 +284,12 @@ struct SliceState {
   friend class IncrementalSolver;
   struct Core;
   std::shared_ptr<const Core> core;
+  // The solve's model, and which of its variables a live slice mentions:
+  // each of those holds its slice's validated value. Only solves from
+  // this state read them, so they live here, not in the core a child
+  // keeps alive.
+  std::vector<i64> values;
+  std::vector<u64> mapped;
 };
 
 /// \brief Per-worker solving facade over the shared slice caches.
