@@ -548,8 +548,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       if (donated.size() >= 64) {
         donated.clear();
       }
-      donated.insert_or_assign(DonationKey{portable.trace.get(), portable.len, portable.negate_last},
-                               Donated{portable.trace, std::move(resident)});
+      const DonationKey key{portable.trace.get(), portable.len, portable.negate_last};
+      donated.insert_or_assign(key, Donated{portable.trace, std::move(resident)});
       return portable;
     };
 
@@ -567,7 +567,8 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     auto import_pending = [&](PooledPending pooled) {
       PortablePending& pending = pooled.pending;
       if (pooled.donor == wid) {
-        auto own = donated.find(DonationKey{pending.trace.get(), pending.len, pending.negate_last});
+        const auto own =
+            donated.find(DonationKey{pending.trace.get(), pending.len, pending.negate_last});
         if (own != donated.end()) {
           ResidentPending resident = std::move(own->second.resident);
           donated.erase(own);

@@ -265,8 +265,8 @@ struct ReplayWorkerStats {
   // Delta solving (src/solver/incremental.h): slices taken over from the
   // parent solve's state (also counted in slice_sat_hits), and solves
   // that started from such a state. A pending that arrived in portable
-  // form (a seed, an import, a donation) solves from depth 0; its run's
-  // pendings inherit again.
+  // form (a seed, an import, another worker's donation) solves from
+  // depth 0; its run's pendings inherit again.
   u64 slices_inherited = 0;
   u64 solves_from_base = 0;
 };

@@ -173,8 +173,9 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   Sync();
   size_t depth = depth_;
   if (limits_.budget != nullptr) {
+    const auto end = entries_.begin() + static_cast<std::ptrdiff_t>(depth_);
     depth = static_cast<size_t>(
-        std::partition_point(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(depth_),
+        std::partition_point(entries_.begin(), end,
                              [&](const Entry& e) {
                                return limits_.budget->Affords(e.run.exec.budget_steps());
                              }) -

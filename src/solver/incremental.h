@@ -242,11 +242,12 @@ struct IncrementalStats {
 /// the parent's, find the rest: variable -> slice, and head (a slice's
 /// first constraint index) -> slice, which counts the slices before any
 /// head. A dense value array, the solve's model, holds each variable's
-/// validated value; unlike the core, it dies with the state's handle. A solve from a base visits only the base slices its
-/// delta touches, merges or re-domains, and counts the inherited ones in
-/// bulk by those ranks; a child's own storage grows with its delta (and
-/// the value array with the variables), not with the depth of the set,
-/// and the parent lives as long as any child.
+/// validated value; unlike the core, it dies with the state's handle. A
+/// solve from a base visits only the base slices its delta touches,
+/// merges or re-domains, and counts the inherited ones in bulk by those
+/// ranks; a child's own storage grows with its delta (and the value
+/// array with the variables), not with the depth of the set, and the
+/// parent's core lives as long as any child.
 ///
 /// **Ownership:** it borrows the constraints and the domains vector the
 /// solve that filled it was given (`set`, `domains`): keep both alive
