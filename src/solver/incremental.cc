@@ -901,10 +901,10 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     for (size_t i = clamped; i < model.size(); ++i) {
       model[i] = seeded(static_cast<i32>(i));
     }
+    const i64* value = base->values.data();
     for (size_t word = 0; word < base->mapped.size(); ++word) {
       for (u64 bits = base->mapped[word]; bits != 0; bits &= bits - 1) {
-        const size_t v = word * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        model[v] = base->values[v];
+        model[word * 64 + static_cast<size_t>(__builtin_ctzll(bits))] = *value++;
       }
     }
   };
@@ -1115,7 +1115,6 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       out->mapped = base->mapped;
     }
     core->max_var = max_var;
-    out->values = model;
     out->mapped.resize((static_cast<size_t>(max_var) + 64) / 64, 0);
     Arena* arena = &core->arena;
     for (const u32 head : absorbed_) {
@@ -1145,6 +1144,16 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       }
       if (!at.inheritable) {
         core->uninheritable.push_back(slice);
+      }
+    }
+    size_t mapped = 0;
+    for (const u64 word : out->mapped) {
+      mapped += static_cast<size_t>(__builtin_popcountll(word));
+    }
+    out->values.reserve(mapped);
+    for (size_t word = 0; word < out->mapped.size(); ++word) {
+      for (u64 bits = out->mapped[word]; bits != 0; bits &= bits - 1) {
+        out->values.push_back(model[word * 64 + static_cast<size_t>(__builtin_ctzll(bits))]);
       }
     }
     out->set = constraints;

@@ -241,8 +241,9 @@ struct IncrementalStats {
 /// maps, radix trees that share every node a solve did not write with
 /// the parent's, find the rest: variable -> slice, and head (a slice's
 /// first constraint index) -> slice, which counts the slices before any
-/// head. A dense value array, the solve's model, holds each variable's
-/// validated value; unlike the core, it dies with the state's handle. A
+/// head. A dense value array holds the validated value of every variable
+/// a live slice mentions; unlike the core, it dies with the state's
+/// handle. A
 /// solve from a base visits only the base slices its delta touches,
 /// merges or re-domains, and counts the inherited ones in bulk by those
 /// ranks; a child's own storage grows with its delta (and the value
@@ -285,10 +286,9 @@ struct SliceState {
   friend class IncrementalSolver;
   struct Core;
   std::shared_ptr<const Core> core;
-  // The solve's model, and which of its variables a live slice mentions:
-  // each of those holds its slice's validated value. Only solves from
-  // this state read them, so they live here, not in the core a child
-  // keeps alive.
+  // Which variables a live slice mentions, and the validated value of
+  // each, in variable order. Only solves from this state read them, so
+  // they live here, not in the core a child keeps alive.
   std::vector<i64> values;
   std::vector<u64> mapped;
 };
