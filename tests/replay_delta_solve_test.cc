@@ -492,16 +492,18 @@ TEST(DeltaSolveTest, RandomChainsMatchDepthZero) {
 // set, and its pendings flip one of them each (three siblings) or keep
 // them all (the forced set, which the parent's model satisfies). Every
 // pending is solved from the parent's state and at depth 0, and both
-// must agree on every call. A child's own storage must not grow with
-// the depth of its set, and a state must stay sound after the handles of
-// all its ancestors are gone.
+// must agree on every call. Every 8th run narrows one cell's domain (to
+// a range that keeps the parent's value), so the slices over that cell
+// are re-resolved under a new key. A child's own storage must not grow
+// with the depth of its set, and a state must stay sound after the
+// handles of all its ancestors are gone.
 TEST(DeltaSolveTest, ThousandDeepChainWithSiblingsMatchesDepthZero) {
   Builder b;
   Rng rng(0xdee9);
   constexpr int kDepth = 1000;
   constexpr int kSiblings = 3;
   constexpr i32 kVars = 40;
-  const auto domains = std::make_shared<const std::vector<Interval>>(kVars, Interval{0, 255});
+  auto domains = std::make_shared<const std::vector<Interval>>(kVars, Interval{0, 255});
   Twin twin(b.arena, {});
   auto parent_trace = std::make_shared<const std::vector<Constraint>>();
   SliceState parent;  // Empty: the root's pendings have nothing to inherit.
@@ -526,6 +528,14 @@ TEST(DeltaSolveTest, ThousandDeepChainWithSiblingsMatchesDepthZero) {
       c.want_true = b.arena.Eval(c.expr, parent_model) != 0;
       trace->push_back(c);
     }
+    if (level % 8 == 7) {
+      auto narrowed = std::make_shared<std::vector<Interval>>(*domains);
+      const i32 v = static_cast<i32>(rng.NextBelow(kVars));
+      (*narrowed)[v].hi = std::max((*narrowed)[v].hi - 1, parent_model[v]);
+      domains = std::move(narrowed);
+    }
+    // The run's domains: the state moves its borrow to them when they
+    // equal those it was solved under, and otherwise keeps its own.
     ASSERT_TRUE(parent.Rebase(trace, domains)) << "level " << level;
     // Its pendings, the forced set last.
     SliceState next;
@@ -549,6 +559,7 @@ TEST(DeltaSolveTest, ThousandDeepChainWithSiblingsMatchesDepthZero) {
       if (got.status == SolveStatus::kSat && next_trace == nullptr) {
         next = std::move(child);
         next.set_owner = trace;  // Until Rebase moves the borrow to the child's run.
+        next.domains_owner = domains;
         next_trace = std::make_shared<std::vector<Constraint>>(trace->begin(),
                                                                trace->begin() + len);
         if (!forced) {
