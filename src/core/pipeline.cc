@@ -6,6 +6,7 @@
 #include "src/analysis/log_irrelevance.h"
 #include "src/analysis/points_to.h"
 #include "src/concolic/corpus_mutate.h"
+#include "src/dist/coordinator.h"
 #include "src/ir/lowering.h"
 #include "src/lang/parser.h"
 
@@ -222,16 +223,23 @@ Result<ReplayResult> Pipeline::Reproduce(const BugReport& report,
   if (!PlanMatches(plan)) {
     return PlanMismatch(plan);
   }
-  ReplayEngine engine(*module_, plan, report);
-  if (config.num_shards > 1 && config.program.app.empty()) {
+  if (config.num_shards <= 1) {
+    ReplayEngine engine(*module_, plan, report);
+    return engine.Reproduce(config);
+  }
+  ReplayConfig dist_config = config;
+  if (dist_config.program.app.empty()) {
     // TCP shards rebuild the module from source (UsesTcpShards): supply
     // what this pipeline was compiled from unless the caller did.
-    ReplayConfig with_program = config;
-    with_program.program.app = app_source_;
-    with_program.program.libs = lib_sources_;
-    return engine.Reproduce(with_program);
+    dist_config.program.app = app_source_;
+    dist_config.program.libs = lib_sources_;
   }
-  return engine.Reproduce(config);
+  std::lock_guard<std::mutex> lock(fleet_mu_);
+  if (fleet_ == nullptr || !fleet_->Fits(dist_config)) {
+    fleet_.reset();  // Shut down and reaped before the new fleet forks.
+    fleet_ = std::make_unique<ShardFleet>(*module_, dist_config);
+  }
+  return RunDistributedJob(*module_, plan, report, dist_config, *fleet_);
 }
 
 Result<std::unique_ptr<ReplayService>> Pipeline::MakeService(const InstrumentationPlan& plan,

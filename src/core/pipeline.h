@@ -26,12 +26,14 @@
 #define RETRACE_CORE_PIPELINE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/analysis/static_analyzer.h"
 #include "src/concolic/engine.h"
 #include "src/core/report.h"
+#include "src/dist/fleet.h"
 #include "src/instrument/plan.h"
 #include "src/instrument/recorder.h"
 #include "src/instrument/refine.h"
@@ -99,10 +101,17 @@ class Pipeline {
 
   // ----- Phase 3: developer site -----
   // `config.num_workers` > 1 runs the parallel replay scheduler (use
-  // DefaultReplayWorkers() to saturate the host); `config.num_shards` > 1
-  // additionally forks shard processes (call from a single-threaded
-  // context — see src/dist/coordinator.h). Errors on a plan/module
-  // branch-count mismatch, like RecordUserRun.
+  // DefaultReplayWorkers() to saturate the host). `config.num_shards` > 1
+  // runs the search as one job on this pipeline's standing shard fleet
+  // (src/dist/fleet.h): built on the first distributed call, reused while
+  // the fleet shape (num_shards, transport, tcp_listen, shard_endpoints,
+  // shard_token) is unchanged and every started shard lives, rebuilt
+  // otherwise. A config with a fault_spec always gets a fresh fleet. The
+  // shards keep their slice caches from one search to the next. Forking
+  // happens only on the first distributed call or a rebuild, but that
+  // call must come from a single-threaded context. Distributed calls on
+  // one pipeline take turns. Errors on a plan/module branch-count
+  // mismatch, like RecordUserRun.
   Result<ReplayResult> Reproduce(const BugReport& report, const InstrumentationPlan& plan,
                                  const ReplayConfig& config);
 
@@ -207,6 +216,12 @@ class Pipeline {
   std::string app_source_;
   std::vector<std::string> lib_sources_;
   ExprArena arena_;
+  // The standing fleet behind distributed Reproduce calls; null until the
+  // first one. fleet_mu_ makes those calls take turns. Declared last, so
+  // destroying the pipeline shuts the fleet down and reaps its processes
+  // before anything else goes.
+  std::mutex fleet_mu_;
+  std::unique_ptr<ShardFleet> fleet_;
 };
 
 }  // namespace retrace

@@ -38,8 +38,8 @@ struct ShardProc {
   u64 heartbeats_missed = 0;   // 1 when the heartbeat deadline declared it dead.
   u64 recovered_from = 0;      // Pendings re-injected after this shard's death.
   i64 last_heard_ms = 0;       // Any received frame counts as liveness.
-  u64 wire_tx = 0;             // Channel byte counters, snapshotted at job
-  u64 wire_rx = 0;             // end (the channel may not outlive the job).
+  u64 wire_tx = 0;             // This job's bytes: the channel's counters at
+  u64 wire_rx = 0;             // attach, then their growth at job end.
   WireShardResult res;
 };
 
@@ -83,12 +83,6 @@ u64 CountVerdicts(const WireFrame& frame) {
 }
 
 }  // namespace
-
-ReplayResult ReproduceDistributed(const IrModule& module, const InstrumentationPlan& plan,
-                                  const BugReport& report, const ReplayConfig& config) {
-  ShardFleet fleet(module, config);  // Forks or dials nothing until the job attaches.
-  return RunDistributedJob(module, plan, report, config, fleet);
-}
 
 ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan& plan,
                                const BugReport& report, const ReplayConfig& config,
@@ -167,12 +161,14 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   }
 
   // ----- 3. Attach the job to the shard fleet. -----
-  std::vector<WireChannel*> channels = fleet.AttachJob(shard_cfg, plan, report);
-  channels.resize(num_shards, nullptr);
+  std::vector<ShardFleet::JobChannel> channels = fleet.AttachJob(shard_cfg, plan, report);
+  channels.resize(num_shards);
   std::vector<ShardProc> procs(num_shards);
   for (u32 s = 0; s < num_shards; ++s) {
-    if (channels[s] != nullptr) {
-      procs[s].chan = channels[s];
+    procs[s].wire_tx = channels[s].tx_before;
+    procs[s].wire_rx = channels[s].rx_before;
+    if (channels[s].chan != nullptr) {
+      procs[s].chan = channels[s].chan;
     } else {
       procs[s].done = true;
     }
@@ -623,16 +619,16 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
       break;
     }
   }
-  // Return the channels to the fleet: snapshot the byte counters first
-  // (the fleet destroys the channels of lost slots and keeps the
-  // survivors for the next job) and tell it which slots broke so it can
-  // kill/retire them.
+  // Return the channels to the fleet: take this job's share of the byte
+  // counters first (the fleet destroys the channels of lost slots and
+  // keeps the survivors for the next job) and tell it which slots broke
+  // so it can kill/retire them.
   std::vector<bool> lost_slots(num_shards, false);
   for (u32 s = 0; s < num_shards; ++s) {
     lost_slots[s] = procs[s].lost;
     if (procs[s].chan != nullptr) {
-      procs[s].wire_tx = procs[s].chan->tx_bytes();
-      procs[s].wire_rx = procs[s].chan->rx_bytes();
+      procs[s].wire_tx = procs[s].chan->tx_bytes() - procs[s].wire_tx;
+      procs[s].wire_rx = procs[s].chan->rx_bytes() - procs[s].wire_rx;
       procs[s].chan = nullptr;
     }
   }

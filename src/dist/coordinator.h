@@ -1,7 +1,9 @@
 // Coordinator of the distributed (multi-process) replay scheduler.
 //
-// ReplayConfig::num_shards > 1 routes ReplayEngine::Reproduce here. One
-// distributed search is one job on a ShardFleet (src/dist/fleet.h):
+// One distributed search is one job on a standing ShardFleet
+// (src/dist/fleet.h), run by RunDistributedJob. Its callers own the
+// fleet: Pipeline::Reproduce routes every num_shards > 1 search to the
+// pipeline's own fleet, and ReplayService to the service's.
 //   1. Scouts: runs ReplayEngine::Scout, a short one-worker DFS, until
 //      its frontier holds 4 pendings per shard;
 //      what is left is exported once and dealt out. A scout that
@@ -28,26 +30,17 @@ namespace retrace {
 
 class ShardFleet;
 
-/// \brief Multi-process reproduction entry point.
-///
-/// Requires config.num_shards > 1. Builds a ShardFleet for this search,
-/// runs one job on it and shuts it down. A fork fleet forks on the
-/// calling thread — call from a single-threaded context (forking a
-/// multi-threaded process would clone held locks into the children).
-/// Never throws; a shard that dies mid-search simply contributes
-/// nothing. **Thread safety:** not reentrant; one distributed search per
-/// process at a time.
-ReplayResult ReproduceDistributed(const IrModule& module, const InstrumentationPlan& plan,
-                                  const BugReport& report, const ReplayConfig& config);
-
 /// \brief Per-job scheduler core: scout, partition, seed, relay,
 /// aggregate — on `fleet`.
 ///
-/// ReproduceDistributed is exactly this over a fleet built for one job;
-/// the replay service calls it repeatedly against a standing fleet so
-/// consecutive reports reuse live shard processes (and their warm slice
-/// caches). Runs the scout (and any fallback search) on the calling
-/// thread, and starts the fleet only when the scout leaves work to deal.
+/// The fleet's owner calls it search after search, so consecutive
+/// searches reuse live shard processes and their warm slice caches. Runs the scout (and any fallback search) on
+/// the calling thread, and starts the fleet only when the scout leaves
+/// work to deal: that first job forks, so it must come from a
+/// single-threaded context (forking a multi-threaded process would clone
+/// held locks into the children). Never throws; a shard that dies
+/// mid-search simply contributes nothing. Wire byte counts in the result
+/// are this job's own. **Thread safety:** one job per fleet at a time.
 ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan& plan,
                                const BugReport& report, const ReplayConfig& config,
                                ShardFleet& fleet);

@@ -45,6 +45,15 @@ ShardFleet::ShardFleet(const IrModule& module, const ReplayConfig& config)
 
 ShardFleet::~ShardFleet() { Shutdown(); }
 
+bool ShardFleet::Fits(const ReplayConfig& config) const {
+  return std::clamp(config.num_shards, 1u, kMaxShards) == num_shards_ &&
+         config.transport == config_.transport && config.tcp_listen == config_.tcp_listen &&
+         config.shard_endpoints == config_.shard_endpoints &&
+         config.shard_token == config_.shard_token && UsesTcpShards(config) == tcp_ &&
+         config.fault_spec.empty() && config_.fault_spec.empty() &&
+         (!started_ || live_shards() == num_shards_);
+}
+
 bool ShardFleet::Start() {
   if (started_) {
     return live_shards() > 0;
@@ -79,9 +88,9 @@ bool ShardFleet::Start() {
   return live > 0;
 }
 
-std::vector<WireChannel*> ShardFleet::AttachJob(const ReplayConfig& shard_cfg,
-                                                const InstrumentationPlan& plan,
-                                                const BugReport& report) {
+std::vector<ShardFleet::JobChannel> ShardFleet::AttachJob(const ReplayConfig& shard_cfg,
+                                                          const InstrumentationPlan& plan,
+                                                          const BugReport& report) {
   Start();
   WireJobBegin begin;
   begin.job_id = ++jobs_dispatched_;
@@ -93,11 +102,13 @@ std::vector<WireChannel*> ShardFleet::AttachJob(const ReplayConfig& shard_cfg,
   begin.job.report = report;
   WireWriter w;
   EncodeJobBegin(begin, &w);
-  std::vector<WireChannel*> out(num_shards_, nullptr);
+  std::vector<JobChannel> out(num_shards_);
   for (u32 s = 0; s < num_shards_; ++s) {
     if (channels_[s] == nullptr) {
       continue;
     }
+    out[s].tx_before = channels_[s]->tx_bytes();
+    out[s].rx_before = channels_[s]->rx_bytes();
     // Blocking send: it also flushes any relay tail still queued from
     // the previous job, so the shard sees stale frames strictly before
     // the new kJobBegin (its between-jobs loop discards them).
@@ -110,7 +121,7 @@ std::vector<WireChannel*> ShardFleet::AttachJob(const ReplayConfig& shard_cfg,
       std::fprintf(stderr, "[fleet] shard %u retired: channel broke between jobs\n", s);
       continue;
     }
-    out[s] = channels_[s].get();
+    out[s].chan = channels_[s].get();
   }
   return out;
 }
@@ -157,6 +168,14 @@ void ShardFleet::Shutdown() {
   transport_.reset();
   started_ = false;
   slots_lost_ = false;
+}
+
+u64 ShardFleet::wire_bytes_tx() const {
+  u64 bytes = 0;
+  for (const auto& chan : channels_) {
+    bytes += chan != nullptr ? chan->tx_bytes() : 0;
+  }
+  return bytes;
 }
 
 u32 ShardFleet::live_shards() const {

@@ -1,10 +1,12 @@
 // The shard fleet: the processes every distributed search runs on.
 //
-// A one-shot search (ReproduceDistributed) builds a ShardFleet, runs one
-// job on it and shuts it down; the replay service keeps one standing, so
-// consecutive reports skip the fork/dial tax and reuse the shards' warm
-// slice caches. Every shard runs ServeShardJobs and every job is a
-// kJobBegin. One rule (UsesTcpShards) picks how shards come to exist:
+// A fleet stands: its owner builds it once and runs search after search
+// on it as jobs, so consecutive searches skip the fork/dial tax and reuse
+// the shards' warm slice caches. The owners are Pipeline (one fleet per
+// pipeline, behind every num_shards > 1 Reproduce) and ReplayService (one
+// per service); RunDistributedJob (src/dist/coordinator.h) runs one job.
+// Every shard runs ServeShardJobs and every job is a kJobBegin. One rule
+// (UsesTcpShards) picks how shards come to exist:
 //
 //   fork — LocalForkTransport: children serve jobs on the module they
 //          inherited. No kJoin, no sources shipped.
@@ -20,8 +22,6 @@
 //
 // **Thread safety:** none — drive a fleet from one thread. Start (and so
 // the first AttachJob) forks: call it from a single-threaded context.
-// **Stats caveat:** channel byte counters are cumulative per shard
-// process, not per job.
 #ifndef RETRACE_DIST_FLEET_H_
 #define RETRACE_DIST_FLEET_H_
 
@@ -65,12 +65,23 @@ class ShardFleet {
   /// rather than shrinking the vector, so shard ids stay dense.
   u32 num_shards() const { return num_shards_; }
 
-  /// Starts the fleet if needed, attaches `plan`/`report` under
-  /// `shard_cfg` to every live slot and returns its channel, null per
-  /// unavailable slot. The channels stay owned by the fleet.
-  std::vector<WireChannel*> AttachJob(const ReplayConfig& shard_cfg,
-                                      const InstrumentationPlan& plan,
-                                      const BugReport& report);
+  /// True when a search under `config` may run on this fleet as it
+  /// stands: the same shape (num_shards, transport, tcp_listen,
+  /// shard_endpoints, shard_token), no fault schedule on either side
+  /// (schedules are per search), and, once started, every slot live.
+  bool Fits(const ReplayConfig& config) const;
+
+  /// One slot of an attached job.
+  struct JobChannel {
+    WireChannel* chan = nullptr;  // Null for an unavailable slot; fleet-owned.
+    u64 tx_before = 0;            // chan's byte counters before the job's
+    u64 rx_before = 0;            // kJobBegin: the job's own bytes are the rest.
+  };
+
+  /// Starts the fleet if needed and attaches `plan`/`report` under
+  /// `shard_cfg` to every live slot. Returns one entry per slot.
+  std::vector<JobChannel> AttachJob(const ReplayConfig& shard_cfg,
+                                    const InstrumentationPlan& plan, const BugReport& report);
 
   /// Hard-stops every local shard (wall-budget overrun past the grace).
   void KillAll();
@@ -91,6 +102,9 @@ class ShardFleet {
 
   /// Jobs handed to AttachJob so far (also the last kJobBegin job_id).
   u64 jobs_dispatched() const { return jobs_dispatched_; }
+
+  /// Bytes sent over the live channels since Start, every job together.
+  u64 wire_bytes_tx() const;
 
  private:
   const IrModule& module_;

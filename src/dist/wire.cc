@@ -174,7 +174,7 @@ FrameStatus FrameParser::Next(WireFrame* out) {
     return fatal_;
   }
   if (buf_.size() - off_ < kHeaderSize) {
-    return FrameStatus::kNeedMore;
+    return NeedMore();
   }
   const u8* h = buf_.data() + off_;
   if (static_cast<u32>(GetLE(h, 4)) != kWireMagic) {
@@ -190,7 +190,7 @@ FrameStatus FrameParser::Next(WireFrame* out) {
     return fatal_ = FrameStatus::kCorrupt;
   }
   if (buf_.size() - off_ < kHeaderSize + len) {
-    return FrameStatus::kNeedMore;
+    return NeedMore();
   }
   const u8* payload = h + kHeaderSize;
   if (WireDigest(payload, len) != digest) {
@@ -199,13 +199,16 @@ FrameStatus FrameParser::Next(WireFrame* out) {
   out->type = static_cast<WireMsg>(type);
   out->payload.assign(payload, payload + len);
   off_ += kHeaderSize + len;
-  // Compact once the consumed prefix dominates, so a long-lived stream
-  // does not grow without bound.
-  if (off_ > 1u << 20 && off_ * 2 > buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off_));
-    off_ = 0;
-  }
   return FrameStatus::kFrame;
+}
+
+FrameStatus FrameParser::NeedMore() {
+  // Drained: drop the consumed prefix, so a long-lived stream holds only
+  // its unparsed tail, less than one frame. A byte moves at most once: the
+  // tail sits at the front until the frame it begins completes.
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(off_));
+  off_ = 0;
+  return FrameStatus::kNeedMore;
 }
 
 // ----- Message payload codecs -----

@@ -188,8 +188,12 @@ class FrameParser {
  public:
   void Append(const u8* data, size_t n);
   FrameStatus Next(WireFrame* out);
+  /// Bytes held. Once Next returned kNeedMore, only the unparsed tail.
+  size_t retained_bytes() const { return buf_.size(); }
 
  private:
+  FrameStatus NeedMore();
+
   std::vector<u8> buf_;
   size_t off_ = 0;
   FrameStatus fatal_ = FrameStatus::kNeedMore;  // Sticky failure state.

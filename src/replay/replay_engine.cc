@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/dist/coordinator.h"
 #include "src/replay/replay_run.h"
 #include "src/solver/incremental.h"
 #include "src/support/env.h"
@@ -903,11 +902,6 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
 }  // namespace
 
 ReplayResult ReplayEngine::Reproduce(const ReplayConfig& config) {
-  if (config.num_shards > 1) {
-    // Multi-process mode: the coordinator forks shard processes, each of
-    // which re-enters this engine through ReproduceShard.
-    return ReproduceDistributed(module_, plan_, report_, config);
-  }
   SearchShape shape;
   shape.workers = ResolveReplayWorkers(config.num_workers);
   return RunSearch(module_, plan_, report_, config, shape);

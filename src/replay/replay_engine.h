@@ -38,11 +38,12 @@
 //     and whoever pops it imports it once. The workers dedup tried sets
 //     search-wide, share slice verdicts through a SliceCache, and cancel
 //     on first crash.
-//   - num_shards > 1: the coordinator in src/dist/ scouts with a
-//     one-worker search, then forks num_shards processes, each running
-//     the loop above with the scouted pendings in its pool; pending sets
-//     and slice verdicts travel between them over a versioned binary wire
-//     format (src/dist/wire.h).
+//   - num_shards > 1 (through a fleet owner, not this engine): the
+//     coordinator in src/dist/ scouts with a one-worker search, then
+//     deals the scouted pendings to the num_shards processes of a
+//     standing fleet, each running the loop above with its share in its
+//     pool; pending sets and slice verdicts travel between them over a
+//     versioned binary wire format (src/dist/wire.h).
 #ifndef RETRACE_REPLAY_REPLAY_ENGINE_H_
 #define RETRACE_REPLAY_REPLAY_ENGINE_H_
 
@@ -110,8 +111,10 @@ struct ReplayConfig {
   // threads — under a coordinator that partitions an initial pending-set
   // frontier across them, gossips slice-cache verdicts between them, and
   // cancels the fleet on the first reproduced crash
-  // (src/dist/coordinator.h). Fork shards fork on the calling thread;
-  // call from a single-threaded context.
+  // (src/dist/coordinator.h). Read by the fleet owners (Pipeline,
+  // ReplayService), not by ReplayEngine. Fork shards fork on the calling
+  // thread of the owner's first distributed search; make it from a
+  // single-threaded context.
   u32 num_shards = 1;
   // Incremental solving layer: partition each pending set into
   // independent slices and share slice SAT/UNSAT verdicts fleet-wide
@@ -134,7 +137,7 @@ struct ReplayConfig {
   // default) changes nothing.
   std::vector<std::vector<i64>> corpus_seeds;
   // ----- Distributed mode only (ignored when num_shards <= 1) -----
-  // Shard transport, for one-shot searches and the service's fleet alike
+  // Shard transport, for a pipeline's fleet and the service's alike
   // (UsesTcpShards in src/dist/fleet.h). kFork (default) forks children
   // over socketpairs. kTcp — implied by a non-empty `shard_endpoints` —
   // makes the coordinator listen on `tcp_listen` and accept shard
@@ -285,8 +288,8 @@ struct ReplayShardStats {
   u64 pendings_exported = 0;     // Frontier entries carved off for starved peers.
   u64 pendings_imported = 0;     // Re-balanced entries merged into this frontier.
   u64 rebalance_rounds = 0;      // kWorkRequest cycles this shard initiated.
-  u64 wire_bytes_tx = 0;         // Coordinator -> shard bytes.
-  u64 wire_bytes_rx = 0;         // Shard -> coordinator bytes.
+  u64 wire_bytes_tx = 0;         // Coordinator -> shard bytes, this search only.
+  u64 wire_bytes_rx = 0;         // Shard -> coordinator bytes, this search only.
   double wall_seconds = 0.0;
   // ----- Failure handling (wire v5) -----
   // This shard was declared dead mid-search (channel closed/corrupted or
@@ -342,8 +345,8 @@ struct ReplayStats {
   u64 solves_from_base = 0;
   // ----- Distributed mode only (all zero when num_shards <= 1) -----
   u64 harvest_runs = 0;       // Coordinator scout runs before sharding.
-  u64 wire_bytes_tx = 0;      // Total bytes coordinator -> shards.
-  u64 wire_bytes_rx = 0;      // Total bytes shards -> coordinator.
+  u64 wire_bytes_tx = 0;      // Bytes coordinator -> shards, this search.
+  u64 wire_bytes_rx = 0;      // Bytes shards -> coordinator, this search.
   u64 verdicts_gossiped = 0;  // Slice verdicts relayed between shards.
   // Frontier re-balancing (summed over shards when distributed): entries
   // exported to / imported from peers via kWorkRequest/kPendingExport,
@@ -545,11 +548,15 @@ struct ShardContext {
 
 /// \brief The developer-site reproduction engine.
 ///
+/// Every search it runs is in-process: Reproduce ignores num_shards.
+/// A distributed search (num_shards > 1) runs through a fleet owner —
+/// Pipeline::Reproduce, ReplayService or RunDistributedJob
+/// (src/dist/coordinator.h) — whose scout and shards re-enter this
+/// engine through Scout and ReproduceShard.
+///
 /// **Thread safety:** a ReplayEngine instance is not thread-safe; one
-/// reproduction call at a time. Internally Reproduce spawns worker
-/// threads (num_workers > 1) and — via src/dist/ — shard processes
-/// (num_shards > 1); forking happens on the calling thread, so call from
-/// a single-threaded context when num_shards > 1.
+/// reproduction call at a time. Internally a search spawns worker
+/// threads (num_workers > 1).
 ///
 /// **Ownership:** borrows module/plan/report; all must outlive the
 /// engine. Every search worker builds its own arena (shared hash-consing
@@ -560,6 +567,7 @@ class ReplayEngine {
   ReplayEngine(const IrModule& module, const InstrumentationPlan& plan, const BugReport& report)
       : module_(module), plan_(plan), report_(report) {}
 
+  /// One in-process search under `config`; num_shards is not read.
   ReplayResult Reproduce(const ReplayConfig& config);
 
   /// The distributed coordinator's scout: a one-worker search

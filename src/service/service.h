@@ -1,11 +1,10 @@
 // Replay-as-a-service: the resident, multi-tenant coordinator.
 //
-// The one-shot pipeline answers one bug report per process tree: scout,
-// fork/dial a fleet, search, tear everything down. A deployment
-// receiving a *stream* of reports from many users repeats all of that
-// per report — and most reports are duplicates of a handful of crashes
-// (the paper's deployment model: many users, few bugs). ReplayService
-// inverts the lifecycle:
+// Pipeline::Reproduce answers one bug report per call, searching every
+// report it is handed. A deployment receiving a *stream* of reports from
+// many users would search each one — and most reports are duplicates of
+// a handful of crashes (the paper's deployment model: many users, few
+// bugs). ReplayService searches each crash once:
 //
 //   Submit ─→ fingerprint ─→ cluster table ─┬─ solved    → cached verdict
 //                                           ├─ in flight → attach, wait
@@ -19,8 +18,8 @@
 //
 // One search per crash cluster, ever: N identical reports cost one
 // search and N verdicts. The standing ShardFleet (num_shards > 1; fork
-// shards by default, TCP shards under the same rule as a one-shot
-// search) outlives every search, so consecutive novel reports skip the
+// shards by default, TCP shards under the same rule as a pipeline's
+// fleet) outlives every search, so consecutive novel reports skip the
 // fork/dial/handshake tax and hit shard-resident warm slice caches; the
 // in-process mode (num_shards <= 1) keeps its warmth in the service's
 // own SliceCache, which can snapshot to disk on shutdown and reload on

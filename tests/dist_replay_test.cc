@@ -4,11 +4,14 @@
 // num_shards <= 1, shard-aware stats aggregation, event-driven handoffs
 // (a slow gossip cadence is no latency floor), the frontier re-balance
 // protocol (a deliberately starved shard must end with
-// pendings_imported > 0), and a ShardFleet serving several jobs over
-// each transport.
+// pendings_imported > 0), a ShardFleet serving several jobs over each
+// transport, and the standing fleet behind a Pipeline's distributed
+// Reproduce calls.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 
+#include <cerrno>
 #include <chrono>
 #include <numeric>
 #include <thread>
@@ -686,6 +689,7 @@ void FleetServesThreeJobs(ReplayTransport transport) {
   ASSERT_TRUE(fleet.Start());
   EXPECT_EQ(fleet.num_shards(), 2u);
   EXPECT_EQ(fleet.live_shards(), 2u);
+  u64 jobs_tx = 0;
   for (u64 job = 1; job <= 3; ++job) {
     config.seed = 290 + job;
     const ReplayResult replay = f.Run(fleet, config);
@@ -695,6 +699,11 @@ void FleetServesThreeJobs(ReplayTransport transport) {
     EXPECT_EQ(replay.stats.shards_lost, 0u) << "job " << job;
     EXPECT_EQ(fleet.jobs_dispatched(), job);
     EXPECT_EQ(fleet.live_shards(), 2u) << "job " << job;
+    // Each job reports only its own bytes: the jobs' counts add up to
+    // what the channels sent since the fleet started.
+    EXPECT_GT(replay.stats.wire_bytes_tx, 0u) << "job " << job;
+    jobs_tx += replay.stats.wire_bytes_tx;
+    EXPECT_EQ(jobs_tx, fleet.wire_bytes_tx()) << "job " << job;
   }
   fleet.Shutdown();
   EXPECT_EQ(fleet.live_shards(), 0u);
@@ -746,6 +755,144 @@ void LostShardRetiresAndTheSurvivorServesOn(ReplayTransport transport) {
   EXPECT_GT(next.stats.per_shard[1].runs, 0u);  // The survivor ran the job.
   EXPECT_EQ(fleet.jobs_dispatched(), 2u);
   EXPECT_EQ(fleet.live_shards(), 1u);
+}
+
+// ----- Pipeline: one standing fleet per pipeline -----
+//
+// Pipeline::Reproduce runs every num_shards > 1 search as a job on the
+// pipeline's own fleet: built on the first distributed call, reused
+// while its shape holds and every shard lives, rebuilt otherwise, and
+// reaped with the pipeline.
+
+// True while this process has a child and none has exited unreaped.
+bool ChildrenStandUnreaped() { return ::waitpid(-1, nullptr, WNOHANG) == 0; }
+
+// True when this process has no child at all, live or exited.
+bool NoChildLeft() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) < 0 && errno == ECHILD;
+}
+
+// Two searches on one pipeline run on the same shard processes: the
+// shards stay alive between the calls, the second search finds the
+// slice caches the first one filled (a fresh fleet would re-prove every
+// slice of the same search), and destroying the pipeline reaps them.
+void PipelineKeepsItsFleetBetweenSearches(ReplayTransport transport) {
+  FleetFixture f;
+  ASSERT_TRUE(f.user.result.Crashed());
+  ASSERT_TRUE(NoChildLeft());
+  ReplayConfig config = f.Config(transport);
+  config.seed = 291;
+  std::vector<ReplayResult> searches;
+  for (int search = 0; search < 2; ++search) {
+    searches.push_back(f.pipeline->Reproduce(f.user.report, f.plan, config).take());
+    const ReplayResult& replay = searches.back();
+    ASSERT_TRUE(replay.reproduced) << "search " << search;
+    EXPECT_TRUE(f.pipeline->VerifyWitness(f.user.report, replay.witness_cells));
+    ASSERT_EQ(replay.stats.per_shard.size(), 2u) << "search " << search;
+    EXPECT_EQ(replay.stats.shards_lost, 0u) << "search " << search;
+    EXPECT_TRUE(ChildrenStandUnreaped()) << "search " << search;
+  }
+  EXPECT_GT(searches[0].stats.slices_solved, 0u);
+  EXPECT_LT(searches[1].stats.slices_solved, searches[0].stats.slices_solved);
+  f.pipeline.reset();
+  EXPECT_TRUE(NoChildLeft());
+}
+
+// A fault schedule gets a fleet of its own, and a shard it loses does
+// not stay lost: the next search without one runs on a full fleet.
+void PipelineReplacesAFleetThatLostAShard(ReplayTransport transport) {
+  FleetFixture f;
+  ASSERT_TRUE(f.user.result.Crashed());
+  ReplayConfig config = f.Config(transport);
+  config.seed = 291;
+  ASSERT_TRUE(f.pipeline->Reproduce(f.user.report, f.plan, config).take().reproduced);
+
+  ReplayConfig faulty = config;
+  faulty.fault_spec = "shard0:close@frame1";
+  const ReplayResult hit = f.pipeline->Reproduce(f.user.report, f.plan, faulty).take();
+  ASSERT_TRUE(hit.reproduced);
+  EXPECT_EQ(hit.stats.shards_lost, 1u);
+
+  config.seed = 7;
+  const ReplayResult next = f.pipeline->Reproduce(f.user.report, f.plan, config).take();
+  ASSERT_TRUE(next.reproduced);
+  EXPECT_TRUE(f.pipeline->VerifyWitness(f.user.report, next.witness_cells));
+  EXPECT_EQ(next.stats.shards_lost, 0u);
+  ASSERT_EQ(next.stats.per_shard.size(), 2u);  // The scout did not settle it.
+  // Slot 0 is live again: it was dealt the scout's first pending, where
+  // a retired slot would have been skipped.
+  EXPECT_GT(next.stats.per_shard[0].pendings_seeded, 0u);
+  EXPECT_GT(next.stats.per_shard[0].runs, 0u);
+  EXPECT_TRUE(ChildrenStandUnreaped());
+  f.pipeline.reset();
+  EXPECT_TRUE(NoChildLeft());
+}
+
+// A search that asks for another fleet shape gets a rebuilt fleet; the
+// old shards are reaped, not left behind.
+void PipelineRebuildsItsFleetForANewShape(ReplayTransport transport) {
+  // Seven guards: deep enough that a 3-shard scout (6 runs) leaves work.
+  constexpr const char* kSevenGuardCrash = R"(
+int main(int argc, char **argv) {
+  if (argc < 3) { return 1; }
+  int hits = 0;
+  if (argv[1][0] == 'a') { hits = hits + 1; }
+  if (argv[1][1] == 'b') { hits = hits + 1; }
+  if (argv[1][2] == 'c') { hits = hits + 1; }
+  if (argv[1][3] == 'd') { hits = hits + 1; }
+  if (argv[1][4] == 'e') { hits = hits + 1; }
+  if (argv[2][0] > 'm') { hits = hits + 1; }
+  if (argv[2][1] < 'f') { hits = hits + 1; }
+  if (hits == 7) { crash(7); }
+  return 0;
+}
+)";
+  auto pipeline = MustBuild(kSevenGuardCrash);
+  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::AllBranches());
+  InputSpec spec;
+  spec.argv = {"prog", "abcde", "za"};
+  spec.world.listen_fd = -1;
+  const auto user = pipeline->RecordUserRun(spec, plan, {}).take();
+  ASSERT_TRUE(user.result.Crashed());
+
+  ReplayConfig config;
+  config.num_shards = 2;
+  config.num_workers = 1;
+  config.transport = transport;
+  config.seed = 1;
+  const ReplayResult two = pipeline->Reproduce(user.report, plan, config).take();
+  ASSERT_TRUE(two.reproduced);
+  ASSERT_EQ(two.stats.per_shard.size(), 2u);  // The scout did not settle it.
+
+  config.num_shards = 3;
+  const ReplayResult three = pipeline->Reproduce(user.report, plan, config).take();
+  ASSERT_TRUE(three.reproduced);
+  EXPECT_TRUE(pipeline->VerifyWitness(user.report, three.witness_cells));
+  ASSERT_EQ(three.stats.per_shard.size(), 3u);  // Nor here: three slots served.
+  EXPECT_EQ(three.stats.shards_lost, 0u);
+  EXPECT_TRUE(ChildrenStandUnreaped());  // The 2-shard fleet's children were reaped.
+  pipeline.reset();
+  EXPECT_TRUE(NoChildLeft());
+}
+
+TEST(DistReplayTest, ForkPipelineKeepsItsFleetBetweenSearches) {
+  PipelineKeepsItsFleetBetweenSearches(ReplayTransport::kFork);
+}
+TEST(DistReplayTest, TcpPipelineKeepsItsFleetBetweenSearches) {
+  PipelineKeepsItsFleetBetweenSearches(ReplayTransport::kTcp);
+}
+TEST(DistReplayTest, ForkPipelineReplacesAFleetThatLostAShard) {
+  PipelineReplacesAFleetThatLostAShard(ReplayTransport::kFork);
+}
+TEST(DistReplayTest, TcpPipelineReplacesAFleetThatLostAShard) {
+  PipelineReplacesAFleetThatLostAShard(ReplayTransport::kTcp);
+}
+TEST(DistReplayTest, ForkPipelineRebuildsItsFleetForANewShape) {
+  PipelineRebuildsItsFleetForANewShape(ReplayTransport::kFork);
+}
+TEST(DistReplayTest, TcpPipelineRebuildsItsFleetForANewShape) {
+  PipelineRebuildsItsFleetForANewShape(ReplayTransport::kTcp);
 }
 
 TEST(DistReplayTest, ForkFleetServesThreeJobs) { FleetServesThreeJobs(ReplayTransport::kFork); }

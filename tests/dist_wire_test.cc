@@ -1,7 +1,8 @@
 // Wire-format tests for the distributed replay scheduler: the search
 // codecs (hello, pendings, pending exports, slice verdicts, shard
 // results, work requests, joins and the kJobBegin job payload), framing
-// (truncation, digest, magic, version) and channel reset delivery.
+// (truncation, digest, magic, version, bounded retention) and channel
+// reset delivery.
 // Table machinery and sample values live in tests/dist_wire_testutil.h;
 // the failure-profile and plan-metadata codecs are tested in
 // dist_wire_v4_test.cc, heartbeats and failure stats in
@@ -380,6 +381,32 @@ TEST(DistWireTest, FrameParserYieldsCompleteFrames) {
   EXPECT_EQ(frame.type, WireMsg::kHeartbeat);
   EXPECT_EQ(frame.payload, beat);
   EXPECT_EQ(parser.Next(&frame), FrameStatus::kNeedMore);
+}
+
+// A long-lived channel holds only what it has not parsed: thousands of
+// frames through one parser, fed in chunks that end mid-frame, never
+// leave the parser holding a whole frame's worth of bytes once drained.
+TEST(DistWireTest, FrameParserRetainsLessThanOneFrame) {
+  const std::vector<u8> one = OneFrame(WireMsg::kVerdicts, std::vector<u8>(300, 7));
+  std::vector<u8> stream;
+  for (int i = 0; i < 4000; ++i) {
+    stream.insert(stream.end(), one.begin(), one.end());
+  }
+  const size_t chunk = one.size() * 3 / 2;
+  FrameParser parser;
+  WireFrame frame;
+  size_t frames = 0;
+  for (size_t at = 0; at < stream.size(); at += chunk) {
+    parser.Append(stream.data() + at, std::min(chunk, stream.size() - at));
+    FrameStatus status;
+    while ((status = parser.Next(&frame)) == FrameStatus::kFrame) {
+      ++frames;
+    }
+    ASSERT_EQ(status, FrameStatus::kNeedMore);
+    ASSERT_LT(parser.retained_bytes(), one.size()) << "after " << frames << " frames";
+  }
+  EXPECT_EQ(frames, 4000u);
+  EXPECT_EQ(parser.retained_bytes(), 0u);
 }
 
 // Every strict prefix of a frame is "need more", never corrupt and never

@@ -36,7 +36,7 @@
 //     Query and print the daemon's health stats.
 //
 // Auth: RETRACE_SHARD_TOKEN (when set) authenticates a TCP shard
-// fleet's listener, as for a one-shot search. The ingest socket is
+// fleet's listener, as for a pipeline's distributed searches. The ingest socket is
 // separate and unauthenticated — front it with whatever the deployment
 // trusts.
 #include <signal.h>

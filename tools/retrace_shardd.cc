@@ -11,8 +11,8 @@
 // locally (lowering is deterministic, so branch ids match), runs one
 // shard search, streams verdict gossip and re-balance traffic while it
 // runs, and reports the result. The slice cache stays warm across jobs
-// until kJobEnd or the fleet closes the channel: a one-shot search sends
-// one job, a standing fleet (retrace_serviced) many.
+// until kJobEnd or the fleet closes the channel: a standing fleet (a
+// Pipeline's or retrace_serviced's) sends job after job.
 //
 // Usage:
 //   retrace_shardd <host:port>             join a coordinator; serve its
