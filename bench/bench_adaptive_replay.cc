@@ -7,8 +7,8 @@
 // unlogged, so ~1% of replay runs stay on the user's path and the rest
 // die off-log. This bench runs Pipeline::ReproduceAdaptive: search under
 // the current plan, mine the failure telemetry for the branches where
-// off-log runs die, add the deadliest (skipping log-irrelevant ones and
-// anything past the overhead budget), re-record the user run under the
+// off-log runs die, add the deadliest (skipping log-irrelevant ones; the
+// bench sets no overhead budget), re-record the user run under the
 // refined plan, and search again. Each round prints the paper-facing
 // trade: how much instrumentation was added vs how much closer replay
 // got (on-log rate, runs, reproduction).
@@ -29,24 +29,11 @@ u32 AdaptiveRounds() {
   return static_cast<u32>(EnvKnobI64("RETRACE_ADAPTIVE_ROUNDS", 4, 1, 64));
 }
 
-// Branches a single round may add to the plan.
-u32 AdaptiveMaxAdd() {
-  return static_cast<u32>(EnvKnobI64("RETRACE_ADAPTIVE_MAX_ADD", 8, 1, 4096));
-}
-
-// Modeled-native-CPU ceiling in percent (100 = uninstrumented). 0 turns
-// the budget check off: refinement is bounded only by MAX_ADD.
-double AdaptiveBudgetPercent() {
-  return static_cast<double>(EnvKnobI64("RETRACE_ADAPTIVE_BUDGET", 0, 0, 10'000));
-}
-
 int Main() {
   PrintHeader("Adaptive plan refinement on the stuck experiment (uServer e5)",
               "§7's instrumentation-debugging balance, closed-loop");
 
   const u32 rounds = AdaptiveRounds();
-  const u32 max_add = AdaptiveMaxAdd();
-  const double budget = AdaptiveBudgetPercent();
   const u32 corpus_mutants = ReplayCorpusMutants();
 
   auto pipeline = BuildWorkloadOrDie("userver");
@@ -59,15 +46,8 @@ int Main() {
 
   const Scenario scenario = UserverScenario(5);
   std::printf("scenario: %s\n", scenario.name.c_str());
-  std::printf("rounds: %u (RETRACE_ADAPTIVE_ROUNDS), max added/round: %u "
-              "(RETRACE_ADAPTIVE_MAX_ADD)\n",
-              rounds, max_add);
-  if (budget > 0.0) {
-    std::printf("overhead budget: %.0f%% modeled native CPU (RETRACE_ADAPTIVE_BUDGET)\n",
-                budget);
-  } else {
-    std::printf("overhead budget: off (RETRACE_ADAPTIVE_BUDGET=percent enables)\n");
-  }
+  std::printf("rounds: %u (RETRACE_ADAPTIVE_ROUNDS), max added/round: %u, overhead budget: off\n",
+              rounds, RefineConfig{}.max_added_branches);
   std::printf("corpus mutation: %u mutants/seed (RETRACE_REPLAY_CORPUS_MUTATE)\n",
               corpus_mutants);
   std::printf("replay budget per round: %s\n\n", "DefaultReplayConfig (RETRACE_BENCH_CAP_MS)");
@@ -77,9 +57,6 @@ int Main() {
   config.user_run.policy = scenario.policy.get();
   config.replay = DefaultReplayConfig();
   config.max_rounds = rounds;
-  config.refine.max_added_branches = max_add;
-  config.refine.max_overhead_percent = budget;
-  config.overhead_reps = budget > 0.0 ? 1 : 0;
   if (ReplayCorpusEnabled()) {
     config.corpus = lc.corpus;
     config.corpus_mutants_per_seed = corpus_mutants;

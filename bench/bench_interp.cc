@@ -150,13 +150,14 @@ int main() {
                 row.Slowdown());
   }
 
+  const std::string host = HostStampJson();  // Before the open truncates the file.
   FILE* json = std::fopen("BENCH_interp.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_interp.json\n");
     return 1;
   }
   std::fprintf(json, "{\n  \"bench\": \"interp\",\n  \"host\": %s,\n  \"scale\": %d,\n",
-               HostStampJson().c_str(), scale);
+               host.c_str(), scale);
   std::fprintf(json, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

@@ -24,7 +24,6 @@
 // diversification. Wire overhead is reported honestly per table: total
 // bytes shipped both ways and the verdicts gossiped between shards.
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
@@ -34,7 +33,6 @@
 
 #include "bench/bench_util.h"
 #include "src/concolic/corpus_mutate.h"
-#include "src/service/service.h"
 
 namespace retrace {
 namespace {
@@ -62,132 +60,6 @@ std::vector<int> Experiments() {
     }
   }
   return out.empty() ? std::vector<int>{1, 2, 3, 4} : out;
-}
-
-// Replay-as-a-service mode (RETRACE_BENCH_SERVICE=1): stream the
-// experiment reports through a resident ReplayService twice back to
-// back. The first pass pays a full search per cluster (cold); the
-// second pass is the deployment steady state — every report is a
-// duplicate of a solved cluster and is answered from the table without
-// a single run. Emits BENCH_service.json next to the human table.
-int ServiceMain() {
-  PrintHeader("Replay service: cold stream vs warm re-stream (uServer, dynamic (lc) plan)",
-              "one search per crash cluster, ever");
-  auto pipeline = BuildWorkloadOrDie("userver");
-  const AnalysisResult lc =
-      pipeline->RunDynamicAnalysis(UserverExploreSpecLC(), LowCoverageConfig());
-  const InstrumentationPlan plan = pipeline->MakePlan(PlanInputs::Dynamic(lc));
-
-  const i64 cap_ms = BenchCapMs(30'000 * static_cast<i64>(BenchScale()));
-  ServiceConfig config;
-  config.replay = DefaultReplayConfig();
-  config.replay.wall_ms = cap_ms;
-  config.replay.num_shards = ReplayShardsSweep().front();
-  std::printf("budget %" PRId64 ".%03" PRId64 "s per search; shards %u "
-              "(RETRACE_REPLAY_SHARDS; 1 = in-process with the service slice cache)\n",
-              cap_ms / 1000, cap_ms % 1000, config.replay.num_shards);
-
-  const std::vector<int> experiments = Experiments();
-  struct Row {
-    int experiment = 0;
-    double cold_seconds = 0.0;
-    u64 cold_runs = 0;
-    bool cold_reproduced = false;
-    double warm_seconds = 0.0;
-    VerdictOrigin warm_origin = VerdictOrigin::kRejected;
-  };
-  std::vector<Row> rows;
-  std::vector<BugReport> reports;
-  for (const int experiment : experiments) {
-    const Scenario scenario = UserverScenario(experiment);
-    Pipeline::UserRunOptions options;
-    options.policy = scenario.policy.get();
-    const auto user = pipeline->RecordUserRun(scenario.spec, plan, options).take();
-    if (!user.result.Crashed()) {
-      std::printf("exp %d: user run did not crash!\n", experiment);
-      continue;
-    }
-    reports.push_back(user.report);
-    rows.push_back(Row{experiment});
-  }
-
-  auto service = pipeline->MakeService(plan, config).take();
-  if (!service->Start()) {
-    std::printf("service failed to start\n");
-    return 1;
-  }
-
-  const auto timed_submit = [&](const BugReport& report, double* seconds) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const ServiceVerdict v = service->Submit("bench", report);
-    *seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return v;
-  };
-
-  std::printf("\n%-12s %14s %14s %14s\n", "experiment", "cold", "warm", "warm origin");
-  double cold_total = 0.0;
-  double warm_total = 0.0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    Row& row = rows[i];
-    const ServiceVerdict cold = timed_submit(reports[i], &row.cold_seconds);
-    row.cold_runs = cold.result.stats.runs;
-    row.cold_reproduced = cold.reproduced;
-    cold_total += row.cold_seconds;
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    Row& row = rows[i];
-    const ServiceVerdict warm = timed_submit(reports[i], &row.warm_seconds);
-    row.warm_origin = warm.origin;
-    warm_total += row.warm_seconds;
-    char cold_cell[32];
-    std::snprintf(cold_cell, sizeof(cold_cell), "%s%.2fs/%" PRIu64 "r",
-                  row.cold_reproduced ? "" : "inf ", row.cold_seconds, row.cold_runs);
-    std::printf("exp %-8d %14s %13.4fs %14s\n", row.experiment, cold_cell, row.warm_seconds,
-                warm.origin == VerdictOrigin::kCached ? "cached" : "NOT CACHED");
-  }
-  std::printf("%-12s %13.2fs %13.4fs\n", "total", cold_total, warm_total);
-  std::printf("re-stream speedup: %.0fx (the second user of every crash costs a table "
-              "lookup)\n",
-              warm_total > 0 ? cold_total / warm_total : 0.0);
-
-  const WireHealthStats health = service->HealthStats();
-  std::printf("service: %" PRIu64 " reports -> %" PRIu64 " clusters, %" PRIu64
-              " searches run, %" PRIu64 " cached verdicts\n",
-              health.reports_ingested, health.clusters, health.searches_run,
-              health.cached_verdicts);
-  std::printf("slice cache resident: %" PRIu64 " sat + %" PRIu64 " unsat entries\n",
-              health.cache_sat_entries, health.cache_unsat_entries);
-  service->Shutdown();
-
-  FILE* json = std::fopen("BENCH_service.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_service.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"service\",\n  \"shards\": %u,\n",
-               config.replay.num_shards);
-  std::fprintf(json,
-               "  \"reports\": %" PRIu64 ",\n  \"clusters\": %" PRIu64 ",\n"
-               "  \"searches_run\": %" PRIu64 ",\n  \"cached_verdicts\": %" PRIu64 ",\n",
-               health.reports_ingested, health.clusters, health.searches_run,
-               health.cached_verdicts);
-  std::fprintf(json, "  \"cold_total_s\": %.4f,\n  \"warm_total_s\": %.4f,\n", cold_total,
-               warm_total);
-  std::fprintf(json, "  \"results\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(json,
-                 "    {\"experiment\": %d, \"cold_s\": %.4f, \"cold_runs\": %" PRIu64
-                 ", \"cold_reproduced\": %s, \"warm_s\": %.4f, \"warm_cached\": %s}%s\n",
-                 row.experiment, row.cold_seconds, row.cold_runs,
-                 row.cold_reproduced ? "true" : "false", row.warm_seconds,
-                 row.warm_origin == VerdictOrigin::kCached ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote BENCH_service.json\n");
-  return 0;
 }
 
 // Median and range of one measured field over repetitions.
@@ -287,13 +159,13 @@ int JsonMain(int reps) {
     }
   }
 
+  const std::string host = HostStampJson();  // Before the open truncates the file.
   FILE* json = std::fopen("BENCH_parallel.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_parallel.json\n");
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"parallel\",\n  \"host\": %s,\n",
-               HostStampJson().c_str());
+  std::fprintf(json, "{\n  \"bench\": \"parallel\",\n  \"host\": %s,\n", host.c_str());
   std::fprintf(json, "  \"plan\": \"dynamic (lc)\",\n  \"cap_s\": %.3f,\n  \"reps\": %d,\n",
                static_cast<double>(cap_ms) / 1000.0, reps);
   std::fprintf(json, "  \"rows\": [\n");
@@ -348,8 +220,6 @@ int Main() {
   std::printf("budget %" PRId64 ".%03" PRId64 "s per cell; 'inf' = not reproduced within "
               "budget (RETRACE_BENCH_CAP_MS overrides)\n",
               cap_ms / 1000, cap_ms % 1000);
-  std::printf("solver cache: %s (RETRACE_SOLVER_CACHE=0 disables the incremental layer)\n",
-              SolverCacheEnabled() ? "on" : "off");
   std::printf("corpus mutation: %u mutants/seed (RETRACE_REPLAY_CORPUS_MUTATE)\n",
               corpus_mutants);
   std::printf("corpus seeding: %s, %zu dynamic-analysis seeds (RETRACE_REPLAY_CORPUS=1 "
@@ -524,9 +394,6 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--json") == 0) {
     const int reps = argc >= 3 ? std::max(3, std::atoi(argv[2])) : 3;
     return retrace::JsonMain(reps);
-  }
-  if (retrace::EnvKnobBool("RETRACE_BENCH_SERVICE", false)) {
-    return retrace::ServiceMain();
   }
   return retrace::Main();
 }

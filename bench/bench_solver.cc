@@ -1,13 +1,12 @@
-// Incremental solving layer microbenchmark: partitioned vs. monolithic
-// solves, slice caches cold vs. warm, and delta solving on a frontier.
+// Incremental solving layer microbenchmark: monolithic solves vs. slice
+// caches cold and warm, and delta solving on a frontier.
 //
 // Workload: synthetic constraint sets shaped like replay pendings — S
 // independent slices (one per small group of input cells), each a short
 // equality/ordering chain, solved from a deliberately violating seed so
-// the local search has real repair work. Four configurations:
+// the local search has real repair work. Three configurations:
 //
 //   monolithic    the plain Solver over the whole set per call
-//   partitioned   IncrementalSolver, no cache (union-find slices only)
 //   cache-cold    IncrementalSolver, fresh SliceCache every call
 //   cache-warm    IncrementalSolver, one SliceCache across calls
 //
@@ -158,7 +157,7 @@ Row FrontierChain(ExprArena* arena, bool delta, u64 pops, size_t prefix,
   auto root = std::make_shared<std::vector<Constraint>>(root_trace.branches);
 
   SliceCache cache;
-  IncrementalSolver solver(*arena, SolverOptions{}, &cache);
+  IncrementalSolver solver(*arena, SolverOptions{}, cache);
   // The root set is a pending too: solve it once, at depth 0.
   auto root_state = std::make_shared<SliceState>();
   SolveResult root_solve = solver.Solve(ConstraintSpan(root->data(), root->size()), domains,
@@ -269,7 +268,7 @@ int Main(int argc, char** argv) {
     frontier_arenas.push_back(std::make_unique<ExprArena>());
   }
 
-  std::vector<Samples> rows(4);
+  std::vector<Samples> rows(3);
   std::vector<Samples> frontier_rows(2 * std::size(kDepths));
   std::vector<u64> frontier_sat(std::size(kDepths), 0);
   for (int rep = 0; rep < reps; ++rep) {
@@ -280,28 +279,18 @@ int Main(int argc, char** argv) {
         Check(r.status == SolveStatus::kSat, "bench_solver: monolithic must solve");
       }));
     }
-    {
-      IncrementalSolver inc(p->arena, options, nullptr);
-      Row row = Measure("partitioned", iters, [&] {
-        const SolveResult r = inc.Solve(
-            ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
-        Check(r.status == SolveStatus::kSat, "bench_solver: partitioned must solve");
-      });
-      row.slices_solved = inc.stats().slices_solved;
-      rows[1].Add(row);
-    }
-    rows[2].Add(Measure("cache-cold", iters, [&] {
+    rows[1].Add(Measure("cache-cold", iters, [&] {
       // A fresh cache per solve: pays partition + key hashing + stores,
       // never hits. The honest lower bound for first-contact pendings.
       SliceCache cache;
-      IncrementalSolver fresh(p->arena, options, &cache);
+      IncrementalSolver fresh(p->arena, options, cache);
       const SolveResult r = fresh.Solve(
           ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
       Check(r.status == SolveStatus::kSat, "bench_solver: cache-cold must solve");
     }));
     {
       SliceCache cache;
-      IncrementalSolver inc(p->arena, options, &cache);
+      IncrementalSolver inc(p->arena, options, cache);
       Row row = Measure("cache-warm", iters, [&] {
         const SolveResult r = inc.Solve(
             ConstraintSpan(p->constraints.data(), p->constraints.size()), p->domains, p->seed);
@@ -309,7 +298,7 @@ int Main(int argc, char** argv) {
       });
       row.slices_solved = inc.stats().slices_solved;
       row.sat_hits = inc.stats().slice_sat_hits;
-      rows[3].Add(row);
+      rows[2].Add(row);
     }
     for (size_t d = 0; d < std::size(kDepths); ++d) {
       const size_t prefix = kFrontierPrefix * kDepths[d];
@@ -368,6 +357,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("\n");
 
+  const std::string host = HostStampJson();  // Before the open truncates the file.
   FILE* json = std::fopen("BENCH_solver.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_solver.json\n");
@@ -377,7 +367,7 @@ int Main(int argc, char** argv) {
                "{\n  \"bench\": \"solver\",\n  \"host\": %s,\n  \"repetitions\": %d,\n"
                "  \"slices\": %d,\n  \"constraints\": %zu,\n  \"iters\": %" PRIu64
                ",\n  \"results\": [\n",
-               HostStampJson().c_str(), reps, kSlices, p->constraints.size(), iters);
+               host.c_str(), reps, kSlices, p->constraints.size(), iters);
   for (const Samples& row : rows) {
     std::fprintf(json,
                  "    {\"name\": \"%s\", \"ns_per_solve\": %.1f, \"ns_min\": %.1f, "

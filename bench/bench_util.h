@@ -68,16 +68,14 @@ inline AnalysisConfig HighCoverageConfig() {
   return config;
 }
 
-// Single-value replay knobs (workers, solver cache, shards, transport,
-// gossip cadence) are parsed by the engine's own
-// ReplayConfig::FromEnv (src/replay/replay_engine.h) — one strict,
+// Single-value replay knobs (workers, shards, transport, gossip cadence)
+// are parsed by the engine's own ReplayConfig::FromEnv
+// (src/replay/replay_engine.h) — one strict,
 // documented parser shared by benches, CI legs, and tools, instead of
 // per-bench getenv scatter. The thin wrappers below exist for benches
 // that print or branch on one knob; ReplayShardsSweep stays bench-side
 // because sweeping a *list* of shard counts is a bench concept.
 inline u32 ReplayWorkers() { return ReplayConfig::FromEnv().num_workers; }
-
-inline bool SolverCacheEnabled() { return ReplayConfig::FromEnv().solver_cache; }
 
 // Corpus-seeding knob: RETRACE_REPLAY_CORPUS=1 hands the dynamic
 // analysis' model corpus (AnalysisResult::corpus) to the replay engine
@@ -181,7 +179,8 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
 // The host a BENCH_*.json was measured on, as a JSON object: hardware
 // threads, compiler and the checkout's commit, suffixed "-dirty" when the
 // tree has uncommitted changes ("unknown" outside a git checkout or
-// without git on PATH).
+// without git on PATH). Take it before opening a tracked BENCH_*.json
+// for writing: the truncated file would make a clean tree read dirty.
 inline std::string HostStampJson() {
 #if defined(__clang__)
   const char* compiler = "clang " __clang_version__;

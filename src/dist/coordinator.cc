@@ -94,13 +94,12 @@ ReplayResult RunDistributedJob(const IrModule& module, const InstrumentationPlan
   const u32 num_shards = fleet.num_shards();
 
   // ----- 1. Scout: grow (or finish) the frontier in-process. -----
-  // A short one-worker DFS: monolithic solver, no corpus seeds. It stops
-  // once the frontier is wide enough to deal out.
+  // A short one-worker DFS with a cache of its own, no corpus seeds. It
+  // stops once the frontier is wide enough to deal out.
   ReplayEngine scout(module, plan, report);
   ReplayConfig scout_cfg = config;
   scout_cfg.num_shards = 1;
   scout_cfg.pick = ReplayConfig::Pick::kDfs;
-  scout_cfg.solver_cache = false;
   scout_cfg.corpus_seeds.clear();
   scout_cfg.max_runs = std::min<u64>(std::max<u64>(4, 2 * num_shards), config.max_runs);
   std::vector<PortablePending> frontier;

@@ -228,18 +228,13 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
 
   // ----- Search, with the gossip pump on this thread. -----
   // The cache is externally owned for ServeShardJobs (cross-job
-  // warmth), private otherwise; either way gossip journaling is on, and
-  // a job with solver_cache off runs cache-less regardless.
+  // warmth), private otherwise; either way gossip journaling is on.
   std::unique_ptr<SliceCache> owned_cache;
-  SliceCache* cache = nullptr;
-  if (config.solver_cache) {
-    if (external_cache != nullptr) {
-      cache = external_cache;
-    } else {
-      owned_cache = std::make_unique<SliceCache>(config.slice_cache_capacity);
-      owned_cache->EnableJournal();
-      cache = owned_cache.get();
-    }
+  SliceCache* cache = external_cache;
+  if (cache == nullptr) {
+    owned_cache = std::make_unique<SliceCache>(config.slice_cache_capacity);
+    owned_cache->EnableJournal();
+    cache = owned_cache.get();
   }
   ReplayEngine engine(module, plan, report);
   FrontierPort port;
@@ -322,9 +317,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
       case WireMsg::kHeartbeat:
         break;  // Pure liveness; arrival already reset the deadline.
       case WireMsg::kVerdicts:
-        if (cache != nullptr) {
-          verdicts_imported += MergeVerdicts(frame, cache);
-        }
+        verdicts_imported += MergeVerdicts(frame, cache);
         break;
       case WireMsg::kWorkRequest:
         // A starved peer, via the coordinator: we are the donor.
@@ -405,9 +398,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
     for (const WireFrame& frame : frames) {
       handle_frame(frame);
     }
-    if (cache != nullptr) {
-      verdicts_published += PublishVerdicts(cache, &chan);
-    }
+    verdicts_published += PublishVerdicts(cache, &chan);
     if (config.heartbeat_interval_ms > 0 && NowMs() >= next_heartbeat_ms) {
       WireWriter w;
       EncodeHeartbeat(WireHeartbeat{heartbeat_seq++}, &w);
@@ -492,9 +483,7 @@ ShardRunStatus RunShardOn(WireChannel& chan, const IrModule& module,
   }
   // Final flush so a verdict proved in the last pump interval still
   // reaches slower shards, then the result.
-  if (cache != nullptr) {
-    verdicts_published += PublishVerdicts(cache, &chan);
-  }
+  verdicts_published += PublishVerdicts(cache, &chan);
   result.stats.rebalance_rounds = rebalance_rounds;
   WireShardResult shard_result;
   shard_result.result = std::move(result);
@@ -517,7 +506,7 @@ namespace {
 ShardRunStatus ServeJobs(WireChannel& chan, const IrModule* inherited, u32 expected_shard_id,
                          u32 worker_override) {
   // Persists across jobs: the whole point of a standing shard. Sized by
-  // the first cache-enabled job (later capacity changes are ignored —
+  // the first job (later capacity changes are ignored —
   // resizing a warm cache would throw away exactly the warmth a
   // duplicate-cluster report came back for).
   std::unique_ptr<SliceCache> cache;
@@ -593,18 +582,14 @@ ShardRunStatus ServeJobs(WireChannel& chan, const IrModule* inherited, u32 expec
       pipeline = built.take();
       module = &pipeline->module();
     }
-    SliceCache* job_cache = nullptr;
-    if (job.config.solver_cache) {
-      if (cache == nullptr) {
-        cache = std::make_unique<SliceCache>(job.config.slice_cache_capacity);
-        cache->EnableJournal();
-      }
-      job_cache = cache.get();
+    if (cache == nullptr) {
+      cache = std::make_unique<SliceCache>(job.config.slice_cache_capacity);
+      cache->EnableJournal();
     }
     // Frames pipelined behind kJobBegin (kPending/kHello/kStart) are
     // handed through so nothing already parsed is lost.
     const ShardRunStatus status = RunShardOn(chan, *module, job.plan, job.report, job.config,
-                                             expected_shard_id, std::move(frames), job_cache);
+                                             expected_shard_id, std::move(frames), cache.get());
     frames.clear();
     if (status != ShardRunStatus::kOk) {
       return status;

@@ -63,10 +63,10 @@ enum class ShardRunStatus {
 /// order.
 ///
 /// `external_cache` lets a standing shard (ServeShardJobs) keep one
-/// slice cache alive across jobs: when non-null (and the job enables
-/// solver_cache) the run uses it instead of creating a private one, so
-/// a later report whose slices a prior report already proved starts
-/// warm. The caller owns the cache and must have journaling enabled.
+/// slice cache alive across jobs: when non-null the run uses it instead
+/// of creating a private one, so a later report whose slices a prior
+/// report already proved starts warm. The caller owns the cache and must
+/// have journaling enabled.
 ///
 /// Liveness: while searching, the shard rides a kHeartbeat on the gossip
 /// pump every ReplayConfig::heartbeat_interval_ms, and treats *any*

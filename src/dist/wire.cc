@@ -732,7 +732,6 @@ void EncodeConfig(const ReplayConfig& c, WireWriter* w) {
   w->U8(c.use_syscall_log ? 1 : 0);
   w->U8(static_cast<u8>(c.pick));
   w->U32(c.num_workers);
-  w->U8(c.solver_cache ? 1 : 0);
   w->U64(c.slice_cache_capacity);
   w->I32(c.gossip_interval_ms);
   // v5: heartbeat knobs travel with the job so a remote shard's
@@ -751,12 +750,10 @@ void EncodeConfig(const ReplayConfig& c, WireWriter* w) {
 bool DecodeConfig(WireReader* r, ReplayConfig* c) {
   u8 use_log = 0;
   u8 pick = 0;
-  u8 cache = 0;
   if (!(r->U64(&c->max_runs) && r->I64(&c->wall_ms) && r->U64(&c->total_steps) &&
         r->U64(&c->max_steps_per_run) && r->U64(&c->solver.max_steps) &&
         r->U64(&c->solver.max_enumeration) && r->U64(&c->seed) && r->U8(&use_log) &&
-        r->U8(&pick) && r->U32(&c->num_workers) && r->U8(&cache) &&
-        r->U64(&c->slice_cache_capacity) &&
+        r->U8(&pick) && r->U32(&c->num_workers) && r->U64(&c->slice_cache_capacity) &&
         r->I32(&c->gossip_interval_ms) && r->I32(&c->heartbeat_interval_ms) &&
         r->I32(&c->heartbeat_timeout_ms))) {
     return false;
@@ -797,7 +794,6 @@ bool DecodeConfig(WireReader* r, ReplayConfig* c) {
   }
   c->use_syscall_log = use_log != 0;
   c->pick = static_cast<ReplayConfig::Pick>(pick);
-  c->solver_cache = cache != 0;
   // A shipped job always runs one in-process shard search on the remote
   // side; transport fields never nest.
   c->num_shards = 1;

@@ -66,7 +66,9 @@ inline constexpr u32 kWireMagic = 0x43525452u;  // "RTRC" little-endian.
 // ride the stats codec, per worker and in the aggregate.
 // v13: one pending per frontier visit — the job config drops the
 // solve_batch field.
-inline constexpr u16 kWireVersion = 13;
+// v14: one solve path — the job config drops the slice-cache on/off byte;
+// every shard solves through its slice cache.
+inline constexpr u16 kWireVersion = 14;
 
 /// Message types carried in the frame header.
 enum class WireMsg : u16 {

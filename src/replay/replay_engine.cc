@@ -144,14 +144,11 @@ ReplayConfig ReplayConfig::FromEnv() {
   ReplayConfig config;
   config.num_workers = static_cast<u32>(EnvKnobI64("RETRACE_REPLAY_WORKERS", 1, 1, 4096));
   config.num_shards = FirstShardCountFromEnv();
-  config.solver_cache = EnvKnobBool("RETRACE_SOLVER_CACHE", true);
   config.transport = TransportFromEnv();
   config.gossip_interval_ms =
       static_cast<int>(EnvKnobI64("RETRACE_GOSSIP_INTERVAL_MS", 20, 1, 1000));
   config.heartbeat_interval_ms =
       static_cast<int>(EnvKnobI64("RETRACE_HEARTBEAT_INTERVAL_MS", 100, 0, 60'000));
-  config.heartbeat_timeout_ms =
-      static_cast<int>(EnvKnobI64("RETRACE_HEARTBEAT_TIMEOUT_MS", 10'000, 0, 600'000));
   // Stored raw; the coordinator parses it (src/dist/fault.h) and exits 2
   // on garbage, matching the strict contract of every other knob —
   // validating here would invert the replay -> dist layering.
@@ -427,13 +424,12 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
   // accumulator; the join below folds them into the aggregate profile.
   std::vector<FailureAccum> worker_failures(num_workers, FailureAccum(module.branches.size()));
   // Fleet-wide slice verdict store: once any worker proves a slice
-  // SAT/UNSAT, every worker reuses the verdict (null = layer disabled).
-  // A distributed shard or the service shares its process-wide cache
-  // instead — a shard's gossip pump merges remote verdicts into it
-  // concurrently.
+  // SAT/UNSAT, every worker reuses the verdict. A distributed shard or
+  // the service shares its process-wide cache instead — a shard's gossip
+  // pump merges remote verdicts into it concurrently.
   std::unique_ptr<SliceCache> owned_cache;
   SliceCache* slice_cache = shard != nullptr ? shard->cache : nullptr;
-  if (slice_cache == nullptr && config.solver_cache) {
+  if (slice_cache == nullptr) {
     owned_cache = std::make_unique<SliceCache>(config.slice_cache_capacity);
     slice_cache = owned_cache.get();
   }
@@ -463,11 +459,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     // Thread-confined execution context: arena, interpreter harness and
     // solver are all single-threaded by design.
     ExprArena arena;
-    Solver solver(arena, config.solver);
-    std::unique_ptr<IncrementalSolver> incremental;
-    if (config.solver_cache) {
-      incremental = std::make_unique<IncrementalSolver>(arena, config.solver, slice_cache);
-    }
+    IncrementalSolver solver(arena, config.solver, *slice_cache);
     Rng rng(config.seed + 0x9e3779b97f4a7c15ull * (wid + rng_stream));
     const u64 step_share = std::max<u64>(1, config.total_steps / num_workers);
     Budget budget = config.wall_ms > 0 ? Budget::StepsAndMillis(step_share, config.wall_ms)
@@ -784,24 +776,16 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       const ConstraintSpan set(pending.trace->constraints->data(), pending.len,
                                pending.negate_last);
       ++ws.solver_calls;
-      SolveResult solved;
-      std::shared_ptr<SliceState> state;
-      if (incremental == nullptr) {
-        solved = solver.Solve(set, *pending.domains, *pending.seed);
-      } else {
-        // Extend the slice state of the solve that produced this trace,
-        // and keep this solve's own for the run it produces.
-        solved = incremental->Solve(set, *pending.domains, *pending.seed,
-                                    pending.trace->base.get(), &solved_state);
-        if (solved.status == SolveStatus::kSat) {
-          state = std::make_shared<SliceState>(std::move(solved_state));
-          state->set_owner = pending.trace->constraints;
-          state->domains_owner = pending.domains;
-        }
-      }
+      // Extend the slice state of the solve that produced this trace,
+      // and keep this solve's own for the run it produces.
+      SolveResult solved = solver.Solve(set, *pending.domains, *pending.seed,
+                                        pending.trace->base.get(), &solved_state);
       if (solved.status != SolveStatus::kSat) {
         continue;
       }
+      auto state = std::make_shared<SliceState>(std::move(solved_state));
+      state->set_owner = pending.trace->constraints;
+      state->domains_owner = pending.domains;
       if (stop.StopRequested() || budget.Exhausted()) {
         break;
       }
@@ -816,14 +800,12 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     ws.resumed_at_branch = runner.resumed_at_branch();
     ws.instrs_skipped = runner.instrs_skipped();
     ws.instrs_before_flip = runner.instrs_before_flip();
-    if (incremental != nullptr) {
-      const IncrementalStats& inc = incremental->stats();
-      ws.slices_solved = inc.slices_solved;
-      ws.slice_sat_hits = inc.slice_sat_hits;
-      ws.slice_unsat_hits = inc.slice_unsat_hits;
-      ws.slices_inherited = inc.slices_inherited;
-      ws.solves_from_base = inc.solves_from_base;
-    }
+    const IncrementalStats& inc = solver.stats();
+    ws.slices_solved = inc.slices_solved;
+    ws.slice_sat_hits = inc.slice_sat_hits;
+    ws.slice_unsat_hits = inc.slice_unsat_hits;
+    ws.slices_inherited = inc.slices_inherited;
+    ws.solves_from_base = inc.solves_from_base;
     // What is left on the stack leaves with the worker, exported while
     // its arena is alive: the scout hands it on to the shards, and a
     // worker whose step share ran out while the others search on donates
@@ -883,9 +865,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
   }
   result.stats.pending_peak = frontier.peak();
   result.stats.per_worker = std::move(worker_stats);
-  if (slice_cache != nullptr) {
-    result.stats.slice_evictions = slice_cache->evictions();
-  }
+  result.stats.slice_evictions = slice_cache->evictions();
   if (shard != nullptr && shard->port != nullptr) {
     // Unbind before the frontier dies; the counters survive Detach.
     shard->port->Detach();

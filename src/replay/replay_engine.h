@@ -81,10 +81,10 @@ struct ReplayProgramSources {
 struct ReplayConfig {
   /// Builds a config from the documented RETRACE_* environment knobs
   /// (docs/BENCHMARKS.md): RETRACE_REPLAY_WORKERS, RETRACE_REPLAY_SHARDS
-  /// (first entry of a comma-separated sweep list), RETRACE_SOLVER_CACHE,
+  /// (first entry of a comma-separated sweep list),
   /// RETRACE_REPLAY_TRANSPORT, RETRACE_GOSSIP_INTERVAL_MS,
-  /// RETRACE_HEARTBEAT_INTERVAL_MS, RETRACE_HEARTBEAT_TIMEOUT_MS,
-  /// RETRACE_FAULT_SPEC, RETRACE_SHARD_TOKEN and RETRACE_SHARD_ENDPOINTS.
+  /// RETRACE_HEARTBEAT_INTERVAL_MS, RETRACE_FAULT_SPEC,
+  /// RETRACE_SHARD_TOKEN and RETRACE_SHARD_ENDPOINTS.
   /// Every knob is parsed strictly (src/support/env.h): an unset knob
   /// keeps the field default, garbage prints the offending value and
   /// exits with code 2 — a replay whose configuration was silently
@@ -116,11 +116,6 @@ struct ReplayConfig {
   // thread of the owner's first distributed search; make it from a
   // single-threaded context.
   u32 num_shards = 1;
-  // Incremental solving layer: partition each pending set into
-  // independent slices and share slice SAT/UNSAT verdicts fleet-wide
-  // (src/solver/incremental.h). Off = the monolithic solver. The 1x1
-  // sentinels are pinned with it on, the default.
-  bool solver_cache = true;
   // Upper bound on resident SliceCache entries (0 = unbounded, the
   // historical behavior). Long-horizon daemons reusing one search budget
   // across reports want a bound; evictions surface in
@@ -251,7 +246,7 @@ struct ReplayWorkerStats {
   u64 steals = 0;        // Pendings received from another worker (donations).
   u64 dedup_skips = 0;   // Pending sets dropped: already tried fleet-wide.
   u64 cancelled_runs = 0;  // Runs aborted by first-crash-wins cancellation.
-  // Incremental solving layer (zero when ReplayConfig::solver_cache off).
+  // Incremental solving layer (src/solver/incremental.h).
   u64 slices_solved = 0;     // Constraint slices sent to the local search.
   u64 slice_sat_hits = 0;    // Slices satisfied from the fleet-wide cache.
   u64 slice_unsat_hits = 0;  // Pendings rejected by the UNSAT cache.
@@ -525,7 +520,8 @@ struct ShardContext {
   /// Frontier entries shipped by the coordinator, put into the search's
   /// shared pool before the search starts.
   std::vector<PortablePending> seed_frontier;
-  /// Shared verdict store (thread-safe); null = engine-private cache.
+  /// Shared verdict store (thread-safe); null = a cache of the search's
+  /// own, sized by ReplayConfig::slice_cache_capacity.
   /// The shard's gossip pump drains/merges it concurrently with the
   /// search.
   SliceCache* cache = nullptr;

@@ -699,10 +699,8 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   if (out != nullptr) {
     out->Clear();
   }
-  // Without a cache every slice is re-solved from the call's seed, so
-  // there is nothing to inherit and no state worth keeping.
-  const bool keep = out != nullptr && cache_ != nullptr;
-  if (base == nullptr || cache_ == nullptr || !base->Prefixes(constraints)) {
+  const bool keep = out != nullptr;
+  if (base == nullptr || !base->Prefixes(constraints)) {
     base = &kEmptyState;
   } else {
     ++stats_.solves_from_base;
@@ -879,8 +877,8 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   const u64 inherited_total = base_slices - static_cast<u32>(touched_.size());
   u32 base_headed = 0;
 
-  // Base model: the seed clamped into domains (the same initialization the
-  // monolithic solver applies), with every base slice's validated
+  // Base model: the seed clamped into domains (the same initialization
+  // Solver applies to a whole set), with every base slice's validated
   // sub-model over it; a group's variables go back to the seed before it
   // is resolved, as at depth 0. Built when a slice first needs it: a
   // call that ends at its first slice's UNSAT hit never does.
@@ -1013,7 +1011,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
     bool inheritable = false;
     bool resolved = false;
     bool hit_failed = false;
-    if (cache_ != nullptr && cache_->LookupUnsat(key, check)) {
+    if (cache_.LookupUnsat(key, check)) {
       ++stats_.slice_unsat_hits;
       result.status = SolveStatus::kUnsat;
       result.steps = 0;
@@ -1033,29 +1031,27 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
         model[v] = seeded(v);
       }
     }
-    if (cache_ != nullptr) {
-      if (cache_->LookupSat(key, &cached_model_)) {
-        for (const auto& [v, value] : cached_model_) {
-          if (static_cast<size_t>(v) < model.size()) {
-            model[v] = value;
-          }
+    if (cache_.LookupSat(key, &cached_model_)) {
+      for (const auto& [v, value] : cached_model_) {
+        if (static_cast<size_t>(v) < model.size()) {
+          model[v] = value;
         }
-        // Revalidate against the live constraints: a fingerprint collision
-        // (or any cache bug) degrades to a miss instead of a wrong model.
-        if (solver_.Satisfies(slice_constraints_, model)) {
-          ++stats_.slice_sat_hits;
-          resolved = true;
-          // Only a model of exactly the slice's variables validates
-          // independently of the seed.
-          inheritable = keep && cached_model_.size() == slice_vars_.size() &&
-                        std::equal(slice_vars_.begin(), slice_vars_.end(), cached_model_.begin(),
-                                   [](i32 v, const auto& entry) { return v == entry.first; });
-        } else {
-          hit_failed = true;
-          for (const i32 v : slice_vars_) {  // Undo the misapplied sub-model.
-            if (static_cast<size_t>(v) < model.size()) {
-              model[v] = seeded(v);
-            }
+      }
+      // Revalidate against the live constraints: a fingerprint collision
+      // (or any cache bug) degrades to a miss instead of a wrong model.
+      if (solver_.Satisfies(slice_constraints_, model)) {
+        ++stats_.slice_sat_hits;
+        resolved = true;
+        // Only a model of exactly the slice's variables validates
+        // independently of the seed.
+        inheritable = keep && cached_model_.size() == slice_vars_.size() &&
+                      std::equal(slice_vars_.begin(), slice_vars_.end(), cached_model_.begin(),
+                                 [](i32 v, const auto& entry) { return v == entry.first; });
+      } else {
+        hit_failed = true;
+        for (const i32 v : slice_vars_) {  // Undo the misapplied sub-model.
+          if (static_cast<size_t>(v) < model.size()) {
+            model[v] = seeded(v);
           }
         }
       }
@@ -1066,9 +1062,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       SolveResult sub = solver_.Solve(slice_constraints_, domains, seed);
       result.steps += sub.steps;
       if (sub.status == SolveStatus::kUnsat) {
-        if (cache_ != nullptr) {
-          cache_->StoreUnsat(key, check);
-        }
+        cache_.StoreUnsat(key, check);
         result.status = SolveStatus::kUnsat;
         return result;
       }
@@ -1085,12 +1079,10 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
           model[v] = value;
         }
       }
-      if (cache_ != nullptr) {
-        cache_->StoreSat(key, std::move(sub_model));
-      }
+      cache_.StoreSat(key, std::move(sub_model));
       // The next lookup returns this sub-model, unless the store lost to
       // the entry that failed revalidation (first store wins).
-      inheritable = cache_ != nullptr && !hit_failed;
+      inheritable = !hit_failed;
     }
 
     if (keep) {

@@ -224,7 +224,7 @@ struct IncrementalStats {
 ///   - it is not inheritable: its cache hit failed revalidation (that
 ///     path solves from the call's seed, so it must be re-run), or the
 ///     hit's model did not cover exactly the slice's variables (the
-///     revalidation then depended on the seed), or there was no cache.
+///     revalidation then depended on the seed).
 /// A base whose constraints are not a prefix of the new set, by ExprRef
 /// and polarity, is ignored: the solve starts from depth 0, which is
 /// also the case for every set with no base (the search's first run, a
@@ -305,8 +305,7 @@ struct SliceState {
 /// must outlive the solver.
 class IncrementalSolver {
  public:
-  /// `cache` may be null: partition-only mode (no cross-call reuse).
-  IncrementalSolver(const ExprArena& arena, SolverOptions options, SliceCache* cache)
+  IncrementalSolver(const ExprArena& arena, SolverOptions options, SliceCache& cache)
       : arena_(arena), solver_(arena, options), cache_(cache) {}
 
   /// Solves `constraints`. With `base` (a state an earlier SAT solve of
@@ -330,7 +329,7 @@ class IncrementalSolver {
 
   const ExprArena& arena_;
   Solver solver_;
-  SliceCache* cache_;
+  SliceCache& cache_;
   IncrementalStats stats_;
 
   static constexpr u32 kNone = ~0u;

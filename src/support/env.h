@@ -1,7 +1,7 @@
 // Strict environment-knob parsing.
 //
-// std::atoi silently turns garbage into 0 — `RETRACE_SOLVER_CACHE=true`
-// used to parse as 0 and *disable* the cache the user asked for, and
+// std::atoi silently turns garbage into 0 — a boolean knob set to `true`
+// used to parse as 0 and *disable* the feature the user asked for, and
 // negative or trailing-garbage worker counts were accepted silently.
 // These helpers parse the whole value or refuse it: the pure Parse*
 // functions report failure to the caller (testable), and the EnvKnob*

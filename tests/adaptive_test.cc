@@ -212,8 +212,7 @@ TEST(CorpusMutateTest, RespectsCapAndHandlesEmpty) {
 struct EnvGuard {
   ~EnvGuard() {
     for (const char* name : {"RETRACE_REPLAY_WORKERS", "RETRACE_REPLAY_SHARDS",
-                             "RETRACE_SOLVER_CACHE", "RETRACE_REPLAY_TRANSPORT",
-                             "RETRACE_GOSSIP_INTERVAL_MS"}) {
+                             "RETRACE_REPLAY_TRANSPORT", "RETRACE_GOSSIP_INTERVAL_MS"}) {
       ::unsetenv(name);
     }
   }
@@ -225,7 +224,6 @@ TEST(ReplayConfigFromEnvTest, DefaultsWhenUnset) {
   EXPECT_EQ(config.num_workers, 1u);
   EXPECT_EQ(config.num_shards, 1u);
   EXPECT_EQ(config.pick, ReplayConfig::Pick::kDfs);
-  EXPECT_TRUE(config.solver_cache);
   EXPECT_EQ(config.transport, ReplayTransport::kFork);
   EXPECT_EQ(config.gossip_interval_ms, 20);
 }
@@ -234,13 +232,11 @@ TEST(ReplayConfigFromEnvTest, ReadsEveryKnob) {
   EnvGuard guard;
   ::setenv("RETRACE_REPLAY_WORKERS", "3", 1);
   ::setenv("RETRACE_REPLAY_SHARDS", "2,4", 1);  // Sweep list: first entry.
-  ::setenv("RETRACE_SOLVER_CACHE", "0", 1);
   ::setenv("RETRACE_REPLAY_TRANSPORT", "tcp", 1);
   ::setenv("RETRACE_GOSSIP_INTERVAL_MS", "50", 1);
   const ReplayConfig config = ReplayConfig::FromEnv();
   EXPECT_EQ(config.num_workers, 3u);
   EXPECT_EQ(config.num_shards, 2u);
-  EXPECT_FALSE(config.solver_cache);
   EXPECT_EQ(config.transport, ReplayTransport::kTcp);
   EXPECT_EQ(config.gossip_interval_ms, 50);
 }

@@ -228,7 +228,8 @@ TEST(DistReplayTest, TwoShardsReproduceFromCorpusSeeds) {
 TEST(DistReplayTest, ScoutShortCircuitsWithoutForking) {
   // With a wide-open run budget and the trivial scenario, the scout's
   // bounded sequential search reproduces the crash before any shard is
-  // forked: no wire traffic, no per-shard entries.
+  // forked: no wire traffic, no per-shard entries. It still solves
+  // through the incremental layer, so its slice counters show the work.
   auto pipeline = MustBuild(kGuardedCrash);
   const InstrumentationPlan plan =
       pipeline->MakePlan(PlanInputs::AllBranches());
@@ -239,13 +240,13 @@ TEST(DistReplayTest, ScoutShortCircuitsWithoutForking) {
   config.num_shards = 4;  // Scout cap = max(4, 2*shards) = 8 runs.
   config.seed = 11;
   const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-  if (replay.stats.per_shard.empty()) {
-    // Scout finished the job: the distributed layer added zero overhead.
-    EXPECT_EQ(replay.stats.wire_bytes_tx, 0u);
-    EXPECT_EQ(replay.stats.wire_bytes_rx, 0u);
-    EXPECT_EQ(replay.stats.runs, replay.stats.harvest_runs);
-  }
   ASSERT_TRUE(replay.reproduced);
+  ASSERT_TRUE(replay.stats.per_shard.empty());  // The scout finished the job.
+  EXPECT_EQ(replay.stats.wire_bytes_tx, 0u);
+  EXPECT_EQ(replay.stats.wire_bytes_rx, 0u);
+  EXPECT_EQ(replay.stats.runs, replay.stats.harvest_runs);
+  EXPECT_GT(replay.stats.solver_calls, 0u);
+  EXPECT_GT(replay.stats.slices_solved + replay.stats.slice_sat_hits, 0u);
   EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
 }
 

@@ -63,7 +63,6 @@ ServiceConfig InProcessConfig() {
   ServiceConfig config;
   config.replay.num_shards = 1;
   config.replay.num_workers = 2;
-  config.replay.solver_cache = true;
   return config;
 }
 

@@ -329,6 +329,22 @@ std::vector<HostileCase> HostilePayloads() {
     cases.push_back({"job_config_v12_solve_batch", payload, DecoderOf(DecodeJobBegin)});
   }
   {
+    // A v13 job config: the slice-cache on/off byte between the worker count
+    // and the slice-cache capacity, spliced back the same way.
+    const WireJob job = MakeJob();
+    std::vector<u8> payload = Encode(EncodeJobBegin, Begin(3, job));
+    WireWriter around;
+    around.U32(job.config.num_workers);
+    around.U64(job.config.slice_cache_capacity);
+    const auto at = std::search(payload.begin(), payload.end(), around.buf().begin(),
+                                around.buf().end());
+    EXPECT_NE(at, payload.end());
+    if (at != payload.end()) {
+      payload.insert(at + 4, u8{1});
+    }
+    cases.push_back({"job_config_v13_cache_byte", payload, DecoderOf(DecodeJobBegin)});
+  }
+  {
     // One absurd corpus model (memory bomb) with a plausible seed count:
     // find the encoded cell count (u32 1, then the lone i64 cell 7) and
     // inflate it past the per-seed cap.

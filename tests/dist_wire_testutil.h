@@ -138,7 +138,6 @@ inline WireJob MakeJob() {
   c.seed = 0xabcdef;
   c.pick = ReplayConfig::Pick::kFifo;
   c.num_workers = 3;
-  c.solver_cache = false;
   c.slice_cache_capacity = 99;
   c.gossip_interval_ms = 7;
   c.heartbeat_interval_ms = 250;
@@ -401,7 +400,6 @@ inline void ExpectSame(const WireJob& want, const WireJob& got, const std::strin
   RETRACE_EXPECT_FIELD(config.use_syscall_log);
   RETRACE_EXPECT_FIELD(config.pick);
   RETRACE_EXPECT_FIELD(config.num_workers);
-  RETRACE_EXPECT_FIELD(config.solver_cache);
   RETRACE_EXPECT_FIELD(config.slice_cache_capacity);
   RETRACE_EXPECT_FIELD(config.gossip_interval_ms);
   RETRACE_EXPECT_FIELD(config.heartbeat_interval_ms);

@@ -23,9 +23,7 @@ std::vector<Sample> ValidPayloads() {
   WireJob heartbeats_off = MakeJob();
   heartbeats_off.config.heartbeat_interval_ms = 0;  // 0 = sends disabled.
   heartbeats_off.config.heartbeat_timeout_ms = 0;   // 0 = deadline disabled.
-  // MakeJob's bools flipped, so no two of them share a value in both rows.
-  heartbeats_off.config.use_syscall_log = false;
-  heartbeats_off.config.solver_cache = true;
+  heartbeats_off.config.use_syscall_log = false;  // MakeJob leaves it on.
   return {
       Row("heartbeat", WireHeartbeat{0xfeedfacecafe0042ull}, EncodeHeartbeat, DecodeHeartbeat),
       Row("shard_result_lean", lean, EncodeShardResult, DecodeShardResult),

@@ -170,8 +170,8 @@ TEST(ReplayDeltaSolveTest, AdaptiveExperimentFiveRunsTheSameModels) {
 // side hands each child its parent's state.
 struct Twin {
   explicit Twin(const ExprArena& arena, const std::function<void(SliceCache*)>& prime)
-      : delta_solver(arena, SolverOptions{}, &delta_cache),
-        depth0_solver(arena, SolverOptions{}, &depth0_cache) {
+      : delta_solver(arena, SolverOptions{}, delta_cache),
+        depth0_solver(arena, SolverOptions{}, depth0_cache) {
     delta_cache.EnableJournal();
     depth0_cache.EnableJournal();
     if (prime) {
@@ -334,7 +334,7 @@ TEST(DeltaSolveTest, PlantedBadSatEntryIsNeverInherited) {
   // The slice's key, as a solve of it alone stores it.
   SliceCache scratch;
   scratch.EnableJournal();
-  IncrementalSolver keyer(b.arena, SolverOptions{}, &scratch);
+  IncrementalSolver keyer(b.arena, SolverOptions{}, scratch);
   ASSERT_EQ(keyer.Solve(ConstraintSpan(&slice, 1), kBytes, {0, 150}).status, SolveStatus::kSat);
   std::vector<SliceCache::SatEntry> sat;
   std::vector<SliceCache::UnsatEntry> unsat;
@@ -365,7 +365,7 @@ TEST(DeltaSolveTest, CachedModelNotCoveringItsSliceIsNeverInherited) {
   const Constraint slice = b.Gt(1, 100);
   SliceCache scratch;
   scratch.EnableJournal();
-  IncrementalSolver keyer(b.arena, SolverOptions{}, &scratch);
+  IncrementalSolver keyer(b.arena, SolverOptions{}, scratch);
   ASSERT_EQ(keyer.Solve(ConstraintSpan(&slice, 1), kBytes, {0, 150}).status, SolveStatus::kSat);
   std::vector<SliceCache::SatEntry> sat;
   std::vector<SliceCache::UnsatEntry> unsat;

@@ -38,7 +38,8 @@ TEST(IncrementalSolverTest, StitchedModelSatisfiesWholeSet) {
   const std::vector<Interval> domains(9, Interval{0, 255});
   const std::vector<i64> seed(9, 0);
 
-  IncrementalSolver inc(arena, SolverOptions{}, nullptr);
+  SliceCache cache;
+  IncrementalSolver inc(arena, SolverOptions{}, cache);
   const SolveResult r = inc.Solve(ConstraintSpan(cs.data(), cs.size()), domains, seed);
   ASSERT_EQ(r.status, SolveStatus::kSat);
 
@@ -57,7 +58,8 @@ TEST(IncrementalSolverTest, NegateLastViewOnlyAffectsLastConstraint) {
                              {arena.MkBin(ExprOp::kEq, y, arena.MkConst(9)), true}};
   const std::vector<Interval> domains(2, Interval{0, 255});
 
-  IncrementalSolver inc(arena, SolverOptions{}, nullptr);
+  SliceCache cache;
+  IncrementalSolver inc(arena, SolverOptions{}, cache);
   const SolveResult r =
       inc.Solve(ConstraintSpan(cs.data(), cs.size(), /*negate_last=*/true), domains, {0, 0});
   ASSERT_EQ(r.status, SolveStatus::kSat);
@@ -65,8 +67,8 @@ TEST(IncrementalSolverTest, NegateLastViewOnlyAffectsLastConstraint) {
   EXPECT_NE(r.model[1], 9);   // Last constraint negated.
 }
 
-// The monolithic solver over a negate-last span must be bit-identical to
-// the materialize-prefix-and-negate vector path: the search solves over
+// The slice solver over a negate-last span must be bit-identical to the
+// materialize-prefix-and-negate vector path: the search solves over
 // prefix views, never over copies.
 TEST(IncrementalSolverTest, SpanSolveMatchesCopiedVectorSolve) {
   ExprArena arena;
@@ -94,7 +96,8 @@ TEST(IncrementalSolverTest, SpanSolveMatchesCopiedVectorSolve) {
 TEST(IncrementalSolverTest, FalseConstantConstraintIsUnsat) {
   ExprArena arena;
   std::vector<Constraint> cs{{arena.MkConst(0), true}};
-  IncrementalSolver inc(arena, SolverOptions{}, nullptr);
+  SliceCache cache;
+  IncrementalSolver inc(arena, SolverOptions{}, cache);
   const SolveResult r = inc.Solve(ConstraintSpan(cs.data(), cs.size()), {}, {});
   EXPECT_EQ(r.status, SolveStatus::kUnsat);
 }
@@ -109,7 +112,7 @@ TEST(IncrementalSolverTest, UnsatSliceRejectsWholeSet) {
                              {arena.MkBin(ExprOp::kEq, y, arena.MkConst(5)), true}};
   const std::vector<Interval> domains(2, Interval{0, 255});
   SliceCache cache;
-  IncrementalSolver inc(arena, SolverOptions{}, &cache);
+  IncrementalSolver inc(arena, SolverOptions{}, cache);
   const SolveResult r = inc.Solve(ConstraintSpan(cs.data(), cs.size()), domains, {0, 0});
   EXPECT_EQ(r.status, SolveStatus::kUnsat);
   EXPECT_EQ(cache.unsat_entries(), 1u);
@@ -177,14 +180,17 @@ void ExpectSameStats(const IncrementalStats& got, const IncrementalStats& want) 
 // One solver reused across a varied sequence of calls (long after short
 // and back, negate_last on and off, constant-UNSAT prefixes, and a second
 // trace interned after the first calls, so the per-expression memo must
-// grow) answers every call exactly like a solver built for that call.
+// grow) answers every call exactly like a solver built for that call,
+// each over its own cache that has seen the same calls.
 TEST(IncrementalSolverTest, ReusedSolverMatchesFreshSolverPerCall) {
   ExprArena arena;
   std::vector<std::vector<Constraint>> traces{VariedTrace(&arena, 0)};
   const std::vector<Interval> domains(40, Interval{0, 255});
   Rng rng(7);
 
-  IncrementalSolver reused(arena, kQuickSolve, nullptr);
+  SliceCache reused_cache;
+  SliceCache fresh_cache;
+  IncrementalSolver reused(arena, kQuickSolve, reused_cache);
   IncrementalStats fresh_total;
   u64 sat = 0;
   const size_t kLens[] = {80, 3, 1, 64, 12, 71, 70, 2, 40, 5, 80, 33};
@@ -200,13 +206,15 @@ TEST(IncrementalSolverTest, ReusedSolverMatchesFreshSolverPerCall) {
     }
     for (const bool negate : {false, true}) {
       const ConstraintSpan span(trace.data(), len, negate);
-      IncrementalSolver fresh(arena, kQuickSolve, nullptr);
+      IncrementalSolver fresh(arena, kQuickSolve, fresh_cache);
       const SolveResult want = fresh.Solve(span, domains, seed);
       ExpectSameSolve(reused.Solve(span, domains, seed), want,
                       "call " + std::to_string(call) + " negate " + std::to_string(negate));
       sat += want.status == SolveStatus::kSat ? 1 : 0;
       fresh_total.slices_total += fresh.stats().slices_total;
       fresh_total.slices_solved += fresh.stats().slices_solved;
+      fresh_total.slice_sat_hits += fresh.stats().slice_sat_hits;
+      fresh_total.slice_unsat_hits += fresh.stats().slice_unsat_hits;
     }
   }
   ExpectSameStats(reused.stats(), fresh_total);
@@ -225,7 +233,7 @@ TEST(IncrementalSolverTest, ReusedSolverMatchesFreshSolverWithCache) {
   SliceCache fresh_cache;
   reused_cache.EnableJournal();
   fresh_cache.EnableJournal();
-  IncrementalSolver reused(arena, kQuickSolve, &reused_cache);
+  IncrementalSolver reused(arena, kQuickSolve, reused_cache);
   IncrementalStats fresh_total;
   Rng rng(11);
   for (int call = 0; call < 40; ++call) {
@@ -235,7 +243,7 @@ TEST(IncrementalSolverTest, ReusedSolverMatchesFreshSolverWithCache) {
       v = rng.NextInRange(0, 255);
     }
     const ConstraintSpan span(trace.data(), len, rng.NextBelow(2) != 0);
-    IncrementalSolver fresh(arena, kQuickSolve, &fresh_cache);
+    IncrementalSolver fresh(arena, kQuickSolve, fresh_cache);
     const SolveResult want = fresh.Solve(span, domains, seed);
     ExpectSameSolve(reused.Solve(span, domains, seed), want, "call " + std::to_string(call));
     fresh_total.slices_total += fresh.stats().slices_total;
@@ -285,7 +293,7 @@ TEST(IncrementalSolverTest, CacheHitsAcrossArenasStaySound) {
 
   ExprArena a;
   const std::vector<Constraint> ca = build(&a, 0);
-  IncrementalSolver inc_a(a, SolverOptions{}, &cache);
+  IncrementalSolver inc_a(a, SolverOptions{}, cache);
   const SolveResult ra = inc_a.Solve(ConstraintSpan(ca.data(), ca.size()), domains, {0, 0});
   ASSERT_EQ(ra.status, SolveStatus::kSat);
   EXPECT_EQ(inc_a.stats().slice_sat_hits, 0u);
@@ -293,7 +301,7 @@ TEST(IncrementalSolverTest, CacheHitsAcrossArenasStaySound) {
 
   ExprArena b;
   const std::vector<Constraint> cb = build(&b, 7);
-  IncrementalSolver inc_b(b, SolverOptions{}, &cache);
+  IncrementalSolver inc_b(b, SolverOptions{}, cache);
   const SolveResult rb = inc_b.Solve(ConstraintSpan(cb.data(), cb.size()), domains, {0, 0});
   ASSERT_EQ(rb.status, SolveStatus::kSat);
   EXPECT_EQ(inc_b.stats().slice_sat_hits, 2u);  // Both slices from the cache.
@@ -310,7 +318,7 @@ TEST(IncrementalSolverTest, UnsatCacheNeverMasksSatSet) {
   const ExprRef x = arena.MkVar(0);
   std::vector<Constraint> cs{{arena.MkBin(ExprOp::kGt, x, arena.MkConst(5)), true}};
   SliceCache cache;
-  IncrementalSolver inc(arena, SolverOptions{}, &cache);
+  IncrementalSolver inc(arena, SolverOptions{}, cache);
 
   const SolveResult narrow =
       inc.Solve(ConstraintSpan(cs.data(), cs.size()), {Interval{0, 5}}, {0});
@@ -333,7 +341,7 @@ TEST(IncrementalSolverTest, WarmCacheHitsStayValid) {
                              {arena.MkBin(ExprOp::kLt, y, arena.MkConst(4)), true}};
   const std::vector<Interval> domains(2, Interval{0, 255});
   SliceCache cache;
-  IncrementalSolver inc(arena, SolverOptions{}, &cache);
+  IncrementalSolver inc(arena, SolverOptions{}, cache);
   Solver plain(arena, SolverOptions{});
 
   for (int round = 0; round < 3; ++round) {
@@ -437,9 +445,9 @@ InputSpec DeepGuardedCrashInput() {
   return spec;
 }
 
-// Cache soundness end to end at 1 and 4 workers: with the layer on, the
-// engine still reproduces and the witness verifies; the layer actually
-// engaged (slices were solved / hit).
+// Cache soundness end to end at 1 and 4 workers: the engine reproduces
+// and the witness verifies; the layer actually engaged (slices were
+// solved / hit).
 TEST(IncrementalSolverTest, EngineCacheSoundAtOneAndFourWorkers) {
   auto pipeline = MustBuild(kDeepGuardedCrash);
   const InstrumentationPlan plan =
@@ -450,7 +458,6 @@ TEST(IncrementalSolverTest, EngineCacheSoundAtOneAndFourWorkers) {
   for (const u32 workers : {1u, 4u}) {
     ReplayConfig config;
     config.num_workers = workers;
-    config.solver_cache = true;
     const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
     ASSERT_TRUE(replay.reproduced) << workers << " workers";
     EXPECT_TRUE(pipeline->VerifyWitness(user.report, replay.witness_cells));
@@ -459,25 +466,6 @@ TEST(IncrementalSolverTest, EngineCacheSoundAtOneAndFourWorkers) {
               0u)
         << workers << " workers";
   }
-}
-
-// With the layer off, the engine must not report slice activity (its
-// monolithic branch is pinned by SpanSolveMatchesCopiedVectorSolve
-// above).
-TEST(IncrementalSolverTest, EngineCacheOffReportsNoSliceActivity) {
-  auto pipeline = MustBuild(kDeepGuardedCrash);
-  const InstrumentationPlan plan =
-      pipeline->MakePlan(PlanInputs::AllBranches());
-  const auto user = pipeline->RecordUserRun(DeepGuardedCrashInput(), plan, {}).take();
-  ASSERT_TRUE(user.result.Crashed());
-
-  ReplayConfig config;
-  config.solver_cache = false;
-  const ReplayResult replay = pipeline->Reproduce(user.report, plan, config).take();
-  ASSERT_TRUE(replay.reproduced);
-  EXPECT_EQ(replay.stats.slices_solved, 0u);
-  EXPECT_EQ(replay.stats.slice_sat_hits, 0u);
-  EXPECT_EQ(replay.stats.slice_unsat_hits, 0u);
 }
 
 // ----- SliceCache LRU bound + gossip journal -----

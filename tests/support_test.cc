@@ -109,8 +109,8 @@ TEST(DenseBitsetTest, UnionWith) {
 
 // ----- Strict environment-knob parsing (src/support/env.h) -----
 //
-// The historical failure mode: RETRACE_SOLVER_CACHE=true atoi'd to 0 and
-// silently *disabled* the cache the user asked for. The strict parsers
+// The historical failure mode: a boolean knob set to `true` atoi'd to 0
+// and silently *disabled* the feature the user asked for. The strict parsers
 // must accept exactly the documented spellings and reject everything
 // else so the EnvKnob* wrappers can fail loudly.
 
@@ -130,7 +130,7 @@ TEST(EnvKnobTest, RejectsHostileIntegers) {
   i64 v = 99;
   EXPECT_FALSE(ParseKnobI64(nullptr, &v));
   EXPECT_FALSE(ParseKnobI64("", &v));
-  EXPECT_FALSE(ParseKnobI64("true", &v));   // The RETRACE_SOLVER_CACHE=true bug shape.
+  EXPECT_FALSE(ParseKnobI64("true", &v));   // The atoi'd-boolean bug shape.
   EXPECT_FALSE(ParseKnobI64("12abc", &v));  // Trailing garbage.
   EXPECT_FALSE(ParseKnobI64("4 ", &v));     // Trailing space counts as garbage.
   EXPECT_FALSE(ParseKnobI64("0x10", &v));   // No hex — decimal only.
