@@ -302,7 +302,11 @@ int Main(int argc, char** argv) {
     }
     for (size_t d = 0; d < std::size(kDepths); ++d) {
       const size_t prefix = kFrontierPrefix * kDepths[d];
-      const std::string suffix = kDepths[d] == 1 ? "" : "-" + std::to_string(kDepths[d]) + "x";
+      // Appended, not "-" + string: gcc 12 at -O3 reports a false -Wrestrict
+      // on the inlined insert of the latter.
+      const std::string suffix =
+          kDepths[d] == 1 ? std::string()
+                          : std::string("-").append(std::to_string(kDepths[d])).append("x");
       std::vector<SolveResult> from_base;
       std::vector<SolveResult> from_depth0;
       Row depth0 = FrontierChain(frontier_arenas[d].get(), /*delta=*/false, pops, prefix,
