@@ -9,10 +9,18 @@ namespace {
 // what each records since the one before.
 class CheckpointTaker : public PauseListener {
  public:
+  // `vos_states`, `consumed` and `branches` are the runner's, for every
+  // run's taker.
   CheckpointTaker(CheckpointSink* sink, Interp* interp, const VirtualOs* vos,
-                  const CellStore* cells, const CellRunConfig& config)
+                  const CellStore* cells, const CellRunConfig& config,
+                  Recycler<VirtualOs::State>* vos_states,
+                  std::vector<RunCheckpoint::ConsumedCell>* consumed,
+                  std::vector<Constraint>* branches)
       : sink_(sink), interp_(interp), vos_(vos), cells_(cells),
-        model_size_(config.model.size()), shadowed_(config.arena != nullptr) {
+        model_size_(config.model.size()), shadowed_(config.arena != nullptr),
+        vos_states_(vos_states), consumed_(*consumed), branches_(*branches) {
+    consumed_.clear();
+    branches_.clear();
     if (config.resume_from != nullptr) {
       // The first pause point is the one the run resumes at.
       skip_next_ = true;
@@ -71,7 +79,7 @@ class CheckpointTaker : public PauseListener {
     }
     interp_->Save(&ckpt->exec);
     if (last_vos_ == nullptr || interp_->stats().syscalls != last_syscalls_) {
-      auto state = std::make_shared<VirtualOs::State>();
+      std::shared_ptr<VirtualOs::State> state = vos_states_->Get();
       vos_->Save(state.get());
       last_vos_ = std::move(state);
       last_syscalls_ = interp_->stats().syscalls;
@@ -104,9 +112,10 @@ class CheckpointTaker : public PauseListener {
   // then: no builtin ran since while the count is unchanged.
   std::shared_ptr<const VirtualOs::State> last_vos_;
   u64 last_syscalls_ = 0;
-  // Since the previous checkpoint.
-  std::vector<RunCheckpoint::ConsumedCell> consumed_;
-  std::vector<Constraint> branches_;
+  Recycler<VirtualOs::State>* vos_states_;
+  // Since the previous checkpoint; the runner's storage.
+  std::vector<RunCheckpoint::ConsumedCell>& consumed_;
+  std::vector<Constraint>& branches_;
 };
 
 }  // namespace
@@ -233,17 +242,17 @@ void ResumeRule::Pin(i32 cell, i64 value) {
   values_[cell] = value;
 }
 
-std::vector<i32> ResumeRule::Delta() const {
-  std::vector<i32> out;
+void ResumeRule::Delta(std::vector<i32>* out) const {
+  out->clear();
   for (const i32 cell : delta_) {
     if (in_delta_[cell] != 0) {
-      out.push_back(cell);
+      out->push_back(cell);
     }
   }
-  return out;
 }
 
-CellRunOutput CellRunner::Run(const CellRunConfig& config) {
+void CellRunner::Run(const CellRunConfig& config, CellRunOutput* out_ptr) {
+  CellRunOutput& out = *out_ptr;
   CellStore& cells = cells_;
   cells.Reset(config.model);
   cells.set_policy(config.policy);
@@ -265,10 +274,10 @@ CellRunOutput CellRunner::Run(const CellRunConfig& config) {
   for (BranchObserver* obs : config.observers) {
     interp_.AddObserver(obs);
   }
-  CheckpointTaker taker(config.checkpoints, &interp_, &vos, &cells, config);
+  CheckpointTaker taker(config.checkpoints, &interp_, &vos, &cells, config, &vos_states_,
+                        &consumed_, &branches_);
   interp_.set_pause_listener(config.checkpoints != nullptr ? &taker : nullptr);
 
-  CellRunOutput out;
   if (config.resume_from != nullptr) {
     ResumePatch patch;
     patch.values = &cells.values();
@@ -284,9 +293,8 @@ CellRunOutput CellRunner::Run(const CellRunConfig& config) {
   }
   interp_.set_pause_listener(nullptr);
   out.log_diverged = vos.log_diverged();
-  out.stdout_text = vos.TakeStdout();
-  cells.MoveInto(&out.cells, &out.domains, &out.cell_info, &out.dyn_trace);
-  return out;
+  out.stdout_text.assign(vos.stdout_text());
+  cells.SwapInto(&out.cells, &out.domains, &out.cell_info, &out.dyn_trace);
 }
 
 }  // namespace retrace

@@ -22,6 +22,7 @@
 
 #include "src/exec/interp.h"
 #include "src/ir/ir.h"
+#include "src/support/recycle.h"
 #include "src/vos/vos.h"
 
 namespace retrace {
@@ -85,8 +86,8 @@ class ResumeRule {
   // there; the rule then refuses every later checkpoint too (a
   // conservative answer for them: a false never yields a wrong run).
   bool Admit(const RunCheckpoint& ckpt);
-  // Δ at the last admitted checkpoint.
-  std::vector<i32> Delta() const;
+  // Δ at the last admitted checkpoint, into `out`.
+  void Delta(std::vector<i32>* out) const;
 
   // For a caller that skips checkpoints Admit would take unchanged:
   // gives syscall result `cell` the value the path consumed for it, as
@@ -176,7 +177,14 @@ class CellRunner {
   const CellLayout& layout() const { return layout_; }
   const InputSpec& spec() const { return spec_; }
 
-  CellRunOutput Run(const CellRunConfig& config);
+  CellRunOutput Run(const CellRunConfig& config) {
+    CellRunOutput out;
+    Run(config, &out);
+    return out;
+  }
+  // The same, into `out`: the runner and `out` trade vectors, so that a
+  // caller that reuses `out` runs without allocating.
+  void Run(const CellRunConfig& config, CellRunOutput* out);
 
  private:
   InputSpec spec_;
@@ -184,6 +192,12 @@ class CellRunner {
   CellStore cells_;
   VirtualOs vos_;
   Interp interp_;
+  // What the checkpoints of one run take, kept for the runs after it: the
+  // records since the previous checkpoint, and the OS states, which go
+  // back to the pool with the last checkpoint sharing them.
+  std::vector<RunCheckpoint::ConsumedCell> consumed_;
+  std::vector<Constraint> branches_;
+  Recycler<VirtualOs::State> vos_states_;
 };
 
 }  // namespace retrace

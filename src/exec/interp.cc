@@ -98,6 +98,7 @@ void Interp::WriteSlot(const Operand& dst, Frame& frame, Value v, ExprRef shadow
     return;
   }
   Check(dst.kind == Operand::Kind::kGlobalSlot, "WriteSlot: bad destination");
+  globals_dirty_ = true;
   global_slots_[dst.index] = v;
   if (shadow_on()) {
     global_shadows_[dst.index] = shadow;
@@ -138,41 +139,6 @@ bool SamePaging(const SavedObject& a, const SavedObject& b) {
   return a.size == b.size && a.page_shift == b.page_shift && a.shadowed == b.shadowed;
 }
 
-// Saves `obj`, sharing with `prev` (its last save, or null) every page
-// not dirty since. `arena` signs the copied pages' shadows.
-std::shared_ptr<const SavedObject> SaveObject(const MemObject& obj, const SavedObject* prev,
-                                              const ExprArena* arena) {
-  auto out = std::make_shared<SavedObject>();
-  out->size = obj.cells.size();
-  out->gen = obj.gen;
-  out->alive = obj.alive;
-  out->is_char = obj.is_char;
-  out->shadowed = !obj.shadows.empty();
-  out->page_shift = obj.page_shift;
-  const bool share = prev != nullptr && SamePaging(*prev, *out);
-  out->pages.resize(PageCount(out->size, out->page_shift));
-  for (size_t p = 0; p < out->pages.size(); ++p) {
-    if (share && ((obj.dirty >> p) & 1) == 0) {
-      out->pages[p] = prev->pages[p];
-      continue;
-    }
-    const size_t lo = p << obj.page_shift;
-    const size_t hi = std::min(out->size, lo + (size_t{1} << obj.page_shift));
-    auto page = std::make_shared<SavedObject::Page>();
-    page->cells.assign(obj.cells.begin() + lo, obj.cells.begin() + hi);
-    if (out->shadowed) {
-      page->shadows.assign(obj.shadows.begin() + lo, obj.shadows.begin() + hi);
-      for (const ExprRef shadow : page->shadows) {
-        if (shadow != kNoExpr) {
-          page->sig |= arena->VarSig(shadow);
-        }
-      }
-    }
-    out->pages[p] = std::move(page);
-  }
-  return out;
-}
-
 // Makes `obj` equal to `target`. `live` is the object's last save or
 // restore: pages not dirty since, and shared by `live` and `target`,
 // already hold the right cells.
@@ -198,27 +164,109 @@ void RestoreObject(const SavedObject& target, const SavedObject* live, MemObject
 
 }  // namespace
 
+u64 Interp::SigOf(const std::vector<ExprRef>& shadows) const {
+  u64 sig = 0;
+  for (const ExprRef shadow : shadows) {
+    if (shadow != kNoExpr) {
+      sig |= arena_->VarSig(shadow);
+    }
+  }
+  return sig;
+}
+
+Interp::SavedObjectRef Interp::SaveObject(const MemObject& obj, const SavedObject* prev) {
+  SavedObjectRef out = object_pool_.Get();
+  out->size = obj.cells.size();
+  out->gen = obj.gen;
+  out->alive = obj.alive;
+  out->is_char = obj.is_char;
+  out->shadowed = !obj.shadows.empty();
+  out->page_shift = obj.page_shift;
+  out->sig = 0;
+  const bool share = prev != nullptr && SamePaging(*prev, *out);
+  out->pages.resize(PageCount(out->size, out->page_shift));
+  for (size_t p = 0; p < out->pages.size(); ++p) {
+    if (share && ((obj.dirty >> p) & 1) == 0) {
+      out->pages[p] = prev->pages[p];
+      out->sig |= out->pages[p]->sig;
+      continue;
+    }
+    const size_t lo = p << obj.page_shift;
+    const size_t hi = std::min(out->size, lo + (size_t{1} << obj.page_shift));
+    SavedObject::PageRef page = page_pool_.Get();
+    page->cells.assign(obj.cells.begin() + lo, obj.cells.begin() + hi);
+    page->shadows.clear();
+    page->sig = 0;
+    if (out->shadowed) {
+      page->shadows.assign(obj.shadows.begin() + lo, obj.shadows.begin() + hi);
+      page->sig = SigOf(page->shadows);
+    }
+    out->sig |= page->sig;
+    out->pages[p] = std::move(page);
+  }
+  return out;
+}
+
+Interp::Frame Interp::TakeFrame() {
+  if (spare_frames_.empty()) {
+    return Frame{};
+  }
+  Frame frame = std::move(spare_frames_.back());
+  spare_frames_.pop_back();
+  return frame;
+}
+
+void Interp::PopFrame() {
+  spare_frames_.push_back(std::move(frames_.back()));
+  frames_.pop_back();
+}
+
+namespace {
+
+// Makes `out` hold `from`'s handles. A reused state usually holds most of
+// them already: those it skips cost no count updates.
+template <typename Ref>
+void ShareInto(const std::vector<Ref>& from, std::vector<Ref>* out) {
+  out->resize(from.size());
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (!((*out)[i] == from[i])) {
+      (*out)[i] = from[i];
+    }
+  }
+}
+
+}  // namespace
+
 void Interp::Save(State* out) {
   saved_objects_.resize(objects_.size());
-  out->objects.resize(objects_.size());
   for (size_t id = 0; id < objects_.size(); ++id) {
     MemObject& obj = objects_[id];
-    std::shared_ptr<const SavedObject>& saved = saved_objects_[id];
+    SavedObjectRef& saved = saved_objects_[id];
     if (obj.dirty != 0 || saved == nullptr) {
-      saved = SaveObject(obj, saved.get(), arena_);
+      saved = SaveObject(obj, saved.get());
       obj.dirty = 0;
     }
-    out->objects[id] = saved;
   }
+  ShareInto(saved_objects_, &out->objects);
   out->free_objects = free_objects_;
-  out->global_slots = global_slots_;
-  out->global_shadows = global_shadows_;
+  if (globals_dirty_ || saved_globals_ == nullptr) {
+    SavedGlobalsRef globals = globals_pool_.Get();
+    globals->slots = global_slots_;
+    globals->shadows = global_shadows_;
+    globals->sig = SigOf(global_shadows_);
+    saved_globals_ = std::move(globals);
+    globals_dirty_ = false;
+  }
+  out->globals = saved_globals_;
   saved_frames_.resize(std::min(saved_frames_.size(), frames_low_ > 0 ? frames_low_ - 1 : 0));
   for (size_t i = saved_frames_.size(); i < frames_.size(); ++i) {
-    saved_frames_.push_back(std::make_shared<const Frame>(frames_[i]));
+    SavedFrameRef frame = frame_pool_.Get();
+    frame->frame = frames_[i];
+    frame->sig = SigOf(frames_[i].shadows);
+    saved_frames_.push_back(std::move(frame));
   }
   frames_low_ = frames_.size();
-  out->frames = saved_frames_;
+  ShareInto(saved_frames_, &out->frames);
   out->stats = stats_;
   // The dispatch loop already counted the pause point's instruction; the
   // resumed loop counts it again.
@@ -238,18 +286,30 @@ void Interp::PatchShadows(const ResumePatch& patch) {
     value->num = now;
     return true;
   };
-  for (Frame& frame : frames_) {
+  // The live frames and globals are their saved copies: only those whose
+  // signature meets the mask can change.
+  for (size_t f = 0; f < frames_.size(); ++f) {
+    if ((saved_frames_[f]->sig & patch.mask) == 0) {
+      continue;
+    }
+    Frame& frame = frames_[f];
+    bool changed = false;
     for (size_t i = 0; i < frame.shadows.size(); ++i) {
-      patch_one(&frame.slots[i], frame.shadows[i]);
+      changed |= patch_one(&frame.slots[i], frame.shadows[i]);
+    }
+    if (changed) {
+      frames_low_ = std::min(frames_low_, f + 1);  // Frame f differs from its saved copy.
     }
   }
-  for (size_t i = 0; i < global_shadows_.size(); ++i) {
-    patch_one(&global_slots_[i], global_shadows_[i]);
+  if ((saved_globals_->sig & patch.mask) != 0) {
+    for (size_t i = 0; i < global_shadows_.size(); ++i) {
+      globals_dirty_ |= patch_one(&global_slots_[i], global_shadows_[i]);
+    }
   }
   for (size_t id = 0; id < objects_.size(); ++id) {
     const SavedObject& saved = *saved_objects_[id];
     MemObject& obj = objects_[id];
-    if (!saved.alive || !saved.shadowed) {
+    if (!saved.alive || !saved.shadowed || (saved.sig & patch.mask) == 0) {
       continue;
     }
     for (size_t p = 0; p < saved.pages.size(); ++p) {
@@ -272,25 +332,39 @@ RunResult Interp::Resume(const State& from, const ResumePatch& patch) {
   saved_objects_.resize(from.objects.size());
   for (size_t id = 0; id < from.objects.size(); ++id) {
     MemObject& obj = objects_[id];
-    std::shared_ptr<const SavedObject>& saved = saved_objects_[id];
-    if (obj.dirty != 0 || saved != from.objects[id]) {
+    SavedObjectRef& saved = saved_objects_[id];
+    if (obj.dirty != 0 || !(saved == from.objects[id])) {
       RestoreObject(*from.objects[id], saved.get(), &obj);
       saved = from.objects[id];
     }
   }
   free_objects_ = from.free_objects;
-  global_slots_ = from.global_slots;
-  global_shadows_ = from.global_shadows;
-  frames_.resize(from.frames.size());
-  for (size_t i = 0; i < frames_.size(); ++i) {
-    frames_[i] = *from.frames[i];
+  if (globals_dirty_ || !(saved_globals_ == from.globals)) {
+    global_slots_ = from.globals->slots;
+    global_shadows_ = from.globals->shadows;
+    saved_globals_ = from.globals;
+    globals_dirty_ = false;
   }
-  saved_frames_ = from.frames;
+  // Frames below the top one at the low point still equal their saved
+  // copies; where the target shares that copy, the frame is already right.
+  const size_t clean = std::min(frames_low_ > 0 ? frames_low_ - 1 : 0, saved_frames_.size());
+  while (frames_.size() > from.frames.size()) {
+    PopFrame();
+  }
+  while (frames_.size() < from.frames.size()) {
+    frames_.push_back(TakeFrame());
+  }
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    if (i < clean && saved_frames_[i] == from.frames[i]) {
+      continue;
+    }
+    frames_[i] = from.frames[i]->frame;
+  }
+  ShareInto(from.frames, &saved_frames_);
   frames_low_ = frames_.size();
   stats_ = from.stats;
   if (patch.mask != 0) {
     PatchShadows(patch);
-    frames_low_ = 0;  // Patched frames differ from their saved copies.
   }
   concretized_.clear();
   if (options_.external_budget != nullptr) {
@@ -303,8 +377,12 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
                       const std::vector<std::vector<i32>>& argv_cells) {
   // Reset per-run state (object storage is pooled, not reallocated).
   ResetObjectPool();
-  frames_.clear();
+  while (!frames_.empty()) {
+    PopFrame();
+  }
   saved_frames_.clear();
+  saved_globals_.reset();
+  globals_dirty_ = true;
   frames_low_ = 0;
   stats_ = RunStats{};
   concretized_.clear();
@@ -351,12 +429,19 @@ RunResult Interp::Run(const std::vector<std::string>& argv,
   }
 
   // Entry frame.
-  Frame main_frame;
+  Frame main_frame = TakeFrame();
   main_frame.fn = &main_fn;
   main_frame.slots.assign(main_fn.num_slots, Value::Int(0));
   if (shadow_on()) {
     main_frame.shadows.assign(main_fn.num_slots, kNoExpr);
+  } else {
+    main_frame.shadows.clear();
   }
+  main_frame.objects.clear();
+  main_frame.bb = 0;
+  main_frame.ip = 0;
+  main_frame.ret_dst = Operand{};
+  main_frame.ret_dst_char = false;
   for (const FrameObjectInfo& info : main_fn.frame_objects) {
     main_frame.objects.push_back(AllocObject(info.size, info.is_char));
   }
@@ -633,7 +718,7 @@ RunResult Interp::Execute() {
         }
         const Operand ret_dst = frame.ret_dst;
         const bool ret_dst_char = frame.ret_dst_char;
-        frames_.pop_back();
+        PopFrame();
         frames_low_ = std::min(frames_low_, frames_.size());
         if (frames_.empty()) {
           result.status = RunResult::Status::kExit;
@@ -690,12 +775,17 @@ bool Interp::ExecCall(const Instr& instr, Frame& frame) {
     return false;
   }
   const IrFunction& callee = module_.funcs[instr.callee];
-  Frame next;
+  Frame next = TakeFrame();
   next.fn = &callee;
   next.slots.assign(callee.num_slots, Value::Int(0));
   if (shadow_on()) {
     next.shadows.assign(callee.num_slots, kNoExpr);
+  } else {
+    next.shadows.clear();
   }
+  next.objects.clear();
+  next.bb = 0;
+  next.ip = 0;
   for (size_t i = 0; i < instr.args.size(); ++i) {
     Value v = EvalOperand(instr.args[i], frame);
     ExprRef shadow = shadow_on() ? EvalShadow(instr.args[i], frame) : kNoExpr;
@@ -723,8 +813,8 @@ bool Interp::ExecCall(const Instr& instr, Frame& frame) {
 bool Interp::ExecBuiltin(const Instr& instr, Frame& frame) {
   ++stats_.syscalls;
   const Builtin b = static_cast<Builtin>(instr.callee);
-  std::vector<Value> args;
-  args.reserve(instr.args.size());
+  std::vector<Value>& args = builtin_args_;
+  args.clear();
   for (const Operand& op : instr.args) {
     args.push_back(EvalOperand(op, frame));
     Concretize(op, frame);
@@ -732,7 +822,8 @@ bool Interp::ExecBuiltin(const Instr& instr, Frame& frame) {
 
   const BuiltinRtResult out =
       ExecBuiltinRt(b, args, /*want_ret=*/!instr.dst.IsNone(), objects_, arena_, syscalls_,
-                    pause_listener_ != nullptr && shadow_on() ? &concretized_ : nullptr);
+                    pause_listener_ != nullptr && shadow_on() ? &concretized_ : nullptr,
+                    &builtin_buffers_);
   switch (out.status) {
     case BuiltinRtResult::Status::kTrap:
       Trap(out.trap_kind, instr, frame, out.trap_code);

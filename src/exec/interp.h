@@ -26,9 +26,11 @@
 #include <vector>
 
 #include "src/exec/engine.h"
+#include "src/exec/mem_rt.h"
 #include "src/exec/value.h"
 #include "src/ir/ir.h"
 #include "src/support/budget.h"
+#include "src/support/recycle.h"
 
 namespace retrace {
 
@@ -63,7 +65,9 @@ class Interp {
       std::vector<ExprRef> shadows;  // Empty unless `shadowed`.
       u64 sig = 0;                   // OR of the shadows' ExprArena::VarSig.
     };
-    std::vector<std::shared_ptr<const Page>> pages;
+    using PageRef = LocalPool<Page>::Ref;
+    std::vector<PageRef> pages;
+    u64 sig = 0;  // OR of the pages' signatures.
     size_t size = 0;
     u32 gen = 0;
     bool alive = false;
@@ -71,20 +75,40 @@ class Interp {
     bool shadowed = false;
     u8 page_shift = 0;
   };
+  // Saved global scalars, and a saved frame, each with the OR of its
+  // shadows' VarSig: a patch that misses it leaves it as saved.
+  struct SavedGlobals {
+    std::vector<Value> slots;
+    std::vector<ExprRef> shadows;
+    u64 sig = 0;
+  };
+  struct SavedFrame {
+    Frame frame;
+    u64 sig = 0;
+  };
+  struct DropPages {
+    void operator()(SavedObject& object) const { object.pages.clear(); }
+  };
+  using SavedObjectRef = LocalPool<SavedObject, DropPages>::Ref;
+  using SavedGlobalsRef = LocalPool<SavedGlobals>::Ref;
+  using SavedFrameRef = LocalPool<SavedFrame>::Ref;
 
   // A run paused at the top of the dispatch loop, about to execute a
   // read() call or a branch on a symbolic condition: the object pool,
   // globals, call stack and counters.
   // The states one interpreter saves share every object, every page of
-  // an object and every frame that did not change between saves, so a
-  // save copies only the pages written, and the frames run, since the
-  // previous one.
+  // an object, the globals and every frame that did not change between
+  // saves, so a save copies only the pages and globals written, and the
+  // frames run, since the previous one. The copies come from pools the
+  // interpreter keeps, which take them back when the last state sharing
+  // them goes: a warm interpreter saves into a reused state without
+  // allocating. Sharing is counted without atomics, so a state must be
+  // copied and released on the thread that runs its interpreter.
   struct State {
-    std::vector<std::shared_ptr<const SavedObject>> objects;
+    std::vector<SavedObjectRef> objects;
     std::vector<i32> free_objects;
-    std::vector<Value> global_slots;
-    std::vector<ExprRef> global_shadows;
-    std::vector<std::shared_ptr<const Frame>> frames;
+    SavedGlobalsRef globals;
+    std::vector<SavedFrameRef> frames;
     RunStats stats;
 
     // Steps the run had charged to the external budget by this point.
@@ -171,6 +195,16 @@ class Interp {
   bool ExecCall(const Instr& instr, Frame& frame);
   bool ExecBuiltin(const Instr& instr, Frame& frame);
 
+  // A frame to push, from the spares when there is one: its vectors keep
+  // the storage of the frame that used it last. PopFrame spares the top.
+  Frame TakeFrame();
+  void PopFrame();
+  // Saves `obj`, sharing with `prev` (its last save, or null) every page
+  // not dirty since.
+  SavedObjectRef SaveObject(const MemObject& obj, const SavedObject* prev);
+  // OR of the VarSig of `shadows` (0 outside shadow mode).
+  u64 SigOf(const std::vector<ExprRef>& shadows) const;
+
   const IrModule& module_;
   InterpOptions options_;
   SyscallHandler* syscalls_ = nullptr;
@@ -184,14 +218,25 @@ class Interp {
   std::vector<Value> global_slots_;
   std::vector<ExprRef> global_shadows_;
   std::vector<Frame> frames_;
+  std::vector<Frame> spare_frames_;
+  std::vector<Value> builtin_args_;
+  BuiltinBuffers builtin_buffers_;
   // The last save or restore of each object: equal to the live object
   // in every page whose MemObject::dirty bit is clear.
-  std::vector<std::shared_ptr<const SavedObject>> saved_objects_;
+  std::vector<SavedObjectRef> saved_objects_;
+  // The globals of the last save or restore, equal to the live ones
+  // unless a global was written since.
+  SavedGlobalsRef saved_globals_;
+  bool globals_dirty_ = true;
   // The frames of the last save or restore, and the fewest frames the
   // stack held since: frames below the top one at that low point never
   // ran since, so they equal their saved copies.
-  std::vector<std::shared_ptr<const Frame>> saved_frames_;
+  std::vector<SavedFrameRef> saved_frames_;
   size_t frames_low_ = 0;
+  LocalPool<SavedObject, DropPages> object_pool_;
+  LocalPool<SavedObject::Page> page_pool_;
+  LocalPool<SavedGlobals> globals_pool_;
+  LocalPool<SavedFrame> frame_pool_;
   RunStats stats_;
   std::vector<ExprRef> concretized_;
   CrashSite pending_crash_;

@@ -18,7 +18,8 @@ BuiltinRtResult TrapResult(CrashSite::Kind kind, i64 code = 0) {
 
 BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool want_ret,
                               std::vector<MemObject>& objects, ExprArena* arena,
-                              SyscallHandler* syscalls, std::vector<ExprRef>* concretized) {
+                              SyscallHandler* syscalls, std::vector<ExprRef>* concretized,
+                              BuiltinBuffers* buffers) {
   BuiltinRtResult out;
   CrashSite::Kind kind = CrashSite::Kind::kNone;
   // The builtin reads cells [first, first + count) of `ptr`'s object.
@@ -50,9 +51,12 @@ BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool wa
     return TrapResult(CrashSite::Kind::kBadBuiltinArg);
   }
 
-  std::vector<i64> int_args;
-  std::string str_arg;
-  std::vector<u8> write_data;
+  std::vector<i64>& int_args = buffers->int_args;
+  std::string& str_arg = buffers->str_arg;
+  std::vector<u8>& write_data = buffers->write_data;
+  int_args.clear();
+  str_arg.clear();
+  write_data.clear();
 
   switch (b) {
     case Builtin::kRead: {

@@ -137,6 +137,14 @@ struct BuiltinRtResult {
   ExprRef ret_shadow = kNoExpr;
 };
 
+// The arguments ExecBuiltinRt hands the syscall handler, kept by the
+// caller so that their storage serves every call.
+struct BuiltinBuffers {
+  std::vector<i64> int_args;
+  std::string str_arg;
+  std::vector<u8> write_data;
+};
+
 // Executes builtin `b` with already-evaluated argument values against the
 // engine's object table. `arena` non-null means shadow mode: syscall
 // results and delivered read() bytes get MkVar shadows, in the same
@@ -148,7 +156,8 @@ struct BuiltinRtResult {
 // and select_fd read.
 BuiltinRtResult ExecBuiltinRt(Builtin b, const std::vector<Value>& args, bool want_ret,
                               std::vector<MemObject>& objects, ExprArena* arena,
-                              SyscallHandler* syscalls, std::vector<ExprRef>* concretized);
+                              SyscallHandler* syscalls, std::vector<ExprRef>* concretized,
+                              BuiltinBuffers* buffers);
 
 }  // namespace retrace
 

@@ -518,9 +518,15 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
         it = exported.emplace(pending.trace.get(), Exported{pending.trace, std::move(snapshot)})
                  .first;
       }
-      return PortablePending{it->second.snapshot, pending.len,
-                             pending.negate_last, std::move(pending.seed),
-                             std::move(pending.domains), pending.priority};
+      // The seed and domains may be a run snapshot of this worker's pool,
+      // which takes them back on this thread only: the pending leaves with
+      // copies.
+      return PortablePending{it->second.snapshot,
+                             pending.len,
+                             pending.negate_last,
+                             std::make_shared<const std::vector<i64>>(*pending.seed),
+                             std::make_shared<const std::vector<Interval>>(*pending.domains),
+                             pending.priority};
     };
 
     // Donations this worker made, in resident form, keyed by their
@@ -593,22 +599,49 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
                                       pending.len, pending.negate_last)};
     };
 
+    // What a run publishes outlives it: its cells, domains and trace, and
+    // the trace's resident form, each shared by the run's pendings. They,
+    // and the slice states of this worker's solves, come from pools that
+    // take them back with the last pending sharing them.
+    struct RunSnapshot {
+      std::vector<i64> seed;
+      std::vector<Interval> domains;
+      std::vector<Constraint> constraints;
+    };
+    struct DropTrace {
+      void operator()(ResidentTrace& trace) const { trace = ResidentTrace{}; }
+    };
+    struct ClearState {
+      void operator()(SliceState& state) const { state.Clear(); }
+    };
+    Recycler<RunSnapshot> snapshots;
+    Recycler<ResidentTrace, DropTrace> traces;
+    Recycler<SliceState, ClearState> states;
+
     // Runs one input; returns true when the search is over for this worker
     // (it reproduced the bug, or lost the race to another worker's crash).
     // `solved` is the pending whose solve produced `model` (null for the
     // initial and corpus runs), and `state` that solve's slice state, if
     // any: the pendings this run publishes inherit it.
     std::vector<u64> chain;
+    // The trace the previous run published, if it did: each run's path
+    // starts with the previous run's up to its resume point.
+    std::shared_ptr<const std::vector<Constraint>> previous_trace;
     auto do_run = [&](const std::vector<i64>& model, const ResidentPending* solved,
                       std::shared_ptr<SliceState> state) -> bool {
       const size_t start_depth = solved != nullptr ? solved->len : 0;
       if (config.model_tap) {
         config.model_tap(wid, model, start_depth);
       }
-      ReplayRun run = runner.Run(model, start_depth);
+      ReplayRun& run = runner.Run(model, start_depth);
       CellRunOutput& out = run.out;
-      ReplayPath& path = run.path;
+      const ReplayPath& path = run.path;
       ++ws.runs;
+      // A model solved from the previous run's trace: the entries this run
+      // kept are that trace's, so they match the solved set.
+      const size_t known_equal =
+          solved != nullptr && solved->trace->constraints == previous_trace ? run.kept_trace : 0;
+      previous_trace.reset();
 
       if (IsReproduction(out.result, path.cursor, report)) {
         std::lock_guard<std::mutex> lock(winner_mu);
@@ -652,19 +685,28 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       if (!publishes) {
         return false;
       }
-      // One snapshot per run; all pendings of this run share it.
+      // One snapshot per run; all pendings of this run share it. It takes
+      // the run's cells and domains and leaves the runner its old storage.
       const size_t trace_len = path.trace.size();
-      auto seed = std::make_shared<const std::vector<i64>>(std::move(out.cells));
-      auto domains = std::make_shared<const std::vector<Interval>>(std::move(out.domains));
-      auto constraints = std::make_shared<const std::vector<Constraint>>(std::move(path.trace));
+      std::shared_ptr<RunSnapshot> snapshot = snapshots.Get();
+      snapshot->seed.swap(out.cells);
+      snapshot->domains.swap(out.domains);
+      snapshot->constraints.assign(path.trace.begin(), path.trace.end());
+      const std::shared_ptr<const std::vector<i64>> seed(snapshot, &snapshot->seed);
+      const std::shared_ptr<const std::vector<Interval>> domains(snapshot, &snapshot->domains);
+      const std::shared_ptr<const std::vector<Constraint>> constraints(snapshot,
+                                                                       &snapshot->constraints);
       // The run's trace starts with the set its model solved, so the
       // state can borrow it from this trace (and this run's domains,
       // when unchanged) instead of pinning the parent's.
-      if (state != nullptr && !state->Rebase(constraints, domains)) {
+      if (state != nullptr && !state->Rebase(constraints, domains, known_equal)) {
         state.reset();
       }
-      auto trace = std::make_shared<const ResidentTrace>(
-          ResidentTrace{constraints, std::move(state)});
+      previous_trace = constraints;
+      std::shared_ptr<ResidentTrace> resident = traces.Get();
+      resident->constraints = constraints;
+      resident->base = std::move(state);
+      const std::shared_ptr<const ResidentTrace> trace = std::move(resident);
       // Dedup keys: the solved set's key extended along the part of the
       // trace past it — or, if the run left that set's path, the whole
       // trace fingerprinted afresh.
@@ -735,7 +777,7 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
     }
 
     PooledPending pooled;
-    SliceState solved_state;
+    SolveResult solved;
     while (!done && !stop.StopRequested() && !budget.Exhausted() && !frontier.closed()) {
       if (shape.stop_at_frontier > 0 && frontier.size() >= shape.stop_at_frontier) {
         break;  // Scout: the frontier is wide enough to shard.
@@ -778,12 +820,12 @@ ReplayResult RunSearch(const IrModule& module, const InstrumentationPlan& plan,
       ++ws.solver_calls;
       // Extend the slice state of the solve that produced this trace,
       // and keep this solve's own for the run it produces.
-      SolveResult solved = solver.Solve(set, *pending.domains, *pending.seed,
-                                        pending.trace->base.get(), &solved_state);
+      std::shared_ptr<SliceState> state = states.Get();
+      solver.Solve(set, *pending.domains, *pending.seed, pending.trace->base.get(), state.get(),
+                   &solved);
       if (solved.status != SolveStatus::kSat) {
         continue;
       }
-      auto state = std::make_shared<SliceState>(std::move(solved_state));
       state->set_owner = pending.trace->constraints;
       state->domains_owner = pending.domains;
       if (stop.StopRequested() || budget.Exhausted()) {

@@ -38,8 +38,9 @@ bool DebugReplayEnabled() {
 // Branch observer implementing the four replay cases of paper §3.1.
 class ReplayObserver : public BranchObserver {
  public:
-  ReplayObserver(const InstrumentationPlan& plan, const BitVec& log, FailureAccum* failures)
-      : plan_(plan), log_(log), failures_(failures) {}
+  ReplayObserver(const InstrumentationPlan& plan, const BitVec& log, FailureAccum* failures,
+                 ReplayPath* path)
+      : path(*path), plan_(plan), log_(log), failures_(failures) {}
 
   Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) override {
     const bool instrumented = plan_.Instrumented(branch_id);
@@ -93,7 +94,7 @@ class ReplayObserver : public BranchObserver {
     return Action::kAbort;
   }
 
-  ReplayPath path;
+  ReplayPath& path;  // The run's, filled as it goes.
 
  private:
   const InstrumentationPlan& plan_;
@@ -110,7 +111,8 @@ ReplayRunner::ReplayRunner(const IrModule& module, const InstrumentationPlan& pl
       failures_(failures),
       limits_(limits),
       cells_(module, report.shape),
-      rule_(cells_.layout(), *arena) {}
+      rule_(cells_.layout(), *arena),
+      observer_(std::make_unique<ReplayObserver>(plan, report.branch_log, failures, &run_.path)) {}
 
 ReplayRunner::~ReplayRunner() = default;
 
@@ -166,7 +168,7 @@ void ReplayRunner::Truncate(size_t depth) {
   depth_ = depth;
 }
 
-ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
+ReplayRun& ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   // The deepest checkpoint the rule admits, among those the budget could
   // have paid the steps before without running out (budget steps grow
   // along the path).
@@ -251,7 +253,7 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   std::vector<i32>& patch = config_.resume_delta;
   patch.clear();
   if (depth > 0) {
-    patch = rule.Delta();
+    rule.Delta(&patch);
     for (size_t i = 0; truncated && i < older.size(); ++i) {
       const PathCell& pc = path_cell_[older[i]];
       if (pc.count > 0 && pc.value != rule.values()[older[i]]) {
@@ -264,20 +266,21 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   const u64 skipped = from != nullptr ? from->run.exec.stats.instrs : 0;
   const bool at_branch = from != nullptr && from->run.at_branch;
 
-  ReplayObserver observer(plan_, report_.branch_log, failures_);
+  // The previous run's path starts with the stack's: this run's is its
+  // prefix up to `from`, cut in place.
+  ReplayPath& path = run_.path;
+  const Mark mark = from != nullptr ? from->mark : Mark{};
+  path.trace.resize(mark.trace_len);
+  path.bits_at.resize(mark.trace_len);
+  path.flippable.resize(mark.flippable_len);
+  path.blind_branches.resize(mark.flippable_len);
+  path.cursor = mark.cursor;
+  path.forced_direction = false;
+  path.concrete_mismatch = false;
+  path.log_exhausted = false;
+  path.last_blind_branch = mark.last_blind_branch;
   flip_at_ = kNotYet;
   if (from != nullptr) {
-    const Mark& mark = from->mark;
-    ReplayPath& path = observer.path;
-    auto prefix = [](auto& out, const auto& stacked, size_t len) {
-      out.assign(stacked.begin(), stacked.begin() + static_cast<std::ptrdiff_t>(len));
-    };
-    prefix(path.trace, path_.trace, mark.trace_len);
-    prefix(path.bits_at, path_.bits_at, mark.trace_len);
-    prefix(path.flippable, path_.flippable, mark.flippable_len);
-    prefix(path.blind_branches, path_.blind_branches, mark.flippable_len);
-    path.cursor = mark.cursor;
-    path.last_blind_branch = mark.last_blind_branch;
     if (failures_ != nullptr) {
       for (i32 branch_id : path.blind_branches) {
         failures_->BlindExec(branch_id);
@@ -297,7 +300,7 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   CellRunConfig& config = config_;
   config.model.assign(model.begin(), model.end());
   config.arena = arena_;
-  config.observers.assign(1, &observer);
+  config.observers.assign(1, observer_.get());
   if (limits_.cancel != nullptr) {
     config.observers.push_back(limits_.cancel);
   }
@@ -307,14 +310,13 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
   config.checkpoints = this;
   config.resume_from = from != nullptr ? &from->run : nullptr;
 
-  ReplayRun run;
-  observer_ = &observer;
+  ReplayRun& run = run_;
   start_depth_ = start_depth;
-  run.out = cells_.Run(config);
-  observer_ = nullptr;
-  run.path = std::move(observer.path);
+  cells_.Run(config, &run.out);
+  run.instrs_before_flip = 0;
   run.resumed_at = from != nullptr ? static_cast<i64>(skipped) : -1;
   run.resumed_at_branch = at_branch;
+  run.kept_trace = mark.trace_len;
   if (start_depth > 0) {
     run.instrs_before_flip =
         (flip_at_ != kNotYet ? flip_at_ : run.out.result.stats.instrs) - skipped;
@@ -325,7 +327,7 @@ ReplayRun ReplayRunner::Run(const std::vector<i64>& model, size_t start_depth) {
 
 RunCheckpoint* ReplayRunner::AtPause(const PausePoint& at) {
   Sync();  // The previous checkpoint's records are complete by now.
-  const ReplayPath& live = observer_->path;
+  const ReplayPath& live = run_.path;
   if (at.at_branch) {
     // The branch is about to record trace entry live.trace.size(), unless
     // it finds the log exhausted.
@@ -367,18 +369,6 @@ RunCheckpoint* ReplayRunner::AtPause(const PausePoint& at) {
     ++first_serial_;
     --synced_;
   }
-  // path_ holds the path up to the previous checkpoint; extend it with
-  // what the run observed since.
-  const Mark prev = depth_ > 0 ? entries_[depth_ - 1].mark : Mark{};
-  auto extend = [](auto& stacked, const auto& observed, size_t len) {
-    stacked.resize(len);
-    stacked.insert(stacked.end(), observed.begin() + static_cast<std::ptrdiff_t>(len),
-                   observed.end());
-  };
-  extend(path_.trace, live.trace, prev.trace_len);
-  extend(path_.bits_at, live.bits_at, prev.trace_len);
-  extend(path_.flippable, live.flippable, prev.flippable_len);
-  extend(path_.blind_branches, live.blind_branches, prev.flippable_len);
   if (entries_.size() == depth_) {
     entries_.emplace_back();
   }

@@ -29,6 +29,7 @@
 #define RETRACE_REPLAY_REPLAY_RUN_H_
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/concolic/cellrun.h"
@@ -103,6 +104,9 @@ struct ReplayRun {
   // paused at a branch rather than a read().
   i64 resumed_at = -1;
   bool resumed_at_branch = false;
+  // Leading path.trace entries kept from the previous run's path: those
+  // before its resume point.
+  size_t kept_trace = 0;
   // Instructions the run executed after its start and before the branch
   // that takes trace entry start_depth - 1 (its flipped or forced
   // branch); all it executed if it never got there. Zero for a run with
@@ -144,7 +148,10 @@ class ReplayRunner : private CheckpointSink {
   // skipped steps fit in the budget, or from main. `start_depth` is the
   // length of the pending set the model solves (0: none): the run's
   // case-1 branches at trace index >= start_depth publish pendings.
-  ReplayRun Run(const std::vector<i64>& model, size_t start_depth);
+  // The run is the runner's, valid until the next one, and its storage
+  // serves every run: a caller may swap vectors out of `out`, but must
+  // leave `path` as it is (the next run keeps its prefix).
+  ReplayRun& Run(const std::vector<i64>& model, size_t start_depth);
 
   const CellLayout& layout() const { return cells_.layout(); }
   const InputSpec& spec() const { return cells_.spec(); }
@@ -209,11 +216,11 @@ class ReplayRunner : private CheckpointSink {
   CellRunConfig config_;
   ResumeRule rule_;
   // entries_[0, depth_) are the checkpoints on the most recent run's
-  // path; `path_` holds that path up to the deepest one. Entries past
-  // depth_ are spares whose storage the next checkpoints reuse.
+  // path, which run_.path holds; each one's mark cuts it back to where
+  // the checkpoint was taken. Entries past depth_ are spares whose
+  // storage the next checkpoints reuse.
   std::deque<Entry> entries_;
   size_t depth_ = 0;
-  ReplayPath path_;
   // Of entries [0, synced_): each one's own signature. Every entry but
   // the deepest is synced while a run goes on, and all of them between
   // runs.
@@ -228,9 +235,12 @@ class ReplayRunner : private CheckpointSink {
   std::vector<i32> path_cells_;
   u64 first_serial_ = 0;
   std::vector<i32> older_scratch_;
-  // Of the run in progress: its observer, start depth, and the
-  // instruction count before its flipped branch (kNotYet until reached).
-  ReplayObserver* observer_ = nullptr;
+  // The latest run; its observer fills its path, whose prefix the next
+  // run keeps.
+  ReplayRun run_;
+  std::unique_ptr<ReplayObserver> observer_;
+  // Of the run in progress: its start depth, and the instruction count
+  // before its flipped branch (kNotYet until reached).
   size_t start_depth_ = 0;
   static constexpr u64 kNotYet = ~u64{0};
   u64 flip_at_ = kNotYet;

@@ -433,6 +433,16 @@ class Arena {
     return out;
   }
   size_t used() const { return total_; }
+  // Empties the arena, keeping its largest block for the next user.
+  void Reset() {
+    if (blocks_.size() > 1) {
+      std::unique_ptr<u64[]> last = std::move(blocks_.back());
+      blocks_.clear();
+      blocks_.push_back(std::move(last));
+    }
+    used_ = 0;
+    total_ = 0;
+  }
 
  private:
   static constexpr size_t kMaxBlockWords = 1024;
@@ -613,8 +623,10 @@ class PersistentMap {
 // own solve resolved, found through two persistent maps whose untouched
 // nodes are the parent's.
 struct SliceState::Core {
-  ~Core() {
-    // Unlink a long chain of ancestors one at a time, not recursively.
+  ~Core() { Unlink(); }
+  // Drops the parent, unlinking a long chain of ancestors one at a time,
+  // not recursively.
+  void Unlink() const {
     std::shared_ptr<const Core> next = std::move(parent);
     while (next != nullptr && next.use_count() == 1) {
       std::shared_ptr<const Core> after = std::move(next->parent);
@@ -631,6 +643,23 @@ struct SliceState::Core {
   i32 max_var = -1;
   std::vector<const Slice*> uninheritable;  // Live slices a solve re-resolves.
 };
+
+IncrementalSolver::IncrementalSolver(const ExprArena& arena, SolverOptions options,
+                                     SliceCache& cache)
+    : arena_(arena), solver_(arena, options), cache_(cache) {}
+
+IncrementalSolver::~IncrementalSolver() = default;
+
+void IncrementalSolver::ReleaseCore::operator()(SliceState::Core& core) const {
+  core.Unlink();
+  core.arena.Reset();
+  core.vars = PersistentMap();
+  core.heads = PersistentMap();
+  core.max_var = -1;
+  core.uninheritable.clear();
+}
+
+std::shared_ptr<SliceState::Core> IncrementalSolver::NewCore() { return cores_.Get(); }
 
 namespace {
 
@@ -666,10 +695,18 @@ bool SliceState::Prefixes(ConstraintSpan other) const {
 }
 
 bool SliceState::Rebase(std::shared_ptr<const std::vector<Constraint>> trace,
-                        std::shared_ptr<const std::vector<Interval>> trace_domains) {
-  const ConstraintSpan view(trace->data(), set.size());
-  if (trace->size() < set.size() || !Prefixes(view)) {
+                        std::shared_ptr<const std::vector<Interval>> trace_domains,
+                        size_t known_equal) {
+  if (trace->size() < set.size()) {
     return false;
+  }
+  // The last entry, the only one a set can negate, is always compared.
+  const ConstraintSpan view(trace->data(), set.size());
+  const size_t from = set.size() > 0 ? std::min(known_equal, set.size() - 1) : 0;
+  for (size_t i = from; i < set.size(); ++i) {
+    if (!(view[i] == set[i])) {
+      return false;
+    }
   }
   set = view;
   set_owner = std::move(trace);
@@ -694,8 +731,21 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
                                      const std::vector<Interval>& domains,
                                      const std::vector<i64>& seed, const SliceState* base,
                                      SliceState* out) {
-  const size_t n = constraints.size();
   SolveResult result;
+  Solve(constraints, domains, seed, base, out, &result);
+  if (result.status != SolveStatus::kSat) {
+    result.model.clear();
+  }
+  return result;
+}
+
+void IncrementalSolver::Solve(ConstraintSpan constraints, const std::vector<Interval>& domains,
+                              const std::vector<i64>& seed, const SliceState* base,
+                              SliceState* out, SolveResult* out_result) {
+  const size_t n = constraints.size();
+  SolveResult& result = *out_result;
+  result.status = SolveStatus::kUnknown;
+  result.steps = 0;
   if (out != nullptr) {
     out->Clear();
   }
@@ -798,7 +848,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   }
   if (constant_fails) {
     result.status = SolveStatus::kUnsat;
-    return result;
+    return;
   }
   // Base slices the delta leaves alone are re-resolved too when they are
   // not inheritable, or when a variable's domain changed (the key did).
@@ -882,7 +932,8 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   // sub-model over it; a group's variables go back to the seed before it
   // is resolved, as at depth 0. Built when a slice first needs it: a
   // call that ends at its first slice's UNSAT hit never does.
-  std::vector<i64> model;
+  std::vector<i64>& model = result.model;
+  model.clear();
   auto seeded = [&](i32 v) {
     const Interval dom = DomainOf(domains, v);
     return std::clamp(static_cast<size_t>(v) < seed.size() ? seed[v] : 0, dom.lo, dom.hi);
@@ -1015,7 +1066,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
       ++stats_.slice_unsat_hits;
       result.status = SolveStatus::kUnsat;
       result.steps = 0;
-      return result;
+      return;
     }
     if (slice_members_.empty()) {
       gather_members();
@@ -1059,16 +1110,18 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
 
     if (!resolved) {
       ++stats_.slices_solved;
-      SolveResult sub = solver_.Solve(slice_constraints_, domains, seed);
+      SolveResult& sub = sub_;
+      solver_.Solve(ConstraintSpan(slice_constraints_.data(), slice_constraints_.size()), domains,
+                    seed, &sub);
       result.steps += sub.steps;
       if (sub.status == SolveStatus::kUnsat) {
         cache_.StoreUnsat(key, check);
         result.status = SolveStatus::kUnsat;
-        return result;
+        return;
       }
       if (sub.status != SolveStatus::kSat) {
         result.status = SolveStatus::kUnknown;
-        return result;
+        return;
       }
       SliceCache::SliceModel sub_model;
       sub_model.reserve(slice_vars_.size());
@@ -1099,7 +1152,7 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   if (keep) {
     // The solved set's state: the base's maps, with the merged-away
     // heads erased and every resolved slice written over them.
-    auto core = std::make_shared<SliceState::Core>();
+    std::shared_ptr<SliceState::Core> core = NewCore();
     if (base != &kEmptyState) {
       core->parent = base->core;
       core->vars = from.vars;
@@ -1154,8 +1207,6 @@ SolveResult IncrementalSolver::Solve(ConstraintSpan constraints,
   }
 
   result.status = SolveStatus::kSat;
-  result.model = std::move(model);
-  return result;
 }
 
 }  // namespace retrace

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "src/solver/solver.h"
+#include "src/support/recycle.h"
 
 namespace retrace {
 
@@ -269,9 +270,12 @@ struct SliceState {
   /// from `trace_domains` when they are equal to the state's. Taking
   /// ownership of both, the state then pins only what the caller keeps
   /// anyway, and later Prefixes and domain checks against the same
-  /// storage are a pointer compare.
+  /// storage are a pointer compare. A caller that knows the first
+  /// `known_equal` entries of `trace` to be the set's saves comparing
+  /// them.
   bool Rebase(std::shared_ptr<const std::vector<Constraint>> trace,
-              std::shared_ptr<const std::vector<Interval>> trace_domains);
+              std::shared_ptr<const std::vector<Interval>> trace_domains,
+              size_t known_equal = 0);
   /// Back to the empty state (the depth-0 base).
   void Clear();
   /// Bytes this state's own solve wrote: its slices and map nodes.
@@ -305,8 +309,8 @@ struct SliceState {
 /// must outlive the solver.
 class IncrementalSolver {
  public:
-  IncrementalSolver(const ExprArena& arena, SolverOptions options, SliceCache& cache)
-      : arena_(arena), solver_(arena, options), cache_(cache) {}
+  IncrementalSolver(const ExprArena& arena, SolverOptions options, SliceCache& cache);
+  ~IncrementalSolver();
 
   /// Solves `constraints`. With `base` (a state an earlier SAT solve of
   /// this search filled), the solve extends it by the delta; see
@@ -317,6 +321,11 @@ class IncrementalSolver {
   SolveResult Solve(ConstraintSpan constraints, const std::vector<Interval>& domains,
                     const std::vector<i64>& seed, const SliceState* base = nullptr,
                     SliceState* out = nullptr);
+  /// The same, into `result`, whose model keeps its storage across calls
+  /// (its contents are unspecified unless the status is kSat).
+  void Solve(ConstraintSpan constraints, const std::vector<Interval>& domains,
+             const std::vector<i64>& seed, const SliceState* base, SliceState* out,
+             SolveResult* result);
 
   const IncrementalStats& stats() const { return stats_; }
 
@@ -327,10 +336,18 @@ class IncrementalSolver {
   // expression not yet memoized.
   std::span<const i32> VarsOf(ExprRef expr);
 
+  // A core for a state's solve, recycled from the cores of states gone.
+  std::shared_ptr<SliceState::Core> NewCore();
+
   const ExprArena& arena_;
   Solver solver_;
   SliceCache& cache_;
   IncrementalStats stats_;
+  SolveResult sub_;  // A slice's local search.
+  struct ReleaseCore {
+    void operator()(SliceState::Core& core) const;
+  };
+  Recycler<SliceState::Core, ReleaseCore> cores_;
 
   static constexpr u32 kNone = ~0u;
 

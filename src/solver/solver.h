@@ -49,15 +49,52 @@ class Solver {
     return Solve(ConstraintSpan(constraints.data(), constraints.size()), domains, seed);
   }
 
+  // The same, into `out`, whose model keeps its storage across calls.
+  void Solve(ConstraintSpan constraints, const std::vector<Interval>& domains,
+             const std::vector<i64>& seed, SolveResult* out) const;
+
   // Convenience: evaluates whether `model` satisfies all constraints.
   bool Satisfies(ConstraintSpan constraints, const std::vector<i64>& model) const;
   bool Satisfies(const std::vector<Constraint>& constraints, const std::vector<i64>& model) const {
     return Satisfies(ConstraintSpan(constraints.data(), constraints.size()), model);
   }
 
+  // Buffers one Solve call fills and the next reuses, so that a warm
+  // solver searches without allocating. They make Solve non-reentrant:
+  // one solver per thread, like the arena it reads.
+  struct Scratch {
+    // Which constraints mention each variable, and which variables each
+    // constraint mentions, as offset tables into flat arrays.
+    std::vector<u32> var_start;
+    std::vector<u32> var_cons;
+    std::vector<u32> cons_start;
+    std::vector<i32> cons_vars;
+    std::vector<i32> collect;
+    std::vector<i64> consts;
+    // Candidate values per backtracking depth, and the values one
+    // candidate list already holds: open addressing, cleared by stamp.
+    std::vector<std::vector<i64>> candidates;
+    std::vector<i64> seen_keys;
+    std::vector<u32> seen_stamps;
+    u32 seen_stamp = 0;
+    size_t seen_size = 0;
+    // One backtracking plan: its variables, each variable's position in
+    // them, the constraints checked at each depth and at the leaf.
+    std::vector<i32> plan_vars;
+    std::vector<i32> position;
+    std::vector<u8> touching;
+    std::vector<u32> touched;
+    std::vector<std::vector<u32>> check_at_depth;
+    std::vector<u32> leaf_extra;
+    std::vector<i32> joint;
+    std::vector<u8> in_joint;
+    std::vector<i64> trial;
+  };
+
  private:
   const ExprArena& arena_;
   SolverOptions options_;
+  mutable Scratch scratch_;
 };
 
 }  // namespace retrace

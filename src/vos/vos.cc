@@ -115,18 +115,10 @@ CellStore::CellStore(const CellLayout& layout, std::vector<i64> model)
 }
 
 void CellStore::Reset(const std::vector<i64>& model) {
-  // The static cells, with room for the dynamic ones.
-  const size_t size = static_cast<size_t>(num_static_) + dynamic_hint_;
-  auto refill = [size](auto& cells, const auto& layout) {
-    cells.clear();
-    cells.reserve(size);
-    cells.insert(cells.end(), layout.begin(), layout.end());
-  };
-  refill(values_, layout_->defaults());
-  refill(domains_, layout_->domains());
-  refill(info_, layout_->info());
+  values_.assign(layout_->defaults().begin(), layout_->defaults().end());
+  domains_.assign(layout_->domains().begin(), layout_->domains().end());
+  info_.assign(layout_->info().begin(), layout_->info().end());
   dynamic_trace_.clear();
-  dynamic_trace_.reserve(dynamic_hint_);
   model_.assign(model.begin(), model.end());
   for (size_t i = 0; i < values_.size() && i < model_.size(); ++i) {
     values_[i] = std::clamp(model_[i], domains_[i].lo, domains_[i].hi);
@@ -134,13 +126,12 @@ void CellStore::Reset(const std::vector<i64>& model) {
   occurrence_ = {};
 }
 
-void CellStore::MoveInto(std::vector<i64>* values, std::vector<Interval>* domains,
+void CellStore::SwapInto(std::vector<i64>* values, std::vector<Interval>* domains,
                          std::vector<CellInfo>* info, std::vector<DynRecord>* dynamic_trace) {
-  dynamic_hint_ = values_.size() - static_cast<size_t>(num_static_);
-  *values = std::move(values_);
-  *domains = std::move(domains_);
-  *info = std::move(info_);
-  *dynamic_trace = std::move(dynamic_trace_);
+  values->swap(values_);
+  domains->swap(domains_);
+  info->swap(info_);
+  dynamic_trace->swap(dynamic_trace_);
 }
 
 i32 CellStore::AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* value_out) {
@@ -194,7 +185,7 @@ void VirtualOs::Reset() {
   next_conn_ = 0;
   open_conns_ = 0;
   stdout_.clear();
-  fd_output_.clear();
+  num_fd_outputs_ = 0;
   last_read_ = CellRange{};
   fds_.assign(4, FdEntry{});
   fds_[0] = FdEntry{FdEntry::Type::kStdin, shape_.stdin_stream, 0};
@@ -213,7 +204,8 @@ void VirtualOs::Save(State* out) const {
   out->next_conn = next_conn_;
   out->open_conns = open_conns_;
   out->stdout_text = stdout_;
-  out->fd_output = fd_output_;
+  out->fd_output.assign(fd_output_.begin(),
+                        fd_output_.begin() + static_cast<std::ptrdiff_t>(num_fd_outputs_));
   out->log_cursor = log_cursor_;
   out->log_diverged = log_diverged_;
   cells_->SaveDynamic(&out->cells);
@@ -224,7 +216,11 @@ void VirtualOs::Restore(const State& from) {
   next_conn_ = from.next_conn;
   open_conns_ = from.open_conns;
   stdout_ = from.stdout_text;
-  fd_output_ = from.fd_output;
+  if (fd_output_.size() < from.fd_output.size()) {
+    fd_output_.resize(from.fd_output.size());
+  }
+  std::copy(from.fd_output.begin(), from.fd_output.end(), fd_output_.begin());
+  num_fd_outputs_ = from.fd_output.size();
   log_cursor_ = from.log_cursor;
   log_diverged_ = from.log_diverged;
   last_read_ = CellRange{};
@@ -368,7 +364,21 @@ SyscallOutcome VirtualOs::DoWrite(const std::vector<i64>& int_args,
     stdout_.append(data.begin(), data.end());
   } else {
     // stderr and sockets are captured per fd.
-    fd_output_[static_cast<i32>(fd)].append(data.begin(), data.end());
+    FdOutput* output = nullptr;
+    for (size_t i = 0; i < num_fd_outputs_ && output == nullptr; ++i) {
+      if (fd_output_[i].fd == fd) {
+        output = &fd_output_[i];
+      }
+    }
+    if (output == nullptr) {
+      if (num_fd_outputs_ == fd_output_.size()) {
+        fd_output_.emplace_back();
+      }
+      output = &fd_output_[num_fd_outputs_++];
+      output->fd = static_cast<i32>(fd);
+      output->text.clear();
+    }
+    output->text.append(data.begin(), data.end());
   }
   out.ret = static_cast<i64>(data.size());
   return out;
@@ -447,8 +457,12 @@ SyscallOutcome VirtualOs::DoPollSignal() {
 }
 
 std::string VirtualOs::WrittenTo(i32 fd) const {
-  auto it = fd_output_.find(fd);
-  return it == fd_output_.end() ? std::string() : it->second;
+  for (size_t i = 0; i < num_fd_outputs_; ++i) {
+    if (fd_output_[i].fd == fd) {
+      return fd_output_[i].text;
+    }
+  }
+  return std::string();
 }
 
 }  // namespace retrace

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/exec/interp.h"
@@ -141,8 +140,7 @@ class CellStore {
   CellStore(const CellLayout& layout, std::vector<i64> model);
 
   // Back to the state the constructor leaves, for another run over the
-  // same layout. Storage the last run's MoveInto took is allocated again
-  // at once for as many dynamic cells as that run made.
+  // same layout, keeping the storage.
   void Reset(const std::vector<i64>& model);
 
   void set_policy(NondetPolicy* policy) { policy_ = policy; }
@@ -167,8 +165,9 @@ class CellStore {
   i32 AllocDynamic(Builtin sys, Interval domain, i64 natural, i64* value_out);
 
   void SaveDynamic(Dynamic* out) const;
-  // Moves the run's cells out; the store is spent until Reset.
-  void MoveInto(std::vector<i64>* values, std::vector<Interval>* domains,
+  // Swaps the run's cells out; the outputs' old storage serves the next
+  // run, and the store is spent until Reset.
+  void SwapInto(std::vector<i64>* values, std::vector<Interval>* domains,
                 std::vector<CellInfo>* info, std::vector<DynRecord>* dynamic_trace);
   // Replaces the dynamic cells; static cells keep their values.
   void RestoreDynamic(const Dynamic& from);
@@ -190,7 +189,6 @@ class CellStore {
   NondetPolicy* policy_ = nullptr;
   std::array<int, kNumBuiltins> occurrence_{};  // Per Builtin.
   std::vector<DynRecord> dynamic_trace_;
-  size_t dynamic_hint_ = 0;  // Dynamic cells the last run made.
 };
 
 // ----- Syscall log -----------------------------------------------------------
@@ -223,6 +221,12 @@ class VirtualOs : public SyscallHandler {
     i32 count = 0;
   };
 
+  // What a run wrote to one fd other than stdout.
+  struct FdOutput {
+    i32 fd = -1;
+    std::string text;
+  };
+
   // Everything a run has changed in the OS and its cell store: enough to
   // continue the run from here (Interp::State holds the program's side).
   struct State {
@@ -230,7 +234,7 @@ class VirtualOs : public SyscallHandler {
     size_t next_conn = 0;
     int open_conns = 0;
     std::string stdout_text;
-    std::unordered_map<i32, std::string> fd_output;
+    std::vector<FdOutput> fd_output;  // In the order of the fds' first writes.
     size_t log_cursor = 0;
     bool log_diverged = false;
     CellStore::Dynamic cells;
@@ -253,8 +257,6 @@ class VirtualOs : public SyscallHandler {
                            const std::string& str_arg, const std::vector<u8>& write_data) override;
 
   const std::string& stdout_text() const { return stdout_; }
-  // Moves the stdout text out; stdout_text() is empty afterwards.
-  std::string TakeStdout() { return std::move(stdout_); }
   std::string WrittenTo(i32 fd) const;
   bool log_diverged() const { return log_diverged_; }
   // The bytes the latest read() delivered (count 0: none).
@@ -292,7 +294,10 @@ class VirtualOs : public SyscallHandler {
   size_t next_conn_ = 0;
   int open_conns_ = 0;
   std::string stdout_;
-  std::unordered_map<i32, std::string> fd_output_;
+  // fd_output_[0, num_fd_outputs_) is this run's; the rest keep their
+  // storage for the runs after it.
+  std::vector<FdOutput> fd_output_;
+  size_t num_fd_outputs_ = 0;
   CellRange last_read_;
 };
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <map>
+#include <random>
+
 #include "src/exec/interp.h"
 #include "src/support/budget.h"
 #include "tests/testutil.h"
@@ -469,6 +475,322 @@ TEST(InterpTest, ResumeTwiceFromOneSave) {
     EXPECT_EQ(got.exit_code, expected.exit_code);
     EXPECT_EQ(got.stats.instrs, expected.stats.instrs);
     EXPECT_EQ(resumed_io.printed(), io.printed());
+  }
+}
+
+// read() feeds bytes of `input`, each backed by the input cell of its
+// position; everything else as ScriptedSyscalls. Copyable: a copy taken
+// at a pause point resumes the input where the run was.
+class CellScript : public SyscallHandler {
+ public:
+  explicit CellScript(std::string input) : input_(std::move(input)) {}
+
+  SyscallOutcome OnSyscall(Builtin b, const std::vector<i64>& int_args,
+                           [[maybe_unused]] const std::string& str_arg,
+                           const std::vector<u8>& write_data) override {
+    SyscallOutcome out;
+    if (b == Builtin::kRead) {
+      const i64 n = std::min(int_args[1], static_cast<i64>(input_.size()) - cursor_);
+      for (i64 i = 0; i < n; ++i) {
+        out.data.push_back(static_cast<u8>(input_[cursor_ + i]));
+        out.data_cells.push_back(static_cast<i32>(cursor_ + i));
+      }
+      cursor_ += n;
+      out.ret = n;
+    } else if (b == Builtin::kPrintInt) {
+      printed_ += std::to_string(int_args[0]) + " ";
+    } else if (b == Builtin::kWrite) {
+      printed_.append(write_data.begin(), write_data.end());
+      out.ret = static_cast<i64>(write_data.size());
+    }
+    return out;
+  }
+
+  void set_byte(size_t at, char value) { input_[at] = value; }
+  std::vector<i64> cells() const { return std::vector<i64>(input_.begin(), input_.end()); }
+  const std::string& printed() const { return printed_; }
+
+ private:
+  std::string input_;
+  i64 cursor_ = 0;
+  std::string printed_;
+};
+
+// Every branch on a symbolic condition, in order.
+class BranchLog : public BranchObserver {
+ public:
+  Action OnBranch(i32 branch_id, bool taken, ExprRef cond_shadow) override {
+    if (cond_shadow != kNoExpr) {
+      seq.push_back({branch_id, taken ? 1 : 0, cond_shadow});
+    }
+    return Action::kContinue;
+  }
+  std::vector<std::array<i32, 3>> seq;
+};
+
+// Saves at every pause point when `keep` is set, with the handler and the
+// observer sequence there; otherwise saves into a few scratch states that
+// it keeps turning over, as a replay run's checkpoints do.
+class SaveEverywhere : public PauseListener {
+ public:
+  struct Point {
+    Interp::State state;
+    CellScript io{""};
+    size_t observed = 0;
+  };
+  SaveEverywhere(Interp* interp, const CellScript* io, const BranchLog* log)
+      : interp_(interp), io_(io), log_(log) {}
+
+  void BeforeRead() override { Pause(); }
+  void BeforeBranch(i32, bool, ExprRef) override { Pause(); }
+
+  bool keep = false;
+  std::deque<Point> points;
+  std::deque<Interp::State> scratch;
+
+ private:
+  void Pause() {
+    if (keep) {
+      Point& point = points.emplace_back();
+      interp_->Save(&point.state);
+      point.io = *io_;
+      point.observed = log_->seq.size();
+      return;
+    }
+    if (scratch.size() == 3) {
+      scratch.pop_front();
+    }
+    interp_->Save(&scratch.emplace_back());
+  }
+
+  Interp* interp_;
+  const CellScript* io_;
+  const BranchLog* log_;
+};
+
+// Recursion around read() and around a symbolic branch, frame arrays, and
+// global scalars and arrays written between pause points. The last byte
+// of every read reaches frames and globals without deciding a branch or
+// an index, so patching it at any pause point gives the run from main
+// that reads the patched byte.
+constexpr std::string_view kCallsAcrossPauses = R"(
+  int g_count = 0;
+  int g_sum = 0;
+  int g_last = 0;
+  int g_hist[4];
+  int reader(char *buf, int d) {
+    int pad[2];
+    pad[d & 1] = d;
+    if (d > 0) { return reader(buf, d - 1) + pad[d & 1] - d; }
+    return read(0, buf, 5);
+  }
+  int depth_sum(char *buf, int n, int d) {
+    if (d == 0) { return buf[n - 1] + n; }
+    int local[3];
+    local[d % 3] = buf[d % n] + d;
+    g_count = g_count + 1;
+    return local[d % 3] + depth_sum(buf, n, d - 1);
+  }
+  int step(int round) {
+    char buf[6];
+    int n = reader(buf, round % 3);
+    if (n <= 0) { return -1; }
+    g_hist[round & 3] = g_hist[round & 3] + buf[n - 1];
+    g_last = buf[n - 1];
+    if (buf[0] > 'm') { g_sum = g_sum + depth_sum(buf, n, round % 4); }
+    else { g_sum = g_sum - buf[1]; }
+    return n;
+  }
+  int main() {
+    int total = 0;
+    int acc = 0;
+    for (int round = 0; round < 6; round = round + 1) {
+      int n = step(round);
+      if (n < 0) { break; }
+      total = total + n;
+      acc = acc + g_last;
+    }
+    print_int(g_sum);
+    print_int(g_hist[0] + g_hist[1] * 3 + g_hist[2] * 5 + g_hist[3] * 7);
+    print_int(g_count);
+    print_int(acc);
+    return total;
+  }
+)";
+
+// What a run leaves behind, for comparing a resumed run with a run from
+// main.
+struct RunImage {
+  RunResult result;
+  std::vector<std::array<i32, 3>> branches;
+  std::string printed;
+  std::vector<MemObject> objects;
+  std::vector<i32> free_objects;
+};
+
+std::string DiffImages(const RunImage& got, const RunImage& want) {
+  std::string diff;
+  if (got.result.status != want.result.status || got.result.exit_code != want.result.exit_code ||
+      got.result.stats.instrs != want.result.stats.instrs ||
+      got.result.stats.calls != want.result.stats.calls ||
+      got.result.stats.branch_execs != want.result.stats.branch_execs ||
+      got.result.stats.syscalls != want.result.stats.syscalls) {
+    diff += "result; ";
+  }
+  if (got.branches != want.branches) {
+    diff += "observer sequence; ";
+  }
+  if (got.printed != want.printed) {
+    diff += "output; ";
+  }
+  if (got.free_objects != want.free_objects || got.objects.size() != want.objects.size()) {
+    diff += "object pool; ";
+    return diff;
+  }
+  for (size_t id = 0; id < got.objects.size(); ++id) {
+    const MemObject& a = got.objects[id];
+    const MemObject& b = want.objects[id];
+    if (a.alive != b.alive || a.gen != b.gen || (a.alive && a.cells != b.cells)) {
+      diff += "object " + std::to_string(id) + "; ";
+    }
+  }
+  return diff;
+}
+
+TEST(InterpTest, CheckpointsMatchRunsFromMainInAnyOrder) {
+  Compiled c = CompileOrDie(kCallsAcrossPauses);
+  ASSERT_NE(c.module, nullptr);
+  const std::string input = "qrstuabcdezyxwvmnopqhgfedsrqpo";
+  ExprArena arena;
+
+  // The reference: a run from main on a fresh interpreter, per input.
+  auto from_main = [&](const CellScript& script) {
+    Interp fresh(*c.module, InterpOptions{});
+    fresh.set_shadow_arena(&arena);
+    CellScript io = script;
+    BranchLog log;
+    fresh.set_syscall_handler(&io);
+    fresh.AddObserver(&log);
+    RunImage image;
+    image.result = fresh.Run();
+    image.branches = log.seq;
+    image.printed = io.printed();
+    image.objects = fresh.objects();
+    image.free_objects = fresh.free_objects();
+    return image;
+  };
+
+  Interp interp(*c.module, InterpOptions{});
+  interp.set_shadow_arena(&arena);
+  CellScript io(input);
+  BranchLog log;
+  interp.set_syscall_handler(&io);
+  interp.AddObserver(&log);
+  SaveEverywhere saver(&interp, &io, &log);
+  saver.keep = true;
+  interp.set_pause_listener(&saver);
+  const RunResult first = interp.Run();
+  saver.keep = false;
+  ASSERT_EQ(first.status, RunResult::Status::kExit);
+  ASSERT_EQ(first.exit_code, static_cast<i64>(input.size()));
+  const size_t num_points = saver.points.size();
+  ASSERT_GE(num_points, 12u);
+  const RunImage unpatched = from_main(CellScript(input));
+  EXPECT_EQ(unpatched.result.stats.instrs, first.stats.instrs);
+
+  // Each trial resumes one pause point, unpatched or with the last byte
+  // of one read patched; the trials run three times in shuffled order,
+  // with a fresh run on another input after every fourth.
+  struct Trial {
+    size_t point;
+    int patched_read;  // -1: unpatched.
+  };
+  std::vector<Trial> trials;
+  for (size_t k = 0; k < num_points; ++k) {
+    trials.push_back({k, -1});
+    trials.push_back({k, static_cast<int>(k % 6)});
+  }
+  std::vector<Trial> order;
+  for (int rep = 0; rep < 3; ++rep) {
+    order.insert(order.end(), trials.begin(), trials.end());
+  }
+  std::mt19937 rng(7);
+  std::shuffle(order.begin(), order.end(), rng);
+
+  std::map<int, RunImage> patched_refs;
+  int mismatches = 0;
+  for (size_t t = 0; t < order.size(); ++t) {
+    const Trial& trial = order[t];
+    if (t % 4 == 3) {
+      CellScript other("mmmmmzzzzz");
+      BranchLog other_log;
+      interp.ClearObservers();
+      interp.AddObserver(&other_log);
+      interp.set_syscall_handler(&other);
+      interp.Run();
+    }
+    const SaveEverywhere::Point& point = saver.points[trial.point];
+    CellScript resumed_io = point.io;
+    BranchLog resumed_log;
+    resumed_log.seq.assign(log.seq.begin(),
+                           log.seq.begin() + static_cast<std::ptrdiff_t>(point.observed));
+    ResumePatch patch;
+    std::vector<i64> values;
+    const RunImage* want = &unpatched;
+    if (trial.patched_read >= 0) {
+      const size_t cell = static_cast<size_t>(trial.patched_read) * 5 + 4;
+      CellScript script(input);
+      script.set_byte(cell, '#');
+      auto it = patched_refs.find(trial.patched_read);
+      if (it == patched_refs.end()) {
+        it = patched_refs.emplace(trial.patched_read, from_main(script)).first;
+      }
+      want = &it->second;
+      resumed_io.set_byte(cell, '#');
+      values = script.cells();
+      patch.values = &values;
+      patch.mask = ExprArena::VarBit(static_cast<i32>(cell));
+    }
+    // A patched run keeps its own checkpoints, and one of them is resumed
+    // next: the states a patched run saves must hold what it patched.
+    SaveEverywhere patched_saver(&interp, &resumed_io, &resumed_log);
+    patched_saver.keep = true;
+    interp.set_pause_listener(trial.patched_read >= 0 ? &patched_saver : &saver);
+    interp.ClearObservers();
+    interp.AddObserver(&resumed_log);
+    interp.set_syscall_handler(&resumed_io);
+    auto check = [&](const Interp::State& state, const ResumePatch& with, const char* what) {
+      RunImage got;
+      got.result = interp.Resume(state, with);
+      got.branches = resumed_log.seq;
+      got.printed = resumed_io.printed();
+      got.objects = interp.objects();
+      got.free_objects = interp.free_objects();
+      const std::string diff = DiffImages(got, *want);
+      if (!diff.empty() && mismatches++ < 5) {
+        ADD_FAILURE() << what << " pause point " << trial.point << " of " << num_points
+                      << (trial.patched_read >= 0
+                              ? ", last byte of read " + std::to_string(trial.patched_read) +
+                                    " patched"
+                              : ", unpatched")
+                      << ", trial " << t << ": " << diff;
+      }
+    };
+    check(point.state, patch, "resumed at");
+    interp.set_pause_listener(&saver);
+    if (!patched_saver.points.empty()) {
+      const SaveEverywhere::Point& later =
+          patched_saver.points[(t / 3) % patched_saver.points.size()];
+      resumed_io = later.io;
+      resumed_log.seq.resize(later.observed);
+      check(later.state, ResumePatch{}, "resumed from a patched run's checkpoint past");
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(patched_refs.size(), 1u);
+  // The patched byte must change the run, or the patch proves nothing.
+  for (const auto& [read, image] : patched_refs) {
+    EXPECT_NE(image.printed, unpatched.printed) << "read " << read;
   }
 }
 
